@@ -38,6 +38,9 @@ class DiscreteDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise InvariantError("probability vector must be one-dimensional and non-empty")
+        if not np.all(np.isfinite(probs)):
+            x = int(np.argmax(~np.isfinite(probs)))
+            raise InvariantError(f"non-finite mass {probs[x]!r} at coordinate {x + 1}")
         if np.any(probs < 0.0):
             x = int(np.argmax(probs < 0.0))
             raise InvariantError(f"negative mass {probs[x]!r} at coordinate {x + 1}")

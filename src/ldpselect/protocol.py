@@ -27,6 +27,12 @@ from .errors import (
     InvariantError,
 )
 
+# Users are simulated this many at a time, so temporaries stay O(_CHUNK)
+# whatever the population size.
+_CHUNK = 1 << 16
+# Guide-table buckets per domain point for the inverse-CDF draw.
+_GUIDE_PER_POINT = 16
+
 
 def correction_factor(epsilon: float) -> float:
     """Bias correction (e^eps + 1)/(e^eps - 1) for randomized response."""
@@ -147,9 +153,40 @@ class SimulatedPopulation:
 
     @classmethod
     def draw(cls, dist: DiscreteDistribution, n: int, rng) -> "SimulatedPopulation":
+        """Draw n i.i.d. users; equal to rng.choice(d, size=n, p=dist.probs) + 1 bit for bit."""
         rng = np.random.default_rng(rng)
-        samples = rng.choice(dist.domain_size, size=int(n), p=dist.probs) + 1
-        return cls(dist, samples)
+        samples = _inverse_cdf_draw(dist.probs, int(n), rng)
+        samples.flags.writeable = False
+        # The fresh array is in range and owned here, so skip __post_init__'s copy.
+        pop = cls.__new__(cls)
+        object.__setattr__(pop, "true_distribution", dist)
+        object.__setattr__(pop, "samples", samples)
+        return pop
+
+
+def _inverse_cdf_draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """1-based draws from probs, consuming the same uniforms as Generator.choice.
+
+    Generator.choice builds cdf = probs.cumsum() / cdf[-1], draws u = rng.random(n)
+    and returns cdf.searchsorted(u, side="right").  Here the search is a guide
+    table (Chen & Asau 1974): with a power-of-two bucket count G, u * G is exact,
+    bucket b = floor(u * G) starts at the first j with cdf[j] > b / G, and a few
+    steps reach the first j with cdf[j] > u, which is the same index.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (_GUIDE_PER_POINT * probs.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        u = rng.random(min(_CHUNK, n - start))
+        j = guide[(u * buckets).astype(np.intp)]
+        behind = np.flatnonzero(cdf[j] <= u)
+        while behind.size:
+            j[behind] += 1
+            behind = behind[cdf[j[behind]] <= u[behind]]
+        np.add(j, 1, out=out[start:start + u.size])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +211,14 @@ class LdpTranscript:
         return np.arange(self.user_count)
 
     def validate(self) -> None:
-        if self.query_index.shape != self.messages.shape:
+        if self.messages.ndim != 1 or self.query_index.shape != self.messages.shape:
             raise InvariantError("transcript arrays disagree in length")
         if self.user_count != self.block_size * self.num_queries:
             raise InvariantError("transcript does not consist of full equal blocks")
         if not np.all(np.abs(self.messages) == 1):
             raise InvariantError("released messages must be single bits in {-1, +1}")
-        expected = np.arange(self.user_count) // self.block_size
-        if not np.array_equal(self.query_index, expected):
+        blocks = self.query_index.reshape(self.num_queries, self.block_size)
+        if not np.all(blocks == np.arange(self.num_queries)[:, None]):
             raise InvariantError("query assignment is not the fixed contiguous-block map")
 
     def to_csv(self, path) -> None:
@@ -203,7 +240,9 @@ class LdpTranscript:
         msg = np.array([r[1] for r in rows], dtype=np.int8)
         num_queries = int(qi.max()) + 1 if qi.size else 0
         block = qi.size // num_queries if num_queries else 0
-        return cls(qi, msg, block, num_queries)
+        transcript = cls(qi, msg, block, num_queries)
+        transcript.validate()
+        return transcript
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +293,8 @@ def run_protocol(
     given enumeration order; surplus users are dropped so every estimate has
     identical variance.  User i with sample x releases RR_eps(T_{pi(i)}(x));
     the estimate for T is the corrected block mean.  Raw samples appear
-    nowhere in the outputs.
+    nowhere in the outputs.  Blocks are walked in order, _CHUNK users at a
+    time, so beyond the transcript arrays the temporaries are O(_CHUNK).
     """
     queries = list(queries)
     if not queries:
@@ -268,20 +308,24 @@ def run_protocol(
         if len(t) != d:
             raise DimensionError(f"query length {len(t)} does not match domain size {d}")
     rng = np.random.default_rng(rng)
+    c = correction_factor(params.epsilon)
     block = n // m
-    used = block * m
-    tests = np.stack([t.signs for t in queries])  # m x d
-    assignment = np.arange(used) // block
-    true_bits = tests[assignment, pop.samples[:used] - 1]
-    messages = randomized_response(true_bits, params.epsilon, rng)
+    messages = np.empty(block * m, dtype=np.int8)
+    estimates = {}
+    for i, t in enumerate(queries):
+        end = (i + 1) * block
+        total = 0
+        for start in range(i * block, end, _CHUNK):
+            stop = min(start + _CHUNK, end)
+            bits = randomized_response(t.signs[pop.samples[start:stop] - 1], params.epsilon, rng)
+            messages[start:stop] = bits
+            total += int(bits.sum(dtype=np.int64))
+        estimates[i] = c * total / block
     transcript = LdpTranscript(
-        query_index=assignment,
+        query_index=np.repeat(np.arange(m), block),
         messages=messages,
         block_size=block,
         num_queries=m,
     )
     transcript.validate()
-    c = correction_factor(params.epsilon)
-    block_sums = messages.astype(np.float64).reshape(m, block).sum(axis=1)
-    estimates = {i: float(c * s / block) for i, s in enumerate(block_sums)}
     return transcript, QueryEstimates(estimates=estimates, block_size=block, epsilon=params.epsilon)

@@ -216,6 +216,7 @@ class DominatingSetCertificate:
             "attempts": self.attempts,
             "target_bound": self.target_bound,
             "build_ms": self.build_ms,
+            "seed": self.seed,
         }
 
     def save(self, path) -> None:
@@ -232,6 +233,7 @@ class DominatingSetCertificate:
             attempts=int(doc["attempts"]),
             target_bound=float(doc["target_bound"]),
             build_ms=float(doc.get("build_ms", 0.0)),
+            seed=None if doc.get("seed") is None else int(doc["seed"]),
         )
 
     @classmethod
@@ -307,7 +309,7 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
                 random_part=_pairs_from_ids(sampled, k),
                 low_indegree_part=_pairs_from_ids(patch, k),
                 attempts=attempts,
-                target_bound=4.0 * k ** 1.5 * math.sqrt(math.log2(k)),
+                target_bound=bound,
                 build_ms=elapsed_ms,
             )
     raise ResamplingLimitError(

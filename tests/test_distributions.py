@@ -51,6 +51,10 @@ class TestDiscreteDistribution:
         with pytest.raises(InvariantError, match="coordinate 2"):
             dist(1.1, -0.1)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvariantError, match="coordinate 2"):
+            dist(1.0, float("nan"))
+
     def test_rejects_bad_sum(self):
         with pytest.raises(InvariantError, match="sum to"):
             dist(0.5, 0.4)

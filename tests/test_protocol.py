@@ -15,8 +15,9 @@ from ldpselect import (
     required_block_size,
     run_protocol,
 )
+from ldpselect.distributions import GENERATOR_MODELS, random_hypothesis_set
 from ldpselect.errors import ConfigError, DimensionError, InsufficientSamplesError, InvariantError
-from ldpselect.protocol import channel_matrix, correction_factor, keep_probability
+from ldpselect.protocol import _CHUNK, channel_matrix, correction_factor, keep_probability
 
 
 class TestChannel:
@@ -156,6 +157,78 @@ class TestSimulatedPopulation:
         with pytest.raises(InvariantError):
             SimulatedPopulation(p, np.array([1, 3]))
 
+    def test_constructor_copies_without_freezing_caller_array(self):
+        p = DiscreteDistribution(np.array([0.5, 0.5]))
+        given = np.array([1, 2, 1], dtype=np.int64)
+        pop = SimulatedPopulation(p, given)
+        assert given.flags.writeable and not pop.samples.flags.writeable
+        assert not np.shares_memory(given, pop.samples)
+        given[0] = 2
+        assert pop.samples[0] == 1
+
+    def test_drawn_samples_are_read_only(self):
+        pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 10, 0)
+        assert pop.samples.dtype == np.int64 and not pop.samples.flags.writeable
+
+
+BIT_IDENTITY_CASES = [
+    *(pytest.param(random_hypothesis_set(4, 16, seed=31, model=model).hypotheses[1], id=model)
+      for model in GENERATOR_MODELS),
+    pytest.param(DiscreteDistribution(np.array([0.0, 0.25, 0.0, 0.0, 0.75, 0.0])), id="zero-mass"),
+    pytest.param(DiscreteDistribution.point_mass(3, 5), id="point-mass"),
+    # many boundaries inside one guide bucket force multi-step searches
+    pytest.param(DiscreteDistribution.renormalized(np.r_[np.full(40, 1e-9), 1.0, np.full(40, 1e-9)]),
+                 id="clustered"),
+]
+
+
+class TestBitIdentityWithOneShotReference:
+    """Streaming draw and protocol against the one-shot formulas they replace."""
+
+    @staticmethod
+    def reference(dist, n, queries, epsilon, rng):
+        samples = rng.choice(dist.domain_size, size=n, p=dist.probs) + 1
+        draw_state = rng.bit_generator.state
+        m = len(queries)
+        block = n // m
+        used = block * m
+        tests = np.stack([t.signs for t in queries])
+        query_index = np.arange(used) // block
+        messages = randomized_response(tests[query_index, samples[:used] - 1], epsilon, rng)
+        c = correction_factor(epsilon)
+        sums = messages.astype(np.float64).reshape(m, block).sum(axis=1)
+        estimates = {i: float(c * s / block) for i, s in enumerate(sums)}
+        return samples, draw_state, query_index, messages, estimates
+
+    @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
+    @pytest.mark.parametrize("n,m", [(_CHUNK - 1, 1), (_CHUNK + 1, 1), (_CHUNK + 1, 3),
+                                     (2 * _CHUNK + 5, 7), (50, 50)])
+    def test_draw_and_protocol_match(self, dist, n, m):
+        qrng = np.random.default_rng(77)
+        queries = [SignedFunctional(qrng.choice([-1, 1], size=dist.domain_size)) for _ in range(m)]
+        params = PrivacyParams(epsilon=0.7, alpha_query=0.1, beta=0.1)
+        samples, draw_state, query_index, messages, estimates = self.reference(
+            dist, n, queries, params.epsilon, np.random.default_rng(5))
+        rng = np.random.default_rng(5)  # one generator for draw and protocol, as in C11
+        pop = SimulatedPopulation.draw(dist, n, rng)
+        assert np.array_equal(pop.samples, samples)
+        assert rng.bit_generator.state == draw_state
+        transcript, est = run_protocol(pop, queries, params, rng)
+        assert transcript.query_index.dtype == query_index.dtype
+        assert np.array_equal(transcript.query_index, query_index)
+        assert transcript.messages.dtype == messages.dtype
+        assert np.array_equal(transcript.messages, messages)
+        assert est.estimates == estimates
+
+    @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
+    def test_empty_draw(self, dist):
+        ref = np.random.default_rng(9)
+        expected = ref.choice(dist.domain_size, size=0, p=dist.probs) + 1
+        rng = np.random.default_rng(9)
+        pop = SimulatedPopulation.draw(dist, 0, rng)
+        assert pop.user_count == 0 and pop.samples.dtype == expected.dtype
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestRunProtocol:
     def test_point_mass_near_noiseless(self):
@@ -289,6 +362,17 @@ class TestSerialization:
         loaded = LdpTranscript.from_csv(path)
         assert np.array_equal(loaded.messages, transcript.messages)
         assert np.array_equal(loaded.query_index, transcript.query_index)
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 0, 1), (1, 1, -1), (2, 0, 1), (3, 1, 1)],  # blocks not contiguous
+        [(0, 0, 1), (1, 0, 0)],  # a message that is not a bit
+    ])
+    def test_transcript_csv_malformed_rejected(self, tmp_path, rows):
+        path = tmp_path / "transcript.csv"
+        lines = ["user_id,query_index,message"] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvariantError):
+            LdpTranscript.from_csv(path)
 
     def test_estimates_json_round_trip(self, tmp_path):
         est = QueryEstimates(estimates={0: 0.25, 1: -0.5}, block_size=10, epsilon=0.5)

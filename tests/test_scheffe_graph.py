@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,11 +162,14 @@ class TestDominatingSet:
         Q = random_hypothesis_set(6, 6, seed=2)
         G = build_scheffe_graph(Q, PHI)
         cert = find_dominating_set(G, Q, seed=8)
-        path = tmp_path / "cert.json"
-        cert.save(path)
-        loaded = DominatingSetCertificate.load(path)
-        assert loaded.dominating_set == cert.dominating_set
-        assert loaded.target_bound == pytest.approx(cert.target_bound)
+        assert cert.target_bound == domination_bound(Q.k)  # the bound actually enforced
+        for seed in (None, 8):
+            path = tmp_path / f"cert_{seed}.json"
+            replace(cert, seed=seed).save(path)
+            loaded = DominatingSetCertificate.load(path)
+            assert loaded.dominating_set == cert.dominating_set
+            assert loaded.target_bound == pytest.approx(cert.target_bound)
+            assert loaded.seed == seed
 
     def test_size_formulas(self):
         assert sample_size(2) == 1
