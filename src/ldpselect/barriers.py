@@ -34,9 +34,8 @@ from .scheffe_graph import (
     MAX_RESAMPLE_ATTEMPTS,
     PairDigraph,
     VertexPair,
-    all_pairs,
     pair_count,
-    pair_index,
+    shared_index_neighbors,
     _pairs_from_ids,
 )
 
@@ -108,14 +107,7 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     ell = lower_bound_sample_size(k)
     overlap_cap = 2.0 * math.log2(k)  # accept when t_max + 1 <= this
     rng = np.random.default_rng(seed)
-    pairs = all_pairs(k)
-    a = pairs[:, 0][:, np.newaxis]
-    b = pairs[:, 1][:, np.newaxis]
-    idx = np.arange(k)[np.newaxis, :]
-    valid = (idx != a) & (idx != b)
-    # Vertex ids of the index-sharing candidates {a, i} and {b, i}, dummy 0 where i in v.
-    wa = np.where(valid, pair_index(np.minimum(a, idx), np.maximum(a, idx), k), 0)
-    wb = np.where(valid, pair_index(np.minimum(b, idx), np.maximum(b, idx), k), 0)
+    wa, wb = shared_index_neighbors(k)
 
     t_max = None
     overlaps = None
@@ -124,8 +116,7 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
         sampled = rng.choice(V, size=ell, replace=False)
         in_R = np.zeros(V, dtype=bool)
         in_R[sampled] = True
-        both = in_R[wa] & in_R[wb] & valid
-        overlaps = both.sum(axis=1)
+        overlaps = (in_R[wa] & in_R[wb]).sum(axis=1)
         t_max = int(overlaps.max())
         if t_max + 1 <= overlap_cap:
             attempts = attempt
@@ -137,11 +128,10 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
             {"k": k, "ell": ell, "last_t_max": t_max, "cap": overlap_cap},
         )
 
-    ra = in_R[wa] & valid
-    rb = in_R[wb] & valid
+    ra = in_R[wa]
+    rb = in_R[wb]
     targets = np.where(ra & ~rb, wb, np.where(rb & ~ra, wa, np.minimum(wa, wb)))
-    sources = np.broadcast_to(np.arange(V)[:, np.newaxis], targets.shape)
-    graph = PairDigraph.from_edge_ids(k, sources[valid], targets[valid])
+    graph = PairDigraph.from_edge_ids(k, np.repeat(np.arange(V), k - 2), targets.ravel())
     sampled_sorted = np.flatnonzero(in_R)
     return LowerBoundCertificate(
         k=k,

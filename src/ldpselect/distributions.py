@@ -181,13 +181,17 @@ class HypothesisSet:
             raise InvariantError(f"hypothesis-set document missing field: {exc}") from exc
         hyps = []
         for row, probs in enumerate(rows, start=1):
+            if np.ndim(probs) != 1:
+                raise InvariantError(
+                    f"hypothesis {row}: expected a list of {d} masses, got {probs!r}"
+                )
             if len(probs) != d:
                 raise InvariantError(
                     f"hypothesis {row}: length {len(probs)} does not match domain_size {d}"
                 )
             try:
                 hyps.append(DiscreteDistribution(np.asarray(probs, dtype=float)))
-            except InvariantError as exc:
+            except ValueError as exc:
                 raise InvariantError(f"hypothesis {row}: {exc}") from exc
         return cls(tuple(hyps))
 

@@ -154,6 +154,8 @@ class SimulatedPopulation:
     @classmethod
     def draw(cls, dist: DiscreteDistribution, n: int, rng) -> "SimulatedPopulation":
         """Draw n i.i.d. users; equal to rng.choice(d, size=n, p=dist.probs) + 1 bit for bit."""
+        if n < 0:
+            raise ConfigError(f"user count must be non-negative, got {n}")
         rng = np.random.default_rng(rng)
         samples = _inverse_cdf_draw(dist.probs, int(n), rng)
         samples.flags.writeable = False
@@ -235,7 +237,13 @@ class LdpTranscript:
             header = next(reader)
             if header != ["user_id", "query_index", "message"]:
                 raise InvariantError(f"unexpected transcript header {header}")
-            rows = [(int(q), int(m)) for _, q, m in reader]
+            rows = []
+            for line, row in enumerate(reader, start=2):
+                try:
+                    _, q, m = row
+                    rows.append((int(q), int(m)))
+                except ValueError as exc:
+                    raise InvariantError(f"transcript line {line}: {exc}") from exc
         qi = np.array([r[0] for r in rows], dtype=np.int64)
         msg = np.array([r[1] for r in rows], dtype=np.int8)
         num_queries = int(qi.max()) + 1 if qi.size else 0

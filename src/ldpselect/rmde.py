@@ -13,6 +13,7 @@ one-round private protocol, and selects; the factor is then 13 = 1 + 2*6.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -34,8 +35,8 @@ from .scheffe_graph import (
     ScheffeGraph,
     VertexPair,
     build_scheffe_graph,
+    domination_bound,
     find_dominating_set,
-    pair_count,
     verify_domination,
 )
 
@@ -147,20 +148,25 @@ class SelectionReport:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def full_scheffe_family(Q: HypothesisSet) -> QueryFamily:
-    """All C(k, 2) pairwise Scheffe sets, deduplicated: the classical family at phi = 1."""
+def _scheffe_family(Q: HypothesisSet, pairs, phi: float) -> QueryFamily:
+    """Signed Scheffe sets of the pairs in order, keeping the first pair per distinct test."""
     tests: list[SignedFunctional] = []
     origins: list[VertexPair] = []
     seen: set[bytes] = set()
-    for j in range(Q.k):
-        for j2 in range(j + 1, Q.k):
-            t = signed_scheffe_set(Q.hypotheses[j], Q.hypotheses[j2])
-            key = t.key()
-            if key not in seen:
-                seen.add(key)
-                tests.append(t)
-                origins.append(VertexPair(j + 1, j2 + 1))
-    return QueryFamily(tests=tuple(tests), origins=tuple(origins), phi=1.0)
+    for pair in pairs:
+        t = signed_scheffe_set(Q.hypotheses[pair.lo - 1], Q.hypotheses[pair.hi - 1])
+        key = t.key()
+        if key not in seen:
+            seen.add(key)
+            tests.append(t)
+            origins.append(pair)
+    return QueryFamily(tests=tuple(tests), origins=tuple(origins), phi=phi)
+
+
+def full_scheffe_family(Q: HypothesisSet) -> QueryFamily:
+    """All C(k, 2) pairwise Scheffe sets, deduplicated: the classical family at phi = 1."""
+    pairs = itertools.starmap(VertexPair, itertools.combinations(range(1, Q.k + 1), 2))
+    return _scheffe_family(Q, pairs, 1.0)
 
 
 def query_family_from_dominating_set(
@@ -181,17 +187,7 @@ def query_family_from_dominating_set(
         raise InvalidCertificateError(f"graph is on k={graph.k}, hypothesis set has k={Q.k}")
     if not verify_domination(graph, cert.dominating_set):
         raise InvalidCertificateError("certificate set does not dominate the comparison graph")
-    tests: list[SignedFunctional] = []
-    origins: list[VertexPair] = []
-    seen: set[bytes] = set()
-    for pair in cert.dominating_set:
-        t = signed_scheffe_set(Q.hypotheses[pair.lo - 1], Q.hypotheses[pair.hi - 1])
-        key = t.key()
-        if key not in seen:
-            seen.add(key)
-            tests.append(t)
-            origins.append(pair)
-    return QueryFamily(tests=tuple(tests), origins=tuple(origins), phi=phi)
+    return _scheffe_family(Q, cert.dominating_set, phi)
 
 
 def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates) -> SelectionReport:
@@ -226,24 +222,27 @@ def max_query_budget(k: int) -> int:
     """Worst-case family size the plan must provision: ceil(4 k^1.5 sqrt(log2 k)), capped at C(k,2)."""
     if k < 2:
         raise ConfigError(f"need k >= 2, got {k}")
-    return min(math.ceil(4.0 * k ** 1.5 * math.sqrt(math.log2(k))), pair_count(k))
+    return math.ceil(domination_bound(k))
 
 
-def plan_sample_size(k: int, config: SelectionConfig) -> int:
-    """Users sufficient for the full pipeline at the config's targets.
+def _estimation_targets(config: SelectionConfig) -> dict:
+    """Per-query protocol targets for the config.
 
     Per-query accuracy is set to phi*alpha/2 so the selection error term
     collapses to exactly alpha; the failure budget is split evenly between
     estimation and sampling diagnostics.
     """
+    return {
+        "epsilon": config.epsilon,
+        "alpha_query": config.phi * config.alpha / 2.0,
+        "beta": config.beta / 2.0,
+    }
+
+
+def plan_sample_size(k: int, config: SelectionConfig) -> int:
+    """Users sufficient for the full pipeline at the config's targets."""
     budget = max_query_budget(k)
-    block = required_block_size(
-        num_queries=budget,
-        alpha_query=config.phi * config.alpha / 2.0,
-        beta=config.beta / 2.0,
-        epsilon=config.epsilon,
-    )
-    return budget * block
+    return budget * required_block_size(num_queries=budget, **_estimation_targets(config))
 
 
 def select_hypothesis(
@@ -266,11 +265,7 @@ def select_hypothesis(
     graph = build_scheffe_graph(Q, config.phi)
     cert = find_dominating_set(graph, Q, seed=dom_seed)
     family = query_family_from_dominating_set(Q, cert, config.phi, graph=graph)
-    params = PrivacyParams(
-        epsilon=config.epsilon,
-        alpha_query=config.phi * config.alpha / 2.0,
-        beta=config.beta / 2.0,
-    )
+    params = PrivacyParams(**_estimation_targets(config))
     _, estimates = run_protocol(pop, family.tests, params, np.random.default_rng(proto_seed))
     report = rmde_select(Q, family, estimates)
     return replace(report, certificate=cert)

@@ -19,12 +19,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import HypothesisSet
+from .distributions import HypothesisSet, _read_only
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -42,18 +43,31 @@ def pair_count(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def pair_index(lo, hi, k: int):
-    """Vertex id of the pair {lo, hi} (0-based, lo < hi) in lexicographic order."""
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
+def pair_index(x, y, k: int):
+    """Vertex id of the pair {x, y} (0-based, x != y, either order) in lexicographic order."""
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
     idx = lo * (2 * k - lo - 1) // 2 + (hi - lo - 1)
-    return idx if idx.ndim else int(idx)
+    return idx if np.ndim(idx) else int(idx)
 
 
 def all_pairs(k: int) -> np.ndarray:
     """All C(k, 2) index pairs, 0-based, in lexicographic order."""
     i, j = np.triu_indices(k, 1)
     return np.column_stack([i, j])
+
+
+def shared_index_neighbors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the pairs that share an index with each vertex.
+
+    Row v of the two V x (k - 2) arrays holds, for v = {a, b} and each i
+    outside v in increasing order, the ids of {a, i} and of {b, i}.
+    """
+    pairs = all_pairs(k)
+    idx = np.arange(k)
+    outside = (idx != pairs[:, :1]) & (idx != pairs[:, 1:])
+    others = np.broadcast_to(idx, outside.shape)[outside].reshape(len(pairs), k - 2)
+    return pair_index(pairs[:, :1], others, k), pair_index(pairs[:, 1:], others, k)
 
 
 @dataclass(frozen=True, order=True)
@@ -74,9 +88,7 @@ class VertexPair:
 
     @classmethod
     def from_vertex_id(cls, vid: int, k: int) -> "VertexPair":
-        pairs = all_pairs(k)
-        lo, hi = pairs[vid]
-        return cls(int(lo) + 1, int(hi) + 1)
+        return _pairs_from_ids([vid], k)[0]
 
 
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
@@ -85,17 +97,27 @@ def _ids_from_pairs(pairs, k: int) -> np.ndarray:
 
 
 def _pairs_from_ids(ids, k: int) -> tuple[VertexPair, ...]:
-    lookup = all_pairs(k)
-    return tuple(VertexPair(int(lookup[v, 0]) + 1, int(lookup[v, 1]) + 1) for v in ids)
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and not (0 <= ids.min() and ids.max() < pair_count(k)):
+        raise ArgumentError(f"vertex ids must lie in 0..{pair_count(k) - 1} for k={k}")
+    return tuple(VertexPair(lo + 1, hi + 1) for lo, hi in all_pairs(k)[ids].tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class PairDigraph:
-    """Adjacency-list digraph on the C(k, 2) unordered index pairs."""
+    """Adjacency-list digraph on the C(k, 2) unordered index pairs.
+
+    The arrays are frozen in place at construction.
+    """
 
     k: int
     out_edges: tuple[np.ndarray, ...]  # sorted out-neighbor ids, one array per vertex
     in_degrees: np.ndarray
+
+    def __post_init__(self):
+        for out in self.out_edges:
+            _read_only(out)
+        _read_only(self.in_degrees)
 
     @property
     def num_vertices(self) -> int:
@@ -110,9 +132,7 @@ class PairDigraph:
         return _pairs_from_ids(range(self.num_vertices), self.k)
 
     def has_edge(self, u: int, w: int) -> bool:
-        out = self.out_edges[u]
-        i = int(np.searchsorted(out, w))
-        return i < out.size and int(out[i]) == w
+        return bool(self.has_edges_from(u, np.array([w]))[0])
 
     def has_edges_from(self, u: int, targets: np.ndarray) -> np.ndarray:
         """Boolean mask: which of `targets` are out-neighbors of u."""
@@ -149,15 +169,16 @@ class PairDigraph:
 class ScheffeGraph(PairDigraph):
     """PairDigraph induced by a hypothesis set at comparison constant phi.
 
-    pair_norms caches ||delta_{jj'}||_1 per vertex; the sign and difference
-    rows are kept so edge conditions can be re-evaluated without the source
-    hypothesis set.
+    pair_norms caches ||delta_{jj'}||_1 per vertex.
     """
 
     phi: float = PHI_DEFAULT
     pair_norms: np.ndarray = field(default=None)
-    pair_signs: np.ndarray = field(default=None)    # V x d, entries ±1
-    pair_deltas: np.ndarray = field(default=None)   # V x d
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.pair_norms is not None:
+            _read_only(self.pair_norms)
 
 
 def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGraph:
@@ -173,10 +194,9 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     P = Q.probs_matrix
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-    signs = np.where(deltas >= 0.0, 1, -1).astype(np.int8)
     norms = np.abs(deltas).sum(axis=1)
     # inner[u, w] = <S_u, delta_w>
-    inner = signs.astype(np.float64) @ deltas.T
+    inner = np.where(deltas >= 0.0, 1.0, -1.0) @ deltas.T
     adj = np.abs(inner) >= phi * norms[np.newaxis, :]
     np.fill_diagonal(adj, False)
     out = tuple(np.flatnonzero(row).astype(np.int64) for row in adj)
@@ -187,8 +207,6 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
         in_degrees=in_deg,
         phi=float(phi),
         pair_norms=norms,
-        pair_signs=signs,
-        pair_deltas=deltas,
     )
 
 
@@ -259,19 +277,12 @@ def _shared_index_cover(graph: PairDigraph, sampled: np.ndarray) -> np.ndarray:
     unmarked may still be an out-neighbor of the sample, so the resulting
     patch set is conservative but always yields a valid dominating set.
     """
-    k = graph.k
-    pairs = all_pairs(k)
     covered = np.zeros(graph.num_vertices, dtype=bool)
     covered[sampled] = True
-    indices = np.arange(k)
-    for v in sampled:
-        a, b = int(pairs[v, 0]), int(pairs[v, 1])
-        others = indices[(indices != a) & (indices != b)]
-        cand_a = pair_index(np.minimum(a, others), np.maximum(a, others), k)
-        cand_b = pair_index(np.minimum(b, others), np.maximum(b, others), k)
-        targets = np.concatenate([cand_a, cand_b])
-        hits = graph.has_edges_from(v, targets)
-        covered[targets[hits]] = True
+    wa, wb = shared_index_neighbors(graph.k)
+    candidates = np.concatenate([wa[sampled], wb[sampled]], axis=1)
+    for v, targets in zip(sampled, candidates):
+        covered[targets[graph.has_edges_from(v, targets)]] = True
     return covered
 
 
@@ -335,9 +346,9 @@ _TRIANGLE_CASES = ("i", "ii", "iii")
 def _triangle_labels(G: PairDigraph, x: int, y: int, z: int) -> tuple[str, ...]:
     """Cases holding for 0-based roles (j, j', j'') = (x, y, z)."""
     k = G.k
-    v_xy = pair_index(min(x, y), max(x, y), k)
-    v_xz = pair_index(min(x, z), max(x, z), k)
-    v_yz = pair_index(min(y, z), max(y, z), k)
+    v_xy = pair_index(x, y, k)
+    v_xz = pair_index(x, z, k)
+    v_yz = pair_index(y, z, k)
     labels = []
     if G.has_edge(v_xz, v_yz) and G.has_edge(v_yz, v_xz):
         labels.append("i")
@@ -395,9 +406,9 @@ def scan_triangles(G: PairDigraph) -> TriangleScan:
     # Swapping the first two roles only exchanges cases ii and iii, so three
     # role assignments (choice of the third index) cover all six orderings.
     for r1, r2, r3 in ((x, y, z), (x, z, y), (y, z, x)):
-        v12 = pair_index(np.minimum(r1, r2), np.maximum(r1, r2), k)
-        v13 = pair_index(np.minimum(r1, r3), np.maximum(r1, r3), k)
-        v23 = pair_index(np.minimum(r2, r3), np.maximum(r2, r3), k)
+        v12 = pair_index(r1, r2, k)
+        v13 = pair_index(r1, r3, k)
+        v23 = pair_index(r2, r3, k)
         case_i = adj[v13, v23] & adj[v23, v13]
         case_ii = adj[v12, v13]
         case_iii = adj[v12, v23]
@@ -550,11 +561,22 @@ def graph_to_json_dict(G: PairDigraph, phi: float | None = None) -> dict:
 
 
 def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
+    """Inverse of graph_to_json_dict; a malformed or out-of-range pair raises."""
     k = int(doc["k"])
     phi = doc.get("phi")
+
+    @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry for 2
+    def vertex_id(lo, hi) -> int:
+        if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
+            raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
+        return VertexPair(lo, hi).vertex_id(k)
+
     sources, targets = [], []
-    for a, b, c, d in doc["edges"]:
-        sources.append(pair_index(a - 1, b - 1, k))
-        targets.append(pair_index(c - 1, d - 1, k))
+    for edge in doc["edges"]:
+        if len(edge) != 4:
+            raise InvariantError(f"graph edge {edge!r} is not a quadruple [a, b, c, d]")
+        a, b, c, d = edge
+        sources.append(vertex_id(a, b))
+        targets.append(vertex_id(c, d))
     digraph = PairDigraph.from_edge_ids(k, sources, targets)
     return (float(phi) if phi is not None else None, digraph)

@@ -84,6 +84,13 @@ class TestGraph:
         bad.write_text("{not json")
         assert main(["graph", "--in", str(bad), "--out", str(tmp_path / "g.json")]) == 2
 
+    @pytest.mark.parametrize("rows", [[1, 2], [[0.5, "x"]]])
+    def test_malformed_hypothesis_row(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain_size": 2, "hypotheses": rows}))
+        assert main(["graph", "--in", str(bad), "--out", str(tmp_path / "g.json")]) == 2
+        assert "hypothesis 1" in capsys.readouterr().err
+
 
 class TestDominate:
     def test_certificate_file(self, tmp_path):
@@ -108,6 +115,17 @@ class TestDominate:
 
 
 class TestSelect:
+    def test_negative_user_count(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.json"
+        write_point_masses(hyp)
+        code = main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+            "--epsilon", "0.5", "--seed", "1", "--n", "-5",
+            "--p-index", "1", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_trials_with_p_in_set(self, tmp_path):
         hyp = tmp_path / "hyp.json"
         main(["gen", "--k", "4", "--d", "8", "--seed", "7", "--out", str(hyp)])

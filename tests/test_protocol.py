@@ -166,6 +166,10 @@ class TestSimulatedPopulation:
         given[0] = 2
         assert pop.samples[0] == 1
 
+    def test_draw_rejects_negative_count(self):
+        with pytest.raises(ConfigError):
+            SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), -1, 0)
+
     def test_drawn_samples_are_read_only(self):
         pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 10, 0)
         assert pop.samples.dtype == np.int64 and not pop.samples.flags.writeable
@@ -366,6 +370,8 @@ class TestSerialization:
     @pytest.mark.parametrize("rows", [
         [(0, 0, 1), (1, 1, -1), (2, 0, 1), (3, 1, 1)],  # blocks not contiguous
         [(0, 0, 1), (1, 0, 0)],  # a message that is not a bit
+        [(0, 0, 1), (1, 0)],  # a short row
+        [(0, 0, 1), (1, "x", 1)],  # a field that is not an integer
     ])
     def test_transcript_csv_malformed_rejected(self, tmp_path, rows):
         path = tmp_path / "transcript.csv"

@@ -17,7 +17,7 @@ from ldpselect import (
     scan_triangles,
     verify_domination,
 )
-from ldpselect.errors import ArgumentError, ConfigError
+from ldpselect.errors import ArgumentError, ConfigError, InvariantError
 from ldpselect.scheffe_graph import (
     DominatingSetCertificate,
     VertexPair,
@@ -29,6 +29,7 @@ from ldpselect.scheffe_graph import (
     pair_count,
     pair_index,
     sample_size,
+    shared_index_neighbors,
 )
 
 PHI = 1.0 / 6.0
@@ -65,6 +66,28 @@ class TestPairIndexing:
             VertexPair(3, 3)
         with pytest.raises(ArgumentError):
             VertexPair(2, 9).vertex_id(k=4)
+
+    @pytest.mark.parametrize("vid", [-1, pair_count(4)])
+    def test_from_vertex_id_out_of_range(self, vid):
+        with pytest.raises(ArgumentError):
+            VertexPair.from_vertex_id(vid, 4)
+
+    def test_pair_index_either_order(self):
+        assert pair_index(3, 1, 5) == pair_index(1, 3, 5)
+        i, j = np.triu_indices(5, 1)
+        assert np.array_equal(pair_index(j, i, 5), np.arange(pair_count(5)))
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_shared_index_neighbors_brute_force(self, k):
+        wa, wb = shared_index_neighbors(k)
+        ids = {frozenset(p): v for v, p in enumerate(map(tuple, all_pairs(k)))}
+        expect_a, expect_b = [], []
+        for a, b in all_pairs(k):
+            others = [i for i in range(k) if i not in (a, b)]
+            expect_a.append([ids[frozenset((a, i))] for i in others])
+            expect_b.append([ids[frozenset((b, i))] for i in others])
+        assert wa.shape == wb.shape == (pair_count(k), k - 2)
+        assert wa.tolist() == expect_a and wb.tolist() == expect_b
 
 
 class TestBuild:
@@ -104,7 +127,10 @@ class TestBuild:
         # each vertex's own Scheffe set recovers its own norm exactly
         Q = random_hypothesis_set(6, 12, seed=11)
         G = build_scheffe_graph(Q, PHI)
-        own = np.abs((G.pair_signs.astype(float) * G.pair_deltas).sum(axis=1))
+        pairs = all_pairs(Q.k)
+        deltas = Q.probs_matrix[pairs[:, 0]] - Q.probs_matrix[pairs[:, 1]]
+        signs = np.where(deltas >= 0.0, 1.0, -1.0)
+        own = np.abs((signs * deltas).sum(axis=1))
         assert np.allclose(own, G.pair_norms, atol=1e-9)
         positive = G.pair_norms > 0
         assert np.all(own[positive] >= PHI * G.pair_norms[positive] - 1e-12)
@@ -115,6 +141,22 @@ class TestBuild:
         phi, digraph = graph_from_json_dict(graph_to_json_dict(G))
         assert phi == pytest.approx(PHI)
         assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, digraph.out_edges))
+
+    @pytest.mark.parametrize("edge, error", [
+        ([2, 2, 1, 3], InvariantError),  # {2, 2} is no pair
+        ([1, 9, 1, 3], ArgumentError),   # index 9 outside k = 4
+        ([1, 2, 1, 2.5], InvariantError),  # an index that is not an integer
+        ([1, 2, 1], InvariantError),       # not a quadruple
+    ])
+    def test_import_rejects_malformed_pair(self, edge, error):
+        with pytest.raises(error):
+            graph_from_json_dict({"k": 4, "phi": PHI, "edges": [[1, 2, 1, 3], edge]})
+
+    def test_arrays_frozen(self):
+        G = build_scheffe_graph(random_hypothesis_set(4, 6, seed=2), PHI)
+        for arr in (max(G.out_edges, key=len), G.in_degrees, G.pair_norms):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestDominatingSet:
