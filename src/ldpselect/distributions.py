@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -175,10 +176,12 @@ class HypothesisSet:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "HypothesisSet":
         try:
-            d = int(doc["domain_size"])
+            d = doc["domain_size"]
             rows = doc["hypotheses"]
         except (KeyError, TypeError) as exc:
             raise InvariantError(f"hypothesis-set document missing field: {exc}") from exc
+        if not isinstance(d, Integral):
+            raise InvariantError(f"domain_size must be an integer, got {d!r}")
         hyps = []
         for row, probs in enumerate(rows, start=1):
             if np.ndim(probs) != 1:

@@ -14,7 +14,6 @@ probability of the sampling step depends on it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -57,17 +56,22 @@ def all_pairs(k: int) -> np.ndarray:
     return np.column_stack([i, j])
 
 
-def shared_index_neighbors(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the pairs that share an index with each vertex.
+def shared_index_neighbors(k: int) -> np.ndarray:
+    """Ids of the pairs that share an index with each vertex, shape (2, V, k - 2).
 
-    Row v of the two V x (k - 2) arrays holds, for v = {a, b} and each i
-    outside v in increasing order, the ids of {a, i} and of {b, i}.
+    For v = {a, b} and each i outside v in increasing order, entry [0, v]
+    holds the id of {a, i} and entry [1, v] the id of {b, i}.
     """
     pairs = all_pairs(k)
     idx = np.arange(k)
     outside = (idx != pairs[:, :1]) & (idx != pairs[:, 1:])
     others = np.broadcast_to(idx, outside.shape)[outside].reshape(len(pairs), k - 2)
-    return pair_index(pairs[:, :1], others, k), pair_index(pairs[:, 1:], others, k)
+    return pair_index(pairs.T[:, :, None], others, k)
+
+
+def shared_index_position(a, b, i):
+    """Column of index i in row {a, b} of shared_index_neighbors(k), for i outside {a, b}."""
+    return i - (i > a) - (i > b)
 
 
 @dataclass(frozen=True, order=True)
@@ -89,6 +93,12 @@ class VertexPair:
     @classmethod
     def from_vertex_id(cls, vid: int, k: int) -> "VertexPair":
         return _pairs_from_ids([vid], k)[0]
+
+
+def _pair_from_json(lo, hi) -> VertexPair:
+    if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
+        raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
+    return VertexPair(lo, hi)
 
 
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
@@ -131,24 +141,28 @@ class PairDigraph:
     def vertices(self) -> tuple[VertexPair, ...]:
         return _pairs_from_ids(range(self.num_vertices), self.k)
 
-    def has_edge(self, u: int, w: int) -> bool:
-        return bool(self.has_edges_from(u, np.array([w]))[0])
+    @cached_property
+    def _shared_index_ids(self) -> np.ndarray:
+        """shared_index_neighbors(k), built once for the table and its readers."""
+        return _read_only(shared_index_neighbors(self.k))
 
-    def has_edges_from(self, u: int, targets: np.ndarray) -> np.ndarray:
-        """Boolean mask: which of `targets` are out-neighbors of u."""
-        out = self.out_edges[u]
-        hits = np.zeros(targets.size, dtype=bool)
-        if out.size:
-            pos = np.searchsorted(out, targets)
-            ok = pos < out.size
-            hits[ok] = out[pos[ok]] == targets[ok]
-        return hits
+    @cached_property
+    def shared_index_edges(self) -> np.ndarray:
+        """Read-only (2, V, k - 2) table of the edges between pairs sharing an index.
 
-    def dense_adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.num_vertices, self.num_vertices), dtype=bool)
-        for u, out in enumerate(self.out_edges):
-            adj[u, out] = True
-        return adj
+        Entry [s, v, t] says whether v = {a, b} has an edge to {a, i} (s = 0)
+        or to {b, i} (s = 1), where i is the t-th index outside v, laid out
+        as in shared_index_neighbors(k).  Filled once per graph by a sorted
+        search of each row of out_edges.
+        """
+        candidates = self._shared_index_ids
+        table = np.zeros(candidates.shape, dtype=bool)
+        for v, out in enumerate(self.out_edges):
+            if out.size:
+                targets = candidates[:, v]
+                pos = np.minimum(np.searchsorted(out, targets), out.size - 1)
+                table[:, v] = out[pos] == targets
+        return _read_only(table)
 
     @classmethod
     def from_edge_ids(cls, k: int, sources, targets) -> "PairDigraph":
@@ -242,9 +256,12 @@ class DominatingSetCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominatingSetCertificate":
-        pairs = tuple(VertexPair(int(a), int(b)) for a, b in doc["dominating_set"])
+        """Inverse of to_json_dict; a non-integer index or a pair outside k raises."""
+        k = int(doc["k"])
+        pairs = tuple(_pair_from_json(a, b) for a, b in doc["dominating_set"])
+        _ids_from_pairs(pairs, k)  # ArgumentError for a pair outside k
         return cls(
-            k=int(doc["k"]),
+            k=k,
             dominating_set=pairs,
             random_part=(),
             low_indegree_part=(),
@@ -273,16 +290,14 @@ def _shared_index_cover(graph: PairDigraph, sampled: np.ndarray) -> np.ndarray:
     """Mark each sampled vertex and its out-neighbors among index-sharing pairs.
 
     For v = {a, b} only the candidates {a, i} and {b, i}, i outside v, are
-    scanned; this is the O(k)-per-vertex hashtable scan.  A vertex left
-    unmarked may still be an out-neighbor of the sample, so the resulting
-    patch set is conservative but always yields a valid dominating set.
+    read from graph.shared_index_edges; this is the O(k)-per-vertex scan.  A
+    vertex left unmarked may still be an out-neighbor of the sample, so the
+    resulting patch set is conservative but always yields a valid dominating
+    set.
     """
     covered = np.zeros(graph.num_vertices, dtype=bool)
     covered[sampled] = True
-    wa, wb = shared_index_neighbors(graph.k)
-    candidates = np.concatenate([wa[sampled], wb[sampled]], axis=1)
-    for v, targets in zip(sampled, candidates):
-        covered[targets[graph.has_edges_from(v, targets)]] = True
+    covered[graph._shared_index_ids[:, sampled][graph.shared_index_edges[:, sampled]]] = True
     return covered
 
 
@@ -342,21 +357,25 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
 
 _TRIANGLE_CASES = ("i", "ii", "iii")
 
+# Swapping the first two roles only exchanges cases ii and iii, so these three
+# role assignments (choice of the third index) cover all six orderings.  The
+# first is the as-given order.  Row r of the transpose picks, per assignment,
+# the member of a triple that takes role r.
+_ROLE_ORDERS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
 
-def _triangle_labels(G: PairDigraph, x: int, y: int, z: int) -> tuple[str, ...]:
-    """Cases holding for 0-based roles (j, j', j'') = (x, y, z)."""
-    k = G.k
-    v_xy = pair_index(x, y, k)
-    v_xz = pair_index(x, z, k)
-    v_yz = pair_index(y, z, k)
-    labels = []
-    if G.has_edge(v_xz, v_yz) and G.has_edge(v_yz, v_xz):
-        labels.append("i")
-    if G.has_edge(v_xy, v_xz):
-        labels.append("ii")
-    if G.has_edge(v_xy, v_yz):
-        labels.append("iii")
-    return tuple(labels)
+
+def _triangle_cases(G: PairDigraph, r1, r2, r3) -> np.ndarray:
+    """Which of cases i, ii, iii hold for 0-based roles (j, j', j'') = (r1, r2, r3).
+
+    The roles are integer arrays of one shape; the result stacks the three
+    cases on a new first axis.
+    """
+    edges = G.shared_index_edges
+
+    def edge(x, y, z):  # {x, y} -> {x, z}
+        return edges[np.greater(x, y).astype(np.intp), pair_index(x, y, G.k), shared_index_position(x, y, z)]
+
+    return np.stack([edge(r3, r1, r2) & edge(r3, r2, r1), edge(r1, r2, r3), edge(r2, r1, r3)])
 
 
 def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
@@ -371,14 +390,9 @@ def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
     trio = (j, j2, j3)
     if len(set(trio)) != 3 or any(not 1 <= t <= G.k for t in trio):
         raise ArgumentError(f"indices must be distinct and within 1..{G.k}, got {trio}")
-    x, y, z = (t - 1 for t in trio)
-    labels = _triangle_labels(G, x, y, z)
-    if labels:
-        return labels
-    for perm in itertools.permutations((x, y, z)):
-        if _triangle_labels(G, *perm):
-            return ()
-    return ("violation",)
+    cases = _triangle_cases(G, *(np.array(trio) - 1)[_ROLE_ORDERS.T])
+    labels = tuple(c for c, hold in zip(_TRIANGLE_CASES, cases[:, 0]) if hold)
+    return labels if labels or cases.any() else ("violation",)
 
 
 @dataclass(frozen=True)
@@ -389,36 +403,19 @@ class TriangleScan:
 
 
 def scan_triangles(G: PairDigraph) -> TriangleScan:
-    """Exhaustive triangle check over all C(k, 3) triples (vectorized).
+    """Exhaustive triangle check over all C(k, 3) triples (vectorized, O(k^3) memory).
 
     A triple violates only if no role assignment admits any of the three edge
     structures; case_counts tallies the cases under the as-given (sorted)
     role order.
     """
-    k = G.k
-    adj = G.dense_adjacency()
-    triples = np.array(list(itertools.combinations(range(k), 3)), dtype=np.int64)
-    if triples.size == 0:
-        return TriangleScan(0, 0, {c: 0 for c in _TRIANGLE_CASES})
-    x, y, z = triples[:, 0], triples[:, 1], triples[:, 2]
-    any_case = np.zeros(len(triples), dtype=bool)
-    hold: dict[str, np.ndarray] = {}
-    # Swapping the first two roles only exchanges cases ii and iii, so three
-    # role assignments (choice of the third index) cover all six orderings.
-    for r1, r2, r3 in ((x, y, z), (x, z, y), (y, z, x)):
-        v12 = pair_index(r1, r2, k)
-        v13 = pair_index(r1, r3, k)
-        v23 = pair_index(r2, r3, k)
-        case_i = adj[v13, v23] & adj[v23, v13]
-        case_ii = adj[v12, v13]
-        case_iii = adj[v12, v23]
-        any_case |= case_i | case_ii | case_iii
-        if r3 is z:  # as-given role order
-            hold = {"i": case_i, "ii": case_ii, "iii": case_iii}
+    i = np.arange(G.k)
+    trio = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i)))  # x < y < z
+    cases = _triangle_cases(G, *trio[_ROLE_ORDERS.T])
     return TriangleScan(
-        triples=len(triples),
-        violations=int((~any_case).sum()),
-        case_counts={c: int(m.sum()) for c, m in hold.items()},
+        triples=trio.shape[1],
+        violations=int((~cases.any(axis=(0, 1))).sum()),
+        case_counts={c: int(n) for c, n in zip(_TRIANGLE_CASES, cases[:, 0].sum(axis=-1))},
     )
 
 
@@ -567,9 +564,7 @@ def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
 
     @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry for 2
     def vertex_id(lo, hi) -> int:
-        if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
-            raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
-        return VertexPair(lo, hi).vertex_id(k)
+        return _pair_from_json(lo, hi).vertex_id(k)
 
     sources, targets = [], []
     for edge in doc["edges"]:

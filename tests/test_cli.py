@@ -91,6 +91,13 @@ class TestGraph:
         assert main(["graph", "--in", str(bad), "--out", str(tmp_path / "g.json")]) == 2
         assert "hypothesis 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain_size", ["a", 2.5])
+    def test_non_integer_domain_size(self, tmp_path, capsys, domain_size):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"domain_size": domain_size, "hypotheses": [[0.5, 0.5], [1.0, 0.0]]}))
+        assert main(["graph", "--in", str(bad), "--out", str(tmp_path / "g.json")]) == 2
+        assert "domain_size" in capsys.readouterr().err
+
 
 class TestDominate:
     def test_certificate_file(self, tmp_path):

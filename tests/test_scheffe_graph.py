@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -17,9 +18,12 @@ from ldpselect import (
     scan_triangles,
     verify_domination,
 )
+from ldpselect.barriers import build_lower_bound_graph
 from ldpselect.errors import ArgumentError, ConfigError, InvariantError
 from ldpselect.scheffe_graph import (
     DominatingSetCertificate,
+    PairDigraph,
+    TriangleScan,
     VertexPair,
     all_pairs,
     domination_bound,
@@ -45,6 +49,46 @@ def duplicate_pair_set():
     q = DiscreteDistribution(np.array([0.5, 0.5, 0.0]))
     q3 = DiscreteDistribution(np.array([0.0, 0.2, 0.8]))
     return HypothesisSet((q, q, q3))
+
+
+def random_digraph(k, seed, density):
+    """Seeded PairDigraph with each ordered pair of distinct vertices an edge with probability density."""
+    V = pair_count(k)
+    adj = np.random.default_rng(seed).random((V, V)) < density
+    np.fill_diagonal(adj, False)
+    return PairDigraph.from_edge_ids(k, *np.nonzero(adj))
+
+
+def pair_ids(k):
+    """Vertex id of each unordered 0-based pair, as a frozenset, in lexicographic order."""
+    return {frozenset(p): v for v, p in enumerate(itertools.combinations(range(k), 2))}
+
+
+def brute_force_triangles(G):
+    """Reference TriangleScan and check_triangle of every ordered triple, from set(out_edges[u])."""
+    k, ids = G.k, pair_ids(G.k)
+    out = [set(o.tolist()) for o in G.out_edges]
+
+    def edge(p, q):
+        return ids[frozenset(q)] in out[ids[frozenset(p)]]
+
+    def cases(x, y, z):
+        hold = {"i": edge((x, z), (y, z)) and edge((y, z), (x, z)),
+                "ii": edge((x, y), (x, z)),
+                "iii": edge((x, y), (y, z))}
+        return tuple(c for c in ("i", "ii", "iii") if hold[c])
+
+    checks, counts, violations = {}, {"i": 0, "ii": 0, "iii": 0}, 0
+    for trio in itertools.combinations(range(k), 3):
+        orders = list(itertools.permutations(trio))
+        any_case = any(cases(*order) for order in orders)
+        violations += not any_case
+        for c in cases(*trio):
+            counts[c] += 1
+        for order in orders:
+            labels = cases(*order)
+            checks[tuple(t + 1 for t in order)] = labels if labels or any_case else ("violation",)
+    return TriangleScan(math.comb(k, 3), violations, counts), checks
 
 
 class TestPairIndexing:
@@ -80,7 +124,7 @@ class TestPairIndexing:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_shared_index_neighbors_brute_force(self, k):
         wa, wb = shared_index_neighbors(k)
-        ids = {frozenset(p): v for v, p in enumerate(map(tuple, all_pairs(k)))}
+        ids = pair_ids(k)
         expect_a, expect_b = [], []
         for a, b in all_pairs(k):
             others = [i for i in range(k) if i not in (a, b)]
@@ -88,6 +132,20 @@ class TestPairIndexing:
             expect_b.append([ids[frozenset((b, i))] for i in others])
         assert wa.shape == wb.shape == (pair_count(k), k - 2)
         assert wa.tolist() == expect_a and wb.tolist() == expect_b
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_shared_index_edges_brute_force(self, k):
+        G = random_digraph(k, seed=k, density=0.5)
+        ids = pair_ids(k)
+        expect = [[], []]
+        for v, (a, b) in enumerate(all_pairs(k)):
+            others = [i for i in range(k) if i not in (a, b)]
+            for s, x in enumerate((a, b)):
+                expect[s].append([ids[frozenset((x, i))] in G.out_edges[v] for i in others])
+        table = G.shared_index_edges
+        assert table.shape == (2, pair_count(k), k - 2)
+        assert table.tolist() == expect
+        assert not table.flags.writeable
 
 
 class TestBuild:
@@ -99,15 +157,15 @@ class TestBuild:
     def test_point_mass_edges(self, point_mass_triple):
         G = build_scheffe_graph(point_mass_triple, PHI)
         # {1,2}->{2,3} carries inner product 2; {1,2}->{1,3} carries 0.
-        assert G.has_edge(0, 2)
-        assert not G.has_edge(0, 1)
+        assert 2 in G.out_edges[0]
+        assert 1 not in G.out_edges[0]
         assert [list(out) for out in G.out_edges] == [[2], [2], [1]]
 
     def test_duplicate_hypotheses_zero_norm_vertex(self):
         G = build_scheffe_graph(duplicate_pair_set(), PHI)
         v12 = VertexPair(1, 2).vertex_id(3)
         others = [v for v in range(G.num_vertices) if v != v12]
-        assert all(G.has_edge(u, v12) for u in others)
+        assert all(v12 in G.out_edges[u] for u in others)
         assert G.pair_norms[v12] == 0.0
 
     def test_phi_validation(self):
@@ -213,6 +271,15 @@ class TestDominatingSet:
             assert loaded.target_bound == pytest.approx(cert.target_bound)
             assert loaded.seed == seed
 
+    @pytest.mark.parametrize("pair, error", [
+        ([1, 2.7], InvariantError),  # an index that is not an integer
+        ([3, 9], ArgumentError),     # index 9 outside k = 4
+    ])
+    def test_certificate_rejects_malformed_pair(self, pair, error):
+        doc = {"k": 4, "dominating_set": [[1, 2], pair], "attempts": 1, "target_bound": 6.0}
+        with pytest.raises(error):
+            DominatingSetCertificate.from_json_dict(doc)
+
     def test_size_formulas(self):
         assert sample_size(2) == 1
         assert sample_size(16) == 120  # capped at |V|
@@ -266,6 +333,21 @@ class TestTriangles:
         assert scan_triangles(G).violations == 0
         for trio in [(1, 2, 3), (2, 5, 9), (4, 7, 8)]:
             assert check_triangle(G, *trio) != ("violation",)
+
+    @pytest.mark.parametrize("graph", ["dirichlet-uniform", "sparse", "point-mass-mixture",
+                                       "lower-bound", "edgeless", "random"])
+    def test_matches_brute_force(self, graph):
+        if graph == "lower-bound":
+            G = build_lower_bound_graph(16, seed=3).graph
+        elif graph == "edgeless":  # every triple is a violation
+            G = PairDigraph.from_edge_ids(6, [], [])
+        elif graph == "random":  # reaches both () and ("violation",)
+            G = random_digraph(7, seed=0, density=0.3)
+        else:
+            G = build_scheffe_graph(random_hypothesis_set(7, 10, seed=5, model=graph), PHI)
+        scan, checks = brute_force_triangles(G)
+        assert scan_triangles(G) == scan
+        assert {trio: check_triangle(G, *trio) for trio in checks} == checks
 
     def test_scan_agrees_with_single_checks(self):
         Q = random_hypothesis_set(6, 5, seed=42)
