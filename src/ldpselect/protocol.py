@@ -193,13 +193,13 @@ def _inverse_cdf_draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np
 
 @dataclass(frozen=True, eq=False)
 class LdpTranscript:
-    """One record per participating user: (user id, assigned query, released bit).
+    """One released bit per participating user, in user order.
 
-    User ids are the positions 0..n-1; surplus users that fit no full block
-    are never assigned and never release anything.
+    User ids are the positions 0..n-1 and user i answers query i // block_size,
+    a map fixed before any user answers, so neither is stored.  Surplus users
+    that fit no full block are never assigned and never release anything.
     """
 
-    query_index: np.ndarray
     messages: np.ndarray
     block_size: int
     num_queries: int
@@ -212,16 +212,18 @@ class LdpTranscript:
     def user_ids(self) -> np.ndarray:
         return np.arange(self.user_count)
 
+    @property
+    def query_index(self) -> np.ndarray:
+        """The query each user answers (int64), rebuilt from the block map on each read."""
+        return np.repeat(np.arange(self.num_queries), self.block_size)
+
     def validate(self) -> None:
-        if self.messages.ndim != 1 or self.query_index.shape != self.messages.shape:
-            raise InvariantError("transcript arrays disagree in length")
+        if self.messages.ndim != 1:
+            raise InvariantError("messages must form a one-dimensional array")
         if self.user_count != self.block_size * self.num_queries:
             raise InvariantError("transcript does not consist of full equal blocks")
         if not np.all(np.abs(self.messages) == 1):
             raise InvariantError("released messages must be single bits in {-1, +1}")
-        blocks = self.query_index.reshape(self.num_queries, self.block_size)
-        if not np.all(blocks == np.arange(self.num_queries)[:, None]):
-            raise InvariantError("query assignment is not the fixed contiguous-block map")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -232,24 +234,33 @@ class LdpTranscript:
 
     @classmethod
     def from_csv(cls, path) -> "LdpTranscript":
+        """Load and check a transcript: user ids 0..n-1, the block map, ±1 messages."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if header != ["user_id", "query_index", "message"]:
                 raise InvariantError(f"unexpected transcript header {header}")
-            rows = []
+            queries, messages = [], []
             for line, row in enumerate(reader, start=2):
                 try:
-                    _, q, m = row
-                    rows.append((int(q), int(m)))
+                    uid, q, m = map(int, row)
                 except ValueError as exc:
                     raise InvariantError(f"transcript line {line}: {exc}") from exc
-        qi = np.array([r[0] for r in rows], dtype=np.int64)
-        msg = np.array([r[1] for r in rows], dtype=np.int8)
-        num_queries = int(qi.max()) + 1 if qi.size else 0
+                if uid != line - 2:
+                    raise InvariantError(f"transcript line {line}: user_id {uid}, expected {line - 2}")
+                queries.append(q)
+                messages.append(m)
+        try:
+            qi = np.array(queries, dtype=np.int64)
+            msg = np.array(messages, dtype=np.int8)
+        except OverflowError as exc:
+            raise InvariantError(f"transcript value out of range: {exc}") from exc
+        num_queries = max(int(qi.max()) + 1, 0) if qi.size else 0
         block = qi.size // num_queries if num_queries else 0
-        transcript = cls(qi, msg, block, num_queries)
+        transcript = cls(msg, block, num_queries)
         transcript.validate()
+        if not np.array_equal(qi, transcript.query_index):
+            raise InvariantError("query assignment is not the fixed contiguous-block map")
         return transcript
 
 
@@ -302,7 +313,7 @@ def run_protocol(
     identical variance.  User i with sample x releases RR_eps(T_{pi(i)}(x));
     the estimate for T is the corrected block mean.  Raw samples appear
     nowhere in the outputs.  Blocks are walked in order, _CHUNK users at a
-    time, so beyond the transcript arrays the temporaries are O(_CHUNK).
+    time, so beyond the message array the temporaries are O(_CHUNK).
     """
     queries = list(queries)
     if not queries:
@@ -329,11 +340,6 @@ def run_protocol(
             messages[start:stop] = bits
             total += int(bits.sum(dtype=np.int64))
         estimates[i] = c * total / block
-    transcript = LdpTranscript(
-        query_index=np.repeat(np.arange(m), block),
-        messages=messages,
-        block_size=block,
-        num_queries=m,
-    )
+    transcript = LdpTranscript(messages=messages, block_size=block, num_queries=m)
     transcript.validate()
     return transcript, QueryEstimates(estimates=estimates, block_size=block, epsilon=params.epsilon)

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +99,23 @@ def _pair_from_json(lo, hi) -> VertexPair:
     if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
         raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
     return VertexPair(lo, hi)
+
+
+_ABSENT = object()
+
+
+def _json_number(doc: dict, name: str, kind: type, default=_ABSENT):
+    """doc[name], which must be a number of the given kind (Integral or Real).
+
+    A field is required unless it has a default, which it may also hold.
+    """
+    value = doc.get(name, default)
+    if value is _ABSENT:
+        raise InvariantError(f"document missing field {name!r}")
+    if value is not default and not isinstance(value, kind):
+        what = "an integer" if kind is Integral else "a number"
+        raise InvariantError(f"field {name!r} must be {what}, got {value!r}")
+    return value
 
 
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
@@ -181,18 +198,9 @@ class PairDigraph:
 
 @dataclass(frozen=True, eq=False)
 class ScheffeGraph(PairDigraph):
-    """PairDigraph induced by a hypothesis set at comparison constant phi.
-
-    pair_norms caches ||delta_{jj'}||_1 per vertex.
-    """
+    """PairDigraph induced by a hypothesis set at comparison constant phi."""
 
     phi: float = PHI_DEFAULT
-    pair_norms: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.pair_norms is not None:
-            _read_only(self.pair_norms)
 
 
 def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGraph:
@@ -215,13 +223,7 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     np.fill_diagonal(adj, False)
     out = tuple(np.flatnonzero(row).astype(np.int64) for row in adj)
     in_deg = adj.sum(axis=0).astype(np.int64)
-    return ScheffeGraph(
-        k=k,
-        out_edges=out,
-        in_degrees=in_deg,
-        phi=float(phi),
-        pair_norms=norms,
-    )
+    return ScheffeGraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +258,31 @@ class DominatingSetCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominatingSetCertificate":
-        """Inverse of to_json_dict; a non-integer index or a pair outside k raises."""
-        k = int(doc["k"])
-        pairs = tuple(_pair_from_json(a, b) for a, b in doc["dominating_set"])
+        """Inverse of to_json_dict.
+
+        A missing or mistyped field, a row that is not a pair, or a non-integer
+        index raises InvariantError naming it; a pair outside k raises
+        ArgumentError.
+        """
+        k = _json_number(doc, "k", Integral)
+        rows = doc.get("dominating_set")
+        if not isinstance(rows, list):
+            raise InvariantError(f"field 'dominating_set' must be a list of pairs, got {rows!r}")
+        for row in rows:
+            if not (isinstance(row, list) and len(row) == 2):
+                raise InvariantError(f"field 'dominating_set': row {row!r} is not a pair [lo, hi]")
+        pairs = tuple(_pair_from_json(a, b) for a, b in rows)
         _ids_from_pairs(pairs, k)  # ArgumentError for a pair outside k
+        seed = _json_number(doc, "seed", Integral, default=None)
         return cls(
-            k=k,
+            k=int(k),
             dominating_set=pairs,
             random_part=(),
             low_indegree_part=(),
-            attempts=int(doc["attempts"]),
-            target_bound=float(doc["target_bound"]),
-            build_ms=float(doc.get("build_ms", 0.0)),
-            seed=None if doc.get("seed") is None else int(doc["seed"]),
+            attempts=int(_json_number(doc, "attempts", Integral)),
+            target_bound=float(_json_number(doc, "target_bound", Real)),
+            build_ms=float(_json_number(doc, "build_ms", Real, default=0.0)),
+            seed=None if seed is None else int(seed),
         )
 
     @classmethod

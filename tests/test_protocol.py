@@ -345,7 +345,6 @@ class TestNonInteractivityAndPrivacyStructure:
     def test_validate_rejects_broken_transcript(self):
         with pytest.raises(InvariantError):
             LdpTranscript(
-                query_index=np.array([0, 0]),
                 messages=np.array([1, 0], dtype=np.int8),
                 block_size=2,
                 num_queries=1,
@@ -372,6 +371,11 @@ class TestSerialization:
         [(0, 0, 1), (1, 0, 0)],  # a message that is not a bit
         [(0, 0, 1), (1, 0)],  # a short row
         [(0, 0, 1), (1, "x", 1)],  # a field that is not an integer
+        [(5, 0, 1), (9, 0, 1)],  # user ids that are not the positions 0..n-1
+        [("x", 0, 1), ("x", 0, -1)],  # user ids that are not integers
+        [(1, 0, 1), (0, 0, -1)],  # user ids swapped
+        [(0, -3, 1), (1, -3, 1)],  # a negative query index
+        [(0, 0, 1), (1, 0, 257)],  # a message outside the int8 range
     ])
     def test_transcript_csv_malformed_rejected(self, tmp_path, rows):
         path = tmp_path / "transcript.csv"

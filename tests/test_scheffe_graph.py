@@ -51,6 +51,12 @@ def duplicate_pair_set():
     return HypothesisSet((q, q, q3))
 
 
+def pair_norms(Q):
+    """||q_j - q_j'||_1 per vertex {j, j'}, in vertex-id order."""
+    pairs = all_pairs(Q.k)
+    return np.abs(Q.probs_matrix[pairs[:, 0]] - Q.probs_matrix[pairs[:, 1]]).sum(axis=1)
+
+
 def random_digraph(k, seed, density):
     """Seeded PairDigraph with each ordered pair of distinct vertices an edge with probability density."""
     V = pair_count(k)
@@ -162,11 +168,12 @@ class TestBuild:
         assert [list(out) for out in G.out_edges] == [[2], [2], [1]]
 
     def test_duplicate_hypotheses_zero_norm_vertex(self):
-        G = build_scheffe_graph(duplicate_pair_set(), PHI)
+        Q = duplicate_pair_set()
+        G = build_scheffe_graph(Q, PHI)
         v12 = VertexPair(1, 2).vertex_id(3)
         others = [v for v in range(G.num_vertices) if v != v12]
         assert all(v12 in G.out_edges[u] for u in others)
-        assert G.pair_norms[v12] == 0.0
+        assert pair_norms(Q)[v12] == 0.0
 
     def test_phi_validation(self):
         with pytest.raises(ConfigError):
@@ -184,14 +191,14 @@ class TestBuild:
     def test_self_test_identity(self):
         # each vertex's own Scheffe set recovers its own norm exactly
         Q = random_hypothesis_set(6, 12, seed=11)
-        G = build_scheffe_graph(Q, PHI)
+        norms = pair_norms(Q)
         pairs = all_pairs(Q.k)
         deltas = Q.probs_matrix[pairs[:, 0]] - Q.probs_matrix[pairs[:, 1]]
         signs = np.where(deltas >= 0.0, 1.0, -1.0)
         own = np.abs((signs * deltas).sum(axis=1))
-        assert np.allclose(own, G.pair_norms, atol=1e-9)
-        positive = G.pair_norms > 0
-        assert np.all(own[positive] >= PHI * G.pair_norms[positive] - 1e-12)
+        assert np.allclose(own, norms, atol=1e-9)
+        positive = norms > 0
+        assert np.all(own[positive] >= PHI * norms[positive] - 1e-12)
 
     def test_export_round_trip(self):
         Q = random_hypothesis_set(5, 6, seed=13)
@@ -212,7 +219,7 @@ class TestBuild:
 
     def test_arrays_frozen(self):
         G = build_scheffe_graph(random_hypothesis_set(4, 6, seed=2), PHI)
-        for arr in (max(G.out_edges, key=len), G.in_degrees, G.pair_norms):
+        for arr in (max(G.out_edges, key=len), G.in_degrees):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -274,10 +281,26 @@ class TestDominatingSet:
     @pytest.mark.parametrize("pair, error", [
         ([1, 2.7], InvariantError),  # an index that is not an integer
         ([3, 9], ArgumentError),     # index 9 outside k = 4
+        ([1, 2, 3], InvariantError),  # a row that is not a pair
     ])
     def test_certificate_rejects_malformed_pair(self, pair, error):
         doc = {"k": 4, "dominating_set": [[1, 2], pair], "attempts": 1, "target_bound": 6.0}
         with pytest.raises(error):
+            DominatingSetCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", "x"),
+        ("attempts", "a"),
+        ("target_bound", None),  # None removes the field
+        ("dominating_set", 5),
+        ("build_ms", "slow"),
+        ("seed", 1.5),
+    ])
+    def test_certificate_rejects_malformed_document(self, field, value):
+        doc = {"k": 4, "dominating_set": [[1, 2]], "attempts": 1, "target_bound": 6.0, field: value}
+        if value is None:
+            del doc[field]
+        with pytest.raises(InvariantError, match=repr(field)):
             DominatingSetCertificate.from_json_dict(doc)
 
     def test_size_formulas(self):
