@@ -15,13 +15,12 @@ Two independent obstructions to pushing the query budget down to ~k:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .distributions import _write_json
 from .errors import (
     ConfigError,
     DimensionError,
@@ -76,7 +75,7 @@ class LowerBoundCertificate:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(path, self.to_json_dict())
 
 
 def lower_bound_sample_size(k: int) -> int:
@@ -362,7 +361,7 @@ class FlatteningReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(path, self.to_json_dict())
 
 
 def run_flattening_trials(

@@ -24,6 +24,7 @@ from .distributions import (
     GENERATOR_MODELS,
     DiscreteDistribution,
     HypothesisSet,
+    _write_json,
     l1_distance,
     mixture,
     random_hypothesis_set,
@@ -53,10 +54,6 @@ def _resolve_seed(args) -> int:
     seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0] >> 1)
     print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)")
     return seed
-
-
-def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_hypotheses(path) -> HypothesisSet:
@@ -140,6 +137,14 @@ def _population_distribution(args, Q: HypothesisSet) -> DiscreteDistribution | N
     return None
 
 
+def _load_samples(path) -> np.ndarray:
+    """One integer domain point per line; a line that is not one raises InvariantError."""
+    try:
+        return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    except ValueError as exc:
+        raise InvariantError(f"samples file {path}: {exc}") from exc
+
+
 def cmd_select(args) -> int:
     if args.trials < 1:
         raise InvariantError(f"--trials must be at least 1, got {args.trials}")
@@ -151,32 +156,34 @@ def cmd_select(args) -> int:
     n0 = plan_sample_size(Q.k, config)
     n = args.n if args.n is not None else n0
 
-    sample_file_mode = args.samples is not None
-    if sample_file_mode and args.trials != 1:
-        raise InvariantError("--samples fixes the data, so --trials must be 1")
-    p = None if sample_file_mode else _population_distribution(args, Q)
-    if not sample_file_mode and p is None:
-        raise InvariantError("provide --p-index (optionally --p-mix), --p-file, or --samples")
+    if args.samples is not None:
+        if args.trials != 1:
+            raise InvariantError("--samples fixes the data, so --trials must be 1")
+        p = None
+        # Population carrier for externally supplied samples; p itself unknown.
+        file_pop = SimulatedPopulation(
+            DiscreteDistribution.uniform(Q.domain_size), _load_samples(args.samples)
+        )
+    else:
+        p = _population_distribution(args, Q)
+        if p is None:
+            raise InvariantError("provide --p-index (optionally --p-mix), --p-file, or --samples")
 
     factor = config.approximation_factor
     records = []
     failures = 0
-    known_p = p is not None
     for trial in range(args.trials):
         trial_seed = int(
             np.random.SeedSequence([seed, trial]).generate_state(1, np.uint64)[0] >> 1
         )
         t0 = time.perf_counter()
-        if sample_file_mode:
-            samples = np.loadtxt(args.samples, dtype=np.int64, ndmin=1)
-            # Population carrier for externally supplied samples; p itself unknown.
-            pop = SimulatedPopulation(DiscreteDistribution.uniform(Q.domain_size), samples)
-        else:
-            pop = SimulatedPopulation.draw(p, n, np.random.SeedSequence([trial_seed, 0]))
+        pop = file_pop if p is None else SimulatedPopulation.draw(
+            p, n, np.random.SeedSequence([trial_seed, 0])
+        )
         report = select_hypothesis(Q, pop, replace(config, seed=trial_seed))
         wall_ms = (time.perf_counter() - t0) * 1e3
         selected = Q.hypotheses[report.selected_index - 1]
-        if known_p:
+        if p is not None:
             opt = min(l1_distance(q, p) for q in Q.hypotheses)
             err = l1_distance(selected, p)
             bound = factor * opt + config.alpha
@@ -213,12 +220,12 @@ def cmd_select(args) -> int:
         "seed": seed,
         "trials": args.trials,
         "users_planned": n0,
-        "users_available": int(n) if not sample_file_mode else None,
+        "users_available": int(n) if p is not None else None,
         "approximation_factor": factor,
-        "failure_rate": (failures / args.trials) if known_p else None,
+        "failure_rate": (failures / args.trials) if p is not None else None,
         "records": records,
     }
-    if sample_file_mode:
+    if p is None:
         doc["selection_report"] = last_report.to_json_dict()
     _write_json(args.out, doc)
     csv_path = Path(args.out).with_suffix(".csv")
@@ -231,7 +238,7 @@ def cmd_select(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(records)
-    if known_p:
+    if p is not None:
         print(
             f"select: trials={args.trials} failure_rate={failures / args.trials:.4f} "
             f"(beta={config.beta}) -> {args.out}, {csv_path}"

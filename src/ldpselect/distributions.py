@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,30 @@ GENERATOR_MODELS = ("dirichlet-uniform", "sparse", "point-mass-mixture")
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+_ABSENT = object()
+_KIND_NAMES = {Integral: "an integer", Real: "a number", list: "a list"}
+
+
+def _json_number(doc: dict, name: str, kind: type, default=_ABSENT):
+    """doc[name], which must be of the given kind (Integral, Real or list).
+
+    A field is required unless it has a default, which it may also hold.
+    """
+    if not isinstance(doc, dict):
+        raise InvariantError(f"document must be a JSON object, got {type(doc).__name__}")
+    value = doc.get(name, default)
+    if value is _ABSENT:
+        raise InvariantError(f"document missing field {name!r}")
+    if value is not default and not isinstance(value, kind):
+        raise InvariantError(f"field {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _write_json(path, doc: dict) -> None:
+    """The one JSON writer of the package: indent 2, sorted keys, trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +223,7 @@ class HypothesisSet:
         return cls(tuple(hyps))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "HypothesisSet":

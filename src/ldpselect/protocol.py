@@ -15,11 +15,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, SignedFunctional
+from .distributions import DiscreteDistribution, _json_number, _read_only, _write_json
 from .errors import (
     ConfigError,
     DimensionError,
@@ -45,34 +46,6 @@ def keep_probability(epsilon: float) -> float:
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     return math.exp(epsilon) / (math.exp(epsilon) + 1.0)
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Privacy budget and per-query accuracy targets.
-
-    The variance analysis is tightest for epsilon in (0, 1); larger budgets
-    are accepted (the mechanism and correction stay exact) with a warning.
-    """
-
-    epsilon: float
-    alpha_query: float
-    beta: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 < self.alpha_query <= 2:
-            raise ConfigError(f"alpha_query must lie in (0, 2], got {self.alpha_query}")
-        if not 0 < self.beta < 1:
-            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.epsilon >= 1:
-            warnings.warn(
-                f"epsilon = {self.epsilon} >= 1: sample-size formulas stay exact but the "
-                "1/eps^2 scaling regime assumes epsilon < 1",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 def randomized_response(bit, epsilon: float, rng: np.random.Generator):
@@ -119,6 +92,8 @@ def required_block_size(num_queries: int, alpha_query: float, beta: float, epsil
     Two-sided Hoeffding bound for means of i.i.d. variables in [-c, c] with
     c = (e^eps + 1)/(e^eps - 1), union-bounded over the queries:
         l = ceil(2 c^2 ln(2 |T| / beta) / alpha^2).
+    The bound is exact for every epsilon > 0, but its 1/eps^2 scaling regime
+    assumes epsilon < 1, so larger budgets draw a RuntimeWarning.
     """
     if num_queries < 1:
         raise ConfigError(f"need at least one query, got {num_queries}")
@@ -127,6 +102,13 @@ def required_block_size(num_queries: int, alpha_query: float, beta: float, epsil
     if not 0 < beta < 1:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     c = correction_factor(epsilon)
+    if epsilon >= 1:
+        warnings.warn(
+            f"epsilon = {epsilon} >= 1: sample-size formulas stay exact but the "
+            "1/eps^2 scaling regime assumes epsilon < 1",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return math.ceil(2.0 * c * c * math.log(2.0 * num_queries / beta) / (alpha_query ** 2))
 
 
@@ -222,8 +204,9 @@ class LdpTranscript:
             raise InvariantError("messages must form a one-dimensional array")
         if self.user_count != self.block_size * self.num_queries:
             raise InvariantError("transcript does not consist of full equal blocks")
-        if not np.all(np.abs(self.messages) == 1):
-            raise InvariantError("released messages must be single bits in {-1, +1}")
+        for start in range(0, self.user_count, _CHUNK):
+            if not np.all(np.abs(self.messages[start:start + _CHUNK]) == 1):
+                raise InvariantError("released messages must be single bits in {-1, +1}")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -266,44 +249,56 @@ class LdpTranscript:
 
 @dataclass(frozen=True, eq=False)
 class QueryEstimates:
-    """Bias-corrected block means, one per query index."""
+    """Bias-corrected block means: a read-only float64 vector, entry i for query i."""
 
-    estimates: dict[int, float]
+    estimates: np.ndarray
     block_size: int
     epsilon: float
 
     def __post_init__(self):
+        est = np.array(self.estimates, dtype=np.float64)  # a copy; the caller's stays writable
+        if est.ndim != 1:
+            raise InvariantError("estimates must form a one-dimensional vector")
+        if self.block_size < 1:
+            raise InvariantError(f"block_size must be positive, got {self.block_size}")
         c = correction_factor(self.epsilon)
-        for idx, value in self.estimates.items():
-            if abs(value) > c + 1e-12:
-                raise InvariantError(
-                    f"estimate {value!r} for query {idx} outside the corrected range ±{c}"
-                )
+        outside = ~(np.abs(est) <= c + 1e-12)  # NaN is outside too
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise InvariantError(
+                f"estimate {float(est[i])!r} for query {i} outside the corrected range ±{c}"
+            )
+        object.__setattr__(self, "estimates", _read_only(est))
 
     def to_json_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
             "block_size": self.block_size,
-            "estimates": {str(i): float(v) for i, v in sorted(self.estimates.items())},
+            "estimates": self.estimates.tolist(),
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "QueryEstimates":
+        """Inverse of save; a missing or mistyped field raises InvariantError naming it."""
         doc = json.loads(Path(path).read_text())
+        values = _json_number(doc, "estimates", list)
+        for i, value in enumerate(values):
+            if not isinstance(value, Real):
+                raise InvariantError(f"field 'estimates': entry {i} is not a number: {value!r}")
         return cls(
-            estimates={int(i): float(v) for i, v in doc["estimates"].items()},
-            block_size=int(doc["block_size"]),
-            epsilon=float(doc["epsilon"]),
+            estimates=values,
+            block_size=int(_json_number(doc, "block_size", Integral)),
+            epsilon=float(_json_number(doc, "epsilon", Real)),
         )
 
 
 def run_protocol(
     pop: SimulatedPopulation,
     queries,
-    params: PrivacyParams,
+    epsilon: float,
     rng,
 ) -> tuple[LdpTranscript, QueryEstimates]:
     """Run the one-round protocol for a fixed query list.
@@ -327,19 +322,19 @@ def run_protocol(
         if len(t) != d:
             raise DimensionError(f"query length {len(t)} does not match domain size {d}")
     rng = np.random.default_rng(rng)
-    c = correction_factor(params.epsilon)
+    c = correction_factor(epsilon)
     block = n // m
     messages = np.empty(block * m, dtype=np.int8)
-    estimates = {}
+    estimates = np.empty(m, dtype=np.float64)
     for i, t in enumerate(queries):
         end = (i + 1) * block
         total = 0
         for start in range(i * block, end, _CHUNK):
             stop = min(start + _CHUNK, end)
-            bits = randomized_response(t.signs[pop.samples[start:stop] - 1], params.epsilon, rng)
+            bits = randomized_response(t.signs[pop.samples[start:stop] - 1], epsilon, rng)
             messages[start:stop] = bits
             total += int(bits.sum(dtype=np.int64))
         estimates[i] = c * total / block
     transcript = LdpTranscript(messages=messages, block_size=block, num_queries=m)
     transcript.validate()
-    return transcript, QueryEstimates(estimates=estimates, block_size=block, epsilon=params.epsilon)
+    return transcript, QueryEstimates(estimates=estimates, block_size=block, epsilon=epsilon)

@@ -14,21 +14,19 @@ one-round private protocol, and selects; the factor is then 13 = 1 + 2*6.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .distributions import HypothesisSet, SignedFunctional, signed_scheffe_set
+from .distributions import HypothesisSet, SignedFunctional, _write_json, signed_scheffe_set
 from .errors import (
     ConfigError,
     IncompleteEstimatesError,
     InsufficientSamplesError,
     InvalidCertificateError,
 )
-from .protocol import PrivacyParams, QueryEstimates, SimulatedPopulation, required_block_size, run_protocol
+from .protocol import QueryEstimates, SimulatedPopulation, required_block_size, run_protocol
 from .scheffe_graph import (
     PHI_DEFAULT,
     DominatingSetCertificate,
@@ -145,7 +143,7 @@ class SelectionReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(path, self.to_json_dict())
 
 
 def _scheffe_family(Q: HypothesisSet, pairs, phi: float) -> QueryFamily:
@@ -197,15 +195,14 @@ def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates
     the smallest hypothesis index.  Deterministic in its inputs.
     """
     m = len(family)
-    missing = [i for i in range(m) if i not in estimates.estimates]
-    if missing:
-        raise IncompleteEstimatesError(f"estimates missing for query indices {missing}")
+    p_hat = estimates.estimates
+    if p_hat.size != m:
+        raise IncompleteEstimatesError(f"{p_hat.size} estimates for a family of {m} tests")
     T = family.test_matrix()
     if T.shape[1] != Q.domain_size:
         raise ConfigError(
             f"family is on domain size {T.shape[1]}, hypotheses on {Q.domain_size}"
         )
-    p_hat = np.array([estimates.estimates[i] for i in range(m)])
     values = Q.probs_matrix @ T.T  # k x m, entries <q, T>
     disc = np.abs(values - p_hat[np.newaxis, :]).max(axis=1)
     best = int(np.argmin(disc))  # first occurrence = smallest index
@@ -225,24 +222,16 @@ def max_query_budget(k: int) -> int:
     return math.ceil(domination_bound(k))
 
 
-def _estimation_targets(config: SelectionConfig) -> dict:
-    """Per-query protocol targets for the config.
+def plan_sample_size(k: int, config: SelectionConfig) -> int:
+    """Users sufficient for the full pipeline at the config's targets.
 
     Per-query accuracy is set to phi*alpha/2 so the selection error term
     collapses to exactly alpha; the failure budget is split evenly between
     estimation and sampling diagnostics.
     """
-    return {
-        "epsilon": config.epsilon,
-        "alpha_query": config.phi * config.alpha / 2.0,
-        "beta": config.beta / 2.0,
-    }
-
-
-def plan_sample_size(k: int, config: SelectionConfig) -> int:
-    """Users sufficient for the full pipeline at the config's targets."""
     budget = max_query_budget(k)
-    return budget * required_block_size(num_queries=budget, **_estimation_targets(config))
+    alpha_query = config.phi * config.alpha / 2.0
+    return budget * required_block_size(budget, alpha_query, config.beta / 2.0, config.epsilon)
 
 
 def select_hypothesis(
@@ -265,7 +254,6 @@ def select_hypothesis(
     graph = build_scheffe_graph(Q, config.phi)
     cert = find_dominating_set(graph, Q, seed=dom_seed)
     family = query_family_from_dominating_set(Q, cert, config.phi, graph=graph)
-    params = PrivacyParams(**_estimation_targets(config))
-    _, estimates = run_protocol(pop, family.tests, params, np.random.default_rng(proto_seed))
+    _, estimates = run_protocol(pop, family.tests, config.epsilon, np.random.default_rng(proto_seed))
     report = rmde_select(Q, family, estimates)
     return replace(report, certificate=cert)

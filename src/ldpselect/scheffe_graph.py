@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import HypothesisSet, _read_only
+from .distributions import HypothesisSet, _json_number, _read_only, _write_json
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -99,23 +99,6 @@ def _pair_from_json(lo, hi) -> VertexPair:
     if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
         raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
     return VertexPair(lo, hi)
-
-
-_ABSENT = object()
-
-
-def _json_number(doc: dict, name: str, kind: type, default=_ABSENT):
-    """doc[name], which must be a number of the given kind (Integral or Real).
-
-    A field is required unless it has a default, which it may also hold.
-    """
-    value = doc.get(name, default)
-    if value is _ABSENT:
-        raise InvariantError(f"document missing field {name!r}")
-    if value is not default and not isinstance(value, kind):
-        what = "an integer" if kind is Integral else "a number"
-        raise InvariantError(f"field {name!r} must be {what}, got {value!r}")
-    return value
 
 
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
@@ -254,7 +237,7 @@ class DominatingSetCertificate:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominatingSetCertificate":
@@ -265,9 +248,7 @@ class DominatingSetCertificate:
         ArgumentError.
         """
         k = _json_number(doc, "k", Integral)
-        rows = doc.get("dominating_set")
-        if not isinstance(rows, list):
-            raise InvariantError(f"field 'dominating_set' must be a list of pairs, got {rows!r}")
+        rows = _json_number(doc, "dominating_set", list)
         for row in rows:
             if not (isinstance(row, list) and len(row) == 2):
                 raise InvariantError(f"field 'dominating_set': row {row!r} is not a pair [lo, hi]")
@@ -572,17 +553,22 @@ def graph_to_json_dict(G: PairDigraph, phi: float | None = None) -> dict:
 
 
 def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
-    """Inverse of graph_to_json_dict; a malformed or out-of-range pair raises."""
-    k = int(doc["k"])
-    phi = doc.get("phi")
+    """Inverse of graph_to_json_dict.
+
+    A missing or mistyped field or a malformed pair raises InvariantError
+    naming it; an out-of-range pair raises ArgumentError.
+    """
+    k = int(_json_number(doc, "k", Integral))
+    phi = _json_number(doc, "phi", Real, default=None)
+    edges = _json_number(doc, "edges", list)
 
     @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry for 2
     def vertex_id(lo, hi) -> int:
         return _pair_from_json(lo, hi).vertex_id(k)
 
     sources, targets = [], []
-    for edge in doc["edges"]:
-        if len(edge) != 4:
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 4):
             raise InvariantError(f"graph edge {edge!r} is not a quadruple [a, b, c, d]")
         a, b, c, d = edge
         sources.append(vertex_id(a, b))

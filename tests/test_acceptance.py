@@ -14,7 +14,6 @@ import pytest
 from ldpselect import (
     DiscreteDistribution,
     HypothesisSet,
-    PrivacyParams,
     SelectionConfig,
     SignedFunctional,
     SimulatedPopulation,
@@ -167,12 +166,11 @@ def test_c6_query_estimation_concentration():
     p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
     queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
     truth = np.array([inner(p, t) for t in queries])
-    params = PrivacyParams(epsilon=eps, alpha_query=alpha, beta=beta)
     runs, failures = 400, 0
     for r in range(runs):
         pop = SimulatedPopulation.draw(p, block * num_queries, np.random.default_rng(3000 + r))
-        _, est = run_protocol(pop, queries, params, np.random.default_rng(9000 + r))
-        values = np.array([est.estimates[i] for i in range(num_queries)])
+        _, est = run_protocol(pop, queries, eps, np.random.default_rng(9000 + r))
+        values = est.estimates
         if float(np.abs(values - truth).max()) > alpha:
             failures += 1
     rate = failures / runs
@@ -234,10 +232,9 @@ def test_c8_rmde_deterministic_inequality():
                     full_scheffe_family(Q)):
             from ldpselect import QueryEstimates
 
-            values = {
-                i: float(inner(p, t)) + eta * float(rng.choice([-1.0, 1.0]))
-                for i, t in enumerate(fam.tests)
-            }
+            values = [
+                float(inner(p, t)) + eta * float(rng.choice([-1.0, 1.0])) for t in fam.tests
+            ]
             est = QueryEstimates(estimates=values, block_size=1, epsilon=0.5)
             rep = rmde_select(Q, fam, est)
             q_hat = Q.hypotheses[rep.selected_index - 1]
@@ -301,9 +298,8 @@ def test_c11_privacy_structure():
     for d, num_queries, eps in ((2, 1, 0.5), (6, 4, 0.3), (10, 7, 1.0)):
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
         queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
-        params = PrivacyParams(epsilon=eps, alpha_query=0.2, beta=0.1)
         pop = SimulatedPopulation.draw(p, 35 * num_queries + 3, rng)
-        transcript, _ = run_protocol(pop, queries, params, rng)
+        transcript, _ = run_protocol(pop, queries, eps, rng)
         transcript.validate()
         # one bit per participating user, nothing else per-user in the record
         assert transcript.messages.shape == transcript.query_index.shape
@@ -318,8 +314,8 @@ def test_c11_privacy_structure():
         samples2 = pop.samples.copy()
         samples2[flip_user] = 1 + (samples2[flip_user] % d)
         pop2 = SimulatedPopulation(p, samples2)
-        t1, _ = run_protocol(pop, queries, params, np.random.default_rng(42))
-        t2, _ = run_protocol(pop2, queries, params, np.random.default_rng(42))
+        t1, _ = run_protocol(pop, queries, eps, np.random.default_rng(42))
+        t2, _ = run_protocol(pop2, queries, eps, np.random.default_rng(42))
         changed = np.flatnonzero(t1.messages != t2.messages)
         assert set(changed.tolist()) <= {flip_user}
         runs += 1

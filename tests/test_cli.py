@@ -220,6 +220,20 @@ class TestSelect:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["x", "2.5"])
+    def test_sample_file_bad_line_names_file(self, tmp_path, capsys, line):
+        hyp = tmp_path / "hyp.json"
+        main(["gen", "--k", "3", "--d", "4", "--seed", "1", "--out", str(hyp)])
+        sample_file = tmp_path / "samples.txt"
+        sample_file.write_text(f"1\n{line}\n2\n")
+        code = main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+            "--epsilon", "1.0", "--seed", "1",
+            "--samples", str(sample_file), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert str(sample_file) in capsys.readouterr().err
+
     def test_population_arguments_required(self, tmp_path):
         hyp = tmp_path / "hyp.json"
         main(["gen", "--k", "3", "--d", "4", "--seed", "1", "--out", str(hyp)])

@@ -255,3 +255,11 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(InvariantError, match="missing field"):
             HypothesisSet.from_json_dict({"hypotheses": []})
+
+
+def test_every_exported_name_resolves():
+    import ldpselect
+
+    missing = [name for name in ldpselect.__all__ if not hasattr(ldpselect, name)]
+    assert not missing
+    assert len(set(ldpselect.__all__)) == len(ldpselect.__all__)

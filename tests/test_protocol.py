@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from ldpselect import (
     DiscreteDistribution,
     LdpTranscript,
-    PrivacyParams,
     QueryEstimates,
     SignedFunctional,
     SimulatedPopulation,
@@ -89,20 +90,6 @@ class TestRandomizedResponse:
         assert abs(estimates.mean() - truth) <= 4 * se
 
 
-class TestPrivacyParams:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            PrivacyParams(epsilon=0.5, alpha_query=0.0, beta=0.1)
-        with pytest.raises(ConfigError):
-            PrivacyParams(epsilon=0.5, alpha_query=0.1, beta=1.0)
-        with pytest.raises(ConfigError):
-            PrivacyParams(epsilon=-1.0, alpha_query=0.1, beta=0.1)
-
-    def test_warns_at_large_epsilon(self):
-        with pytest.warns(RuntimeWarning, match="epsilon"):
-            PrivacyParams(epsilon=2.0, alpha_query=0.1, beta=0.1)
-
-
 class TestRequiredBlockSize:
     def test_matches_closed_form(self):
         c = correction_factor(1.0)
@@ -123,6 +110,19 @@ class TestRequiredBlockSize:
             required_block_size(0, 0.1, 0.1, 1.0)
         with pytest.raises(ConfigError):
             required_block_size(5, 3.0, 0.1, 1.0)
+        with pytest.raises(ConfigError):
+            required_block_size(5, 0.0, 0.1, 0.5)
+        with pytest.raises(ConfigError):
+            required_block_size(5, 0.1, 1.0, 0.5)
+        with pytest.raises(ConfigError):
+            required_block_size(5, 0.1, 0.1, -1.0)
+
+    def test_warns_at_large_epsilon(self):
+        with pytest.warns(RuntimeWarning, match="epsilon"):
+            required_block_size(5, 0.1, 0.1, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            required_block_size(5, 0.1, 0.1, 0.5)
 
     def test_monte_carlo_calibration(self):
         # the planned block size must push the all-queries failure rate under beta
@@ -133,12 +133,11 @@ class TestRequiredBlockSize:
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
         queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
         truth = np.array([float(p.probs @ t.signs) for t in queries])
-        params = PrivacyParams(epsilon=eps, alpha_query=alpha, beta=beta)
         runs, failures = 120, 0
         for r in range(runs):
             pop = SimulatedPopulation.draw(p, block * num_queries, np.random.default_rng(1000 + r))
-            _, est = run_protocol(pop, queries, params, np.random.default_rng(2000 + r))
-            values = np.array([est.estimates[i] for i in range(num_queries)])
+            _, est = run_protocol(pop, queries, eps, np.random.default_rng(2000 + r))
+            values = est.estimates
             if np.max(np.abs(values - truth)) > alpha:
                 failures += 1
         assert failures / runs <= beta
@@ -201,7 +200,7 @@ class TestBitIdentityWithOneShotReference:
         messages = randomized_response(tests[query_index, samples[:used] - 1], epsilon, rng)
         c = correction_factor(epsilon)
         sums = messages.astype(np.float64).reshape(m, block).sum(axis=1)
-        estimates = {i: float(c * s / block) for i, s in enumerate(sums)}
+        estimates = c * sums / block
         return samples, draw_state, query_index, messages, estimates
 
     @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
@@ -210,19 +209,20 @@ class TestBitIdentityWithOneShotReference:
     def test_draw_and_protocol_match(self, dist, n, m):
         qrng = np.random.default_rng(77)
         queries = [SignedFunctional(qrng.choice([-1, 1], size=dist.domain_size)) for _ in range(m)]
-        params = PrivacyParams(epsilon=0.7, alpha_query=0.1, beta=0.1)
+        eps = 0.7
         samples, draw_state, query_index, messages, estimates = self.reference(
-            dist, n, queries, params.epsilon, np.random.default_rng(5))
+            dist, n, queries, eps, np.random.default_rng(5))
         rng = np.random.default_rng(5)  # one generator for draw and protocol, as in C11
         pop = SimulatedPopulation.draw(dist, n, rng)
         assert np.array_equal(pop.samples, samples)
         assert rng.bit_generator.state == draw_state
-        transcript, est = run_protocol(pop, queries, params, rng)
+        transcript, est = run_protocol(pop, queries, eps, rng)
         assert transcript.query_index.dtype == query_index.dtype
         assert np.array_equal(transcript.query_index, query_index)
         assert transcript.messages.dtype == messages.dtype
         assert np.array_equal(transcript.messages, messages)
-        assert est.estimates == estimates
+        assert est.estimates.dtype == estimates.dtype
+        assert est.estimates.tolist() == estimates.tolist()
 
     @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
     def test_empty_draw(self, dist):
@@ -240,8 +240,8 @@ class TestRunProtocol:
         p = DiscreteDistribution.point_mass(2, d)
         t = SignedFunctional(np.array([-1, 1, -1, -1]))
         pop = SimulatedPopulation.draw(p, 1000, 5)
-        params = PrivacyParams(epsilon=20.0, alpha_query=0.1, beta=0.1)
-        _, est = run_protocol(pop, [t], params, np.random.default_rng(6))
+        eps = 20.0
+        _, est = run_protocol(pop, [t], eps, np.random.default_rng(6))
         assert 0.99 <= est.estimates[0] <= 1.01
 
     def test_constant_query_unbiased(self):
@@ -249,11 +249,11 @@ class TestRunProtocol:
         rng = np.random.default_rng(8)
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
         t = SignedFunctional(np.ones(d, dtype=int))
-        params = PrivacyParams(epsilon=1.0, alpha_query=0.1, beta=0.1)
+        eps = 1.0
         values = []
         for r in range(60):
             pop = SimulatedPopulation.draw(p, 400, 100 + r)
-            _, est = run_protocol(pop, [t], params, np.random.default_rng(200 + r))
+            _, est = run_protocol(pop, [t], eps, np.random.default_rng(200 + r))
             values.append(est.estimates[0])
         values = np.array(values)
         se = values.std(ddof=1) / math.sqrt(len(values))
@@ -263,33 +263,33 @@ class TestRunProtocol:
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         t = SignedFunctional(np.array([1, -1]))
         pop = SimulatedPopulation.draw(p, 100_000, 9)
-        params = PrivacyParams(epsilon=1.0, alpha_query=0.05, beta=0.1)
-        _, est = run_protocol(pop, [t], params, np.random.default_rng(10))
+        eps = 1.0
+        _, est = run_protocol(pop, [t], eps, np.random.default_rng(10))
         assert abs(est.estimates[0]) < 0.05
 
     def test_insufficient_users(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 3, 1)
         queries = [SignedFunctional(np.array([1, -1]))] * 4
-        params = PrivacyParams(epsilon=0.5, alpha_query=0.1, beta=0.1)
+        eps = 0.5
         with pytest.raises(InsufficientSamplesError) as exc:
-            run_protocol(pop, queries, params, np.random.default_rng(0))
+            run_protocol(pop, queries, eps, np.random.default_rng(0))
         assert exc.value.required == 4
 
     def test_query_domain_mismatch(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 10, 1)
-        params = PrivacyParams(epsilon=0.5, alpha_query=0.1, beta=0.1)
+        eps = 0.5
         with pytest.raises(DimensionError):
-            run_protocol(pop, [SignedFunctional(np.array([1, 1, -1]))], params,
+            run_protocol(pop, [SignedFunctional(np.array([1, 1, -1]))], eps,
                          np.random.default_rng(0))
 
     def test_blocks_partition_evenly_and_surplus_dropped(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 107, 2)
         queries = [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([-1, 1]))]
-        params = PrivacyParams(epsilon=0.5, alpha_query=0.1, beta=0.1)
-        transcript, est = run_protocol(pop, queries, params, np.random.default_rng(11))
+        eps = 0.5
+        transcript, est = run_protocol(pop, queries, eps, np.random.default_rng(11))
         assert transcript.block_size == 53
         assert transcript.user_count == 106
         counts = np.bincount(transcript.query_index)
@@ -298,8 +298,8 @@ class TestRunProtocol:
     def test_estimates_within_corrected_range(self):
         p = DiscreteDistribution(np.array([0.9, 0.1]))
         pop = SimulatedPopulation.draw(p, 50, 3)
-        params = PrivacyParams(epsilon=0.2, alpha_query=0.5, beta=0.1)
-        _, est = run_protocol(pop, [SignedFunctional(np.array([1, -1]))], params,
+        eps = 0.2
+        _, est = run_protocol(pop, [SignedFunctional(np.array([1, -1]))], eps,
                               np.random.default_rng(12))
         c = correction_factor(0.2)
         assert abs(est.estimates[0]) <= c + 1e-12
@@ -311,9 +311,9 @@ class TestNonInteractivityAndPrivacyStructure:
         pop = SimulatedPopulation.draw(p, 90, 4)
         queries = [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([-1, 1])),
                    SignedFunctional(np.array([1, 1]))]
-        params = PrivacyParams(epsilon=0.4, alpha_query=0.1, beta=0.1)
-        t1, _ = run_protocol(pop, queries, params, np.random.default_rng(1))
-        t2, _ = run_protocol(pop, queries, params, np.random.default_rng(999))
+        eps = 0.4
+        t1, _ = run_protocol(pop, queries, eps, np.random.default_rng(1))
+        t2, _ = run_protocol(pop, queries, eps, np.random.default_rng(999))
         assert np.array_equal(t1.query_index, t2.query_index)
 
     def test_one_user_change_touches_one_message(self):
@@ -325,9 +325,9 @@ class TestNonInteractivityAndPrivacyStructure:
         samples2 = pop.samples.copy()
         samples2[17] = 2 if t.signs[pop.samples[17] - 1] == 1 else 1
         pop2 = SimulatedPopulation(p, samples2)
-        params = PrivacyParams(epsilon=0.6, alpha_query=0.1, beta=0.1)
-        m1, _ = run_protocol(pop, [t], params, np.random.default_rng(21))
-        m2, _ = run_protocol(pop2, [t], params, np.random.default_rng(21))
+        eps = 0.6
+        m1, _ = run_protocol(pop, [t], eps, np.random.default_rng(21))
+        m2, _ = run_protocol(pop2, [t], eps, np.random.default_rng(21))
         changed = np.flatnonzero(m1.messages != m2.messages)
         assert np.array_equal(changed, [17])
 
@@ -335,8 +335,8 @@ class TestNonInteractivityAndPrivacyStructure:
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 40, 6)
         queries = [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([-1, 1]))]
-        params = PrivacyParams(epsilon=0.3, alpha_query=0.1, beta=0.1)
-        transcript, _ = run_protocol(pop, queries, params, np.random.default_rng(13))
+        eps = 0.3
+        transcript, _ = run_protocol(pop, queries, eps, np.random.default_rng(13))
         transcript.validate()
         assert set(np.unique(transcript.messages)) <= {-1, 1}
         assert np.array_equal(transcript.query_index,
@@ -350,14 +350,24 @@ class TestNonInteractivityAndPrivacyStructure:
                 num_queries=1,
             ).validate()
 
+    @pytest.mark.parametrize("bad", [0, 2, -128])
+    def test_validate_rejects_bad_bit_past_first_chunk(self, bad):
+        messages = np.ones(2 * _CHUNK + 3, dtype=np.int8)
+        messages[_CHUNK + 5] = bad
+        with pytest.raises(InvariantError, match="single bits"):
+            LdpTranscript(messages=messages, block_size=messages.size, num_queries=1).validate()
+
+    def test_validate_accepts_empty_transcript(self):
+        LdpTranscript(messages=np.empty(0, dtype=np.int8), block_size=0, num_queries=0).validate()
+
 
 class TestSerialization:
     def test_transcript_csv_round_trip(self, tmp_path):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 20, 7)
         queries = [SignedFunctional(np.array([1, -1]))]
-        params = PrivacyParams(epsilon=0.5, alpha_query=0.1, beta=0.1)
-        transcript, _ = run_protocol(pop, queries, params, np.random.default_rng(14))
+        eps = 0.5
+        transcript, _ = run_protocol(pop, queries, eps, np.random.default_rng(14))
         path = tmp_path / "transcript.csv"
         transcript.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -385,13 +395,41 @@ class TestSerialization:
             LdpTranscript.from_csv(path)
 
     def test_estimates_json_round_trip(self, tmp_path):
-        est = QueryEstimates(estimates={0: 0.25, 1: -0.5}, block_size=10, epsilon=0.5)
+        est = QueryEstimates(estimates=[0.25, -0.5], block_size=10, epsilon=0.5)
         path = tmp_path / "estimates.json"
         est.save(path)
+        assert json.loads(path.read_text())["estimates"] == [0.25, -0.5]
         loaded = QueryEstimates.load(path)
-        assert loaded.estimates == est.estimates
+        assert loaded.estimates.tolist() == est.estimates.tolist()
         assert loaded.block_size == 10 and loaded.epsilon == 0.5
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"epsilon": 0.5, "estimates": [0.1]}, "block_size"),
+        ({"block_size": "10", "epsilon": 0.5, "estimates": [0.1]}, "block_size"),
+        ({"block_size": 0, "epsilon": 0.5, "estimates": [0.1]}, "block_size"),
+        ({"block_size": 10, "estimates": [0.1]}, "epsilon"),
+        ({"block_size": 10, "epsilon": "x", "estimates": [0.1]}, "epsilon"),
+        ({"block_size": 10, "epsilon": 0.5}, "estimates"),
+        ({"block_size": 10, "epsilon": 0.5, "estimates": {"0": 0.1}}, "estimates"),
+        ({"block_size": 10, "epsilon": 0.5, "estimates": [0.1, "x"]}, "estimates"),
+        ([0.1], "object"),
+    ])
+    def test_estimates_json_malformed_names_field(self, tmp_path, doc, field):
+        path = tmp_path / "estimates.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvariantError, match=field):
+            QueryEstimates.load(path)
 
     def test_estimates_range_validated(self):
         with pytest.raises(InvariantError):
-            QueryEstimates(estimates={0: 100.0}, block_size=5, epsilon=0.5)
+            QueryEstimates(estimates=[100.0], block_size=5, epsilon=0.5)
+        with pytest.raises(InvariantError):
+            QueryEstimates(estimates=[float("nan")], block_size=5, epsilon=0.5)
+        with pytest.raises(InvariantError):
+            QueryEstimates(estimates=[[0.1]], block_size=5, epsilon=0.5)
+
+    def test_estimates_vector_read_only(self):
+        given = np.array([0.25, -0.5])
+        est = QueryEstimates(estimates=given, block_size=10, epsilon=0.5)
+        assert est.estimates.dtype == np.float64 and not est.estimates.flags.writeable
+        assert given.flags.writeable

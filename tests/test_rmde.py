@@ -40,10 +40,10 @@ def exact_estimates(p, family, eta=0.0, rng=None):
     Carries a small epsilon so the corrected range ±(e^eps+1)/(e^eps-1) is
     wide enough for the perturbed values.
     """
-    values = {}
-    for i, t in enumerate(family.tests):
+    values = []
+    for t in family.tests:
         noise = 0.0 if eta == 0.0 else eta * float(rng.choice([-1.0, 1.0]))
-        values[i] = float(inner(p, t)) + noise
+        values.append(float(inner(p, t)) + noise)
     return QueryEstimates(estimates=values, block_size=1, epsilon=0.5)
 
 
@@ -154,13 +154,11 @@ class TestRmdeSelect:
         Q = random_hypothesis_set(4, 5, seed=6)
         fam = full_scheffe_family(Q)
         est = exact_estimates(Q.hypotheses[0], fam)
-        partial = QueryEstimates(
-            estimates={i: v for i, v in est.estimates.items() if i != 1},
-            block_size=1,
-            epsilon=20.0,
-        )
-        with pytest.raises(IncompleteEstimatesError):
-            rmde_select(Q, fam, partial)
+        # one estimate short, and one too many: the count must equal the family size
+        for values in (np.delete(est.estimates, 1), np.append(est.estimates, 0.0)):
+            wrong = QueryEstimates(estimates=values, block_size=1, epsilon=20.0)
+            with pytest.raises(IncompleteEstimatesError):
+                rmde_select(Q, fam, wrong)
 
     def test_argmin_invariance_under_constant_shift(self):
         rng = np.random.default_rng(7)

@@ -217,6 +217,21 @@ class TestBuild:
         with pytest.raises(error):
             graph_from_json_dict({"k": 4, "phi": PHI, "edges": [[1, 2, 1, 3], edge]})
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"k": "x", "phi": PHI, "edges": []}, "k"),
+        ({"phi": PHI, "edges": []}, "k"),
+        ({"k": 4, "phi": PHI}, "edges"),
+        ({"k": 4, "phi": PHI, "edges": 5}, "edges"),
+        ({"k": 4, "phi": "x", "edges": []}, "phi"),
+    ])
+    def test_import_names_missing_or_mistyped_field(self, doc, field):
+        with pytest.raises(InvariantError, match=f"'{field}'"):
+            graph_from_json_dict(doc)
+
+    def test_import_without_phi(self):
+        phi, digraph = graph_from_json_dict({"k": 3, "edges": [[1, 2, 1, 3]]})
+        assert phi is None and digraph.edge_count == 1
+
     def test_arrays_frozen(self):
         G = build_scheffe_graph(random_hypothesis_set(4, 6, seed=2), PHI)
         for arr in (max(G.out_edges, key=len), G.in_degrees):
