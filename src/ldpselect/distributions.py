@@ -33,6 +33,11 @@ _ABSENT = object()
 _KIND_NAMES = {Integral: "an integer", Real: "a number", list: "a list"}
 
 
+def _is_json(value, kind: type) -> bool:
+    """Whether a parsed JSON value is of the kind; true and false are no numbers."""
+    return isinstance(value, kind) and not (kind is not list and isinstance(value, bool))
+
+
 def _json_number(doc: dict, name: str, kind: type, default=_ABSENT):
     """doc[name], which must be of the given kind (Integral, Real or list).
 
@@ -43,7 +48,7 @@ def _json_number(doc: dict, name: str, kind: type, default=_ABSENT):
     value = doc.get(name, default)
     if value is _ABSENT:
         raise InvariantError(f"document missing field {name!r}")
-    if value is not default and not isinstance(value, kind):
+    if value is not default and not _is_json(value, kind):
         raise InvariantError(f"field {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
@@ -204,7 +209,7 @@ class HypothesisSet:
             rows = doc["hypotheses"]
         except (KeyError, TypeError) as exc:
             raise InvariantError(f"hypothesis-set document missing field: {exc}") from exc
-        if not isinstance(d, Integral):
+        if not _is_json(d, Integral):
             raise InvariantError(f"domain_size must be an integer, got {d!r}")
         hyps = []
         for row, probs in enumerate(rows, start=1):

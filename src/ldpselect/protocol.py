@@ -14,13 +14,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _json_number, _read_only, _write_json
+from .distributions import DiscreteDistribution, _is_json, _json_number, _read_only, _write_json
 from .errors import (
     ConfigError,
     DimensionError,
@@ -112,40 +112,84 @@ def required_block_size(num_queries: int, alpha_query: float, beta: float, epsil
     return math.ceil(2.0 * c * c * math.log(2.0 * num_queries / beta) / (alpha_query ** 2))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SimulatedPopulation:
-    """Users holding i.i.d. samples from a distribution only the simulator sees."""
+    """Users holding i.i.d. samples from a distribution only the simulator sees.
+
+    A population takes one of two forms.  Given samples (the constructor, or a
+    draw from a Generator) hold one domain point per user.  A seeded draw
+    holds (p, n, seed) alone: its samples are built from the seed when first
+    read, and positive_counts draws from the same seed without building them.
+    """
 
     true_distribution: DiscreteDistribution
-    samples: np.ndarray  # one domain point (1-based) per user
+    user_count: int
+    _samples: np.ndarray | None = field(repr=False)
+    _seed: np.random.SeedSequence | None = field(repr=False)
 
-    def __post_init__(self):
-        samples = np.asarray(self.samples)
+    def __init__(self, true_distribution: DiscreteDistribution, samples):
+        samples = np.asarray(samples)
         if samples.ndim != 1:
             raise InvariantError("samples must form a one-dimensional array")
-        d = self.true_distribution.domain_size
+        d = true_distribution.domain_size
         if samples.size and (samples.min() < 1 or samples.max() > d):
             raise InvariantError(f"samples must lie in 1..{d}")
-        object.__setattr__(self, "samples", samples.astype(np.int64))
-        self.samples.flags.writeable = False
+        self._set(true_distribution, int(samples.size), _read_only(samples.astype(np.int64)), None)
+
+    def _set(self, dist, n, samples, seed) -> None:
+        object.__setattr__(self, "true_distribution", dist)
+        object.__setattr__(self, "user_count", n)
+        object.__setattr__(self, "_samples", samples)
+        object.__setattr__(self, "_seed", seed)
 
     @property
-    def user_count(self) -> int:
-        return int(self.samples.size)
+    def samples(self) -> np.ndarray:
+        """One domain point (1-based) per user, as a read-only int64 array."""
+        if self._samples is None:
+            rng = np.random.default_rng(self._seed)
+            samples = _inverse_cdf_draw(self.true_distribution.probs, self.user_count, rng)
+            object.__setattr__(self, "_samples", _read_only(samples))
+        return self._samples
 
     @classmethod
     def draw(cls, dist: DiscreteDistribution, n: int, rng) -> "SimulatedPopulation":
-        """Draw n i.i.d. users; equal to rng.choice(d, size=n, p=dist.probs) + 1 bit for bit."""
+        """Draw n i.i.d. users; .samples equals default_rng(rng).choice(d, n, p=dist.probs) + 1.
+
+        A Generator (or BitGenerator) is drawn from at once, because its caller
+        owns the order of its stream.  An int, a SeedSequence or None is only
+        recorded; None is fixed to fresh entropy here, so every read of the
+        population sees the same users.
+        """
         if n < 0:
             raise ConfigError(f"user count must be non-negative, got {n}")
-        rng = np.random.default_rng(rng)
-        samples = _inverse_cdf_draw(dist.probs, int(n), rng)
-        samples.flags.writeable = False
-        # The fresh array is in range and owned here, so skip __post_init__'s copy.
         pop = cls.__new__(cls)
-        object.__setattr__(pop, "true_distribution", dist)
-        object.__setattr__(pop, "samples", samples)
+        if isinstance(rng, (np.random.Generator, np.random.BitGenerator)):
+            samples = _inverse_cdf_draw(dist.probs, int(n), np.random.default_rng(rng))
+            pop._set(dist, int(n), _read_only(samples), None)
+        else:
+            seed = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(rng)
+            pop._set(dist, int(n), None, seed)
         return pop
+
+    def positive_counts(self, plus: np.ndarray, block: int) -> np.ndarray:
+        """Users of block i whose point is True in row i of plus, an m x d bool matrix.
+
+        Block i holds users i*block .. (i+1)*block - 1.  Given samples are
+        counted through one histogram per block.  A seeded draw builds no
+        samples: it draws count i as Binomial(block, p(plus[i])) from its seed,
+        the law of that count over the draw, with p normalized by its total
+        mass as the draw's cdf is.  Its counts are therefore not those of
+        .samples.
+        """
+        if self._seed is None:
+            d = self.true_distribution.domain_size
+            return np.array([
+                np.bincount(self._samples[i * block:(i + 1) * block], minlength=d + 1)[1:] @ row
+                for i, row in enumerate(plus)
+            ], dtype=np.int64)
+        probs = self.true_distribution.probs
+        inside, outside = plus @ probs, ~plus @ probs
+        return np.random.default_rng(self._seed).binomial(block, inside / (inside + outside))
 
 
 def _inverse_cdf_draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -286,7 +330,7 @@ class QueryEstimates:
         doc = json.loads(Path(path).read_text())
         values = _json_number(doc, "estimates", list)
         for i, value in enumerate(values):
-            if not isinstance(value, Real):
+            if not _is_json(value, Real):
                 raise InvariantError(f"field 'estimates': entry {i} is not a number: {value!r}")
         return cls(
             estimates=values,
@@ -295,21 +339,8 @@ class QueryEstimates:
         )
 
 
-def run_protocol(
-    pop: SimulatedPopulation,
-    queries,
-    epsilon: float,
-    rng,
-) -> tuple[LdpTranscript, QueryEstimates]:
-    """Run the one-round protocol for a fixed query list.
-
-    Users are split into len(queries) contiguous blocks of floor(n/|T|) in the
-    given enumeration order; surplus users are dropped so every estimate has
-    identical variance.  User i with sample x releases RR_eps(T_{pi(i)}(x));
-    the estimate for T is the corrected block mean.  Raw samples appear
-    nowhere in the outputs.  Blocks are walked in order, _CHUNK users at a
-    time, so beyond the message array the temporaries are O(_CHUNK).
-    """
+def _block_layout(pop: SimulatedPopulation, queries) -> tuple[list, int]:
+    """The checked query list and its block size floor(n/|T|)."""
     queries = list(queries)
     if not queries:
         raise ConfigError("query list must be non-empty")
@@ -321,9 +352,28 @@ def run_protocol(
     for t in queries:
         if len(t) != d:
             raise DimensionError(f"query length {len(t)} does not match domain size {d}")
+    return queries, n // m
+
+
+def run_protocol(
+    pop: SimulatedPopulation,
+    queries,
+    epsilon: float,
+    rng,
+) -> tuple[LdpTranscript, QueryEstimates]:
+    """Run the one-round protocol for a fixed query list, user by user.
+
+    Users are split into len(queries) contiguous blocks of floor(n/|T|) in the
+    given enumeration order; surplus users are dropped so every estimate has
+    identical variance.  User i with sample x releases RR_eps(T_{pi(i)}(x));
+    the estimate for T is the corrected block mean.  Raw samples appear
+    nowhere in the outputs.  Blocks are walked in order, _CHUNK users at a
+    time, so beyond the message array the temporaries are O(_CHUNK).
+    """
+    queries, block = _block_layout(pop, queries)
+    m = len(queries)
     rng = np.random.default_rng(rng)
     c = correction_factor(epsilon)
-    block = n // m
     messages = np.empty(block * m, dtype=np.int8)
     estimates = np.empty(m, dtype=np.float64)
     for i, t in enumerate(queries):
@@ -338,3 +388,23 @@ def run_protocol(
     transcript = LdpTranscript(messages=messages, block_size=block, num_queries=m)
     transcript.validate()
     return transcript, QueryEstimates(estimates=estimates, block_size=block, epsilon=epsilon)
+
+
+def estimate_queries(pop: SimulatedPopulation, queries, epsilon: float, rng) -> QueryEstimates:
+    """The estimates of run_protocol, drawn from the exact law of each block's message sum.
+
+    Same checks and block layout as run_protocol.  When h of the block's
+    users hold a point where T = +1, the block releases
+    Binomial(h, keep) + Binomial(block - h, 1 - keep) messages +1: the law of
+    the per-user sum.  No per-user uniform is drawn and no message is kept,
+    so on a seeded draw (see SimulatedPopulation.positive_counts) a call
+    costs O(|T| d) whatever the population size.  No transcript is made.
+    """
+    queries, block = _block_layout(pop, queries)
+    rng = np.random.default_rng(rng)
+    c = correction_factor(epsilon)
+    keep = keep_probability(epsilon)
+    h = pop.positive_counts(np.stack([t.signs > 0 for t in queries]), block)
+    ones = rng.binomial(h, keep) + rng.binomial(block - h, 1.0 - keep)
+    estimates = c * (2 * ones - block) / block
+    return QueryEstimates(estimates=estimates, block_size=block, epsilon=epsilon)

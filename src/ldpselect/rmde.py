@@ -26,7 +26,13 @@ from .errors import (
     InsufficientSamplesError,
     InvalidCertificateError,
 )
-from .protocol import QueryEstimates, SimulatedPopulation, required_block_size, run_protocol
+from .protocol import (
+    QueryEstimates,
+    SimulatedPopulation,
+    estimate_queries,
+    required_block_size,
+    run_protocol,  # noqa: F401  the per-user reference; its callers may import it from here
+)
 from .scheffe_graph import (
     PHI_DEFAULT,
     DominatingSetCertificate,
@@ -81,14 +87,12 @@ class QueryFamily:
         """
         phi = self.phi if phi is None else phi
         P = Q.probs_matrix
-        T = self.test_matrix()
-        margins = []
-        for j in range(Q.k):
-            for j2 in range(j + 1, Q.k):
-                delta = P[j] - P[j2]
-                best = float(np.abs(T @ delta).max())
-                margins.append(best - phi * float(np.abs(delta).sum()))
-        return np.array(margins)
+        M = P @ self.test_matrix().T  # k x m, entries <q_j, T>
+        # One row j at a time against every j' > j, in lexicographic pair order: O(k m) memory.
+        return np.concatenate([
+            np.abs(M[j] - M[j + 1:]).max(axis=1) - phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)
+            for j in range(Q.k)
+        ])
 
     def certifies(self, Q: HypothesisSet, phi: float | None = None, tol: float = 1e-9) -> bool:
         return bool((self.star_margins(Q, phi) >= -tol).all())
@@ -241,10 +245,15 @@ def select_hypothesis(
 ) -> SelectionReport:
     """Full non-interactive pipeline: graph, dominating set, protocol, selection.
 
-    All queries are fixed before any user message is drawn.  With
-    pop.user_count >= plan_sample_size(k, config) the selected hypothesis
-    satisfies  ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha  with probability
-    at least 1 - beta over the protocol randomness (factor 13 at phi = 1/6).
+    All queries are fixed before any user message is drawn.  The estimates
+    come from estimate_queries, which draws each block's message sum from
+    its exact law instead of simulating every user (run_protocol), so no
+    transcript is made; a population from a seeded SimulatedPopulation.draw
+    is never built user by user.  With pop.user_count >=
+    plan_sample_size(k, config) the selected hypothesis satisfies
+    ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha  with probability at least
+    1 - beta over the population and the protocol randomness (factor 13 at
+    phi = 1/6).
     """
     n0 = plan_sample_size(Q.k, config)
     if pop.user_count < n0:
@@ -254,6 +263,6 @@ def select_hypothesis(
     graph = build_scheffe_graph(Q, config.phi)
     cert = find_dominating_set(graph, Q, seed=dom_seed)
     family = query_family_from_dominating_set(Q, cert, config.phi, graph=graph)
-    _, estimates = run_protocol(pop, family.tests, config.epsilon, np.random.default_rng(proto_seed))
+    estimates = estimate_queries(pop, family.tests, config.epsilon, np.random.default_rng(proto_seed))
     report = rmde_select(Q, family, estimates)
     return replace(report, certificate=cert)

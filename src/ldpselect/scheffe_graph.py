@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import HypothesisSet, _json_number, _read_only, _write_json
+from .distributions import HypothesisSet, _is_json, _json_number, _read_only, _write_json
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -96,9 +96,17 @@ class VertexPair:
 
 
 def _pair_from_json(lo, hi) -> VertexPair:
-    if not (isinstance(lo, Integral) and isinstance(hi, Integral)):
+    if not (_is_json(lo, Integral) and _is_json(hi, Integral)):
         raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
     return VertexPair(lo, hi)
+
+
+def _json_k(doc: dict) -> int:
+    """The document's hypothesis count k, an integer of at least 2."""
+    k = int(_json_number(doc, "k", Integral))
+    if k < 2:
+        raise InvariantError(f"field 'k' must be at least 2, got {k}")
+    return k
 
 
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
@@ -247,7 +255,7 @@ class DominatingSetCertificate:
         index raises InvariantError naming it; a pair outside k raises
         ArgumentError.
         """
-        k = _json_number(doc, "k", Integral)
+        k = _json_k(doc)
         rows = _json_number(doc, "dominating_set", list)
         for row in rows:
             if not (isinstance(row, list) and len(row) == 2):
@@ -256,7 +264,7 @@ class DominatingSetCertificate:
         _ids_from_pairs(pairs, k)  # ArgumentError for a pair outside k
         seed = _json_number(doc, "seed", Integral, default=None)
         return cls(
-            k=int(k),
+            k=k,
             dominating_set=pairs,
             random_part=(),
             low_indegree_part=(),
@@ -558,7 +566,7 @@ def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
     A missing or mistyped field or a malformed pair raises InvariantError
     naming it; an out-of-range pair raises ArgumentError.
     """
-    k = int(_json_number(doc, "k", Integral))
+    k = _json_k(doc)
     phi = _json_number(doc, "phi", Real, default=None)
     edges = _json_number(doc, "edges", list)
 

@@ -206,6 +206,7 @@ class TestSelect:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["records"][0]["selected_index"] == 1
+        assert doc["records"][0]["users_consumed"] <= len(samples)
         assert doc["failure_rate"] is None
 
     def test_sample_file_rejects_multiple_trials(self, tmp_path):

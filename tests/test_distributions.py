@@ -256,6 +256,11 @@ class TestSerialization:
         with pytest.raises(InvariantError, match="missing field"):
             HypothesisSet.from_json_dict({"hypotheses": []})
 
+    def test_rejects_boolean_domain_size(self):
+        # true would read as 1 and accept one-point rows
+        with pytest.raises(InvariantError, match="domain_size"):
+            HypothesisSet.from_json_dict({"domain_size": True, "hypotheses": [[1.0], [1.0]]})
+
 
 def test_every_exported_name_resolves():
     import ldpselect

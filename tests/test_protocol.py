@@ -12,6 +12,7 @@ from ldpselect import (
     SignedFunctional,
     SimulatedPopulation,
     channel_privacy_ratio,
+    estimate_queries,
     randomized_response,
     required_block_size,
     run_protocol,
@@ -173,6 +174,22 @@ class TestSimulatedPopulation:
         pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 10, 0)
         assert pop.samples.dtype == np.int64 and not pop.samples.flags.writeable
 
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)], ids=["int", "seed-sequence"])
+    def test_seeded_draw_equals_choice(self, seed):
+        p = DiscreteDistribution(np.array([0.2, 0.5, 0.3]))
+        pop = SimulatedPopulation.draw(p, 1000, seed)
+        assert pop.user_count == 1000
+        expected = np.random.default_rng(5).choice(3, size=1000, p=p.probs) + 1
+        assert np.array_equal(pop.samples, expected)
+        assert pop.samples.dtype == np.int64 and not pop.samples.flags.writeable
+        assert pop.samples is pop.samples  # built once
+
+    def test_seeded_draw_without_seed_is_fixed(self):
+        pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 200, None)
+        queries = [SignedFunctional(np.array([1, -1]))]
+        first = estimate_queries(pop, queries, 0.5, 1).estimates
+        assert np.array_equal(estimate_queries(pop, queries, 0.5, 1).estimates, first)
+
 
 BIT_IDENTITY_CASES = [
     *(pytest.param(random_hypothesis_set(4, 16, seed=31, model=model).hypotheses[1], id=model)
@@ -222,6 +239,23 @@ class TestBitIdentityWithOneShotReference:
         assert transcript.messages.dtype == messages.dtype
         assert np.array_equal(transcript.messages, messages)
         assert est.estimates.dtype == estimates.dtype
+        assert est.estimates.tolist() == estimates.tolist()
+
+    @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)], ids=["int", "seed-sequence"])
+    @pytest.mark.parametrize("n,m", [(_CHUNK + 1, 3), (50, 50)])
+    def test_seeded_draw_and_protocol_match(self, dist, seed, n, m):
+        qrng = np.random.default_rng(77)
+        queries = [SignedFunctional(qrng.choice([-1, 1], size=dist.domain_size)) for _ in range(m)]
+        eps = 0.7
+        samples, draw_state, _, messages, estimates = self.reference(
+            dist, n, queries, eps, np.random.default_rng(5))
+        pop = SimulatedPopulation.draw(dist, n, seed)
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = draw_state  # the protocol continues the reference's stream
+        transcript, est = run_protocol(pop, queries, eps, rng)
+        assert np.array_equal(pop.samples, samples)
+        assert np.array_equal(transcript.messages, messages)
         assert est.estimates.tolist() == estimates.tolist()
 
     @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
@@ -303,6 +337,138 @@ class TestRunProtocol:
                               np.random.default_rng(12))
         c = correction_factor(0.2)
         assert abs(est.estimates[0]) <= c + 1e-12
+
+
+PROTOCOL_PATHS = [
+    pytest.param(lambda pop, q, eps, rng: run_protocol(pop, q, eps, rng)[1], id="per-user"),
+    pytest.param(estimate_queries, id="aggregate"),
+]
+
+
+def positive_messages(est, block, eps):
+    """The number of +1 messages behind each block's corrected mean."""
+    c = correction_factor(eps)
+    return np.rint((est.estimates * block / c + block) / 2).astype(np.int64)
+
+
+def binomial_pmf(n, p):
+    return np.array([math.comb(n, x) * p ** x * (1 - p) ** (n - x) for x in range(n + 1)])
+
+
+def chi_square(observed, pmf):
+    expected = observed.sum() * pmf
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+class TestEstimateQueries:
+    @pytest.mark.parametrize("form", ["samples", "seeded"])
+    def test_repeats_exactly(self, form):
+        p = DiscreteDistribution(np.array([0.2, 0.5, 0.3]))
+        pop = SimulatedPopulation.draw(p, 107, 3)
+        if form == "samples":
+            pop = SimulatedPopulation(p, pop.samples)
+        queries = [SignedFunctional(np.array([1, -1, 1])), SignedFunctional(np.array([-1, 1, 1]))]
+        a = estimate_queries(pop, queries, 0.5, np.random.default_rng(4))
+        b = estimate_queries(pop, queries, 0.5, np.random.default_rng(4))
+        assert a.block_size == b.block_size == 53  # surplus dropped as in run_protocol
+        assert a.estimates.dtype == np.float64
+        assert a.estimates.tolist() == b.estimates.tolist()
+
+    @pytest.mark.parametrize("form", ["samples", "seeded"])
+    def test_point_mass_extremes(self, form):
+        # every user holds point 2, so each block's count h is exact in both forms
+        p = DiscreteDistribution.point_mass(2, 3)
+        pop = SimulatedPopulation.draw(p, 1000, 5)
+        if form == "samples":
+            pop = SimulatedPopulation(p, pop.samples)
+        queries = [SignedFunctional(np.array([-1, 1, -1])), SignedFunctional(np.array([1, -1, 1]))]
+        est = estimate_queries(pop, queries, 20.0, np.random.default_rng(6))
+        assert 0.99 <= est.estimates[0] <= 1.01 and -1.01 <= est.estimates[1] <= -0.99
+
+    @pytest.mark.parametrize("run", PROTOCOL_PATHS)
+    @pytest.mark.parametrize("users, queries, error", [
+        (10, [], ConfigError),
+        (3, [SignedFunctional(np.array([1, -1]))] * 4, InsufficientSamplesError),
+        (10, [SignedFunctional(np.array([1, 1, -1]))], DimensionError),
+    ], ids=["no-queries", "too-few-users", "domain-mismatch"])
+    def test_input_errors(self, run, users, queries, error):
+        pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), users, 1)
+        with pytest.raises(error) as exc:
+            run(pop, queries, 0.5, np.random.default_rng(0))
+        if error is InsufficientSamplesError:
+            assert exc.value.required == 4
+
+
+class TestExactLaw:
+    """Both paths against the exact law of a block's +1 messages.
+
+    Chi-square critical values are the 0.999 quantiles (df 4: 18.467, df 6:
+    22.458); means and variances must sit within 4 standard errors.
+    """
+
+    RUNS = 20_000
+    EPS = 1.0
+    P = DiscreteDistribution(np.array([0.2, 0.5, 0.3]))
+    QUERIES = [SignedFunctional(np.array([1, -1, -1])), SignedFunctional(np.array([1, 1, -1]))]
+
+    def pi(self, t):
+        keep = keep_probability(self.EPS)
+        plus = float(self.P.probs[t.signs > 0].sum())
+        return keep * plus + (1 - keep) * (1 - plus)
+
+    @pytest.mark.parametrize("run", PROTOCOL_PATHS)
+    def test_drawn_population_block_law(self, run):
+        block = 4
+        counts = np.empty((self.RUNS, 2), dtype=np.int64)
+        estimates = np.empty((self.RUNS, 2))
+        for r in range(self.RUNS):
+            pop = SimulatedPopulation.draw(self.P, 2 * block + 1, np.random.SeedSequence([71, r]))
+            est = run(pop, self.QUERIES, self.EPS, np.random.default_rng([72, r]))
+            assert est.block_size == block
+            counts[r] = positive_messages(est, block, self.EPS)
+            estimates[r] = est.estimates
+        c = correction_factor(self.EPS)
+        for i, t in enumerate(self.QUERIES):
+            pi = self.pi(t)
+            observed = np.bincount(counts[:, i], minlength=block + 1)
+            assert chi_square(observed, binomial_pmf(block, pi)) < 18.467
+            self.check_moments(estimates[:, i], float(self.P.probs @ t.signs), pi, block, c)
+
+    @pytest.mark.parametrize("run", PROTOCOL_PATHS)
+    def test_fixed_samples_block_law(self, run):
+        # block 1 holds three users where T_1 = +1, block 2 four where T_2 = +1
+        pop = SimulatedPopulation(self.P, np.array([1, 2, 3, 1, 1, 2, 3, 3, 2, 1, 2, 2]))
+        block, keep = 6, keep_probability(self.EPS)
+        counts = np.empty((self.RUNS, 2), dtype=np.int64)
+        for r in range(self.RUNS):
+            est = run(pop, self.QUERIES, self.EPS, np.random.default_rng([73, r]))
+            counts[r] = positive_messages(est, block, self.EPS)
+        for i, h in enumerate((3, 4)):
+            pmf = np.convolve(binomial_pmf(h, keep), binomial_pmf(block - h, 1 - keep))
+            observed = np.bincount(counts[:, i], minlength=block + 1)
+            assert chi_square(observed, pmf) < 22.458
+
+    def test_large_drawn_population_moments(self):
+        block = 1_000_000
+        pop_seeds = np.random.SeedSequence(74).spawn(self.RUNS)
+        estimates = np.array([
+            estimate_queries(SimulatedPopulation.draw(self.P, 2 * block, s), self.QUERIES, self.EPS,
+                             np.random.default_rng([75, r])).estimates
+            for r, s in enumerate(pop_seeds)
+        ])
+        c = correction_factor(self.EPS)
+        for i, t in enumerate(self.QUERIES):
+            self.check_moments(estimates[:, i], float(self.P.probs @ t.signs), self.pi(t), block, c)
+
+    def check_moments(self, values, mean, pi, block, c):
+        """Sample mean and variance of c (2 Binomial(block, pi) - block) / block draws."""
+        pq = pi * (1 - pi)
+        var = c * c * (1 - (2 * pi - 1) ** 2) / block
+        # fourth central moment of the estimate, from that of the binomial
+        mu4 = (2 * c / block) ** 4 * block * pq * (1 + 3 * (block - 2) * pq)
+        runs = values.size
+        assert abs(values.mean() - mean) <= 4 * math.sqrt(var / runs)
+        assert abs(values.var(ddof=1) - var) <= 4 * math.sqrt((mu4 - var * var) / runs)
 
 
 class TestNonInteractivityAndPrivacyStructure:
@@ -412,6 +578,8 @@ class TestSerialization:
         ({"block_size": 10, "epsilon": 0.5}, "estimates"),
         ({"block_size": 10, "epsilon": 0.5, "estimates": {"0": 0.1}}, "estimates"),
         ({"block_size": 10, "epsilon": 0.5, "estimates": [0.1, "x"]}, "estimates"),
+        ({"block_size": 10, "epsilon": 0.5, "estimates": [0.1, True]}, "estimates"),
+        ({"block_size": True, "epsilon": 0.5, "estimates": [0.1]}, "block_size"),
         ([0.1], "object"),
     ])
     def test_estimates_json_malformed_names_field(self, tmp_path, doc, field):

@@ -22,6 +22,7 @@ from ldpselect import (
     rmde_select,
     select_hypothesis,
 )
+from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import (
     ConfigError,
     IncompleteEstimatesError,
@@ -117,6 +118,19 @@ class TestQueryFamily:
         fam = full_scheffe_family(Q)
         assert fam.phi == 1.0
         assert fam.certifies(Q)
+
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_star_margins_match_pair_loop(self, model):
+        Q = random_hypothesis_set(12, 10, seed=7, model=model)
+        P = Q.probs_matrix
+        for fam, phi in ((pipeline_family(Q, seed=7), PHI), (full_scheffe_family(Q), 0.5)):
+            T = fam.test_matrix()
+            reference = [
+                float(np.abs(T @ (P[j] - P[j2])).max()) - phi * float(np.abs(P[j] - P[j2]).sum())
+                for j in range(Q.k)
+                for j2 in range(j + 1, Q.k)
+            ]
+            np.testing.assert_allclose(fam.star_margins(Q, phi), reference, rtol=0, atol=1e-12)
 
 
 class TestRmdeSelect:

@@ -223,6 +223,10 @@ class TestBuild:
         ({"k": 4, "phi": PHI}, "edges"),
         ({"k": 4, "phi": PHI, "edges": 5}, "edges"),
         ({"k": 4, "phi": "x", "edges": []}, "phi"),
+        ({"k": True, "phi": PHI, "edges": []}, "k"),
+        ({"k": -3, "phi": PHI, "edges": []}, "k"),
+        ({"k": 1, "phi": PHI, "edges": []}, "k"),
+        ({"k": 4, "phi": False, "edges": []}, "phi"),
     ])
     def test_import_names_missing_or_mistyped_field(self, doc, field):
         with pytest.raises(InvariantError, match=f"'{field}'"):
@@ -297,6 +301,7 @@ class TestDominatingSet:
         ([1, 2.7], InvariantError),  # an index that is not an integer
         ([3, 9], ArgumentError),     # index 9 outside k = 4
         ([1, 2, 3], InvariantError),  # a row that is not a pair
+        ([True, 2], InvariantError),  # a boolean index
     ])
     def test_certificate_rejects_malformed_pair(self, pair, error):
         doc = {"k": 4, "dominating_set": [[1, 2], pair], "attempts": 1, "target_bound": 6.0}
@@ -310,6 +315,10 @@ class TestDominatingSet:
         ("dominating_set", 5),
         ("build_ms", "slow"),
         ("seed", 1.5),
+        ("k", -3),
+        ("k", True),
+        ("attempts", True),
+        ("target_bound", False),
     ])
     def test_certificate_rejects_malformed_document(self, field, value):
         doc = {"k": 4, "dominating_set": [[1, 2]], "attempts": 1, "target_bound": 6.0, field: value}
