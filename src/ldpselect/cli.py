@@ -24,6 +24,7 @@ from .distributions import (
     GENERATOR_MODELS,
     DiscreteDistribution,
     HypothesisSet,
+    _json_masses,
     _write_json,
     l1_distance,
     mixture,
@@ -125,7 +126,7 @@ def cmd_dominate(args) -> int:
 def _population_distribution(args, Q: HypothesisSet) -> DiscreteDistribution | None:
     if args.p_file:
         probs = json.loads(Path(args.p_file).read_text())
-        return DiscreteDistribution(np.asarray(probs, dtype=float))
+        return DiscreteDistribution(_json_masses(probs, f"--p-file {args.p_file}"))
     if args.p_index is not None:
         if not 1 <= args.p_index <= Q.k:
             raise InvariantError(f"--p-index must lie in 1..{Q.k}")
@@ -159,6 +160,8 @@ def cmd_select(args) -> int:
     if args.samples is not None:
         if args.trials != 1:
             raise InvariantError("--samples fixes the data, so --trials must be 1")
+        if args.n is not None:
+            raise InvariantError("--samples fixes the users, so --n must not be given")
         p = None
         # Population carrier for externally supplied samples; p itself unknown.
         file_pop = SimulatedPopulation(
@@ -320,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--phi", type=float, default=PHI_DEFAULT)
     sel.add_argument("--seed", type=int, default=None)
     sel.add_argument("--trials", type=int, default=1)
-    sel.add_argument("--n", type=int, default=None, help="users per trial (default: planned size)")
+    sel.add_argument("--n", type=int, default=None,
+                     help="users per trial (default: planned size; not with --samples)")
     sel.add_argument("--p-index", type=int, default=None, help="1-based hypothesis to sample from")
     sel.add_argument("--p-mix", type=float, default=None,
                      help="mix weight w: p = w*hypothesis + (1-w)*uniform")

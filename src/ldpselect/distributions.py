@@ -53,6 +53,19 @@ def _json_number(doc: dict, name: str, kind: type, default=_ABSENT):
     return value
 
 
+def _json_masses(value, where: str) -> np.ndarray:
+    """A parsed JSON list of numbers as a float vector; anything else raises InvariantError."""
+    if not _is_json(value, list):
+        raise InvariantError(f"{where}: expected a list of masses, got {value!r}")
+    for x, mass in enumerate(value, start=1):
+        if not _is_json(mass, Real):
+            raise InvariantError(f"{where}: mass {mass!r} at coordinate {x} is not a number")
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise InvariantError(f"{where}: {exc}") from exc
+
+
 def _write_json(path, doc: dict) -> None:
     """The one JSON writer of the package: indent 2, sorted keys, trailing newline."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -211,18 +224,17 @@ class HypothesisSet:
             raise InvariantError(f"hypothesis-set document missing field: {exc}") from exc
         if not _is_json(d, Integral):
             raise InvariantError(f"domain_size must be an integer, got {d!r}")
+        if not _is_json(rows, list):
+            raise InvariantError(f"hypotheses must be a list of rows, got {rows!r}")
         hyps = []
         for row, probs in enumerate(rows, start=1):
-            if np.ndim(probs) != 1:
-                raise InvariantError(
-                    f"hypothesis {row}: expected a list of {d} masses, got {probs!r}"
-                )
+            probs = _json_masses(probs, f"hypothesis {row}")
             if len(probs) != d:
                 raise InvariantError(
                     f"hypothesis {row}: length {len(probs)} does not match domain_size {d}"
                 )
             try:
-                hyps.append(DiscreteDistribution(np.asarray(probs, dtype=float)))
+                hyps.append(DiscreteDistribution(probs))
             except ValueError as exc:
                 raise InvariantError(f"hypothesis {row}: {exc}") from exc
         return cls(tuple(hyps))

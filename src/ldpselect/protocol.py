@@ -28,13 +28,6 @@ from .errors import (
     InvariantError,
 )
 
-# Users are simulated this many at a time, so temporaries stay O(_CHUNK)
-# whatever the population size.
-_CHUNK = 1 << 16
-# Guide-table buckets per domain point for the inverse-CDF draw.
-_GUIDE_PER_POINT = 16
-
-
 def correction_factor(epsilon: float) -> float:
     """Bias correction (e^eps + 1)/(e^eps - 1) for randomized response."""
     if epsilon <= 0:
@@ -116,10 +109,10 @@ def required_block_size(num_queries: int, alpha_query: float, beta: float, epsil
 class SimulatedPopulation:
     """Users holding i.i.d. samples from a distribution only the simulator sees.
 
-    A population takes one of two forms.  Given samples (the constructor, or a
-    draw from a Generator) hold one domain point per user.  A seeded draw
-    holds (p, n, seed) alone: its samples are built from the seed when first
-    read, and positive_counts draws from the same seed without building them.
+    A population takes one of two forms.  Given samples (the constructor) hold
+    one domain point per user.  A seeded draw holds (p, n, seed) alone: its
+    samples are built from the seed when first read, and positive_counts draws
+    from the same seed without building them.
     """
 
     true_distribution: DiscreteDistribution
@@ -131,6 +124,8 @@ class SimulatedPopulation:
         samples = np.asarray(samples)
         if samples.ndim != 1:
             raise InvariantError("samples must form a one-dimensional array")
+        if samples.size and samples.dtype.kind not in "iu":
+            raise InvariantError(f"samples must be integers, got dtype {samples.dtype}")
         d = true_distribution.domain_size
         if samples.size and (samples.min() < 1 or samples.max() > d):
             raise InvariantError(f"samples must lie in 1..{d}")
@@ -147,28 +142,30 @@ class SimulatedPopulation:
         """One domain point (1-based) per user, as a read-only int64 array."""
         if self._samples is None:
             rng = np.random.default_rng(self._seed)
-            samples = _inverse_cdf_draw(self.true_distribution.probs, self.user_count, rng)
+            dist = self.true_distribution
+            samples = rng.choice(dist.domain_size, size=self.user_count, p=dist.probs) + 1
             object.__setattr__(self, "_samples", _read_only(samples))
         return self._samples
 
     @classmethod
-    def draw(cls, dist: DiscreteDistribution, n: int, rng) -> "SimulatedPopulation":
-        """Draw n i.i.d. users; .samples equals default_rng(rng).choice(d, n, p=dist.probs) + 1.
+    def draw(cls, dist: DiscreteDistribution, n: int, seed) -> "SimulatedPopulation":
+        """Record n i.i.d. users; .samples equals default_rng(seed).choice(d, n, p=dist.probs) + 1.
 
-        A Generator (or BitGenerator) is drawn from at once, because its caller
-        owns the order of its stream.  An int, a SeedSequence or None is only
-        recorded; None is fixed to fresh entropy here, so every read of the
-        population sees the same users.
+        seed is an int, a SeedSequence or None, and is only recorded; None is
+        fixed to fresh entropy here, so every read of the population sees the
+        same users.  A Generator is refused: its caller owns the order of its
+        stream, which a recorded draw cannot keep.
         """
+        if not _is_json(n, Integral):
+            raise ConfigError(f"user count must be an integer, got {n!r}")
         if n < 0:
             raise ConfigError(f"user count must be non-negative, got {n}")
+        if not isinstance(seed, np.random.SeedSequence):
+            if not (seed is None or _is_json(seed, Integral)):
+                raise ConfigError(f"seed must be an int, a SeedSequence or None, got {seed!r}")
+            seed = np.random.SeedSequence(seed)
         pop = cls.__new__(cls)
-        if isinstance(rng, (np.random.Generator, np.random.BitGenerator)):
-            samples = _inverse_cdf_draw(dist.probs, int(n), np.random.default_rng(rng))
-            pop._set(dist, int(n), _read_only(samples), None)
-        else:
-            seed = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(rng)
-            pop._set(dist, int(n), None, seed)
+        pop._set(dist, int(n), None, seed)
         return pop
 
     def positive_counts(self, plus: np.ndarray, block: int) -> np.ndarray:
@@ -192,29 +189,9 @@ class SimulatedPopulation:
         return np.random.default_rng(self._seed).binomial(block, inside / (inside + outside))
 
 
-def _inverse_cdf_draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """1-based draws from probs, consuming the same uniforms as Generator.choice.
-
-    Generator.choice builds cdf = probs.cumsum() / cdf[-1], draws u = rng.random(n)
-    and returns cdf.searchsorted(u, side="right").  Here the search is a guide
-    table (Chen & Asau 1974): with a power-of-two bucket count G, u * G is exact,
-    bucket b = floor(u * G) starts at the first j with cdf[j] > b / G, and a few
-    steps reach the first j with cdf[j] > u, which is the same index.
-    """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    buckets = 1 << (_GUIDE_PER_POINT * probs.size - 1).bit_length()
-    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
-    out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CHUNK):
-        u = rng.random(min(_CHUNK, n - start))
-        j = guide[(u * buckets).astype(np.intp)]
-        behind = np.flatnonzero(cdf[j] <= u)
-        while behind.size:
-            j[behind] += 1
-            behind = behind[cdf[j[behind]] <= u[behind]]
-        np.add(j, 1, out=out[start:start + u.size])
-    return out
+def _block_map(num_queries: int, block: int) -> np.ndarray:
+    """The query each user answers: users i*block .. (i+1)*block - 1 answer query i."""
+    return np.repeat(np.arange(num_queries), block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,16 +218,15 @@ class LdpTranscript:
     @property
     def query_index(self) -> np.ndarray:
         """The query each user answers (int64), rebuilt from the block map on each read."""
-        return np.repeat(np.arange(self.num_queries), self.block_size)
+        return _block_map(self.num_queries, self.block_size)
 
     def validate(self) -> None:
         if self.messages.ndim != 1:
             raise InvariantError("messages must form a one-dimensional array")
         if self.user_count != self.block_size * self.num_queries:
             raise InvariantError("transcript does not consist of full equal blocks")
-        for start in range(0, self.user_count, _CHUNK):
-            if not np.all(np.abs(self.messages[start:start + _CHUNK]) == 1):
-                raise InvariantError("released messages must be single bits in {-1, +1}")
+        if not np.all(np.abs(self.messages) == 1):
+            raise InvariantError("released messages must be single bits in {-1, +1}")
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -264,7 +240,9 @@ class LdpTranscript:
         """Load and check a transcript: user ids 0..n-1, the block map, ±1 messages."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise InvariantError(f"transcript file {path} is empty")
             if header != ["user_id", "query_index", "message"]:
                 raise InvariantError(f"unexpected transcript header {header}")
             queries, messages = [], []
@@ -367,24 +345,15 @@ def run_protocol(
     given enumeration order; surplus users are dropped so every estimate has
     identical variance.  User i with sample x releases RR_eps(T_{pi(i)}(x));
     the estimate for T is the corrected block mean.  Raw samples appear
-    nowhere in the outputs.  Blocks are walked in order, _CHUNK users at a
-    time, so beyond the message array the temporaries are O(_CHUNK).
+    nowhere in the outputs.
     """
     queries, block = _block_layout(pop, queries)
     m = len(queries)
-    rng = np.random.default_rng(rng)
-    c = correction_factor(epsilon)
-    messages = np.empty(block * m, dtype=np.int8)
-    estimates = np.empty(m, dtype=np.float64)
-    for i, t in enumerate(queries):
-        end = (i + 1) * block
-        total = 0
-        for start in range(i * block, end, _CHUNK):
-            stop = min(start + _CHUNK, end)
-            bits = randomized_response(t.signs[pop.samples[start:stop] - 1], epsilon, rng)
-            messages[start:stop] = bits
-            total += int(bits.sum(dtype=np.int64))
-        estimates[i] = c * total / block
+    tests = np.stack([t.signs for t in queries])
+    bits = tests[_block_map(m, block), pop.samples[:block * m] - 1]
+    messages = randomized_response(bits, epsilon, np.random.default_rng(rng))
+    sums = messages.astype(np.float64).reshape(m, block).sum(axis=1)
+    estimates = correction_factor(epsilon) * sums / block
     transcript = LdpTranscript(messages=messages, block_size=block, num_queries=m)
     transcript.validate()
     return transcript, QueryEstimates(estimates=estimates, block_size=block, epsilon=epsilon)

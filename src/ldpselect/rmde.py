@@ -181,10 +181,13 @@ def query_family_from_dominating_set(
 
     The certificate is re-verified against the comparison graph of Q at phi
     before use; a set that dominates that graph automatically yields a family
-    satisfying the phi-comparison condition for every hypothesis pair.
+    satisfying the phi-comparison condition for every hypothesis pair.  A
+    given graph that records another phi raises ConfigError.
     """
     if graph is None:
         graph = build_scheffe_graph(Q, phi)
+    if getattr(graph, "phi", phi) != phi:
+        raise ConfigError(f"graph is built at phi={graph.phi}, family asked for phi={phi}")
     if graph.k != Q.k:
         raise InvalidCertificateError(f"graph is on k={graph.k}, hypothesis set has k={Q.k}")
     if not verify_domination(graph, cert.dominating_set):

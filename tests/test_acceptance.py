@@ -168,7 +168,7 @@ def test_c6_query_estimation_concentration():
     truth = np.array([inner(p, t) for t in queries])
     runs, failures = 400, 0
     for r in range(runs):
-        pop = SimulatedPopulation.draw(p, block * num_queries, np.random.default_rng(3000 + r))
+        pop = SimulatedPopulation.draw(p, block * num_queries, 3000 + r)
         _, est = run_protocol(pop, queries, eps, np.random.default_rng(9000 + r))
         values = est.estimates
         if float(np.abs(values - truth).max()) > alpha:
@@ -298,7 +298,7 @@ def test_c11_privacy_structure():
     for d, num_queries, eps in ((2, 1, 0.5), (6, 4, 0.3), (10, 7, 1.0)):
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
         queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
-        pop = SimulatedPopulation.draw(p, 35 * num_queries + 3, rng)
+        pop = SimulatedPopulation.draw(p, 35 * num_queries + 3, int(rng.integers(2**63)))
         transcript, _ = run_protocol(pop, queries, eps, rng)
         transcript.validate()
         # one bit per participating user, nothing else per-user in the record

@@ -201,13 +201,42 @@ class TestSelect:
         code = main([
             "select", "--in", str(hyp), "--alpha", "2.0", "--beta", "0.2",
             "--epsilon", "1.0", "--seed", "11", "--samples", str(sample_file),
-            "--n", "5000", "--out", str(out),
+            "--out", str(out),
         ])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["records"][0]["selected_index"] == 1
         assert doc["records"][0]["users_consumed"] <= len(samples)
         assert doc["failure_rate"] is None
+
+    def test_sample_file_rejects_user_count(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.json"
+        main(["gen", "--k", "3", "--d", "4", "--seed", "1", "--out", str(hyp)])
+        sample_file = tmp_path / "samples.txt"
+        sample_file.write_text("1\n2\n")
+        code = main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+            "--epsilon", "1.0", "--seed", "1", "--n", "2",
+            "--samples", str(sample_file), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probs", [
+        [True, False, False, False], ["x", 1], {"a": 1}, ["0.25", "0.25", "0.25", "0.25"],
+    ])
+    def test_p_file_rejects_non_numeric_masses(self, tmp_path, capsys, probs):
+        hyp = tmp_path / "hyp.json"
+        main(["gen", "--k", "3", "--d", "4", "--seed", "1", "--out", str(hyp)])
+        p_file = tmp_path / "p.json"
+        p_file.write_text(json.dumps(probs))
+        code = main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+            "--epsilon", "1.0", "--seed", "1",
+            "--p-file", str(p_file), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert str(p_file) in capsys.readouterr().err
 
     def test_sample_file_rejects_multiple_trials(self, tmp_path):
         hyp = tmp_path / "hyp.json"

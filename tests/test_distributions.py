@@ -261,6 +261,19 @@ class TestSerialization:
         with pytest.raises(InvariantError, match="domain_size"):
             HypothesisSet.from_json_dict({"domain_size": True, "hypotheses": [[1.0], [1.0]]})
 
+    @pytest.mark.parametrize("rows,match", [
+        ([[True, False], [0.5, 0.5]], "hypothesis 1"),  # true would read as a point mass
+        ([[0.5, 0.5], ["0.5", "0.5"]], "hypothesis 2"),
+        ([[0.5, 0.5], [[0.5], [0.5]]], "hypothesis 2"),
+        ([[0.5, 0.5], 0.5], "hypothesis 2"),
+        ([[0.5, 0.5], [10**400, 0]], "hypothesis 2"),  # an integer no float holds
+        (5, "hypotheses"),
+        (None, "hypotheses"),
+    ])
+    def test_rejects_non_numeric_masses(self, rows, match):
+        with pytest.raises(InvariantError, match=match):
+            HypothesisSet.from_json_dict({"domain_size": 2, "hypotheses": rows})
+
 
 def test_every_exported_name_resolves():
     import ldpselect

@@ -19,7 +19,7 @@ from ldpselect import (
 )
 from ldpselect.distributions import GENERATOR_MODELS, random_hypothesis_set
 from ldpselect.errors import ConfigError, DimensionError, InsufficientSamplesError, InvariantError
-from ldpselect.protocol import _CHUNK, channel_matrix, correction_factor, keep_probability
+from ldpselect.protocol import channel_matrix, correction_factor, keep_probability
 
 
 class TestChannel:
@@ -136,7 +136,7 @@ class TestRequiredBlockSize:
         truth = np.array([float(p.probs @ t.signs) for t in queries])
         runs, failures = 120, 0
         for r in range(runs):
-            pop = SimulatedPopulation.draw(p, block * num_queries, np.random.default_rng(1000 + r))
+            pop = SimulatedPopulation.draw(p, block * num_queries, 1000 + r)
             _, est = run_protocol(pop, queries, eps, np.random.default_rng(2000 + r))
             values = est.estimates
             if np.max(np.abs(values - truth)) > alpha:
@@ -170,6 +170,26 @@ class TestSimulatedPopulation:
         with pytest.raises(ConfigError):
             SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), -1, 0)
 
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), np.random.PCG64(0), 2.5, True, "0"])
+    def test_draw_rejects_generator_and_non_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 10, seed)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_draw_rejects_non_integer_count(self, n):
+        with pytest.raises(ConfigError, match="integer"):
+            SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), n, 0)
+
+    @pytest.mark.parametrize("samples", [[1.7, 2.9], [1.0, 2.0], [True, True]])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(InvariantError, match="integers"):
+            SimulatedPopulation(DiscreteDistribution(np.array([0.5, 0.5])), samples)
+
+    def test_accepts_empty_and_unsigned_samples(self):
+        p = DiscreteDistribution(np.array([0.5, 0.5]))
+        assert SimulatedPopulation(p, []).user_count == 0
+        assert SimulatedPopulation(p, np.array([2, 1], dtype=np.uint8)).samples.tolist() == [2, 1]
+
     def test_drawn_samples_are_read_only(self):
         pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 10, 0)
         assert pop.samples.dtype == np.int64 and not pop.samples.flags.writeable
@@ -196,14 +216,13 @@ BIT_IDENTITY_CASES = [
       for model in GENERATOR_MODELS),
     pytest.param(DiscreteDistribution(np.array([0.0, 0.25, 0.0, 0.0, 0.75, 0.0])), id="zero-mass"),
     pytest.param(DiscreteDistribution.point_mass(3, 5), id="point-mass"),
-    # many boundaries inside one guide bucket force multi-step searches
     pytest.param(DiscreteDistribution.renormalized(np.r_[np.full(40, 1e-9), 1.0, np.full(40, 1e-9)]),
                  id="clustered"),
 ]
 
 
 class TestBitIdentityWithOneShotReference:
-    """Streaming draw and protocol against the one-shot formulas they replace."""
+    """Seeded draw and protocol against the one-shot formulas written out here."""
 
     @staticmethod
     def reference(dist, n, queries, epsilon, rng):
@@ -221,19 +240,19 @@ class TestBitIdentityWithOneShotReference:
         return samples, draw_state, query_index, messages, estimates
 
     @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
-    @pytest.mark.parametrize("n,m", [(_CHUNK - 1, 1), (_CHUNK + 1, 1), (_CHUNK + 1, 3),
-                                     (2 * _CHUNK + 5, 7), (50, 50)])
-    def test_draw_and_protocol_match(self, dist, n, m):
+    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)], ids=["int", "seed-sequence"])
+    @pytest.mark.parametrize("n,m", [(65535, 1), (65537, 1), (65537, 3), (131077, 7), (50, 50)])
+    def test_seeded_draw_and_protocol_match(self, dist, seed, n, m):
         qrng = np.random.default_rng(77)
         queries = [SignedFunctional(qrng.choice([-1, 1], size=dist.domain_size)) for _ in range(m)]
         eps = 0.7
         samples, draw_state, query_index, messages, estimates = self.reference(
             dist, n, queries, eps, np.random.default_rng(5))
-        rng = np.random.default_rng(5)  # one generator for draw and protocol, as in C11
-        pop = SimulatedPopulation.draw(dist, n, rng)
-        assert np.array_equal(pop.samples, samples)
-        assert rng.bit_generator.state == draw_state
+        pop = SimulatedPopulation.draw(dist, n, seed)
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = draw_state  # the protocol continues the reference's stream
         transcript, est = run_protocol(pop, queries, eps, rng)
+        assert np.array_equal(pop.samples, samples)
         assert transcript.query_index.dtype == query_index.dtype
         assert np.array_equal(transcript.query_index, query_index)
         assert transcript.messages.dtype == messages.dtype
@@ -242,28 +261,11 @@ class TestBitIdentityWithOneShotReference:
         assert est.estimates.tolist() == estimates.tolist()
 
     @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
-    @pytest.mark.parametrize("seed", [5, np.random.SeedSequence(5)], ids=["int", "seed-sequence"])
-    @pytest.mark.parametrize("n,m", [(_CHUNK + 1, 3), (50, 50)])
-    def test_seeded_draw_and_protocol_match(self, dist, seed, n, m):
-        qrng = np.random.default_rng(77)
-        queries = [SignedFunctional(qrng.choice([-1, 1], size=dist.domain_size)) for _ in range(m)]
-        eps = 0.7
-        samples, draw_state, _, messages, estimates = self.reference(
-            dist, n, queries, eps, np.random.default_rng(5))
-        pop = SimulatedPopulation.draw(dist, n, seed)
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = draw_state  # the protocol continues the reference's stream
-        transcript, est = run_protocol(pop, queries, eps, rng)
-        assert np.array_equal(pop.samples, samples)
-        assert np.array_equal(transcript.messages, messages)
-        assert est.estimates.tolist() == estimates.tolist()
-
-    @pytest.mark.parametrize("dist", BIT_IDENTITY_CASES)
     def test_empty_draw(self, dist):
         ref = np.random.default_rng(9)
         expected = ref.choice(dist.domain_size, size=0, p=dist.probs) + 1
         rng = np.random.default_rng(9)
-        pop = SimulatedPopulation.draw(dist, 0, rng)
+        pop = SimulatedPopulation.draw(dist, 0, 9)
         assert pop.user_count == 0 and pop.samples.dtype == expected.dtype
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -518,8 +520,8 @@ class TestNonInteractivityAndPrivacyStructure:
 
     @pytest.mark.parametrize("bad", [0, 2, -128])
     def test_validate_rejects_bad_bit_past_first_chunk(self, bad):
-        messages = np.ones(2 * _CHUNK + 3, dtype=np.int8)
-        messages[_CHUNK + 5] = bad
+        messages = np.ones(131075, dtype=np.int8)
+        messages[65541] = bad
         with pytest.raises(InvariantError, match="single bits"):
             LdpTranscript(messages=messages, block_size=messages.size, num_queries=1).validate()
 
@@ -558,6 +560,12 @@ class TestSerialization:
         lines = ["user_id,query_index,message"] + [",".join(map(str, r)) for r in rows]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvariantError):
+            LdpTranscript.from_csv(path)
+
+    def test_transcript_csv_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "transcript.csv"
+        path.write_text("")
+        with pytest.raises(InvariantError, match="empty"):
             LdpTranscript.from_csv(path)
 
     def test_estimates_json_round_trip(self, tmp_path):

@@ -113,6 +113,14 @@ class TestQueryFamily:
         with pytest.raises(InvalidCertificateError):
             query_family_from_dominating_set(point_mass_triple, bad, PHI)
 
+    def test_graph_at_another_phi_rejected(self):
+        Q = random_hypothesis_set(20, 16, seed=0)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=0)
+        with pytest.raises(ConfigError, match="phi"):
+            query_family_from_dominating_set(Q, cert, 0.95, graph=G)
+        assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
+
     def test_full_family_is_phi_one(self):
         Q = random_hypothesis_set(6, 7, seed=3)
         fam = full_scheffe_family(Q)
