@@ -189,11 +189,6 @@ class SimulatedPopulation:
         return np.random.default_rng(self._seed).binomial(block, inside / (inside + outside))
 
 
-def _block_map(num_queries: int, block: int) -> np.ndarray:
-    """The query each user answers: users i*block .. (i+1)*block - 1 answer query i."""
-    return np.repeat(np.arange(num_queries), block)
-
-
 @dataclass(frozen=True, eq=False)
 class LdpTranscript:
     """One released bit per participating user, in user order.
@@ -217,8 +212,11 @@ class LdpTranscript:
 
     @property
     def query_index(self) -> np.ndarray:
-        """The query each user answers (int64), rebuilt from the block map on each read."""
-        return _block_map(self.num_queries, self.block_size)
+        """The query each user answers (int64), rebuilt on each read.
+
+        Users i*block .. (i+1)*block - 1 answer query i.
+        """
+        return np.repeat(np.arange(self.num_queries), self.block_size)
 
     def validate(self) -> None:
         if self.messages.ndim != 1:
@@ -350,7 +348,7 @@ def run_protocol(
     queries, block = _block_layout(pop, queries)
     m = len(queries)
     tests = np.stack([t.signs for t in queries])
-    bits = tests[_block_map(m, block), pop.samples[:block * m] - 1]
+    bits = np.take_along_axis(tests, pop.samples[:block * m].reshape(m, block) - 1, axis=1).ravel()
     messages = randomized_response(bits, epsilon, np.random.default_rng(rng))
     sums = messages.astype(np.float64).reshape(m, block).sum(axis=1)
     estimates = correction_factor(epsilon) * sums / block

@@ -114,18 +114,50 @@ def _ids_from_pairs(pairs, k: int) -> np.ndarray:
     return ids
 
 
-def _pairs_from_ids(ids, k: int) -> tuple[VertexPair, ...]:
-    ids = np.asarray(ids, dtype=np.int64)
+def _check_ids(ids: np.ndarray, k: int) -> None:
     if ids.size and not (0 <= ids.min() and ids.max() < pair_count(k)):
         raise ArgumentError(f"vertex ids must lie in 0..{pair_count(k) - 1} for k={k}")
+
+
+def _pairs_from_ids(ids, k: int) -> tuple[VertexPair, ...]:
+    ids = np.asarray(ids, dtype=np.int64)
+    _check_ids(ids, k)
     return tuple(VertexPair(lo + 1, hi + 1) for lo, hi in all_pairs(k)[ids].tolist())
+
+
+# Rows per block of a graph build: one float64 row block of about 16 MiB.
+_BLOCK_BYTES = 16 << 20
+
+
+def _row_blocks(V: int):
+    """Consecutive (start, stop) row ranges covering 0..V-1, one row block each."""
+    step = max(1, _BLOCK_BYTES // (8 * V))
+    return ((s, min(s + step, V)) for s in range(0, V, step))
+
+
+def _gather_shared_index_edges(table: np.ndarray, adj: np.ndarray, start: int, candidates: np.ndarray) -> None:
+    """Fill rows start.. of the shared-index table from the dense bool rows adj of those vertices."""
+    rows = slice(start, start + adj.shape[0])
+    table[:, rows] = adj[np.arange(adj.shape[0])[:, np.newaxis], candidates[:, rows]]
+
+
+def _split_rows(targets: np.ndarray, out_degrees: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only views of one target array, cut into consecutive rows of the given lengths."""
+    return tuple(np.split(_read_only(targets), np.cumsum(out_degrees)[:-1]))
+
+
+def _edge_name(u: int, w: int, k: int) -> str:
+    (a, b), (c, d) = all_pairs(k)[[u, w]] + 1
+    return f"{{{a}, {b}}} -> {{{c}, {d}}}"
 
 
 @dataclass(frozen=True, eq=False)
 class PairDigraph:
     """Adjacency-list digraph on the C(k, 2) unordered index pairs.
 
-    The arrays are frozen in place at construction.
+    The arrays are frozen in place at construction.  Graphs made by
+    build_scheffe_graph and from_edge_ids hold their rows as views into one
+    sorted int32 target array.
     """
 
     k: int
@@ -160,31 +192,43 @@ class PairDigraph:
 
         Entry [s, v, t] says whether v = {a, b} has an edge to {a, i} (s = 0)
         or to {b, i} (s = 1), where i is the t-th index outside v, laid out
-        as in shared_index_neighbors(k).  Filled once per graph by a sorted
-        search of each row of out_edges.
+        as in shared_index_neighbors(k).  build_scheffe_graph fills it from
+        its dense row blocks; any other graph scatters out_edges into row
+        blocks of the same size and gathers the same way, once per graph.
         """
+        V = self.num_vertices
         candidates = self._shared_index_ids
         table = np.zeros(candidates.shape, dtype=bool)
-        for v, out in enumerate(self.out_edges):
-            if out.size:
-                targets = candidates[:, v]
-                pos = np.minimum(np.searchsorted(out, targets), out.size - 1)
-                table[:, v] = out[pos] == targets
+        for start, stop in _row_blocks(V):
+            rows = self.out_edges[start:stop]
+            adj = np.zeros((stop - start, V), dtype=bool)
+            adj[np.repeat(np.arange(stop - start), [out.size for out in rows]), np.concatenate(rows)] = True
+            _gather_shared_index_edges(table, adj, start, candidates)
         return _read_only(table)
 
     @classmethod
     def from_edge_ids(cls, k: int, sources, targets) -> "PairDigraph":
+        """Graph with edges sources[i] -> targets[i].
+
+        An id outside 0..V-1 raises ArgumentError; a self-loop or a repeated
+        edge raises InvariantError naming it.
+        """
         V = pair_count(k)
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        _check_ids(sources, k)
+        _check_ids(targets, k)
         order = np.lexsort((targets, sources))
         sources, targets = sources[order], targets[order]
-        out: list[np.ndarray] = []
-        bounds = np.searchsorted(sources, np.arange(V + 1))
-        for u in range(V):
-            out.append(targets[bounds[u]:bounds[u + 1]].copy())
+        loops = np.flatnonzero(sources == targets)
+        if loops.size:
+            raise InvariantError(f"self-loop {_edge_name(sources[loops[0]], targets[loops[0]], k)}")
+        repeats = np.flatnonzero((sources[1:] == sources[:-1]) & (targets[1:] == targets[:-1]))
+        if repeats.size:
+            raise InvariantError(f"repeated edge {_edge_name(sources[repeats[0]], targets[repeats[0]], k)}")
+        out = _split_rows(targets.astype(np.int32), np.bincount(sources, minlength=V))
         in_deg = np.bincount(targets, minlength=V).astype(np.int64)
-        return cls(k=k, out_edges=tuple(out), in_degrees=in_deg)
+        return cls(k=k, out_edges=out, in_degrees=in_deg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,22 +243,40 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
 
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
     identical hypotheses have zero norm and therefore receive edges from every
-    other vertex.  O(k^2) vertices and O(k^4) pair checks.
+    other vertex.  O(k^2) vertices and O(k^4) pair checks, made one row block
+    at a time: memory is the int32 edges plus one float64 row block, never a
+    V x V array.  The shared-index table is gathered from the same blocks.
     """
     if not (0.0 < phi <= 1.0):
         raise ConfigError(f"phi must lie in (0, 1], got {phi}")
     k = Q.k
+    V = pair_count(k)
     P = Q.probs_matrix
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-    norms = np.abs(deltas).sum(axis=1)
-    # inner[u, w] = <S_u, delta_w>
-    inner = np.where(deltas >= 0.0, 1.0, -1.0) @ deltas.T
-    adj = np.abs(inner) >= phi * norms[np.newaxis, :]
-    np.fill_diagonal(adj, False)
-    out = tuple(np.flatnonzero(row).astype(np.int64) for row in adj)
-    in_deg = adj.sum(axis=0).astype(np.int64)
-    return ScheffeGraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
+    threshold = phi * np.abs(deltas).sum(axis=1)
+    signs = np.where(deltas >= 0.0, 1.0, -1.0)
+    candidates = _read_only(shared_index_neighbors(k))
+    table = np.zeros(candidates.shape, dtype=bool)
+    in_deg = np.zeros(V, dtype=np.int64)
+    out_deg = np.empty(V, dtype=np.int64)
+    blocks = []
+    for start, stop in _row_blocks(V):
+        inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
+        adj = np.abs(inner, out=inner) >= threshold
+        del inner
+        adj[np.arange(stop - start), np.arange(start, stop)] = False
+        in_deg += adj.sum(axis=0)
+        out_deg[start:stop] = adj.sum(axis=1)
+        # flatnonzero, not nonzero: the column half of nonzero's (N, 2) buffer would keep all of it alive
+        blocks.append((np.flatnonzero(adj) % V).astype(np.int32))
+        _gather_shared_index_edges(table, adj, start, candidates)
+    out = _split_rows(np.concatenate(blocks), out_deg)
+    G = ScheffeGraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
+    # Prime the cached properties with the tables gathered above.
+    object.__setattr__(G, "_shared_index_ids", candidates)
+    object.__setattr__(G, "shared_index_edges", _read_only(table))
+    return G
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from ldpselect import (
     verify_domination,
 )
 from ldpselect.barriers import build_lower_bound_graph
+from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import ArgumentError, ConfigError, InvariantError
 from ldpselect.scheffe_graph import (
     DominatingSetCertificate,
@@ -212,9 +214,19 @@ class TestBuild:
         ([1, 9, 1, 3], ArgumentError),   # index 9 outside k = 4
         ([1, 2, 1, 2.5], InvariantError),  # an index that is not an integer
         ([1, 2, 1], InvariantError),       # not a quadruple
+        ([1, 2, 1, 3], InvariantError),    # repeats the first edge
+        ([1, 2, 1, 2], InvariantError),    # a self-loop
     ])
     def test_import_rejects_malformed_pair(self, edge, error):
         with pytest.raises(error):
+            graph_from_json_dict({"k": 4, "phi": PHI, "edges": [[1, 2, 1, 3], edge]})
+
+    @pytest.mark.parametrize("edge, message", [
+        ([1, 2, 1, 3], r"repeated edge \{1, 2\} -> \{1, 3\}"),
+        ([1, 2, 1, 2], r"self-loop \{1, 2\} -> \{1, 2\}"),
+    ])
+    def test_import_names_repeated_edge_and_self_loop(self, edge, message):
+        with pytest.raises(InvariantError, match=message):
             graph_from_json_dict({"k": 4, "phi": PHI, "edges": [[1, 2, 1, 3], edge]})
 
     @pytest.mark.parametrize("doc, field", [
@@ -232,6 +244,11 @@ class TestBuild:
         with pytest.raises(InvariantError, match=f"'{field}'"):
             graph_from_json_dict(doc)
 
+    @pytest.mark.parametrize("sources, targets", [([0], [5]), ([-1], [1]), ([3], [0])])
+    def test_edge_ids_outside_graph_rejected(self, sources, targets):
+        with pytest.raises(ArgumentError):
+            PairDigraph.from_edge_ids(3, sources, targets)
+
     def test_import_without_phi(self):
         phi, digraph = graph_from_json_dict({"k": 3, "edges": [[1, 2, 1, 3]]})
         assert phi is None and digraph.edge_count == 1
@@ -241,6 +258,62 @@ class TestBuild:
         for arr in (max(G.out_edges, key=len), G.in_degrees):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def dense_scheffe_graph(Q, phi):
+    """Reference build: the (V, V) bool adjacency from one full inner-product matrix."""
+    pairs = all_pairs(Q.k)
+    deltas = Q.probs_matrix[pairs[:, 0]] - Q.probs_matrix[pairs[:, 1]]
+    inner = np.where(deltas >= 0.0, 1.0, -1.0) @ deltas.T
+    adj = np.abs(inner) >= phi * np.abs(deltas).sum(axis=1)[np.newaxis, :]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class TestBlockedBuild:
+    """The row-blocked build against the one-matrix reference.
+
+    At k = 64 (V = 2016) a 16 MiB float64 row block holds 1040 rows, so the
+    build runs a full block and then a partial one.
+    """
+
+    @pytest.mark.parametrize("model", [*GENERATOR_MODELS, "duplicate"])
+    def test_matches_dense_reference(self, model):
+        k = 64
+        Q = random_hypothesis_set(k, 64, seed=17, model="dirichlet-uniform" if model == "duplicate" else model)
+        if model == "duplicate":  # q2 = q1, so vertex {1, 2} has zero norm
+            h = Q.hypotheses
+            Q = HypothesisSet((h[0], h[0], *h[2:]))
+            assert pair_norms(Q)[0] == 0.0
+        adj = dense_scheffe_graph(Q, PHI)
+        G = build_scheffe_graph(Q, PHI)
+        V = pair_count(k)
+        assert len(G.out_edges) == V
+        assert all(np.array_equal(out, np.flatnonzero(row)) for out, row in zip(G.out_edges, adj))
+        assert np.array_equal(G.in_degrees, adj.sum(axis=0))
+        table = adj[np.arange(V)[:, np.newaxis], shared_index_neighbors(k)]
+        assert np.array_equal(G.shared_index_edges, table)
+        assert np.array_equal(PairDigraph.from_edge_ids(k, *np.nonzero(adj)).shared_index_edges, table)
+
+    def test_rows_are_views_of_one_int32_array(self):
+        G = build_scheffe_graph(random_hypothesis_set(12, 16, seed=4), PHI)
+        base = G.out_edges[0].base
+        assert all(out.dtype == np.int32 and out.base is base for out in G.out_edges)
+        assert base.size == G.edge_count and not base.flags.writeable
+
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_peak_memory_below_one_dense_matrix(self, model):
+        """At k = 96 one float64 V x V matrix is 159 MiB; the build must stay below it."""
+        k = 96
+        Q = random_hypothesis_set(k, 64, seed=5, model=model)
+        tracemalloc.start()
+        try:
+            G = build_scheffe_graph(Q, PHI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.edge_count > 0
+        assert peak < pair_count(k) ** 2 * 8
 
 
 class TestDominatingSet:
