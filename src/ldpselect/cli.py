@@ -51,6 +51,8 @@ EXIT_USAGE = 2
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
+        if args.seed < 0:
+            raise InvariantError(f"--seed must be non-negative, got {args.seed}")
         return args.seed
     seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0] >> 1)
     print(f"seed: {seed} (drawn; pass --seed {seed} to reproduce)")
@@ -149,6 +151,8 @@ def _load_samples(path) -> np.ndarray:
 def cmd_select(args) -> int:
     if args.trials < 1:
         raise InvariantError(f"--trials must be at least 1, got {args.trials}")
+    if args.p_mix is not None and args.p_index is None:
+        raise InvariantError("--p-mix mixes the --p-index hypothesis, so --p-index is required")
     seed = _resolve_seed(args)
     Q = _load_hypotheses(args.in_path)
     config = SelectionConfig(
@@ -325,11 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--trials", type=int, default=1)
     sel.add_argument("--n", type=int, default=None,
                      help="users per trial (default: planned size; not with --samples)")
-    sel.add_argument("--p-index", type=int, default=None, help="1-based hypothesis to sample from")
+    population = sel.add_mutually_exclusive_group()
+    population.add_argument("--p-index", type=int, default=None,
+                            help="1-based hypothesis to sample from")
+    population.add_argument("--p-file", default=None, help="JSON list of probabilities for p")
+    population.add_argument("--samples", default=None, help="file with one domain point per line")
     sel.add_argument("--p-mix", type=float, default=None,
-                     help="mix weight w: p = w*hypothesis + (1-w)*uniform")
-    sel.add_argument("--p-file", default=None, help="JSON list of probabilities for p")
-    sel.add_argument("--samples", default=None, help="file with one domain point per line")
+                     help="mix weight w: p = w*hypothesis + (1-w)*uniform (with --p-index)")
     sel.add_argument("--out", required=True)
     sel.set_defaults(func=cmd_select)
 

@@ -148,8 +148,11 @@ class SignedFunctional:
     def __len__(self) -> int:
         return int(self.signs.size)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.signs, dtype=dtype, copy=copy)
+
     def key(self) -> bytes:
-        """Canonical byte string, used for pruning duplicate tests."""
+        """Canonical byte string of the sign vector."""
         return self.signs.tobytes()
 
     def negated(self) -> "SignedFunctional":

@@ -315,20 +315,25 @@ class QueryEstimates:
         )
 
 
-def _block_layout(pop: SimulatedPopulation, queries) -> tuple[list, int]:
-    """The checked query list and its block size floor(n/|T|)."""
-    queries = list(queries)
-    if not queries:
+def _block_layout(pop: SimulatedPopulation, queries) -> tuple[np.ndarray, int]:
+    """The checked (m, d) ±1 query matrix, from any array-like, and its block size floor(n/m)."""
+    try:
+        tests = np.asarray(queries)
+    except ValueError as exc:
+        raise DimensionError(f"query rows differ in length: {exc}") from exc
+    if not tests.size:
         raise ConfigError("query list must be non-empty")
-    n = pop.user_count
-    m = len(queries)
+    if tests.ndim != 2:
+        raise DimensionError(f"queries must form an (m, d) matrix, got shape {tests.shape}")
+    n, (m, length) = pop.user_count, tests.shape
     if n < m:
         raise InsufficientSamplesError(n, m)
     d = pop.true_distribution.domain_size
-    for t in queries:
-        if len(t) != d:
-            raise DimensionError(f"query length {len(t)} does not match domain size {d}")
-    return queries, n // m
+    if length != d:
+        raise DimensionError(f"query length {length} does not match domain size {d}")
+    if not np.all(np.abs(tests) == 1):  # NaN fails too
+        raise InvariantError("every query entry must be -1 or +1")
+    return tests.astype(np.int8, copy=False), n // m
 
 
 def run_protocol(
@@ -337,17 +342,16 @@ def run_protocol(
     epsilon: float,
     rng,
 ) -> tuple[LdpTranscript, QueryEstimates]:
-    """Run the one-round protocol for a fixed query list, user by user.
+    """Run the one-round protocol for a fixed (m, d) ±1 query matrix, user by user.
 
-    Users are split into len(queries) contiguous blocks of floor(n/|T|) in the
-    given enumeration order; surplus users are dropped so every estimate has
+    Users are split into m contiguous blocks of floor(n/m) in row
+    order; surplus users are dropped so every estimate has
     identical variance.  User i with sample x releases RR_eps(T_{pi(i)}(x));
     the estimate for T is the corrected block mean.  Raw samples appear
     nowhere in the outputs.
     """
-    queries, block = _block_layout(pop, queries)
-    m = len(queries)
-    tests = np.stack([t.signs for t in queries])
+    tests, block = _block_layout(pop, queries)
+    m = len(tests)
     bits = np.take_along_axis(tests, pop.samples[:block * m].reshape(m, block) - 1, axis=1).ravel()
     messages = randomized_response(bits, epsilon, np.random.default_rng(rng))
     sums = messages.astype(np.float64).reshape(m, block).sum(axis=1)
@@ -367,11 +371,11 @@ def estimate_queries(pop: SimulatedPopulation, queries, epsilon: float, rng) -> 
     so on a seeded draw (see SimulatedPopulation.positive_counts) a call
     costs O(|T| d) whatever the population size.  No transcript is made.
     """
-    queries, block = _block_layout(pop, queries)
+    tests, block = _block_layout(pop, queries)
     rng = np.random.default_rng(rng)
     c = correction_factor(epsilon)
     keep = keep_probability(epsilon)
-    h = pop.positive_counts(np.stack([t.signs > 0 for t in queries]), block)
+    h = pop.positive_counts(tests > 0, block)
     ones = rng.binomial(h, keep) + rng.binomial(block - h, 1.0 - keep)
     estimates = c * (2 * ones - block) / block
     return QueryEstimates(estimates=estimates, block_size=block, epsilon=epsilon)

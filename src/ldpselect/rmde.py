@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import HypothesisSet, SignedFunctional, _write_json, signed_scheffe_set
+from .distributions import HypothesisSet, _read_only, _write_json
 from .errors import (
     ConfigError,
     IncompleteEstimatesError,
@@ -47,36 +47,33 @@ from .scheffe_graph import (
 
 @dataclass(frozen=True, eq=False)
 class QueryFamily:
-    """Deduplicated ±1 tests with the pair each one came from.
+    """Distinct ±1 tests, the rows of a read-only (m, d) int8 matrix, and their origin pairs.
 
     The family certifies: for every pair of hypotheses, some test recovers a
     phi-fraction of their l1 distance (condition checkable exhaustively via
     star_margins).
     """
 
-    tests: tuple[SignedFunctional, ...]
+    signs: np.ndarray
     origins: tuple[VertexPair, ...]
     phi: float
 
     def __post_init__(self):
-        if not self.tests:
+        signs = np.asarray(self.signs)
+        if signs.ndim != 2 or not signs.size:
             raise ConfigError("query family must contain at least one test")
-        if len(self.tests) != len(self.origins):
+        if not np.all(np.abs(signs) == 1):
+            raise ConfigError("every test entry must be -1 or +1")
+        if len(signs) != len(self.origins):
             raise ConfigError("one origin pair per test required")
         if not 0 < self.phi <= 1:
             raise ConfigError(f"phi must lie in (0, 1], got {self.phi}")
-        seen = set()
-        for t in self.tests:
-            key = t.key()
-            if key in seen:
-                raise ConfigError("duplicate tests must be pruned before constructing the family")
-            seen.add(key)
+        if len(np.unique(signs, axis=0)) != len(signs):
+            raise ConfigError("duplicate tests must be pruned before constructing the family")
+        object.__setattr__(self, "signs", _read_only(signs.astype(np.int8)))
 
     def __len__(self) -> int:
-        return len(self.tests)
-
-    def test_matrix(self) -> np.ndarray:
-        return np.stack([t.signs for t in self.tests]).astype(np.float64)
+        return len(self.signs)
 
     def star_margins(self, Q: HypothesisSet, phi: float | None = None) -> np.ndarray:
         """Per-hypothesis-pair slack of the comparison condition.
@@ -87,7 +84,7 @@ class QueryFamily:
         """
         phi = self.phi if phi is None else phi
         P = Q.probs_matrix
-        M = P @ self.test_matrix().T  # k x m, entries <q_j, T>
+        M = P @ self.signs.astype(np.float64).T  # k x m, entries <q_j, T>
         # One row j at a time against every j' > j, in lexicographic pair order: O(k m) memory.
         return np.concatenate([
             np.abs(M[j] - M[j + 1:]).max(axis=1) - phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)
@@ -152,17 +149,11 @@ class SelectionReport:
 
 def _scheffe_family(Q: HypothesisSet, pairs, phi: float) -> QueryFamily:
     """Signed Scheffe sets of the pairs in order, keeping the first pair per distinct test."""
-    tests: list[SignedFunctional] = []
-    origins: list[VertexPair] = []
-    seen: set[bytes] = set()
-    for pair in pairs:
-        t = signed_scheffe_set(Q.hypotheses[pair.lo - 1], Q.hypotheses[pair.hi - 1])
-        key = t.key()
-        if key not in seen:
-            seen.add(key)
-            tests.append(t)
-            origins.append(pair)
-    return QueryFamily(tests=tuple(tests), origins=tuple(origins), phi=phi)
+    pairs = tuple(pairs)
+    lo, hi = np.array([(p.lo - 1, p.hi - 1) for p in pairs]).T
+    signs = np.where(Q.probs_matrix[lo] >= Q.probs_matrix[hi], np.int8(1), np.int8(-1))
+    first = np.sort(np.unique(signs, axis=0, return_index=True)[1])
+    return QueryFamily(signs=signs[first], origins=tuple(pairs[i] for i in first), phi=phi)
 
 
 def full_scheffe_family(Q: HypothesisSet) -> QueryFamily:
@@ -205,7 +196,7 @@ def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates
     p_hat = estimates.estimates
     if p_hat.size != m:
         raise IncompleteEstimatesError(f"{p_hat.size} estimates for a family of {m} tests")
-    T = family.test_matrix()
+    T = family.signs.astype(np.float64)
     if T.shape[1] != Q.domain_size:
         raise ConfigError(
             f"family is on domain size {T.shape[1]}, hypotheses on {Q.domain_size}"
@@ -266,6 +257,6 @@ def select_hypothesis(
     graph = build_scheffe_graph(Q, config.phi)
     cert = find_dominating_set(graph, Q, seed=dom_seed)
     family = query_family_from_dominating_set(Q, cert, config.phi, graph=graph)
-    estimates = estimate_queries(pop, family.tests, config.epsilon, np.random.default_rng(proto_seed))
+    estimates = estimate_queries(pop, family.signs, config.epsilon, np.random.default_rng(proto_seed))
     report = rmde_select(Q, family, estimates)
     return replace(report, certificate=cert)

@@ -110,8 +110,11 @@ def _json_k(doc: dict) -> int:
 
 
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
-    ids = np.array([p.vertex_id(k) for p in pairs], dtype=np.int64)
-    return ids
+    lo, hi = np.array([(p.lo, p.hi) for p in pairs], dtype=np.int64).reshape(-1, 2).T
+    if (hi > k).any():
+        bad = pairs[int(np.argmax(hi > k))]
+        raise ArgumentError(f"pair {bad} is not a vertex of a graph on {k} hypotheses")
+    return pair_index(lo - 1, hi - 1, k)
 
 
 def _check_ids(ids: np.ndarray, k: int) -> None:

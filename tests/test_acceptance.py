@@ -232,14 +232,15 @@ def test_c8_rmde_deterministic_inequality():
                     full_scheffe_family(Q)):
             from ldpselect import QueryEstimates
 
+            tests = list(map(SignedFunctional, fam.signs))
             values = [
-                float(inner(p, t)) + eta * float(rng.choice([-1.0, 1.0])) for t in fam.tests
+                float(inner(p, t)) + eta * float(rng.choice([-1.0, 1.0])) for t in tests
             ]
             est = QueryEstimates(estimates=values, block_size=1, epsilon=0.5)
             rep = rmde_select(Q, fam, est)
             q_hat = Q.hypotheses[rep.selected_index - 1]
             opt = min(l1_distance(q, p) for q in Q.hypotheses)
-            sup_err = max(abs(float(inner(p, t)) - values[i]) for i, t in enumerate(fam.tests))
+            sup_err = max(abs(float(inner(p, t)) - values[i]) for i, t in enumerate(tests))
             lhs = l1_distance(q_hat, p)
             rhs = (1 + 2 / fam.phi) * opt + (2 / fam.phi) * sup_err
             assert lhs <= rhs + 1e-9, f"instance {instance}: {lhs} > {rhs}"

@@ -21,6 +21,25 @@ def strip_timing(doc):
     return doc
 
 
+SEEDED_COMMANDS = {
+    "gen": ["gen", "--k", "3", "--d", "4"],
+    "dominate": ["dominate", "--in", "{hyp}"],
+    "select": ["select", "--in", "{hyp}", "--alpha", "1.0", "--beta", "0.2", "--epsilon", "0.5",
+               "--p-index", "1"],
+    "barrier-lbgraph": ["barrier", "lbgraph", "--k", "16"],
+    "barrier-flatten": ["barrier", "flatten", "--n", "8", "--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    hyp = tmp_path / "hyp.json"
+    write_point_masses(hyp)
+    argv = [arg.format(hyp=hyp) for arg in SEEDED_COMMANDS[command]]
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "out.json")]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
 class TestGen:
     def test_writes_loadable_file(self, tmp_path):
         out = tmp_path / "hyp.json"
@@ -119,6 +138,18 @@ class TestDominate:
         da = strip_timing(json.loads(a.read_text()))
         db = strip_timing(json.loads(b.read_text()))
         assert da == db
+
+
+def population_argv(tmp_path, flags):
+    """A select command line on point masses; {p_file} and {samples} name files it writes."""
+    hyp, p_file, samples = tmp_path / "hyp.json", tmp_path / "p.json", tmp_path / "samples.txt"
+    write_point_masses(hyp)
+    p_file.write_text(json.dumps([0.2, 0.3, 0.5]))
+    samples.write_text("1\n2\n3\n")
+    return [
+        "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+        "--epsilon", "1.0", "--seed", "1", "--out", str(tmp_path / "r.json"),
+    ] + [f.format(p_file=p_file, samples=samples) for f in flags]
 
 
 class TestSelect:
@@ -263,6 +294,26 @@ class TestSelect:
         ])
         assert code == 2
         assert str(sample_file) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--p-file", "{p_file}", "--p-index", "2"],
+        ["--p-file", "{p_file}", "--p-index", "2", "--p-mix", "0.3"],
+        ["--samples", "{samples}", "--p-index", "1"],
+        ["--samples", "{samples}", "--p-file", "{p_file}"],
+    ], ids=["file-and-index", "file-index-mix", "samples-and-index", "samples-and-file"])
+    def test_conflicting_population_flags_rejected(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(population_argv(tmp_path, flags))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("source", [[], ["--p-file", "{p_file}"], ["--samples", "{samples}"]],
+                             ids=["alone", "with-p-file", "with-samples"])
+    def test_p_mix_requires_p_index(self, tmp_path, capsys, source):
+        assert main(population_argv(tmp_path, ["--p-mix", "0.3"] + source)) == 2
+        assert "so --p-index is required" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_population_arguments_required(self, tmp_path):
         hyp = tmp_path / "hyp.json"

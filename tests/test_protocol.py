@@ -392,13 +392,46 @@ class TestEstimateQueries:
         (10, [], ConfigError),
         (3, [SignedFunctional(np.array([1, -1]))] * 4, InsufficientSamplesError),
         (10, [SignedFunctional(np.array([1, 1, -1]))], DimensionError),
-    ], ids=["no-queries", "too-few-users", "domain-mismatch"])
+        (10, np.empty((0, 2)), ConfigError),
+        (10, np.array([1, -1]), DimensionError),
+        (10, [[1, -1], [1]], DimensionError),
+        (10, [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([1, -1, 1]))],
+         DimensionError),
+        (10, np.array([[1, -1], [1, 0]]), InvariantError),
+        (10, np.array([[1, -1], [2, -1]]), InvariantError),
+        (10, np.array([[1.0, -1.0], [1.0, np.nan]]), InvariantError),
+    ], ids=["no-queries", "too-few-users", "domain-mismatch", "no-rows", "one-dimensional",
+            "ragged", "ragged-functionals", "zero-entry", "two-entry", "nan-entry"])
     def test_input_errors(self, run, users, queries, error):
         pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), users, 1)
         with pytest.raises(error) as exc:
             run(pop, queries, 0.5, np.random.default_rng(0))
         if error is InsufficientSamplesError:
             assert exc.value.required == 4
+
+
+class TestQueryMatrix:
+    """An (m, d) ±1 array and the same rows as SignedFunctional give the same bits."""
+
+    @pytest.mark.parametrize("form", ["samples", "seeded"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_raw_matrix_matches_functionals(self, form, dtype):
+        p = random_hypothesis_set(2, 16, seed=3).hypotheses[0]
+        pop = SimulatedPopulation.draw(p, 1001, 4)
+        if form == "samples":
+            pop = SimulatedPopulation(p, pop.samples)
+        rows = np.random.default_rng(5).choice([-1, 1], size=(7, 16))
+        functionals = [SignedFunctional(row) for row in rows]
+        matrix = rows.astype(dtype)
+        t1, e1 = run_protocol(pop, functionals, 0.7, np.random.default_rng(6))
+        t2, e2 = run_protocol(pop, matrix, 0.7, np.random.default_rng(6))
+        assert t1.messages.dtype == t2.messages.dtype == np.int8
+        assert np.array_equal(t1.messages, t2.messages)
+        assert t1.block_size == t2.block_size and t1.num_queries == t2.num_queries == 7
+        assert e1.estimates.tolist() == e2.estimates.tolist()
+        a1 = estimate_queries(pop, functionals, 0.7, np.random.default_rng(7))
+        a2 = estimate_queries(pop, matrix, 0.7, np.random.default_rng(7))
+        assert a1.estimates.tolist() == a2.estimates.tolist()
 
 
 class TestExactLaw:

@@ -21,6 +21,7 @@ from ldpselect import (
     required_block_size,
     rmde_select,
     select_hypothesis,
+    signed_scheffe_set,
 )
 from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import (
@@ -29,7 +30,7 @@ from ldpselect.errors import (
     InsufficientSamplesError,
     InvalidCertificateError,
 )
-from ldpselect.rmde import full_scheffe_family, max_query_budget
+from ldpselect.rmde import QueryFamily, full_scheffe_family, max_query_budget
 from ldpselect.scheffe_graph import VertexPair, pair_count
 
 PHI = 1.0 / 6.0
@@ -42,7 +43,7 @@ def exact_estimates(p, family, eta=0.0, rng=None):
     wide enough for the perturbed values.
     """
     values = []
-    for t in family.tests:
+    for t in map(SignedFunctional, family.signs):
         noise = 0.0 if eta == 0.0 else eta * float(rng.choice([-1.0, 1.0]))
         values.append(float(inner(p, t)) + noise)
     return QueryEstimates(estimates=values, block_size=1, epsilon=0.5)
@@ -53,7 +54,8 @@ def brute_force_select(Q, family, estimates):
     best_idx, best_val = None, None
     for j, q in enumerate(Q.hypotheses):
         worst = max(
-            abs(inner(q, t) - estimates.estimates[i]) for i, t in enumerate(family.tests)
+            abs(inner(q, SignedFunctional(t)) - estimates.estimates[i])
+            for i, t in enumerate(family.signs)
         )
         if best_val is None or worst < best_val:
             best_idx, best_val = j, worst
@@ -64,6 +66,84 @@ def pipeline_family(Q, seed=0, phi=PHI):
     G = build_scheffe_graph(Q, phi)
     cert = find_dominating_set(G, Q, seed=seed)
     return query_family_from_dominating_set(Q, cert, phi, graph=G)
+
+
+def reference_family(Q, pairs):
+    """Per-pair signed Scheffe sets, keeping the first pair of each distinct sign vector."""
+    rows, origins, seen = [], [], set()
+    for pair in pairs:
+        t = signed_scheffe_set(Q.hypotheses[pair.lo - 1], Q.hypotheses[pair.hi - 1])
+        if t.key() not in seen:
+            seen.add(t.key())
+            rows.append(t.signs)
+            origins.append(pair)
+    return np.stack(rows), tuple(origins)
+
+
+def reference_margins(Q, rows, phi):
+    """The star margins written out pair by pair from the stacked float64 test matrix."""
+    P = Q.probs_matrix
+    M = P @ rows.astype(np.float64).T
+    return np.array([
+        np.abs(M[j] - M[j2]).max() - phi * np.abs(P[j] - P[j2]).sum()
+        for j in range(Q.k)
+        for j2 in range(j + 1, Q.k)
+    ])
+
+
+def all_vertex_pairs(k):
+    return [VertexPair(lo, hi) for lo in range(1, k + 1) for hi in range(lo + 1, k + 1)]
+
+
+PINNED_SETS = [
+    *(pytest.param(random_hypothesis_set(k, 16, seed=k, model=model), id=f"{model}-k{k}")
+      for model in GENERATOR_MODELS for k in (3, 8, 32)),
+    pytest.param(HypothesisSet(tuple(DiscreteDistribution(np.array(p)) for p in
+                                     ([0.6, 0.4], [0.6, 0.4], [0.1, 0.9]))), id="duplicate"),
+    pytest.param(HypothesisSet(tuple(DiscreteDistribution.point_mass(i, 3) for i in (1, 2, 3))),
+                 id="point-mass-triple"),
+]
+
+
+class TestFamilyMatchesPairReference:
+    @pytest.mark.parametrize("Q", PINNED_SETS)
+    def test_dominating_and_full_family(self, Q):
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=3)
+        cases = [
+            (query_family_from_dominating_set(Q, cert, PHI, graph=G), cert.dominating_set, PHI),
+            (full_scheffe_family(Q), all_vertex_pairs(Q.k), 1.0),
+        ]
+        for fam, pairs, phi in cases:
+            rows, origins = reference_family(Q, pairs)
+            assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
+            assert np.array_equal(fam.signs, rows)
+            assert fam.origins == origins
+            assert len(fam) == len(rows) and fam.phi == phi
+            assert np.array_equal(fam.star_margins(Q), reference_margins(Q, rows, phi))
+
+
+class TestQueryFamilyChecks:
+    ORIGINS = (VertexPair(1, 2), VertexPair(1, 3))
+
+    @pytest.mark.parametrize("signs, origins, phi, match", [
+        (np.empty((0, 3)), (), 0.5, "at least one test"),
+        (np.array([1, -1, 1]), ORIGINS[:1], 0.5, "at least one test"),
+        (np.array([[1, 0, 1], [1, 1, -1]]), ORIGINS, 0.5, r"-1 or \+1"),
+        (np.array([[1, 2, 1], [1, 1, -1]]), ORIGINS, 0.5, r"-1 or \+1"),
+        (np.array([[1, -1, 1], [1, 1, -1]]), ORIGINS[:1], 0.5, "one origin"),
+        (np.array([[1, -1, 1], [1, 1, -1]]), ORIGINS, 0.0, "phi"),
+        (np.array([[1, -1, 1], [1, -1, 1]]), ORIGINS, 0.5, "duplicate"),
+    ], ids=["empty", "one-dimensional", "zero", "two", "origins", "phi", "duplicate"])
+    def test_rejects(self, signs, origins, phi, match):
+        with pytest.raises(ConfigError, match=match):
+            QueryFamily(signs=signs, origins=origins, phi=phi)
+
+    def test_copies_into_read_only_int8(self):
+        given = np.array([[1, -1, 1], [1, 1, -1]], dtype=np.int64)
+        fam = QueryFamily(signs=given, origins=self.ORIGINS, phi=0.5)
+        assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
+        assert given.flags.writeable and not np.shares_memory(given, fam.signs)
 
 
 class TestQueryFamily:
@@ -81,7 +161,7 @@ class TestQueryFamily:
         fam = query_family_from_dominating_set(point_mass_triple, cert, PHI, graph=G)
         # the >=-tie convention makes the {1,3} and {2,3} sets the same vector
         assert len(fam) == 2
-        assert len({t.key() for t in fam.tests}) == len(fam.tests)
+        assert len({t.tobytes() for t in fam.signs}) == len(fam.signs)
         assert fam.certifies(point_mass_triple, phi=1.0)
 
     @pytest.mark.parametrize("k,seed", [(5, 0), (8, 1), (12, 2)])
@@ -96,8 +176,8 @@ class TestQueryFamily:
         q2 = DiscreteDistribution(np.array([0.1, 0.9]))
         Q = HypothesisSet((q, q, q2))
         fam = pipeline_family(Q)
-        keys = {t.key() for t in fam.tests}
-        assert len(keys) == len(fam.tests)
+        keys = {t.tobytes() for t in fam.signs}
+        assert len(keys) == len(fam.signs)
 
     def test_invalid_certificate_rejected(self, point_mass_triple):
         from ldpselect.scheffe_graph import DominatingSetCertificate
@@ -132,7 +212,7 @@ class TestQueryFamily:
         Q = random_hypothesis_set(12, 10, seed=7, model=model)
         P = Q.probs_matrix
         for fam, phi in ((pipeline_family(Q, seed=7), PHI), (full_scheffe_family(Q), 0.5)):
-            T = fam.test_matrix()
+            T = fam.signs.astype(np.float64)
             reference = [
                 float(np.abs(T @ (P[j] - P[j2])).max()) - phi * float(np.abs(P[j] - P[j2]).sum())
                 for j in range(Q.k)
@@ -226,7 +306,8 @@ class TestDeterministicGuarantee:
                 q_hat = Q.hypotheses[report.selected_index - 1]
                 opt = min(l1_distance(q, p) for q in Q.hypotheses)
                 sup_err = max(
-                    abs(inner(p, t) - est.estimates[i]) for i, t in enumerate(fam.tests)
+                    abs(inner(p, SignedFunctional(t)) - est.estimates[i])
+                    for i, t in enumerate(fam.signs)
                 )
                 bound = (1 + 2 / fam.phi) * opt + (2 / fam.phi) * sup_err
                 assert l1_distance(q_hat, p) <= bound + 1e-9
