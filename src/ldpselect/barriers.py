@@ -153,15 +153,13 @@ def verify_domination_lower_bound(cert: LowerBoundCertificate) -> float:
     certificate's implied bound.
     """
     G = cert.graph
-    in_R = np.zeros(G.num_vertices, dtype=bool)
-    sampled_ids = np.array([p.vertex_id(G.k) for p in cert.sampled_set])
-    in_R[sampled_ids] = True
-    max_dominated = 0
-    for v in range(G.num_vertices):
-        count = int(in_R[G.out_edges[v]].sum()) + int(in_R[v])
-        if count > max_dominated:
-            max_dominated = count
-    bound = len(cert.sampled_set) / max_dominated
+    V = G.num_vertices
+    in_R = np.zeros(V, dtype=bool)
+    in_R[[p.vertex_id(G.k) for p in cert.sampled_set]] = True
+    sources = np.repeat(np.arange(V), [out.size for out in G.out_edges])
+    targets = np.concatenate(G.out_edges)
+    dominated = np.bincount(sources[in_R[targets]], minlength=V) + in_R
+    bound = len(cert.sampled_set) / int(dominated.max())
     if bound + 1e-9 < cert.implied_lower_bound:
         raise InvariantError(
             f"recomputed bound {bound} fell below the certificate's {cert.implied_lower_bound}"
@@ -309,32 +307,66 @@ def frobenius_identities(phi_map: StochasticMap, fam: FlatteningFamily) -> dict[
     }
 
 
+# Most bytes of candidate columns the flat-map sampler draws in one batch.
+_FLAT_BATCH_BYTES = 1 << 20
+
+
+def _flat_maps(n: int, m: int, alpha: float, rng: np.random.Generator, max_tries: int, maps: int):
+    """The next `maps` flat (m x n) maps, rejection-sampled from rng in row batches.
+
+    A candidate column is a row of m uniforms on [0, 2/m] divided by its sum;
+    it is accepted when every entry lies in [(1 - alpha)/m, (1 + alpha)/m].
+    Rows are drawn in batches and accepted in stream order, and accepted rows
+    a map does not use carry over to the next, so the maps are those of a
+    one-column-at-a-time loop on the same generator.  A batch holds the rows
+    the columns still wanted should take at the acceptance rate seen so far,
+    capped at _FLAT_BATCH_BYTES.  Raises ResamplingLimitError once a column
+    would need more than max_tries rows.
+    """
+    if not 0 < alpha < 1:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    low = (1.0 - alpha) / m
+    high = (1.0 + alpha) / m
+    cap = max(1, _FLAT_BATCH_BYTES // (8 * m))
+    drawn = taken = 0  # rows drawn and accepted so far
+    accepted = np.empty((0, m))
+    rejected = 0  # rows drawn since the last accepted one
+    for left in range(maps, 0, -1):
+        parts = [accepted]
+        have = len(accepted)
+        while have < n:
+            if rejected >= max_tries:
+                raise ResamplingLimitError("could not sample a flat column", max_tries)
+            batch = min(cap, (left * n - have) * (drawn + 1) // (taken + 1) + 1)
+            raw = rng.uniform(0.0, 2.0 / m, size=(batch, m))
+            with np.errstate(invalid="ignore"):  # an all-zero row turns into NaNs, which fail the test
+                cols = raw / raw.sum(axis=1)[:, np.newaxis]
+            pos = np.flatnonzero((cols.min(axis=1) >= low) & (cols.max(axis=1) <= high))
+            too_many = np.flatnonzero(np.diff(pos, prepend=-1 - rejected) > max_tries)
+            if too_many.size:  # the column that row would fill fails, should it be needed
+                pos, rejected = pos[:too_many[0]], max_tries
+            else:
+                rejected = batch - 1 - pos[-1] if pos.size else rejected + batch
+            parts.append(cols[pos])
+            have += pos.size
+            drawn += batch
+            taken += pos.size
+        accepted = np.concatenate(parts)
+        # C order, as a column-by-column fill gives: the matrix products downstream depend on it
+        yield StochasticMap(np.ascontiguousarray(accepted[:n].T))
+        accepted = accepted[n:]
+
+
 def random_flat_map(n: int, m: int, alpha: float, rng, max_tries: int = 100_000) -> StochasticMap:
     """Rejection-sample a flat stochastic map: entries in [0, 2/m], columns normalized.
 
     Each column is resampled until, after normalization, all entries stay in
     [(1 - alpha)/m, (1 + alpha)/m]; flatness on the whole family follows
     because every family column is a convex mixture of the point masses.
+    Candidates are drawn in row batches, so a Generator shared across calls
+    advances past the rows this map used.
     """
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    rng = np.random.default_rng(rng)
-    low = (1.0 - alpha) / m
-    high = (1.0 + alpha) / m
-    cols = np.empty((m, n))
-    for j in range(n):
-        for _ in range(max_tries):
-            raw = rng.uniform(0.0, 2.0 / m, size=m)
-            total = raw.sum()
-            if total <= 0:
-                continue
-            col = raw / total
-            if col.min() >= low and col.max() <= high:
-                cols[:, j] = col
-                break
-        else:
-            raise ResamplingLimitError("could not sample a flat column", max_tries)
-    return StochasticMap(cols)
+    return next(_flat_maps(n, m, alpha, np.random.default_rng(rng), max_tries, maps=1))
 
 
 @dataclass(frozen=True)
@@ -378,11 +410,9 @@ def run_flattening_trials(
     if m < 2:
         raise ConfigError(f"image domain must have at least 2 points, got {m}")
     fam = build_flattening_family(n)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     max_dev = 0.0
-    for _ in range(trials):
-        phi_map = random_flat_map(n, m, alpha, rng)
+    for phi_map in _flat_maps(n, m, alpha, np.random.default_rng(seed), max_tries=100_000, maps=trials):
         _, value = verify_flattening_violation(phi_map, fam, alpha)
         worst = max(worst, value)
         max_dev = max(max_dev, frobenius_identities(phi_map, fam)["identity_deviation"])

@@ -28,16 +28,20 @@ from .errors import (
     InvariantError,
 )
 
+def _check_epsilon(epsilon: float) -> None:
+    """ConfigError unless the privacy budget is a positive finite number."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def correction_factor(epsilon: float) -> float:
     """Bias correction (e^eps + 1)/(e^eps - 1) for randomized response."""
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     return (math.exp(epsilon) + 1.0) / (math.exp(epsilon) - 1.0)
 
 
 def keep_probability(epsilon: float) -> float:
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     return math.exp(epsilon) / (math.exp(epsilon) + 1.0)
 
 

@@ -29,6 +29,7 @@ from .errors import (
 from .protocol import (
     QueryEstimates,
     SimulatedPopulation,
+    _check_epsilon,
     estimate_queries,
     required_block_size,
     run_protocol,  # noqa: F401  the per-user reference; its callers may import it from here
@@ -110,8 +111,7 @@ class SelectionConfig:
             raise ConfigError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if not 0 < self.phi <= 1:
             raise ConfigError(f"phi must lie in (0, 1], got {self.phi}")
 

@@ -14,11 +14,12 @@ probability of the sampling step depends on it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -50,6 +51,14 @@ def pair_index(x, y, k: int):
     return idx if np.ndim(idx) else int(idx)
 
 
+def _pair_id_table(k: int) -> np.ndarray:
+    """(k, k) table whose entry [x, y], x != y, is pair_index(x, y, k)."""
+    ids = np.zeros((k, k), dtype=np.intp)
+    lo, hi = np.triu_indices(k, 1)
+    ids[lo, hi] = ids[hi, lo] = np.arange(lo.size)
+    return ids
+
+
 def all_pairs(k: int) -> np.ndarray:
     """All C(k, 2) index pairs, 0-based, in lexicographic order."""
     i, j = np.triu_indices(k, 1)
@@ -66,7 +75,7 @@ def shared_index_neighbors(k: int) -> np.ndarray:
     idx = np.arange(k)
     outside = (idx != pairs[:, :1]) & (idx != pairs[:, 1:])
     others = np.broadcast_to(idx, outside.shape)[outside].reshape(len(pairs), k - 2)
-    return pair_index(pairs.T[:, :, None], others, k)
+    return _pair_id_table(k)[pairs.T[:, :, None], others]
 
 
 def shared_index_position(a, b, i):
@@ -146,7 +155,9 @@ def _gather_shared_index_edges(table: np.ndarray, adj: np.ndarray, start: int, c
 
 def _split_rows(targets: np.ndarray, out_degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     """Read-only views of one target array, cut into consecutive rows of the given lengths."""
-    return tuple(np.split(_read_only(targets), np.cumsum(out_degrees)[:-1]))
+    targets = _read_only(targets)
+    ends = np.cumsum(out_degrees).tolist()
+    return tuple(targets[start:end] for start, end in zip([0, *ends[:-1]], ends))
 
 
 def _edge_name(u: int, w: int, k: int) -> str:
@@ -221,8 +232,8 @@ class PairDigraph:
         targets = np.asarray(targets, dtype=np.int64)
         _check_ids(sources, k)
         _check_ids(targets, k)
-        order = np.lexsort((targets, sources))
-        sources, targets = sources[order], targets[order]
+        # one sort of the (source, target) keys orders edges as a lexsort on both would
+        sources, targets = np.divmod(np.sort(sources * V + targets), V)
         loops = np.flatnonzero(sources == targets)
         if loops.size:
             raise InvariantError(f"self-loop {_edge_name(sources[loops[0]], targets[loops[0]], k)}")
@@ -249,6 +260,8 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     other vertex.  O(k^2) vertices and O(k^4) pair checks, made one row block
     at a time: memory is the int32 edges plus one float64 row block, never a
     V x V array.  The shared-index table is gathered from the same blocks.
+    A first pass keeps each block's adjacency as packed bits (V^2 / 8 bytes in
+    all); a second unpacks them into one int32 target array of exact size.
     """
     if not (0.0 < phi <= 1.0):
         raise ConfigError(f"phi must lie in (0, 1], got {phi}")
@@ -263,7 +276,7 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     table = np.zeros(candidates.shape, dtype=bool)
     in_deg = np.zeros(V, dtype=np.int64)
     out_deg = np.empty(V, dtype=np.int64)
-    blocks = []
+    packed = []
     for start, stop in _row_blocks(V):
         inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
         adj = np.abs(inner, out=inner) >= threshold
@@ -271,10 +284,18 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
         adj[np.arange(stop - start), np.arange(start, stop)] = False
         in_deg += adj.sum(axis=0)
         out_deg[start:stop] = adj.sum(axis=1)
-        # flatnonzero, not nonzero: the column half of nonzero's (N, 2) buffer would keep all of it alive
-        blocks.append((np.flatnonzero(adj) % V).astype(np.int32))
         _gather_shared_index_edges(table, adj, start, candidates)
-    out = _split_rows(np.concatenate(blocks), out_deg)
+        packed.append(np.packbits(adj))
+    del adj
+    targets = np.empty(int(out_deg.sum()), dtype=np.int32)
+    end = 0
+    for start, stop in _row_blocks(V):
+        # flatnonzero, not nonzero: the column half of nonzero's (N, 2) buffer would keep all of it
+        # alive; and of a bool view, which it scans several times faster than uint8
+        flat = np.flatnonzero(np.unpackbits(packed.pop(0), count=(stop - start) * V).view(bool))
+        np.remainder(flat, V, out=targets[end:end + flat.size])
+        end += flat.size
+    out = _split_rows(targets, out_deg)
     G = ScheffeGraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
     # Prime the cached properties with the tables gathered above.
     object.__setattr__(G, "_shared_index_ids", candidates)
@@ -432,16 +453,16 @@ _TRIANGLE_CASES = ("i", "ii", "iii")
 _ROLE_ORDERS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
 
 
-def _triangle_cases(G: PairDigraph, r1, r2, r3) -> np.ndarray:
+def _triangle_cases(G: PairDigraph, r1, r2, r3, ids: np.ndarray) -> np.ndarray:
     """Which of cases i, ii, iii hold for 0-based roles (j, j', j'') = (r1, r2, r3).
 
-    The roles are integer arrays of one shape; the result stacks the three
-    cases on a new first axis.
+    The roles are integer arrays of one shape and ids is _pair_id_table(G.k);
+    the result stacks the three cases on a new first axis.
     """
     edges = G.shared_index_edges
 
     def edge(x, y, z):  # {x, y} -> {x, z}
-        return edges[np.greater(x, y).astype(np.intp), pair_index(x, y, G.k), shared_index_position(x, y, z)]
+        return edges[np.greater(x, y).astype(np.intp), ids[x, y], shared_index_position(x, y, z)]
 
     return np.stack([edge(r3, r1, r2) & edge(r3, r2, r1), edge(r1, r2, r3), edge(r2, r1, r3)])
 
@@ -458,7 +479,7 @@ def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
     trio = (j, j2, j3)
     if len(set(trio)) != 3 or any(not 1 <= t <= G.k for t in trio):
         raise ArgumentError(f"indices must be distinct and within 1..{G.k}, got {trio}")
-    cases = _triangle_cases(G, *(np.array(trio) - 1)[_ROLE_ORDERS.T])
+    cases = _triangle_cases(G, *(np.array(trio) - 1)[_ROLE_ORDERS.T], _pair_id_table(G.k))
     labels = tuple(c for c, hold in zip(_TRIANGLE_CASES, cases[:, 0]) if hold)
     return labels if labels or cases.any() else ("violation",)
 
@@ -470,8 +491,12 @@ class TriangleScan:
     case_counts: dict[str, int]
 
 
+# Triples per chunk of scan_triangles; bounds its temporaries to a few MiB.
+_TRIPLE_CHUNK = 1 << 15
+
+
 def scan_triangles(G: PairDigraph) -> TriangleScan:
-    """Exhaustive triangle check over all C(k, 3) triples (vectorized, O(k^3) memory).
+    """Exhaustive triangle check over all C(k, 3) triples, vectorized in fixed-size chunks.
 
     A triple violates only if no role assignment admits any of the three edge
     structures; case_counts tallies the cases under the as-given (sorted)
@@ -479,11 +504,17 @@ def scan_triangles(G: PairDigraph) -> TriangleScan:
     """
     i = np.arange(G.k)
     trio = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i)))  # x < y < z
-    cases = _triangle_cases(G, *trio[_ROLE_ORDERS.T])
+    ids = _pair_id_table(G.k)
+    violations = 0
+    counts = np.zeros(len(_TRIANGLE_CASES), dtype=np.int64)
+    for start in range(0, trio.shape[1], _TRIPLE_CHUNK):
+        cases = _triangle_cases(G, *trio[:, start:start + _TRIPLE_CHUNK][_ROLE_ORDERS.T], ids)
+        violations += int((~cases.any(axis=(0, 1))).sum())
+        counts += cases[:, 0].sum(axis=-1)
     return TriangleScan(
         triples=trio.shape[1],
-        violations=int((~cases.any(axis=(0, 1))).sum()),
-        case_counts={c: int(n) for c, n in zip(_TRIANGLE_CASES, cases[:, 0].sum(axis=-1))},
+        violations=violations,
+        case_counts={c: int(n) for c, n in zip(_TRIANGLE_CASES, counts)},
     )
 
 
@@ -625,26 +656,43 @@ def graph_to_json_dict(G: PairDigraph, phi: float | None = None) -> dict:
     return {"k": G.k, "phi": phi_val, "edges": edges}
 
 
+def _edge_ids(edge, k: int) -> tuple[int, int]:
+    """Source and target vertex ids of one exported edge [a, b, c, d], checked as documented."""
+    if not (isinstance(edge, list) and len(edge) == 4):
+        raise InvariantError(f"graph edge {edge!r} is not a quadruple [a, b, c, d]")
+    a, b, c, d = edge
+    return _pair_from_json(a, b).vertex_id(k), _pair_from_json(c, d).vertex_id(k)
+
+
+def _int_quadruples(edges: list) -> np.ndarray | None:
+    """edges as an (E, 4) int64 array if each is a list of four ints that fit, else None."""
+    flat = itertools.chain.from_iterable
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {4}
+            and set(map(type, flat(edges))) <= {int}):  # type, not isinstance: true and false are no indices
+        return None
+    try:
+        return np.fromiter(flat(edges), np.int64, 4 * len(edges)).reshape(-1, 4)
+    except OverflowError:  # an index past int64 is out of range
+        return None
+
+
 def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
     """Inverse of graph_to_json_dict.
 
     A missing or mistyped field or a malformed pair raises InvariantError
-    naming it; an out-of-range pair raises ArgumentError.
+    naming it; an out-of-range pair raises ArgumentError.  A list of integer
+    quadruples is checked and mapped as arrays; any other list is walked edge
+    by edge, which names the first bad edge.
     """
     k = _json_k(doc)
     phi = _json_number(doc, "phi", Real, default=None)
     edges = _json_number(doc, "edges", list)
-
-    @lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry for 2
-    def vertex_id(lo, hi) -> int:
-        return _pair_from_json(lo, hi).vertex_id(k)
-
-    sources, targets = [], []
-    for edge in edges:
-        if not (isinstance(edge, list) and len(edge) == 4):
-            raise InvariantError(f"graph edge {edge!r} is not a quadruple [a, b, c, d]")
-        a, b, c, d = edge
-        sources.append(vertex_id(a, b))
-        targets.append(vertex_id(c, d))
+    quads = _int_quadruples(edges)
+    pairs = None if quads is None else quads.reshape(-1, 2)  # [lo, hi] of each endpoint
+    if pairs is not None and ((1 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] <= k)).all():
+        ids = _pair_id_table(k)[pairs[:, 0] - 1, pairs[:, 1] - 1]
+    else:
+        ids = np.array([_edge_ids(edge, k) for edge in edges], dtype=np.int64)
+    sources, targets = ids.reshape(-1, 2).T
     digraph = PairDigraph.from_edge_ids(k, sources, targets)
     return (float(phi) if phi is not None else None, digraph)

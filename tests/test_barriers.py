@@ -13,7 +13,9 @@ from ldpselect import (
     verify_domination_lower_bound,
     verify_flattening_violation,
 )
+from ldpselect import barriers
 from ldpselect.barriers import (
+    FlatteningReport,
     frobenius_identities,
     lower_bound_formula,
     lower_bound_sample_size,
@@ -24,6 +26,7 @@ from ldpselect.errors import (
     ConfigError,
     DimensionError,
     FlatnessError,
+    ResamplingLimitError,
     UnsupportedSizeError,
 )
 from ldpselect.scheffe_graph import all_pairs, minimum_cover_size, pair_index, scan_triangles
@@ -98,7 +101,23 @@ class TestLowerBoundGraph:
                 assert expected in out
 
 
+def reference_recount(cert):
+    """Recomputed floor |R| / max over v of the sampled vertices v dominates, one vertex at a time."""
+    G = cert.graph
+    in_R = np.zeros(G.num_vertices, dtype=bool)
+    in_R[[p.vertex_id(G.k) for p in cert.sampled_set]] = True
+    max_dominated = 0
+    for v in range(G.num_vertices):
+        max_dominated = max(max_dominated, int(in_R[G.out_edges[v]].sum()) + int(in_R[v]))
+    return len(cert.sampled_set) / max_dominated
+
+
 class TestLowerBoundVerification:
+    @pytest.mark.parametrize("k", [16, 32, 64])
+    def test_matches_per_vertex_recount(self, k):
+        cert = build_lower_bound_graph(k, seed=k)
+        assert verify_domination_lower_bound(cert) == reference_recount(cert)
+
     def test_recomputed_at_least_implied(self):
         cert = build_lower_bound_graph(16, seed=7)
         assert verify_domination_lower_bound(cert) >= cert.implied_lower_bound
@@ -280,3 +299,86 @@ class TestFlatteningViolation:
         assert report.max_frobenius_deviation <= 1e-9
         doc = report.to_json_dict()
         assert doc["n"] == 16 and doc["m"] == 16 and doc["trials"] == 25
+
+
+def reference_flat_map(n, m, alpha, rng, max_tries=100_000):
+    """One column at a time: redraw m uniforms until the normalized column is flat.
+
+    Returns the map's matrix and the most draws any column took.
+    """
+    low, high = (1.0 - alpha) / m, (1.0 + alpha) / m
+    cols = np.empty((m, n))
+    most = 0
+    for j in range(n):
+        for tries in range(1, max_tries + 1):
+            raw = rng.uniform(0.0, 2.0 / m, size=m)
+            total = raw.sum()
+            if total <= 0:
+                continue
+            col = raw / total
+            if col.min() >= low and col.max() <= high:
+                cols[:, j] = col
+                most = max(most, tries)
+                break
+        else:
+            raise ResamplingLimitError("could not sample a flat column", max_tries)
+    return cols, most
+
+
+def reference_trials(n, m, trials, alpha, seed):
+    fam = build_flattening_family(n)
+    rng = np.random.default_rng(seed)
+    worst = max_dev = 0.0
+    for _ in range(trials):
+        phi_map = StochasticMap(reference_flat_map(n, m, alpha, rng)[0])
+        worst = max(worst, verify_flattening_violation(phi_map, fam, alpha)[1])
+        max_dev = max(max_dev, frobenius_identities(phi_map, fam)["identity_deviation"])
+    return FlatteningReport(n, m, trials, alpha, worst, 2.0 / math.sqrt(n), max_dev)
+
+
+# (n, m, alpha, seed, trials)
+FLATTENING_CASES = [
+    (8, 8, 0.99, 1, 200),
+    (16, 16, 0.95, 3, 25),
+    (16, 8, 0.99, 4, 60),
+    (16, 32, 0.9, 5, 40),
+    (32, 32, 0.99, 7, 60),
+    (8, 64, 0.9, 9, 30),
+    (32, 16, 0.7, 11, 20),
+    (8, 3, 0.9, 12, 100),
+]
+
+
+class TestBatchedFlatMaps:
+    """The row-batched sampler against the one-column-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("n, m, alpha, seed, trials", FLATTENING_CASES)
+    @pytest.mark.parametrize("batch_bytes", [None, 1 << 10])
+    def test_trials_match_column_loop(self, monkeypatch, n, m, alpha, seed, trials, batch_bytes):
+        if batch_bytes is not None:  # a few rows per batch, so accepted rows carry across batches and maps
+            monkeypatch.setattr(barriers, "_FLAT_BATCH_BYTES", batch_bytes)
+        report = run_flattening_trials(n, m=m, trials=trials, alpha=alpha, seed=seed)
+        assert report == reference_trials(n, m, trials, alpha, seed)
+
+    @pytest.mark.parametrize("n, m, alpha, seed, trials", FLATTENING_CASES)
+    def test_first_map_matches_column_loop(self, n, m, alpha, seed, trials):
+        phi_map = random_flat_map(n, m, alpha, np.random.default_rng(seed))
+        expected, _ = reference_flat_map(n, m, alpha, np.random.default_rng(seed))
+        assert np.array_equal(phi_map.matrix, expected)
+        assert phi_map.matrix.flags.c_contiguous
+
+    def test_raises_when_a_column_needs_too_many_draws(self):
+        with pytest.raises(ResamplingLimitError):
+            random_flat_map(16, 16, 1e-6, np.random.default_rng(0), max_tries=50)
+
+    @pytest.mark.parametrize("batch_bytes", [None, 1 << 10])
+    def test_max_tries_bound_is_exact(self, monkeypatch, batch_bytes):
+        if batch_bytes is not None:
+            monkeypatch.setattr(barriers, "_FLAT_BATCH_BYTES", batch_bytes)
+        n, m, alpha, seed = 16, 16, 0.7, 2
+        expected, most = reference_flat_map(n, m, alpha, np.random.default_rng(seed))
+        assert most > 1
+        phi_map = random_flat_map(n, m, alpha, np.random.default_rng(seed), max_tries=most)
+        assert np.array_equal(phi_map.matrix, expected)
+        with pytest.raises(ResamplingLimitError):
+            random_flat_map(n, m, alpha, np.random.default_rng(seed), max_tries=most - 1)

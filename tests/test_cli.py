@@ -164,6 +164,17 @@ class TestSelect:
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_is_a_usage_error(self, tmp_path, capsys, epsilon):
+        hyp = tmp_path / "hyp.json"
+        write_point_masses(hyp)
+        code = main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+            "--epsilon", epsilon, "--seed", "1", "--p-index", "1", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+
     def test_trials_with_p_in_set(self, tmp_path):
         hyp = tmp_path / "hyp.json"
         main(["gen", "--k", "4", "--d", "8", "--seed", "7", "--out", str(hyp)])

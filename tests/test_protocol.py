@@ -44,6 +44,12 @@ class TestChannel:
         with pytest.raises(ConfigError):
             correction_factor(-1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        for fn in (correction_factor, keep_probability, channel_privacy_ratio):
+            with pytest.raises(ConfigError, match="finite"):
+                fn(epsilon)
+
 
 class TestRandomizedResponse:
     def test_rejects_non_bits(self):

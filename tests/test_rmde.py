@@ -338,6 +338,11 @@ class TestPlanning:
         with pytest.raises(ConfigError):
             SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, phi=2.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            SelectionConfig(alpha=0.5, beta=0.1, epsilon=epsilon)
+
 
 class TestSelectHypothesis:
     def test_insufficient_users(self):

@@ -19,6 +19,7 @@ from ldpselect import (
     scan_triangles,
     verify_domination,
 )
+from ldpselect import scheffe_graph
 from ldpselect.barriers import build_lower_bound_graph
 from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import ArgumentError, ConfigError, InvariantError
@@ -216,6 +217,9 @@ class TestBuild:
         ([1, 2, 1], InvariantError),       # not a quadruple
         ([1, 2, 1, 3], InvariantError),    # repeats the first edge
         ([1, 2, 1, 2], InvariantError),    # a self-loop
+        ([True, 2, 1, 3], InvariantError),  # a boolean index
+        ([1, 2, 1, 2 ** 70], ArgumentError),  # an index past int64
+        ((1, 2, 1, 3), InvariantError),     # a tuple, not a list
     ])
     def test_import_rejects_malformed_pair(self, edge, error):
         with pytest.raises(error):
@@ -248,6 +252,22 @@ class TestBuild:
     def test_edge_ids_outside_graph_rejected(self, sources, targets):
         with pytest.raises(ArgumentError):
             PairDigraph.from_edge_ids(3, sources, targets)
+
+    def test_import_accepts_numpy_integers(self):
+        doc = {"k": 4, "edges": [[1, 2, 1, 3], [np.int64(2), 3, 1, np.int32(4)]]}
+        _, fast = graph_from_json_dict({"k": 4, "edges": [[1, 2, 1, 3], [2, 3, 1, 4]]})
+        _, walked = graph_from_json_dict(doc)
+        assert all(np.array_equal(a, b) for a, b in zip(fast.out_edges, walked.out_edges))
+        assert walked.edge_count == 2
+
+    def test_edge_order_does_not_matter(self):
+        k = 9
+        sources, targets = np.nonzero(dense_scheffe_graph(random_hypothesis_set(k, 12, seed=8), PHI))
+        order = np.random.default_rng(0).permutation(sources.size)
+        G = PairDigraph.from_edge_ids(k, sources[order], targets[order])
+        by_lexsort = np.lexsort((targets[order], sources[order]))
+        assert np.array_equal(np.concatenate(G.out_edges), targets[order][by_lexsort])
+        assert [out.size for out in G.out_edges] == np.bincount(sources, minlength=pair_count(k)).tolist()
 
     def test_import_without_phi(self):
         phi, digraph = graph_from_json_dict({"k": 3, "edges": [[1, 2, 1, 3]]})
@@ -303,7 +323,11 @@ class TestBlockedBuild:
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_peak_memory_below_one_dense_matrix(self, model):
-        """At k = 96 one float64 V x V matrix is 159 MiB; the build must stay below it."""
+        """At k = 96 one float64 V x V matrix is 159 MiB; the build must stay below it.
+
+        The edges are also held once: the int32 targets plus at most 36 MiB
+        for a row block, the packed bits and the shared-index tables.
+        """
         k = 96
         Q = random_hypothesis_set(k, 64, seed=5, model=model)
         tracemalloc.start()
@@ -314,6 +338,7 @@ class TestBlockedBuild:
             tracemalloc.stop()
         assert G.edge_count > 0
         assert peak < pair_count(k) ** 2 * 8
+        assert peak <= 4 * G.edge_count + (36 << 20)
 
 
 class TestDominatingSet:
@@ -468,6 +493,13 @@ class TestTriangles:
         scan, checks = brute_force_triangles(G)
         assert scan_triangles(G) == scan
         assert {trio: check_triangle(G, *trio) for trio in checks} == checks
+
+    def test_chunked_scan_matches_brute_force(self, monkeypatch):
+        monkeypatch.setattr(scheffe_graph, "_TRIPLE_CHUNK", 7)  # C(9, 3) = 84 triples in 12 chunks
+        G = random_digraph(9, seed=1, density=0.3)
+        scan, _ = brute_force_triangles(G)
+        assert scan_triangles(G) == scan
+        assert scan.violations > 0
 
     def test_scan_agrees_with_single_checks(self):
         Q = random_hypothesis_set(6, 5, seed=42)
