@@ -156,8 +156,7 @@ def verify_domination_lower_bound(cert: LowerBoundCertificate) -> float:
     V = G.num_vertices
     in_R = np.zeros(V, dtype=bool)
     in_R[[p.vertex_id(G.k) for p in cert.sampled_set]] = True
-    sources = np.repeat(np.arange(V), [out.size for out in G.out_edges])
-    targets = np.concatenate(G.out_edges)
+    sources, targets = G.edge_ids()
     dominated = np.bincount(sources[in_R[targets]], minlength=V) + in_R
     bound = len(cert.sampled_set) / int(dominated.max())
     if bound + 1e-9 < cert.implied_lower_bound:

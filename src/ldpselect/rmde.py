@@ -46,6 +46,23 @@ from .scheffe_graph import (
 )
 
 
+def _first_distinct_rows(signs: np.ndarray) -> np.ndarray:
+    """Increasing indices of the first occurrence of each distinct row of an (m, d) ±1 matrix.
+
+    Each row is packed to bits (+1 as 1) in whole uint64 words; one stable
+    lexsort of the words puts equal rows next to each other, earliest first.
+    """
+    m, d = signs.shape
+    words = np.zeros((m, -(-d // 64) * 8), dtype=np.uint8)
+    words[:, :-(-d // 8)] = np.packbits(signs > 0, axis=1)
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    runs = words[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
 @dataclass(frozen=True, eq=False)
 class QueryFamily:
     """Distinct ±1 tests, the rows of a read-only (m, d) int8 matrix, and their origin pairs.
@@ -69,7 +86,7 @@ class QueryFamily:
             raise ConfigError("one origin pair per test required")
         if not 0 < self.phi <= 1:
             raise ConfigError(f"phi must lie in (0, 1], got {self.phi}")
-        if len(np.unique(signs, axis=0)) != len(signs):
+        if _first_distinct_rows(signs).size != len(signs):
             raise ConfigError("duplicate tests must be pruned before constructing the family")
         object.__setattr__(self, "signs", _read_only(signs.astype(np.int8)))
 
@@ -152,7 +169,7 @@ def _scheffe_family(Q: HypothesisSet, pairs, phi: float) -> QueryFamily:
     pairs = tuple(pairs)
     lo, hi = np.array([(p.lo - 1, p.hi - 1) for p in pairs]).T
     signs = np.where(Q.probs_matrix[lo] >= Q.probs_matrix[hi], np.int8(1), np.int8(-1))
-    first = np.sort(np.unique(signs, axis=0, return_index=True)[1])
+    first = _first_distinct_rows(signs)
     return QueryFamily(signs=signs[first], origins=tuple(pairs[i] for i in first), phi=phi)
 
 

@@ -180,7 +180,8 @@ class PairDigraph:
 
     def __post_init__(self):
         for out in self.out_edges:
-            _read_only(out)
+            if out.flags.writeable:  # views of a base frozen by the builder are read-only already
+                _read_only(out)
         _read_only(self.in_degrees)
 
     @property
@@ -190,6 +191,11 @@ class PairDigraph:
     @property
     def edge_count(self) -> int:
         return int(self.in_degrees.sum())
+
+    def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and target ids of every edge, in row order: the inverse of from_edge_ids."""
+        sources = np.repeat(np.arange(self.num_vertices), [out.size for out in self.out_edges])
+        return sources, np.concatenate(self.out_edges)
 
     @cached_property
     def vertices(self) -> tuple[VertexPair, ...]:
@@ -417,12 +423,13 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
         total = ell + patch.size
         if total <= bound:
             dom_ids = np.union1d(sampled, patch)
+            dom = _pairs_from_ids(dom_ids, k)
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             return DominatingSetCertificate(
                 k=k,
-                dominating_set=_pairs_from_ids(dom_ids, k),
-                random_part=_pairs_from_ids(sampled, k),
-                low_indegree_part=_pairs_from_ids(patch, k),
+                dominating_set=dom,
+                random_part=tuple(dom[i] for i in np.searchsorted(dom_ids, sampled).tolist()),
+                low_indegree_part=tuple(dom[i] for i in np.searchsorted(dom_ids, patch).tolist()),
                 attempts=attempts,
                 target_bound=bound,
                 build_ms=elapsed_ms,
@@ -434,13 +441,22 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     )
 
 
+# Dominating rows gathered per scatter of verify_domination.
+_VERIFY_CHUNK = 256
+
+
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
-    """Independent brute-force check that every vertex is in or reached from the set."""
+    """Independent brute-force check that every vertex is in or reached from the set.
+
+    The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices, each
+    chunk joined into one index array and scattered at once.
+    """
     ids = _ids_from_pairs(list(dominating_set), G.k)
     covered = np.zeros(G.num_vertices, dtype=bool)
     covered[ids] = True
-    for v in ids:
-        covered[G.out_edges[v]] = True
+    for start in range(0, ids.size, _VERIFY_CHUNK):
+        chunk = ids[start:start + _VERIFY_CHUNK].tolist()
+        covered[np.concatenate([G.out_edges[v] for v in chunk])] = True
     return bool(covered.all())
 
 
@@ -647,11 +663,8 @@ def minimum_cover_size(G: PairDigraph, targets=None, node_budget: int = 2_000_00
 def graph_to_json_dict(G: PairDigraph, phi: float | None = None) -> dict:
     """Edge-list export; quadruple [a, b, c, d] means {a, b} -> {c, d} (1-based)."""
     pairs = all_pairs(G.k) + 1
-    edges = []
-    for u, out in enumerate(G.out_edges):
-        a, b = int(pairs[u, 0]), int(pairs[u, 1])
-        for w in out:
-            edges.append([a, b, int(pairs[w, 0]), int(pairs[w, 1])])
+    sources, targets = G.edge_ids()
+    edges = np.concatenate([pairs[sources], pairs[targets]], axis=1).tolist()
     phi_val = phi if phi is not None else getattr(G, "phi", None)
     return {"k": G.k, "phi": phi_val, "edges": edges}
 

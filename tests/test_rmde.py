@@ -30,7 +30,7 @@ from ldpselect.errors import (
     InsufficientSamplesError,
     InvalidCertificateError,
 )
-from ldpselect.rmde import QueryFamily, full_scheffe_family, max_query_budget
+from ldpselect.rmde import QueryFamily, _first_distinct_rows, full_scheffe_family, max_query_budget
 from ldpselect.scheffe_graph import VertexPair, pair_count
 
 PHI = 1.0 / 6.0
@@ -139,11 +139,38 @@ class TestQueryFamilyChecks:
         with pytest.raises(ConfigError, match=match):
             QueryFamily(signs=signs, origins=origins, phi=phi)
 
+    @pytest.mark.parametrize("d", [9, 65, 130])
+    def test_rows_differing_in_last_entry(self, d):
+        # the last entry sits in the final, zero-padded byte and word of the packed row
+        row = np.ones(d, dtype=np.int8)
+        flipped = row.copy()
+        flipped[-1] = -1
+        assert len(QueryFamily(signs=np.stack([row, flipped]), origins=self.ORIGINS, phi=0.5)) == 2
+        with pytest.raises(ConfigError, match="duplicate"):
+            QueryFamily(signs=np.stack([flipped, flipped]), origins=self.ORIGINS, phi=0.5)
+
     def test_copies_into_read_only_int8(self):
         given = np.array([[1, -1, 1], [1, 1, -1]], dtype=np.int64)
         fam = QueryFamily(signs=given, origins=self.ORIGINS, phi=0.5)
         assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
         assert given.flags.writeable and not np.shares_memory(given, fam.signs)
+
+
+class TestFirstDistinctRows:
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_matches_unique_first_indices(self, d):
+        rng = np.random.default_rng(d)
+        rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, d))
+        cases = {
+            "all equal": np.repeat(rows[:1], 6, axis=0),
+            "single row": rows[:1],
+            "random duplicates": rows[rng.integers(0, 40, size=150)],
+            # equal but for the last three entries, which reach into the last word
+            "tail duplicates": np.where(np.arange(d) < d - 3, np.int8(1), rows)[rng.integers(0, 40, size=150)],
+        }
+        for name, signs in cases.items():
+            reference = np.sort(np.unique(signs, axis=0, return_index=True)[1])
+            assert np.array_equal(_first_distinct_rows(signs), reference), name
 
 
 class TestQueryFamily:

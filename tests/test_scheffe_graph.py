@@ -269,6 +269,13 @@ class TestBuild:
         assert np.array_equal(np.concatenate(G.out_edges), targets[order][by_lexsort])
         assert [out.size for out in G.out_edges] == np.bincount(sources, minlength=pair_count(k)).tolist()
 
+    def test_edge_ids_inverts_from_edge_ids(self):
+        G = random_digraph(8, seed=2, density=0.2)
+        sources, targets = G.edge_ids()
+        assert sources.size == targets.size == G.edge_count
+        again = PairDigraph.from_edge_ids(G.k, sources, targets)
+        assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, again.out_edges))
+
     def test_import_without_phi(self):
         phi, digraph = graph_from_json_dict({"k": 3, "edges": [[1, 2, 1, 3]]})
         assert phi is None and digraph.edge_count == 1
@@ -278,6 +285,41 @@ class TestBuild:
         for arr in (max(G.out_edges, key=len), G.in_degrees):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_caller_rows_frozen(self):
+        # edges {1,2} -> {1,3}, {2,3} and {2,3} -> {1,2}; the last row is a view of a frozen base
+        base = np.array([0], dtype=np.int64)
+        base.flags.writeable = False
+        rows = (np.array([1, 2], dtype=np.int64), np.empty(0, dtype=np.int64), base[:])
+        G = PairDigraph(k=3, out_edges=rows, in_degrees=np.ones(3, dtype=np.int64))
+        assert not any(out.flags.writeable for out in G.out_edges)
+        assert not G.in_degrees.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0][0] = 2
+
+
+def per_edge_export(G):
+    """Reference edge list: one [a, b, c, d] per edge, walked row by row."""
+    pairs = all_pairs(G.k) + 1
+    edges = []
+    for u, out in enumerate(G.out_edges):
+        for w in out:
+            edges.append([int(pairs[u, 0]), int(pairs[u, 1]), int(pairs[w, 0]), int(pairs[w, 1])])
+    return edges
+
+
+class TestExport:
+    @pytest.mark.parametrize("G", [
+        *(pytest.param(build_scheffe_graph(random_hypothesis_set(12, 9, seed=4, model=model), PHI), id=model)
+          for model in GENERATOR_MODELS),
+        pytest.param(build_scheffe_graph(two_hypotheses(), PHI), id="k2-edgeless"),
+        pytest.param(random_digraph(7, seed=5, density=0.3), id="random-digraph"),
+    ])
+    def test_matches_per_edge_reference(self, G):
+        doc = graph_to_json_dict(G)
+        assert doc["edges"] == per_edge_export(G)
+        assert all(type(x) is int for edge in doc["edges"] for x in edge)
+        assert doc["k"] == G.k and doc["phi"] == getattr(G, "phi", None)
 
 
 def dense_scheffe_graph(Q, phi):
@@ -425,6 +467,22 @@ class TestDominatingSet:
         with pytest.raises(InvariantError, match=repr(field)):
             DominatingSetCertificate.from_json_dict(doc)
 
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    @pytest.mark.parametrize("k, seed", [(3, 1), (8, 2), (32, 3)])
+    def test_pair_tuples_match_pairs_from_ids(self, model, k, seed):
+        # the sampling loop replayed with the same seed, each part converted on its own
+        Q = random_hypothesis_set(k, 16, seed=seed, model=model)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=seed)
+        rng = np.random.default_rng(seed)
+        for attempt in range(1, cert.attempts + 1):
+            sampled = np.sort(rng.choice(G.num_vertices, size=sample_size(k), replace=False))
+            patch = np.flatnonzero(~scheffe_graph._shared_index_cover(G, sampled))
+        assert sampled.size + patch.size <= domination_bound(k)
+        assert cert.dominating_set == scheffe_graph._pairs_from_ids(np.union1d(sampled, patch), k)
+        assert cert.random_part == scheffe_graph._pairs_from_ids(sampled, k)
+        assert cert.low_indegree_part == scheffe_graph._pairs_from_ids(patch, k)
+
     def test_size_formulas(self):
         assert sample_size(2) == 1
         assert sample_size(16) == 120  # capped at |V|
@@ -451,6 +509,51 @@ class TestVerifyDomination:
         # {1,2} covers only itself and {2,3}; {1,3} stays uncovered
         assert not verify_domination(G, [VertexPair(1, 2)])
         assert verify_domination(G, [VertexPair(1, 2), VertexPair(2, 3)])
+
+    @staticmethod
+    def per_row_covered(G, ids):
+        """Reference: mark each member and its out-row, one vertex at a time."""
+        covered = np.zeros(G.num_vertices, dtype=bool)
+        for v in ids:
+            covered[v] = True
+            covered[G.out_edges[v]] = True
+        return covered
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_chunked_matches_per_row_loop(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", chunk)
+        k = 48
+        Q = random_hypothesis_set(k, 32, seed=1)
+        G = build_scheffe_graph(Q, PHI)
+        D = find_dominating_set(G, Q, seed=1).dominating_set
+        assert len(D) > scheffe_graph._VERIFY_CHUNK
+        assert self.per_row_covered(G, [p.vertex_id(k) for p in D]).all()
+        assert verify_domination(G, D)
+        # every vertex except w and the in-neighbours of w: w alone is left uncovered
+        w = int(np.argmin(G.in_degrees))
+        feeds_w = {u for u, out in enumerate(G.out_edges) if w in out}
+        ids = [v for v in range(G.num_vertices) if v != w and v not in feeds_w]
+        assert len(ids) > scheffe_graph._VERIFY_CHUNK
+        assert np.flatnonzero(~self.per_row_covered(G, ids)).tolist() == [w]
+        assert not verify_domination(G, [G.vertices[v] for v in ids])
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_every_member_row_counts(self, monkeypatch, chunk):
+        # a matching 2i -> 2i + 1: each odd vertex is reached from one member of the evens only
+        if chunk is not None:
+            monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", chunk)
+        k = 48
+        evens = np.arange(0, pair_count(k), 2)
+        G = PairDigraph.from_edge_ids(k, evens, evens + 1)
+        D = [G.vertices[v] for v in evens.tolist()]
+        assert len(D) > scheffe_graph._VERIFY_CHUNK
+        assert verify_domination(G, D)
+        for i in (0, 1, evens.size // 2, evens.size - 1):
+            kept = np.delete(evens, i)
+            H = PairDigraph.from_edge_ids(k, kept, kept + 1)
+            assert np.flatnonzero(~self.per_row_covered(H, evens.tolist())).tolist() == [evens[i] + 1]
+            assert not verify_domination(H, D)
 
 
 class TestTriangles:
