@@ -42,6 +42,7 @@ from .scheffe_graph import (
     build_scheffe_graph,
     domination_bound,
     find_dominating_set,
+    pair_count,
     verify_domination,
 )
 
@@ -103,11 +104,18 @@ class QueryFamily:
         phi = self.phi if phi is None else phi
         P = Q.probs_matrix
         M = P @ self.signs.astype(np.float64).T  # k x m, entries <q_j, T>
-        # One row j at a time against every j' > j, in lexicographic pair order: O(k m) memory.
-        return np.concatenate([
-            np.abs(M[j] - M[j + 1:]).max(axis=1) - phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)
-            for j in range(Q.k)
-        ])
+        # One row j at a time against every j' > j, in lexicographic pair order, through one
+        # reused (k - 1, m) buffer: O(k m) memory.
+        buf = np.empty((Q.k - 1, M.shape[1]))
+        margins = np.empty(pair_count(Q.k))
+        end = 0
+        for j in range(Q.k - 1):
+            gaps = buf[:Q.k - 1 - j]
+            np.subtract(M[j], M[j + 1:], out=gaps)
+            np.abs(gaps, out=gaps)
+            margins[end:end + len(gaps)] = gaps.max(axis=1) - phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)
+            end += len(gaps)
+        return margins
 
     def certifies(self, Q: HypothesisSet, phi: float | None = None, tol: float = 1e-9) -> bool:
         return bool((self.star_margins(Q, phi) >= -tol).all())

@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     InvariantError,
     ResamplingLimitError,
+    UnsupportedSizeError,
 )
 
 PHI_DEFAULT = 1.0 / 6.0
@@ -145,6 +146,31 @@ def _row_blocks(V: int):
     """Consecutive (start, stop) row ranges covering 0..V-1, one row block each."""
     step = max(1, _BLOCK_BYTES // (8 * V))
     return ((s, min(s + step, V)) for s in range(0, V, step))
+
+
+# Allocations below this size skip the MemAvailable check; reading /proc/meminfo costs tens of µs.
+_MEMORY_CHECK_BYTES = 64 << 20
+
+
+def _available_memory() -> int | None:
+    """MemAvailable in bytes, or None where /proc/meminfo cannot be read."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_fits(nbytes: int, what: str) -> None:
+    """Raise UnsupportedSizeError, naming what and both sizes, if nbytes exceeds MemAvailable."""
+    if nbytes < _MEMORY_CHECK_BYTES:
+        return
+    available = _available_memory()
+    if available is not None and nbytes > available:
+        raise UnsupportedSizeError(f"{what} need {nbytes} bytes, but only {available} bytes are available")
 
 
 def _gather_shared_index_edges(table: np.ndarray, adj: np.ndarray, start: int, candidates: np.ndarray) -> None:
@@ -266,13 +292,19 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     other vertex.  O(k^2) vertices and O(k^4) pair checks, made one row block
     at a time: memory is the int32 edges plus one float64 row block, never a
     V x V array.  The shared-index table is gathered from the same blocks.
-    A first pass keeps each block's adjacency as packed bits (V^2 / 8 bytes in
-    all); a second unpacks them into one int32 target array of exact size.
+    A first pass keeps each block's adjacency as packed bits, each row padded
+    to a power-of-two stride (under V^2 / 4 bytes in all); a second unpacks
+    them into one int32 target array of exact size, reading each target as
+    its bit's offset masked to the stride.  A build whose packed bits or
+    targets would not fit in the memory available raises UnsupportedSizeError
+    before allocating them.
     """
     if not (0.0 < phi <= 1.0):
         raise ConfigError(f"phi must lie in (0, 1], got {phi}")
     k = Q.k
     V = pair_count(k)
+    stride = 1 << (V - 1).bit_length()
+    _check_fits(V * stride // 8, f"the packed adjacency bits of a k={k} graph")
     P = Q.probs_matrix
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
@@ -281,25 +313,29 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     candidates = _read_only(shared_index_neighbors(k))
     table = np.zeros(candidates.shape, dtype=bool)
     in_deg = np.zeros(V, dtype=np.int64)
-    out_deg = np.empty(V, dtype=np.int64)
+    edge_count = 0
     packed = []
     for start, stop in _row_blocks(V):
         inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
-        adj = np.abs(inner, out=inner) >= threshold
+        adj = np.zeros((stop - start, stride), dtype=bool)  # columns V.. stay False
+        np.greater_equal(np.abs(inner, out=inner), threshold, out=adj[:, :V])
         del inner
         adj[np.arange(stop - start), np.arange(start, stop)] = False
-        in_deg += adj.sum(axis=0)
-        out_deg[start:stop] = adj.sum(axis=1)
+        edge_count += np.count_nonzero(adj)
+        in_deg += np.add.reduce(adj[:, :V].view(np.uint8), axis=0, dtype=np.int32)
         _gather_shared_index_edges(table, adj, start, candidates)
         packed.append(np.packbits(adj))
     del adj
-    targets = np.empty(int(out_deg.sum()), dtype=np.int32)
+    _check_fits(4 * edge_count, f"the {edge_count} int32 edge targets of a k={k} graph")
+    targets = np.empty(edge_count, dtype=np.int32)
+    out_deg = np.empty(V, dtype=np.int64)
     end = 0
     for start, stop in _row_blocks(V):
         # flatnonzero, not nonzero: the column half of nonzero's (N, 2) buffer would keep all of it
         # alive; and of a bool view, which it scans several times faster than uint8
-        flat = np.flatnonzero(np.unpackbits(packed.pop(0), count=(stop - start) * V).view(bool))
-        np.remainder(flat, V, out=targets[end:end + flat.size])
+        flat = np.flatnonzero(np.unpackbits(packed.pop(0), count=(stop - start) * stride).view(bool))
+        np.bitwise_and(flat, stride - 1, out=targets[end:end + flat.size])
+        out_deg[start:stop] = np.diff(np.searchsorted(flat, np.arange(stop - start + 1) * stride))
         end += flat.size
     out = _split_rows(targets, out_deg)
     G = ScheffeGraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
@@ -449,7 +485,9 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
     The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices, each
-    chunk joined into one index array and scattered at once.
+    chunk joined into one index array and scattered at once.  The check stops
+    with True after the first chunk that leaves no vertex uncovered; False is
+    returned only after every row of the set was read.
     """
     ids = _ids_from_pairs(list(dominating_set), G.k)
     covered = np.zeros(G.num_vertices, dtype=bool)
@@ -457,30 +495,37 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
     for start in range(0, ids.size, _VERIFY_CHUNK):
         chunk = ids[start:start + _VERIFY_CHUNK].tolist()
         covered[np.concatenate([G.out_edges[v] for v in chunk])] = True
-    return bool(covered.all())
+        if covered.all():
+            return True
+    return False
 
 
 _TRIANGLE_CASES = ("i", "ii", "iii")
 
-# Swapping the first two roles only exchanges cases ii and iii, so these three
-# role assignments (choice of the third index) cover all six orderings.  The
-# first is the as-given order.  Row r of the transpose picks, per assignment,
-# the member of a triple that takes role r.
-_ROLE_ORDERS = np.array([[0, 1, 2], [0, 2, 1], [1, 2, 0]])
 
+def _triple_edges(G: PairDigraph, a, b, c, ids: np.ndarray) -> np.ndarray:
+    """The six edges among {a, b}, {a, c} and {b, c} for 0-based roles (a, b, c).
 
-def _triangle_cases(G: PairDigraph, r1, r2, r3, ids: np.ndarray) -> np.ndarray:
-    """Which of cases i, ii, iii hold for 0-based roles (j, j', j'') = (r1, r2, r3).
-
-    The roles are integer arrays of one shape and ids is _pair_id_table(G.k);
-    the result stacks the three cases on a new first axis.
+    The roles are integer arrays of one shape and ids is _pair_id_table(G.k).
+    The result stacks, on a new first axis, AB->AC, AB->BC, AC->BC, BC->AC,
+    AC->AB and BC->AB, so the first four give cases ii, iii and i for the
+    roles as given.  Every one of the six is case ii or iii under some
+    assignment of the indices to the roles, so a triple violates exactly
+    when none of them exists.
     """
     edges = G.shared_index_edges
 
-    def edge(x, y, z):  # {x, y} -> {x, z}
-        return edges[np.greater(x, y).astype(np.intp), ids[x, y], shared_index_position(x, y, z)]
+    def edge(x, y, z, xy):  # {x, y} -> {x, z}, where xy is the id of {x, y}
+        return edges[np.greater(x, y).astype(np.intp), xy, shared_index_position(x, y, z)]
 
-    return np.stack([edge(r3, r1, r2) & edge(r3, r2, r1), edge(r1, r2, r3), edge(r2, r1, r3)])
+    ab, ac, bc = ids[a, b], ids[a, c], ids[b, c]
+    return np.stack([edge(a, b, c, ab), edge(b, a, c, ab), edge(c, a, b, ac), edge(c, b, a, bc),
+                     edge(a, c, b, ac), edge(b, c, a, bc)])
+
+
+def _as_given_cases(six: np.ndarray) -> np.ndarray:
+    """Cases i, ii, iii for the roles as given, stacked, from the edges of _triple_edges."""
+    return np.stack([six[2] & six[3], six[0], six[1]])
 
 
 def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
@@ -495,9 +540,9 @@ def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
     trio = (j, j2, j3)
     if len(set(trio)) != 3 or any(not 1 <= t <= G.k for t in trio):
         raise ArgumentError(f"indices must be distinct and within 1..{G.k}, got {trio}")
-    cases = _triangle_cases(G, *(np.array(trio) - 1)[_ROLE_ORDERS.T], _pair_id_table(G.k))
-    labels = tuple(c for c, hold in zip(_TRIANGLE_CASES, cases[:, 0]) if hold)
-    return labels if labels or cases.any() else ("violation",)
+    six = _triple_edges(G, *(np.array(trio) - 1), _pair_id_table(G.k))
+    labels = tuple(c for c, hold in zip(_TRIANGLE_CASES, _as_given_cases(six)) if hold)
+    return labels if labels or six.any() else ("violation",)
 
 
 @dataclass(frozen=True)
@@ -515,8 +560,8 @@ def scan_triangles(G: PairDigraph) -> TriangleScan:
     """Exhaustive triangle check over all C(k, 3) triples, vectorized in fixed-size chunks.
 
     A triple violates only if no role assignment admits any of the three edge
-    structures; case_counts tallies the cases under the as-given (sorted)
-    role order.
+    structures, that is, if none of the six edges among its pairs exists;
+    case_counts tallies the cases under the as-given (sorted) role order.
     """
     i = np.arange(G.k)
     trio = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i)))  # x < y < z
@@ -524,9 +569,9 @@ def scan_triangles(G: PairDigraph) -> TriangleScan:
     violations = 0
     counts = np.zeros(len(_TRIANGLE_CASES), dtype=np.int64)
     for start in range(0, trio.shape[1], _TRIPLE_CHUNK):
-        cases = _triangle_cases(G, *trio[:, start:start + _TRIPLE_CHUNK][_ROLE_ORDERS.T], ids)
-        violations += int((~cases.any(axis=(0, 1))).sum())
-        counts += cases[:, 0].sum(axis=-1)
+        six = _triple_edges(G, *trio[:, start:start + _TRIPLE_CHUNK], ids)
+        violations += int(np.count_nonzero(~six.any(axis=0)))
+        counts += np.count_nonzero(_as_given_cases(six), axis=1)
     return TriangleScan(
         triples=trio.shape[1],
         violations=violations,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ldpselect import DiscreteDistribution, HypothesisSet
+from ldpselect import DiscreteDistribution, HypothesisSet, random_hypothesis_set, scheffe_graph
 from ldpselect.cli import main
 from ldpselect.scheffe_graph import graph_from_json_dict
 
@@ -116,6 +116,14 @@ class TestGraph:
         bad.write_text(json.dumps({"domain_size": domain_size, "hypotheses": [[0.5, 0.5], [1.0, 0.0]]}))
         assert main(["graph", "--in", str(bad), "--out", str(tmp_path / "g.json")]) == 2
         assert "domain_size" in capsys.readouterr().err
+
+    def test_graph_too_large_for_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        hyp, out = tmp_path / "hyp.json", tmp_path / "g.json"
+        random_hypothesis_set(216, 4, seed=1).save(hyp)  # 95,109,120 bytes of packed bits
+        monkeypatch.setattr(scheffe_graph, "_available_memory", lambda: 50_000_000)
+        assert main(["graph", "--in", str(hyp), "--out", str(out)]) == 2
+        assert "need 95109120 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDominate:

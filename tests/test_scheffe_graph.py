@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from ldpselect import (
 from ldpselect import scheffe_graph
 from ldpselect.barriers import build_lower_bound_graph
 from ldpselect.distributions import GENERATOR_MODELS
-from ldpselect.errors import ArgumentError, ConfigError, InvariantError
+from ldpselect.errors import ArgumentError, ConfigError, InvariantError, UnsupportedSizeError
 from ldpselect.scheffe_graph import (
     DominatingSetCertificate,
     PairDigraph,
@@ -339,14 +340,9 @@ class TestBlockedBuild:
     build runs a full block and then a partial one.
     """
 
-    @pytest.mark.parametrize("model", [*GENERATOR_MODELS, "duplicate"])
-    def test_matches_dense_reference(self, model):
-        k = 64
-        Q = random_hypothesis_set(k, 64, seed=17, model="dirichlet-uniform" if model == "duplicate" else model)
-        if model == "duplicate":  # q2 = q1, so vertex {1, 2} has zero norm
-            h = Q.hypotheses
-            Q = HypothesisSet((h[0], h[0], *h[2:]))
-            assert pair_norms(Q)[0] == 0.0
+    @staticmethod
+    def assert_matches_dense_reference(Q):
+        k = Q.k
         adj = dense_scheffe_graph(Q, PHI)
         G = build_scheffe_graph(Q, PHI)
         V = pair_count(k)
@@ -356,6 +352,26 @@ class TestBlockedBuild:
         table = adj[np.arange(V)[:, np.newaxis], shared_index_neighbors(k)]
         assert np.array_equal(G.shared_index_edges, table)
         assert np.array_equal(PairDigraph.from_edge_ids(k, *np.nonzero(adj)).shared_index_edges, table)
+
+    @pytest.mark.parametrize("model", [*GENERATOR_MODELS, "duplicate"])
+    def test_matches_dense_reference(self, model):
+        Q = random_hypothesis_set(64, 64, seed=17, model="dirichlet-uniform" if model == "duplicate" else model)
+        if model == "duplicate":  # q2 = q1, so vertex {1, 2} has zero norm
+            h = Q.hypotheses
+            Q = HypothesisSet((h[0], h[0], *h[2:]))
+            assert pair_norms(Q)[0] == 0.0
+        self.assert_matches_dense_reference(Q)
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    @pytest.mark.parametrize("k", [2, 3, 45, 46])
+    def test_matches_dense_reference_around_powers_of_two(self, monkeypatch, k, model, block_bytes):
+        """Rows are padded to a power-of-two stride: V = 1 (stride 1), V = 3 (stride 4),
+        V = 990 just under 1024 and V = 1035 just over it (stride 2048).  64 KiB blocks
+        hold 7 or 8 rows, so the padded rows are also cut across many blocks."""
+        if block_bytes is not None:
+            monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", block_bytes)
+        self.assert_matches_dense_reference(random_hypothesis_set(k, 16, seed=k, model=model))
 
     def test_rows_are_views_of_one_int32_array(self):
         G = build_scheffe_graph(random_hypothesis_set(12, 16, seed=4), PHI)
@@ -381,6 +397,75 @@ class TestBlockedBuild:
         assert G.edge_count > 0
         assert peak < pair_count(k) ** 2 * 8
         assert peak <= 4 * G.edge_count + (36 << 20)
+
+
+class TestMemoryRefusal:
+    """build_scheffe_graph refuses, before allocating, a build that does not fit in MemAvailable."""
+
+    @staticmethod
+    def available(monkeypatch, nbytes):
+        calls = []
+
+        def reader():
+            calls.append(nbytes)
+            return nbytes
+
+        monkeypatch.setattr(scheffe_graph, "_available_memory", reader)
+        return calls
+
+    def test_packed_bits_refused_before_allocation(self, monkeypatch):
+        # V = 23,220 rows padded to 32,768 columns: 95,109,120 bytes of packed bits, above 64 MiB
+        Q = random_hypothesis_set(216, 4, seed=1)
+        Q.probs_matrix  # cached before tracing starts
+        calls = self.available(monkeypatch, 50_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSizeError, match="need 95109120 bytes, but only 50000000 bytes"):
+                build_scheffe_graph(Q, PHI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls and peak < 1 << 20
+
+    def test_targets_refused_before_second_pass(self, monkeypatch):
+        Q = random_hypothesis_set(12, 16, seed=2)
+        edges = build_scheffe_graph(Q, PHI).edge_count
+        monkeypatch.setattr(scheffe_graph, "_MEMORY_CHECK_BYTES", 0)
+        packed_bytes = pair_count(12) * 128 // 8  # V = 66 padded to 128
+        assert 4 * edges > packed_bytes
+        calls = self.available(monkeypatch, packed_bytes)
+        with pytest.raises(UnsupportedSizeError, match=f"need {4 * edges} bytes, but only {packed_bytes} bytes"):
+            build_scheffe_graph(Q, PHI)
+        assert len(calls) == 2
+
+    def test_small_builds_read_nothing(self, monkeypatch):
+        # k = 64: 516,096 bytes of packed bits and about 6 MB of targets, both below 64 MiB
+        calls = self.available(monkeypatch, 0)
+        assert build_scheffe_graph(random_hypothesis_set(64, 16, seed=3), PHI).edge_count > 0
+        assert calls == []
+
+    def test_unreadable_meminfo_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(scheffe_graph, "_MEMORY_CHECK_BYTES", 0)
+        calls = self.available(monkeypatch, None)
+        Q = random_hypothesis_set(12, 16, seed=2)
+        assert np.array_equal(build_scheffe_graph(Q, PHI).in_degrees, dense_scheffe_graph(Q, PHI).sum(axis=0))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("text,expected", [
+        ("MemTotal:       8000000 kB\nMemAvailable:    2048 kB\nSwapTotal: 0 kB\n", 2048 * 1024),
+        ("MemTotal:       8000000 kB\n", None),
+        ("MemAvailable: lots\n", None),
+        (OSError("no such file"), None),
+    ], ids=["available", "missing", "malformed", "unreadable"])
+    def test_reader_parses_meminfo(self, monkeypatch, text, expected):
+        def fake_open(path):
+            assert path == "/proc/meminfo"
+            if isinstance(text, Exception):
+                raise text
+            return io.StringIO(text)
+
+        monkeypatch.setattr(scheffe_graph, "open", fake_open, raising=False)
+        assert scheffe_graph._available_memory() == expected
 
 
 class TestDominatingSet:
@@ -556,6 +641,41 @@ class TestVerifyDomination:
             assert not verify_domination(H, D)
 
 
+    @staticmethod
+    def rows_read(G):
+        """Swap G's rows for a tuple that records which vertex ids are read."""
+        read = []
+
+        class Recording(tuple):
+            def __getitem__(self, v):
+                read.append(v)
+                return tuple.__getitem__(self, v)
+
+        object.__setattr__(G, "out_edges", Recording(G.out_edges))
+        return read
+
+    def test_stops_after_the_first_covering_chunk(self, monkeypatch):
+        # vertex 0 reaches every other vertex, so the first chunk of the full set covers everything
+        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 7)
+        k = 12
+        V = pair_count(k)
+        G = PairDigraph.from_edge_ids(k, np.zeros(V - 1, dtype=int), np.arange(1, V))
+        read = self.rows_read(G)
+        assert verify_domination(G, G.vertices)
+        assert read == list(range(7))
+
+    def test_false_reads_every_row(self, monkeypatch):
+        # a matching 2i -> 2i + 1 whose last pair is missing: only the last chunk's last member falls short
+        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 7)
+        k = 12
+        evens = np.arange(0, pair_count(k), 2)
+        G = PairDigraph.from_edge_ids(k, evens[:-1], evens[:-1] + 1)
+        assert np.flatnonzero(~self.per_row_covered(G, evens.tolist())).tolist() == [evens[-1] + 1]
+        read = self.rows_read(G)
+        assert not verify_domination(G, [G.vertices[v] for v in evens.tolist()])
+        assert read == evens.tolist()
+
+
 class TestTriangles:
     def test_point_mass_triple_labels(self, point_mass_triple):
         G = build_scheffe_graph(point_mass_triple, PHI)
@@ -603,6 +723,15 @@ class TestTriangles:
         scan, _ = brute_force_triangles(G)
         assert scan_triangles(G) == scan
         assert scan.violations > 0
+
+    @pytest.mark.parametrize("density", [0.02, 0.1])
+    def test_sparse_random_digraphs_match_brute_force(self, monkeypatch, density):
+        monkeypatch.setattr(scheffe_graph, "_TRIPLE_CHUNK", 7)  # C(10, 3) = 120 triples in 18 chunks
+        G = random_digraph(10, seed=3, density=density)
+        scan, checks = brute_force_triangles(G)
+        assert scan_triangles(G) == scan
+        assert {trio: check_triangle(G, *trio) for trio in checks} == checks
+        assert 0 < scan.violations < scan.triples
 
     def test_scan_agrees_with_single_checks(self):
         Q = random_hypothesis_set(6, 5, seed=42)
