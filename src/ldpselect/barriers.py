@@ -35,10 +35,15 @@ from .scheffe_graph import (
     VertexPair,
     pair_count,
     shared_index_neighbors,
+    _check_fits,
     _pairs_from_ids,
 )
 
 MIN_LOWER_BOUND_K = 16  # below this the sample would need more vertices than exist
+
+# Peak bytes per edge of build_lower_bound_graph: the (2, V, k - 2) int64 id table (16) and the
+# int64 edge arrays alive at once while from_edge_ids sorts them; 58 under tracemalloc for k = 64..192.
+_LOWER_BOUND_BYTES_PER_EDGE = 58
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +102,16 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     exactly one of them is sampled the unsampled one is chosen, otherwise the
     lexicographically smaller one.  Out-degree is therefore exactly k - 2,
     and every triangle carries a forward edge from each of its vertices.
+    A build that would not fit in the memory available raises
+    UnsupportedSizeError before allocating.
     """
     if k < MIN_LOWER_BOUND_K:
         raise UnsupportedSizeError(
             f"construction needs k >= {MIN_LOWER_BOUND_K}, got {k}"
         )
     V = pair_count(k)
+    _check_fits(_LOWER_BOUND_BYTES_PER_EDGE * V * (k - 2),
+                f"the id table and {V * (k - 2)} edges of a k={k} lower-bound graph")
     ell = lower_bound_sample_size(k)
     overlap_cap = 2.0 * math.log2(k)  # accept when t_max + 1 <= this
     rng = np.random.default_rng(seed)

@@ -1,10 +1,10 @@
-"""Finite discrete distributions and the ±1 functionals used to compare them.
+"""Finite discrete distributions and the ±1 Scheffe sets used to compare them.
 
 Distributions live on the domain {1, ..., d} and are stored as dense
-probability vectors.  The central identity: for any q, q' with difference
-delta = q - q' and signed Scheffe set S = sgn(delta), the inner product
-<delta, S> equals the l1 distance between q and q', and no other ±1 vector
-achieves more.
+probability vectors; a ±1 test is a row of an int8 array.  The central
+identity: for any q, q' with difference delta = q - q' and signed Scheffe set
+S = sgn(delta), the inner product <delta, S> equals the l1 distance between q
+and q', and no other ±1 vector achieves more.
 """
 
 from __future__ import annotations
@@ -131,57 +131,6 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class SignedFunctional:
-    """A vector with every entry in {-1, +1}; the query objects of the protocol."""
-
-    signs: np.ndarray
-
-    def __post_init__(self):
-        signs = np.asarray(self.signs)
-        if signs.ndim != 1 or signs.size == 0:
-            raise InvariantError("sign vector must be one-dimensional and non-empty")
-        if not np.all(np.abs(signs) == 1):
-            x = int(np.argmax(np.abs(signs) != 1))
-            raise InvariantError(f"entry {signs[x]!r} at coordinate {x + 1} is not -1 or +1")
-        object.__setattr__(self, "signs", _read_only(signs.astype(np.int8)))
-
-    def __len__(self) -> int:
-        return int(self.signs.size)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.signs, dtype=dtype, copy=copy)
-
-    def key(self) -> bytes:
-        """Canonical byte string of the sign vector."""
-        return self.signs.tobytes()
-
-    def negated(self) -> "SignedFunctional":
-        return SignedFunctional(-self.signs)
-
-
-@dataclass(frozen=True, eq=False)
-class DifferenceFunctional:
-    """Signed mass difference of two distributions on a shared domain."""
-
-    deltas: np.ndarray
-
-    def __post_init__(self):
-        deltas = np.asarray(self.deltas, dtype=float)
-        if deltas.ndim != 1 or deltas.size == 0:
-            raise InvariantError("difference vector must be one-dimensional and non-empty")
-        total = float(deltas.sum())
-        if abs(total) > SUM_TOLERANCE:
-            raise InvariantError(f"difference entries sum to {total!r}, not 0 within {SUM_TOLERANCE}")
-        object.__setattr__(self, "deltas", _read_only(deltas))
-
-    def __len__(self) -> int:
-        return int(self.deltas.size)
-
-    def l1_norm(self) -> float:
-        return float(np.abs(self.deltas).sum())
-
-
-@dataclass(frozen=True, eq=False)
 class HypothesisSet:
     """Ordered collection of k candidate distributions on one shared domain."""
 
@@ -250,34 +199,9 @@ class HypothesisSet:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def _vector_of(f) -> np.ndarray:
-    if isinstance(f, DifferenceFunctional):
-        return f.deltas
-    if isinstance(f, DiscreteDistribution):
-        return f.probs
-    raise TypeError(f"expected DifferenceFunctional or DiscreteDistribution, got {type(f)!r}")
-
-
-def difference(q: DiscreteDistribution, q2: DiscreteDistribution) -> DifferenceFunctional:
-    """Componentwise mass difference q - q2."""
-    if q.domain_size != q2.domain_size:
-        raise DimensionError(f"domain sizes differ: {q.domain_size} vs {q2.domain_size}")
-    return DifferenceFunctional(q.probs - q2.probs)
-
-
-def signed_scheffe_set(q: DiscreteDistribution, q2: DiscreteDistribution) -> SignedFunctional:
-    """Sign vector of q - q2; ties (equal mass) resolve to +1."""
-    if q.domain_size != q2.domain_size:
-        raise DimensionError(f"domain sizes differ: {q.domain_size} vs {q2.domain_size}")
-    return SignedFunctional(np.where(q.probs >= q2.probs, 1, -1))
-
-
-def inner(f, t: SignedFunctional) -> float:
-    """Inner product of a difference functional or distribution with a ±1 vector."""
-    vec = _vector_of(f)
-    if vec.size != t.signs.size:
-        raise DimensionError(f"lengths differ: {vec.size} vs {t.signs.size}")
-    return float(vec @ t.signs)
+def _scheffe_signs(deltas: np.ndarray) -> np.ndarray:
+    """Signed Scheffe sets of the rows of a difference array, as int8; ties (delta = 0) give +1."""
+    return np.where(deltas >= 0.0, np.int8(1), np.int8(-1))
 
 
 def l1_distance(q: DiscreteDistribution, q2: DiscreteDistribution) -> float:

@@ -13,13 +13,12 @@ one-round private protocol, and selects; the factor is then 13 = 1 + 2*6.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import HypothesisSet, _read_only, _write_json
+from .distributions import HypothesisSet, _read_only, _scheffe_signs, _write_json
 from .errors import (
     ConfigError,
     IncompleteEstimatesError,
@@ -37,8 +36,8 @@ from .protocol import (
 from .scheffe_graph import (
     PHI_DEFAULT,
     DominatingSetCertificate,
-    ScheffeGraph,
-    VertexPair,
+    PairDigraph,
+    all_pairs,
     build_scheffe_graph,
     domination_bound,
     find_dominating_set,
@@ -68,13 +67,16 @@ def _first_distinct_rows(signs: np.ndarray) -> np.ndarray:
 class QueryFamily:
     """Distinct ±1 tests, the rows of a read-only (m, d) int8 matrix, and their origin pairs.
 
+    origins is a read-only (m, 2) int64 array whose row i holds the 1-based
+    [lo, hi] of the hypothesis pair test i is the Scheffe set of.
+
     The family certifies: for every pair of hypotheses, some test recovers a
     phi-fraction of their l1 distance (condition checkable exhaustively via
     star_margins).
     """
 
     signs: np.ndarray
-    origins: tuple[VertexPair, ...]
+    origins: np.ndarray
     phi: float
 
     def __post_init__(self):
@@ -83,13 +85,15 @@ class QueryFamily:
             raise ConfigError("query family must contain at least one test")
         if not np.all(np.abs(signs) == 1):
             raise ConfigError("every test entry must be -1 or +1")
-        if len(signs) != len(self.origins):
-            raise ConfigError("one origin pair per test required")
+        origins = np.array(self.origins, dtype=np.int64)
+        if origins.shape != (len(signs), 2):
+            raise ConfigError(f"one origin pair per test required, got origins of shape {origins.shape}")
         if not 0 < self.phi <= 1:
             raise ConfigError(f"phi must lie in (0, 1], got {self.phi}")
         if _first_distinct_rows(signs).size != len(signs):
             raise ConfigError("duplicate tests must be pruned before constructing the family")
         object.__setattr__(self, "signs", _read_only(signs.astype(np.int8)))
+        object.__setattr__(self, "origins", _read_only(origins))
 
     def __len__(self) -> int:
         return len(self.signs)
@@ -172,26 +176,24 @@ class SelectionReport:
         _write_json(path, self.to_json_dict())
 
 
-def _scheffe_family(Q: HypothesisSet, pairs, phi: float) -> QueryFamily:
-    """Signed Scheffe sets of the pairs in order, keeping the first pair per distinct test."""
-    pairs = tuple(pairs)
-    lo, hi = np.array([(p.lo - 1, p.hi - 1) for p in pairs]).T
-    signs = np.where(Q.probs_matrix[lo] >= Q.probs_matrix[hi], np.int8(1), np.int8(-1))
+def _scheffe_family(Q: HypothesisSet, pairs: np.ndarray, phi: float) -> QueryFamily:
+    """Signed Scheffe sets of the (n, 2) 1-based pairs in order, keeping the first pair per distinct test."""
+    P = Q.probs_matrix
+    signs = _scheffe_signs(P[pairs[:, 0] - 1] - P[pairs[:, 1] - 1])
     first = _first_distinct_rows(signs)
-    return QueryFamily(signs=signs[first], origins=tuple(pairs[i] for i in first), phi=phi)
+    return QueryFamily(signs=signs[first], origins=pairs[first], phi=phi)
 
 
 def full_scheffe_family(Q: HypothesisSet) -> QueryFamily:
     """All C(k, 2) pairwise Scheffe sets, deduplicated: the classical family at phi = 1."""
-    pairs = itertools.starmap(VertexPair, itertools.combinations(range(1, Q.k + 1), 2))
-    return _scheffe_family(Q, pairs, 1.0)
+    return _scheffe_family(Q, all_pairs(Q.k) + 1, 1.0)
 
 
 def query_family_from_dominating_set(
     Q: HypothesisSet,
     cert: DominatingSetCertificate,
     phi: float = PHI_DEFAULT,
-    graph: ScheffeGraph | None = None,
+    graph: PairDigraph | None = None,
 ) -> QueryFamily:
     """Signed Scheffe sets of the dominating pairs, deduplicated.
 
@@ -202,13 +204,14 @@ def query_family_from_dominating_set(
     """
     if graph is None:
         graph = build_scheffe_graph(Q, phi)
-    if getattr(graph, "phi", phi) != phi:
+    if graph.phi not in (None, phi):
         raise ConfigError(f"graph is built at phi={graph.phi}, family asked for phi={phi}")
     if graph.k != Q.k:
         raise InvalidCertificateError(f"graph is on k={graph.k}, hypothesis set has k={Q.k}")
     if not verify_domination(graph, cert.dominating_set):
         raise InvalidCertificateError("certificate set does not dominate the comparison graph")
-    return _scheffe_family(Q, cert.dominating_set, phi)
+    pairs = np.array([(p.lo, p.hi) for p in cert.dominating_set], dtype=np.int64).reshape(-1, 2)
+    return _scheffe_family(Q, pairs, phi)
 
 
 def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates) -> SelectionReport:

@@ -18,14 +18,14 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import HypothesisSet, _is_json, _json_number, _read_only, _write_json
+from .distributions import HypothesisSet, _is_json, _json_number, _read_only, _scheffe_signs, _write_json
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -99,10 +99,6 @@ class VertexPair:
         if self.hi > k:
             raise ArgumentError(f"pair {self} is not a vertex of a graph on {k} hypotheses")
         return pair_index(self.lo - 1, self.hi - 1, k)
-
-    @classmethod
-    def from_vertex_id(cls, vid: int, k: int) -> "VertexPair":
-        return _pairs_from_ids([vid], k)[0]
 
 
 def _pair_from_json(lo, hi) -> VertexPair:
@@ -197,12 +193,14 @@ class PairDigraph:
 
     The arrays are frozen in place at construction.  Graphs made by
     build_scheffe_graph and from_edge_ids hold their rows as views into one
-    sorted int32 target array.
+    sorted int32 target array.  phi is the comparison constant the graph was
+    built at, or None where it is not recorded.
     """
 
     k: int
     out_edges: tuple[np.ndarray, ...]  # sorted out-neighbor ids, one array per vertex
     in_degrees: np.ndarray
+    phi: float | None = None
 
     def __post_init__(self):
         for out in self.out_edges:
@@ -222,10 +220,6 @@ class PairDigraph:
         """Source and target ids of every edge, in row order: the inverse of from_edge_ids."""
         sources = np.repeat(np.arange(self.num_vertices), [out.size for out in self.out_edges])
         return sources, np.concatenate(self.out_edges)
-
-    @cached_property
-    def vertices(self) -> tuple[VertexPair, ...]:
-        return _pairs_from_ids(range(self.num_vertices), self.k)
 
     @cached_property
     def _shared_index_ids(self) -> np.ndarray:
@@ -277,14 +271,7 @@ class PairDigraph:
         return cls(k=k, out_edges=out, in_degrees=in_deg)
 
 
-@dataclass(frozen=True, eq=False)
-class ScheffeGraph(PairDigraph):
-    """PairDigraph induced by a hypothesis set at comparison constant phi."""
-
-    phi: float = PHI_DEFAULT
-
-
-def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGraph:
+def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigraph:
     """Materialize the phi-comparison graph of Q.
 
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
@@ -309,7 +296,7 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
     threshold = phi * np.abs(deltas).sum(axis=1)
-    signs = np.where(deltas >= 0.0, 1.0, -1.0)
+    signs = _scheffe_signs(deltas).astype(np.float64)
     candidates = _read_only(shared_index_neighbors(k))
     table = np.zeros(candidates.shape, dtype=bool)
     in_deg = np.zeros(V, dtype=np.int64)
@@ -338,7 +325,7 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> ScheffeGr
         out_deg[start:stop] = np.diff(np.searchsorted(flat, np.arange(stop - start + 1) * stride))
         end += flat.size
     out = _split_rows(targets, out_deg)
-    G = ScheffeGraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
+    G = PairDigraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
     # Prime the cached properties with the tables gathered above.
     object.__setattr__(G, "_shared_index_ids", candidates)
     object.__setattr__(G, "shared_index_edges", _read_only(table))
@@ -538,6 +525,8 @@ def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
     never happens for graphs built from distributions at phi = 1/6.
     """
     trio = (j, j2, j3)
+    if not all(_is_json(t, Integral) for t in trio):
+        raise ArgumentError(f"indices must be integers, got {trio}")
     if len(set(trio)) != 3 or any(not 1 <= t <= G.k for t in trio):
         raise ArgumentError(f"indices must be distinct and within 1..{G.k}, got {trio}")
     six = _triple_edges(G, *(np.array(trio) - 1), _pair_id_table(G.k))
@@ -617,8 +606,7 @@ def minimum_cover_size(G: PairDigraph, targets=None, node_budget: int = 2_000_00
     if targets is None:
         target_ids = np.arange(V)
     else:
-        target_ids = np.asarray(sorted({p.vertex_id(G.k) if isinstance(p, VertexPair) else int(p)
-                                        for p in targets}), dtype=np.int64)
+        target_ids = np.unique(_ids_from_pairs(list(targets), G.k))
     if target_ids.size == 0:
         return 0
     bitpos = {int(t): i for i, t in enumerate(target_ids)}
@@ -705,13 +693,12 @@ def minimum_cover_size(G: PairDigraph, targets=None, node_budget: int = 2_000_00
     return dfs(full_mask, 0, best)
 
 
-def graph_to_json_dict(G: PairDigraph, phi: float | None = None) -> dict:
+def graph_to_json_dict(G: PairDigraph) -> dict:
     """Edge-list export; quadruple [a, b, c, d] means {a, b} -> {c, d} (1-based)."""
     pairs = all_pairs(G.k) + 1
     sources, targets = G.edge_ids()
     edges = np.concatenate([pairs[sources], pairs[targets]], axis=1).tolist()
-    phi_val = phi if phi is not None else getattr(G, "phi", None)
-    return {"k": G.k, "phi": phi_val, "edges": edges}
+    return {"k": G.k, "phi": G.phi, "edges": edges}
 
 
 def _edge_ids(edge, k: int) -> tuple[int, int]:
@@ -734,16 +721,19 @@ def _int_quadruples(edges: list) -> np.ndarray | None:
         return None
 
 
-def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
-    """Inverse of graph_to_json_dict.
+def graph_from_json_dict(doc: dict) -> PairDigraph:
+    """Inverse of graph_to_json_dict: the graph, carrying the file's phi.
 
-    A missing or mistyped field or a malformed pair raises InvariantError
-    naming it; an out-of-range pair raises ArgumentError.  A list of integer
-    quadruples is checked and mapped as arrays; any other list is walked edge
-    by edge, which names the first bad edge.
+    A missing or mistyped field, a phi outside (0, 1] or a malformed pair
+    raises InvariantError naming it; an out-of-range pair raises
+    ArgumentError.  A null or missing phi means not recorded.  A list of
+    integer quadruples is checked and mapped as arrays; any other list is
+    walked edge by edge, which names the first bad edge.
     """
     k = _json_k(doc)
     phi = _json_number(doc, "phi", Real, default=None)
+    if phi is not None and not 0 < phi <= 1:
+        raise InvariantError(f"field 'phi' must lie in (0, 1], got {phi!r}")
     edges = _json_number(doc, "edges", list)
     quads = _int_quadruples(edges)
     pairs = None if quads is None else quads.reshape(-1, 2)  # [lo, hi] of each endpoint
@@ -753,4 +743,4 @@ def graph_from_json_dict(doc: dict) -> tuple[float | None, PairDigraph]:
         ids = np.array([_edge_ids(edge, k) for edge in edges], dtype=np.int64)
     sources, targets = ids.reshape(-1, 2).T
     digraph = PairDigraph.from_edge_ids(k, sources, targets)
-    return (float(phi) if phi is not None else None, digraph)
+    return replace(digraph, phi=None if phi is None else float(phi))

@@ -15,7 +15,6 @@ from ldpselect import (
     DiscreteDistribution,
     HypothesisSet,
     SelectionConfig,
-    SignedFunctional,
     SimulatedPopulation,
     build_flattening_family,
     build_lower_bound_graph,
@@ -23,7 +22,6 @@ from ldpselect import (
     check_metric_triple,
     count_low_indegree,
     find_dominating_set,
-    inner,
     l1_distance,
     mixture,
     plan_sample_size,
@@ -164,8 +162,8 @@ def test_c6_query_estimation_concentration():
     rng = np.random.default_rng(66)
     d = 12
     p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
-    queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
-    truth = np.array([inner(p, t) for t in queries])
+    queries = [rng.choice([-1, 1], size=d) for _ in range(num_queries)]
+    truth = np.array([p.probs @ t for t in queries])
     runs, failures = 400, 0
     for r in range(runs):
         pop = SimulatedPopulation.draw(p, block * num_queries, 3000 + r)
@@ -232,15 +230,15 @@ def test_c8_rmde_deterministic_inequality():
                     full_scheffe_family(Q)):
             from ldpselect import QueryEstimates
 
-            tests = list(map(SignedFunctional, fam.signs))
+            tests = fam.signs
             values = [
-                float(inner(p, t)) + eta * float(rng.choice([-1.0, 1.0])) for t in tests
+                float(p.probs @ t) + eta * float(rng.choice([-1.0, 1.0])) for t in tests
             ]
             est = QueryEstimates(estimates=values, block_size=1, epsilon=0.5)
             rep = rmde_select(Q, fam, est)
             q_hat = Q.hypotheses[rep.selected_index - 1]
             opt = min(l1_distance(q, p) for q in Q.hypotheses)
-            sup_err = max(abs(float(inner(p, t)) - values[i]) for i, t in enumerate(tests))
+            sup_err = max(abs(float(p.probs @ t) - values[i]) for i, t in enumerate(tests))
             lhs = l1_distance(q_hat, p)
             rhs = (1 + 2 / fam.phi) * opt + (2 / fam.phi) * sup_err
             assert lhs <= rhs + 1e-9, f"instance {instance}: {lhs} > {rhs}"
@@ -298,7 +296,7 @@ def test_c11_privacy_structure():
     runs = 0
     for d, num_queries, eps in ((2, 1, 0.5), (6, 4, 0.3), (10, 7, 1.0)):
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
-        queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
+        queries = [rng.choice([-1, 1], size=d) for _ in range(num_queries)]
         pop = SimulatedPopulation.draw(p, 35 * num_queries + 3, int(rng.integers(2**63)))
         transcript, _ = run_protocol(pop, queries, eps, rng)
         transcript.validate()

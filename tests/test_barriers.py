@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ldpselect import (
     verify_domination_lower_bound,
     verify_flattening_violation,
 )
-from ldpselect import barriers
+from ldpselect import barriers, scheffe_graph
 from ldpselect.barriers import (
     FlatteningReport,
     frobenius_identities,
@@ -110,6 +111,40 @@ def reference_recount(cert):
     for v in range(G.num_vertices):
         max_dominated = max(max_dominated, int(in_R[G.out_edges[v]].sum()) + int(in_R[v]))
     return len(cert.sampled_set) / max_dominated
+
+
+class TestLowerBoundMemoryRefusal:
+    """build_lower_bound_graph refuses, before allocating, a build that does not fit in MemAvailable."""
+
+    @staticmethod
+    def available(monkeypatch, nbytes):
+        calls = []
+
+        def reader():
+            calls.append(nbytes)
+            return nbytes
+
+        monkeypatch.setattr(scheffe_graph, "_available_memory", reader)
+        return calls
+
+    def test_refused_before_allocation(self, monkeypatch):
+        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 58 bytes each
+        calls = self.available(monkeypatch, 50_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSizeError,
+                               match="8290560 edges of a k=256 .* need 480852480 bytes, but only 50000000 bytes"):
+                build_lower_bound_graph(256, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls and peak < 1 << 20
+
+    def test_small_builds_read_nothing(self, monkeypatch):
+        # k = 128: 1,024,128 edges, 59,399,424 bytes, below 64 MiB
+        calls = self.available(monkeypatch, 0)
+        assert build_lower_bound_graph(128, seed=1).graph.edge_count == 1_024_128
+        assert calls == []
 
 
 class TestLowerBoundVerification:

@@ -90,7 +90,7 @@ class TestGraph:
         doc = json.loads(out.read_text())
         assert sorted(map(tuple, doc["edges"])) == [(1, 2, 2, 3), (1, 3, 2, 3), (2, 3, 1, 3)]
         assert doc["stats"]["triangle_scan"]["violations"] == 0
-        phi, digraph = graph_from_json_dict(doc)
+        digraph = graph_from_json_dict(doc)
         assert digraph.edge_count == 3
 
     def test_missing_input_names_path(self, tmp_path, capsys):
@@ -370,6 +370,13 @@ class TestBarrierCommands:
     def test_lbgraph_small_k(self, tmp_path):
         assert main(["barrier", "lbgraph", "--k", "8", "--seed", "1",
                      "--out", str(tmp_path / "c.json")]) == 2
+
+    def test_lbgraph_too_large_for_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "lb.json"
+        monkeypatch.setattr(scheffe_graph, "_available_memory", lambda: 50_000_000)
+        assert main(["barrier", "lbgraph", "--k", "256", "--seed", "1", "--out", str(out)]) == 2
+        assert "need 480852480 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flatten(self, tmp_path):
         out = tmp_path / "flat.json"

@@ -6,22 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ldpselect import (
-    DifferenceFunctional,
     DiscreteDistribution,
     HypothesisSet,
-    SignedFunctional,
-    difference,
-    inner,
     l1_distance,
     mixture,
     random_hypothesis_set,
-    signed_scheffe_set,
 )
-from ldpselect.errors import ConfigError, DimensionError, InvariantError
+from ldpselect.errors import ConfigError, InvariantError
+from ldpselect.rmde import full_scheffe_family
 
 
 def dist(*probs) -> DiscreteDistribution:
     return DiscreteDistribution(np.array(probs, dtype=float))
+
+
+def scheffe_set(q: DiscreteDistribution, q2: DiscreteDistribution) -> np.ndarray:
+    """The signed Scheffe set of q - q2, as the one test of the family of the pair."""
+    return full_scheffe_family(HypothesisSet((q, q2))).signs[0]
 
 
 @st.composite
@@ -75,64 +76,16 @@ class TestDiscreteDistribution:
             q.probs[0] = 1.0
 
 
-class TestSignedFunctional:
-    def test_rejects_non_sign_entries(self):
-        with pytest.raises(InvariantError, match="coordinate 2"):
-            SignedFunctional(np.array([1, 0, -1]))
-
-    def test_key_distinguishes(self):
-        a = SignedFunctional(np.array([1, -1]))
-        b = SignedFunctional(np.array([-1, 1]))
-        assert a.key() != b.key()
-        assert a.key() == a.negated().negated().key()
-
-
-class TestDifferenceFunctional:
-    def test_rejects_nonzero_sum(self):
-        with pytest.raises(InvariantError):
-            DifferenceFunctional(np.array([0.5, -0.3]))
-
-
 class TestOperations:
-    def test_difference_point_masses(self):
-        assert np.array_equal(difference(dist(1, 0), dist(0, 1)).deltas, [1.0, -1.0])
-
-    def test_difference_identity(self):
-        assert np.array_equal(difference(dist(0.5, 0.5), dist(0.5, 0.5)).deltas, [0.0, 0.0])
-
-    def test_difference_general(self):
-        d = difference(dist(0.7, 0.2, 0.1), dist(0.1, 0.3, 0.6))
-        assert np.allclose(d.deltas, [0.6, -0.1, -0.5], atol=1e-12)
-
-    def test_difference_dimension_error(self):
-        with pytest.raises(DimensionError):
-            difference(dist(1, 0), dist(1, 0, 0))
-
     def test_scheffe_tie_is_plus_one(self):
-        assert np.array_equal(signed_scheffe_set(dist(0.5, 0.5), dist(0.5, 0.5)).signs, [1, 1])
+        assert np.array_equal(scheffe_set(dist(0.5, 0.5), dist(0.5, 0.5)), [1, 1])
 
     def test_scheffe_point_masses(self):
-        assert np.array_equal(signed_scheffe_set(dist(1, 0), dist(0, 1)).signs, [1, -1])
+        assert np.array_equal(scheffe_set(dist(1, 0), dist(0, 1)), [1, -1])
 
     def test_scheffe_with_tied_third_coordinate(self):
-        s = signed_scheffe_set(dist(1, 0, 0), dist(0, 1, 0))
-        assert np.array_equal(s.signs, [1, -1, 1])
-
-    def test_inner_examples(self):
-        f = DifferenceFunctional(np.array([1.0, -1.0]))
-        assert inner(f, SignedFunctional(np.array([1, -1]))) == 2.0
-        zero = DifferenceFunctional(np.array([0.0, 0.0]))
-        assert inner(zero, SignedFunctional(np.array([-1, 1]))) == 0.0
-        f3 = DifferenceFunctional(np.array([0.6, -0.1, -0.5]))
-        assert inner(f3, SignedFunctional(np.array([1, -1, -1]))) == pytest.approx(1.2, abs=1e-12)
-
-    def test_inner_accepts_distributions(self):
-        val = inner(dist(0.25, 0.75), SignedFunctional(np.array([1, -1])))
-        assert val == pytest.approx(-0.5)
-
-    def test_inner_dimension_error(self):
-        with pytest.raises(DimensionError):
-            inner(dist(1, 0), SignedFunctional(np.array([1, 1, 1])))
+        s = scheffe_set(dist(1, 0, 0), dist(0, 1, 0))
+        assert np.array_equal(s, [1, -1, 1])
 
     def test_l1_examples(self):
         assert l1_distance(dist(1, 0), dist(0, 1)) == 2.0
@@ -149,14 +102,14 @@ class TestOperations:
 def test_scheffe_identity(pair):
     """<q - q', sgn(q - q')> recovers the l1 distance exactly."""
     q, q2 = pair
-    lhs = inner(difference(q, q2), signed_scheffe_set(q, q2))
+    lhs = (q.probs - q2.probs) @ scheffe_set(q, q2)
     assert lhs == pytest.approx(l1_distance(q, q2), abs=1e-9)
 
 
 @given(distribution_pairs())
 def test_scheffe_set_is_the_supremum(pair):
     q, q2 = pair
-    delta = difference(q, q2).deltas
+    delta = q.probs - q2.probs
     d = delta.size
     signs = ((np.arange(2 ** d)[:, None] >> np.arange(d)) & 1) * 2 - 1
     sup = np.abs(signs @ delta).max()
@@ -167,17 +120,10 @@ def test_scheffe_set_is_the_supremum(pair):
 @given(distribution_pairs())
 def test_scheffe_antisymmetry(pair):
     q, q2 = pair
-    fwd = signed_scheffe_set(q, q2).signs
-    rev = signed_scheffe_set(q2, q).signs
+    fwd = scheffe_set(q, q2)
+    rev = scheffe_set(q2, q)
     differs = q.probs != q2.probs
     assert np.array_equal(fwd[differs], -rev[differs])
-
-
-@given(distributions(), st.integers(min_value=0, max_value=2 ** 16 - 1))
-def test_inner_with_distribution_bounded(q, pattern):
-    bits = (pattern >> np.arange(q.domain_size)) & 1
-    t = SignedFunctional(bits * 2 - 1)
-    assert -1.0 - 1e-12 <= inner(q, t) <= 1.0 + 1e-12
 
 
 class TestHypothesisSet:

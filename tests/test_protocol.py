@@ -9,7 +9,6 @@ from ldpselect import (
     DiscreteDistribution,
     LdpTranscript,
     QueryEstimates,
-    SignedFunctional,
     SimulatedPopulation,
     channel_privacy_ratio,
     estimate_queries,
@@ -84,16 +83,16 @@ class TestRandomizedResponse:
         rng = np.random.default_rng(4)
         d = 6
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
-        t = SignedFunctional(rng.choice([-1, 1], size=d))
+        t = rng.choice([-1, 1], size=d)
         n = 100_000
         x = rng.choice(d, size=n, p=p.probs)
-        bits = t.signs[x]
+        bits = t[x]
         eps = 0.8
         out = randomized_response(bits, eps, rng)
         c = correction_factor(eps)
         estimates = c * out.astype(float)
         se = estimates.std() / math.sqrt(n)
-        truth = float(p.probs @ t.signs)
+        truth = float(p.probs @ t)
         assert abs(estimates.mean() - truth) <= 4 * se
 
 
@@ -138,8 +137,8 @@ class TestRequiredBlockSize:
         rng = np.random.default_rng(12)
         d = 8
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
-        queries = [SignedFunctional(rng.choice([-1, 1], size=d)) for _ in range(num_queries)]
-        truth = np.array([float(p.probs @ t.signs) for t in queries])
+        queries = [rng.choice([-1, 1], size=d) for _ in range(num_queries)]
+        truth = np.array([float(p.probs @ t) for t in queries])
         runs, failures = 120, 0
         for r in range(runs):
             pop = SimulatedPopulation.draw(p, block * num_queries, 1000 + r)
@@ -212,7 +211,7 @@ class TestSimulatedPopulation:
 
     def test_seeded_draw_without_seed_is_fixed(self):
         pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), 200, None)
-        queries = [SignedFunctional(np.array([1, -1]))]
+        queries = [[1, -1]]
         first = estimate_queries(pop, queries, 0.5, 1).estimates
         assert np.array_equal(estimate_queries(pop, queries, 0.5, 1).estimates, first)
 
@@ -237,7 +236,7 @@ class TestBitIdentityWithOneShotReference:
         m = len(queries)
         block = n // m
         used = block * m
-        tests = np.stack([t.signs for t in queries])
+        tests = np.array(queries, dtype=np.int8)
         query_index = np.arange(used) // block
         messages = randomized_response(tests[query_index, samples[:used] - 1], epsilon, rng)
         c = correction_factor(epsilon)
@@ -250,7 +249,7 @@ class TestBitIdentityWithOneShotReference:
     @pytest.mark.parametrize("n,m", [(65535, 1), (65537, 1), (65537, 3), (131077, 7), (50, 50)])
     def test_seeded_draw_and_protocol_match(self, dist, seed, n, m):
         qrng = np.random.default_rng(77)
-        queries = [SignedFunctional(qrng.choice([-1, 1], size=dist.domain_size)) for _ in range(m)]
+        queries = [qrng.choice([-1, 1], size=dist.domain_size) for _ in range(m)]
         eps = 0.7
         samples, draw_state, query_index, messages, estimates = self.reference(
             dist, n, queries, eps, np.random.default_rng(5))
@@ -280,7 +279,7 @@ class TestRunProtocol:
     def test_point_mass_near_noiseless(self):
         d = 4
         p = DiscreteDistribution.point_mass(2, d)
-        t = SignedFunctional(np.array([-1, 1, -1, -1]))
+        t = [-1, 1, -1, -1]
         pop = SimulatedPopulation.draw(p, 1000, 5)
         eps = 20.0
         _, est = run_protocol(pop, [t], eps, np.random.default_rng(6))
@@ -290,7 +289,7 @@ class TestRunProtocol:
         d = 5
         rng = np.random.default_rng(8)
         p = DiscreteDistribution(rng.dirichlet(np.ones(d)))
-        t = SignedFunctional(np.ones(d, dtype=int))
+        t = np.ones(d, dtype=int)
         eps = 1.0
         values = []
         for r in range(60):
@@ -303,7 +302,7 @@ class TestRunProtocol:
 
     def test_symmetric_query_near_zero(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
-        t = SignedFunctional(np.array([1, -1]))
+        t = [1, -1]
         pop = SimulatedPopulation.draw(p, 100_000, 9)
         eps = 1.0
         _, est = run_protocol(pop, [t], eps, np.random.default_rng(10))
@@ -312,7 +311,7 @@ class TestRunProtocol:
     def test_insufficient_users(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 3, 1)
-        queries = [SignedFunctional(np.array([1, -1]))] * 4
+        queries = [[1, -1]] * 4
         eps = 0.5
         with pytest.raises(InsufficientSamplesError) as exc:
             run_protocol(pop, queries, eps, np.random.default_rng(0))
@@ -323,13 +322,12 @@ class TestRunProtocol:
         pop = SimulatedPopulation.draw(p, 10, 1)
         eps = 0.5
         with pytest.raises(DimensionError):
-            run_protocol(pop, [SignedFunctional(np.array([1, 1, -1]))], eps,
-                         np.random.default_rng(0))
+            run_protocol(pop, [[1, 1, -1]], eps, np.random.default_rng(0))
 
     def test_blocks_partition_evenly_and_surplus_dropped(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 107, 2)
-        queries = [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([-1, 1]))]
+        queries = [[1, -1], [-1, 1]]
         eps = 0.5
         transcript, est = run_protocol(pop, queries, eps, np.random.default_rng(11))
         assert transcript.block_size == 53
@@ -341,8 +339,7 @@ class TestRunProtocol:
         p = DiscreteDistribution(np.array([0.9, 0.1]))
         pop = SimulatedPopulation.draw(p, 50, 3)
         eps = 0.2
-        _, est = run_protocol(pop, [SignedFunctional(np.array([1, -1]))], eps,
-                              np.random.default_rng(12))
+        _, est = run_protocol(pop, [[1, -1]], eps, np.random.default_rng(12))
         c = correction_factor(0.2)
         assert abs(est.estimates[0]) <= c + 1e-12
 
@@ -375,7 +372,7 @@ class TestEstimateQueries:
         pop = SimulatedPopulation.draw(p, 107, 3)
         if form == "samples":
             pop = SimulatedPopulation(p, pop.samples)
-        queries = [SignedFunctional(np.array([1, -1, 1])), SignedFunctional(np.array([-1, 1, 1]))]
+        queries = [[1, -1, 1], [-1, 1, 1]]
         a = estimate_queries(pop, queries, 0.5, np.random.default_rng(4))
         b = estimate_queries(pop, queries, 0.5, np.random.default_rng(4))
         assert a.block_size == b.block_size == 53  # surplus dropped as in run_protocol
@@ -389,25 +386,23 @@ class TestEstimateQueries:
         pop = SimulatedPopulation.draw(p, 1000, 5)
         if form == "samples":
             pop = SimulatedPopulation(p, pop.samples)
-        queries = [SignedFunctional(np.array([-1, 1, -1])), SignedFunctional(np.array([1, -1, 1]))]
+        queries = [[-1, 1, -1], [1, -1, 1]]
         est = estimate_queries(pop, queries, 20.0, np.random.default_rng(6))
         assert 0.99 <= est.estimates[0] <= 1.01 and -1.01 <= est.estimates[1] <= -0.99
 
     @pytest.mark.parametrize("run", PROTOCOL_PATHS)
     @pytest.mark.parametrize("users, queries, error", [
         (10, [], ConfigError),
-        (3, [SignedFunctional(np.array([1, -1]))] * 4, InsufficientSamplesError),
-        (10, [SignedFunctional(np.array([1, 1, -1]))], DimensionError),
+        (3, [[1, -1]] * 4, InsufficientSamplesError),
+        (10, [[1, 1, -1]], DimensionError),
         (10, np.empty((0, 2)), ConfigError),
         (10, np.array([1, -1]), DimensionError),
         (10, [[1, -1], [1]], DimensionError),
-        (10, [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([1, -1, 1]))],
-         DimensionError),
         (10, np.array([[1, -1], [1, 0]]), InvariantError),
         (10, np.array([[1, -1], [2, -1]]), InvariantError),
         (10, np.array([[1.0, -1.0], [1.0, np.nan]]), InvariantError),
     ], ids=["no-queries", "too-few-users", "domain-mismatch", "no-rows", "one-dimensional",
-            "ragged", "ragged-functionals", "zero-entry", "two-entry", "nan-entry"])
+            "ragged", "zero-entry", "two-entry", "nan-entry"])
     def test_input_errors(self, run, users, queries, error):
         pop = SimulatedPopulation.draw(DiscreteDistribution(np.array([0.5, 0.5])), users, 1)
         with pytest.raises(error) as exc:
@@ -417,25 +412,25 @@ class TestEstimateQueries:
 
 
 class TestQueryMatrix:
-    """An (m, d) ±1 array and the same rows as SignedFunctional give the same bits."""
+    """An (m, d) ±1 array and the same rows as a list of lists give the same bits."""
 
     @pytest.mark.parametrize("form", ["samples", "seeded"])
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
-    def test_raw_matrix_matches_functionals(self, form, dtype):
+    def test_raw_matrix_matches_list_of_lists(self, form, dtype):
         p = random_hypothesis_set(2, 16, seed=3).hypotheses[0]
         pop = SimulatedPopulation.draw(p, 1001, 4)
         if form == "samples":
             pop = SimulatedPopulation(p, pop.samples)
         rows = np.random.default_rng(5).choice([-1, 1], size=(7, 16))
-        functionals = [SignedFunctional(row) for row in rows]
+        lists = rows.tolist()
         matrix = rows.astype(dtype)
-        t1, e1 = run_protocol(pop, functionals, 0.7, np.random.default_rng(6))
+        t1, e1 = run_protocol(pop, lists, 0.7, np.random.default_rng(6))
         t2, e2 = run_protocol(pop, matrix, 0.7, np.random.default_rng(6))
         assert t1.messages.dtype == t2.messages.dtype == np.int8
         assert np.array_equal(t1.messages, t2.messages)
         assert t1.block_size == t2.block_size and t1.num_queries == t2.num_queries == 7
         assert e1.estimates.tolist() == e2.estimates.tolist()
-        a1 = estimate_queries(pop, functionals, 0.7, np.random.default_rng(7))
+        a1 = estimate_queries(pop, lists, 0.7, np.random.default_rng(7))
         a2 = estimate_queries(pop, matrix, 0.7, np.random.default_rng(7))
         assert a1.estimates.tolist() == a2.estimates.tolist()
 
@@ -450,11 +445,11 @@ class TestExactLaw:
     RUNS = 20_000
     EPS = 1.0
     P = DiscreteDistribution(np.array([0.2, 0.5, 0.3]))
-    QUERIES = [SignedFunctional(np.array([1, -1, -1])), SignedFunctional(np.array([1, 1, -1]))]
+    QUERIES = np.array([[1, -1, -1], [1, 1, -1]])
 
     def pi(self, t):
         keep = keep_probability(self.EPS)
-        plus = float(self.P.probs[t.signs > 0].sum())
+        plus = float(self.P.probs[t > 0].sum())
         return keep * plus + (1 - keep) * (1 - plus)
 
     @pytest.mark.parametrize("run", PROTOCOL_PATHS)
@@ -473,7 +468,7 @@ class TestExactLaw:
             pi = self.pi(t)
             observed = np.bincount(counts[:, i], minlength=block + 1)
             assert chi_square(observed, binomial_pmf(block, pi)) < 18.467
-            self.check_moments(estimates[:, i], float(self.P.probs @ t.signs), pi, block, c)
+            self.check_moments(estimates[:, i], float(self.P.probs @ t), pi, block, c)
 
     @pytest.mark.parametrize("run", PROTOCOL_PATHS)
     def test_fixed_samples_block_law(self, run):
@@ -499,7 +494,7 @@ class TestExactLaw:
         ])
         c = correction_factor(self.EPS)
         for i, t in enumerate(self.QUERIES):
-            self.check_moments(estimates[:, i], float(self.P.probs @ t.signs), self.pi(t), block, c)
+            self.check_moments(estimates[:, i], float(self.P.probs @ t), self.pi(t), block, c)
 
     def check_moments(self, values, mean, pi, block, c):
         """Sample mean and variance of c (2 Binomial(block, pi) - block) / block draws."""
@@ -516,8 +511,7 @@ class TestNonInteractivityAndPrivacyStructure:
     def test_assignment_ignores_randomness(self):
         p = DiscreteDistribution(np.array([0.3, 0.7]))
         pop = SimulatedPopulation.draw(p, 90, 4)
-        queries = [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([-1, 1])),
-                   SignedFunctional(np.array([1, 1]))]
+        queries = [[1, -1], [-1, 1], [1, 1]]
         eps = 0.4
         t1, _ = run_protocol(pop, queries, eps, np.random.default_rng(1))
         t2, _ = run_protocol(pop, queries, eps, np.random.default_rng(999))
@@ -528,9 +522,9 @@ class TestNonInteractivityAndPrivacyStructure:
         p = DiscreteDistribution(np.array([0.2, 0.3, 0.5]))
         pop = SimulatedPopulation.draw(p, 60, 5)
         # move user 17 to a sample with the opposite query value
-        t = SignedFunctional(np.array([1, -1, 1]))
+        t = np.array([1, -1, 1])
         samples2 = pop.samples.copy()
-        samples2[17] = 2 if t.signs[pop.samples[17] - 1] == 1 else 1
+        samples2[17] = 2 if t[pop.samples[17] - 1] == 1 else 1
         pop2 = SimulatedPopulation(p, samples2)
         eps = 0.6
         m1, _ = run_protocol(pop, [t], eps, np.random.default_rng(21))
@@ -541,7 +535,7 @@ class TestNonInteractivityAndPrivacyStructure:
     def test_transcript_schema(self):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 40, 6)
-        queries = [SignedFunctional(np.array([1, -1])), SignedFunctional(np.array([-1, 1]))]
+        queries = [[1, -1], [-1, 1]]
         eps = 0.3
         transcript, _ = run_protocol(pop, queries, eps, np.random.default_rng(13))
         transcript.validate()
@@ -572,7 +566,7 @@ class TestSerialization:
     def test_transcript_csv_round_trip(self, tmp_path):
         p = DiscreteDistribution(np.array([0.5, 0.5]))
         pop = SimulatedPopulation.draw(p, 20, 7)
-        queries = [SignedFunctional(np.array([1, -1]))]
+        queries = [[1, -1]]
         eps = 0.5
         transcript, _ = run_protocol(pop, queries, eps, np.random.default_rng(14))
         path = tmp_path / "transcript.csv"

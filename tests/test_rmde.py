@@ -9,11 +9,9 @@ from ldpselect import (
     HypothesisSet,
     QueryEstimates,
     SelectionConfig,
-    SignedFunctional,
     SimulatedPopulation,
     build_scheffe_graph,
     find_dominating_set,
-    inner,
     l1_distance,
     plan_sample_size,
     query_family_from_dominating_set,
@@ -21,7 +19,6 @@ from ldpselect import (
     required_block_size,
     rmde_select,
     select_hypothesis,
-    signed_scheffe_set,
 )
 from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import (
@@ -31,7 +28,7 @@ from ldpselect.errors import (
     InvalidCertificateError,
 )
 from ldpselect.rmde import QueryFamily, _first_distinct_rows, full_scheffe_family, max_query_budget
-from ldpselect.scheffe_graph import VertexPair, pair_count
+from ldpselect.scheffe_graph import VertexPair, graph_from_json_dict, graph_to_json_dict, pair_count
 
 PHI = 1.0 / 6.0
 
@@ -43,9 +40,9 @@ def exact_estimates(p, family, eta=0.0, rng=None):
     wide enough for the perturbed values.
     """
     values = []
-    for t in map(SignedFunctional, family.signs):
+    for t in family.signs:
         noise = 0.0 if eta == 0.0 else eta * float(rng.choice([-1.0, 1.0]))
-        values.append(float(inner(p, t)) + noise)
+        values.append(float(p.probs @ t) + noise)
     return QueryEstimates(estimates=values, block_size=1, epsilon=0.5)
 
 
@@ -54,7 +51,7 @@ def brute_force_select(Q, family, estimates):
     best_idx, best_val = None, None
     for j, q in enumerate(Q.hypotheses):
         worst = max(
-            abs(inner(q, SignedFunctional(t)) - estimates.estimates[i])
+            abs(q.probs @ t - estimates.estimates[i])
             for i, t in enumerate(family.signs)
         )
         if best_val is None or worst < best_val:
@@ -69,15 +66,15 @@ def pipeline_family(Q, seed=0, phi=PHI):
 
 
 def reference_family(Q, pairs):
-    """Per-pair signed Scheffe sets, keeping the first pair of each distinct sign vector."""
+    """Per-pair signed Scheffe sets (ties to +1), keeping the first pair of each distinct sign vector."""
     rows, origins, seen = [], [], set()
-    for pair in pairs:
-        t = signed_scheffe_set(Q.hypotheses[pair.lo - 1], Q.hypotheses[pair.hi - 1])
-        if t.key() not in seen:
-            seen.add(t.key())
-            rows.append(t.signs)
-            origins.append(pair)
-    return np.stack(rows), tuple(origins)
+    for lo, hi in pairs:
+        row = np.where(Q.hypotheses[lo - 1].probs >= Q.hypotheses[hi - 1].probs, 1, -1).astype(np.int8)
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            rows.append(row)
+            origins.append((lo, hi))
+    return np.stack(rows), np.array(origins)
 
 
 def reference_margins(Q, rows, phi):
@@ -92,7 +89,7 @@ def reference_margins(Q, rows, phi):
 
 
 def all_vertex_pairs(k):
-    return [VertexPair(lo, hi) for lo in range(1, k + 1) for hi in range(lo + 1, k + 1)]
+    return [(lo, hi) for lo in range(1, k + 1) for hi in range(lo + 1, k + 1)]
 
 
 PINNED_SETS = [
@@ -111,20 +108,22 @@ class TestFamilyMatchesPairReference:
         G = build_scheffe_graph(Q, PHI)
         cert = find_dominating_set(G, Q, seed=3)
         cases = [
-            (query_family_from_dominating_set(Q, cert, PHI, graph=G), cert.dominating_set, PHI),
+            (query_family_from_dominating_set(Q, cert, PHI, graph=G),
+             [(p.lo, p.hi) for p in cert.dominating_set], PHI),
             (full_scheffe_family(Q), all_vertex_pairs(Q.k), 1.0),
         ]
         for fam, pairs, phi in cases:
             rows, origins = reference_family(Q, pairs)
             assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
             assert np.array_equal(fam.signs, rows)
-            assert fam.origins == origins
+            assert np.array_equal(fam.origins, origins)
+            assert fam.origins.dtype == np.int64 and not fam.origins.flags.writeable
             assert len(fam) == len(rows) and fam.phi == phi
             assert np.array_equal(fam.star_margins(Q), reference_margins(Q, rows, phi))
 
 
 class TestQueryFamilyChecks:
-    ORIGINS = (VertexPair(1, 2), VertexPair(1, 3))
+    ORIGINS = np.array([[1, 2], [1, 3]])
 
     @pytest.mark.parametrize("signs, origins, phi, match", [
         (np.empty((0, 3)), (), 0.5, "at least one test"),
@@ -227,6 +226,14 @@ class TestQueryFamily:
         with pytest.raises(ConfigError, match="phi"):
             query_family_from_dominating_set(Q, cert, 0.95, graph=G)
         assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
+
+    def test_loaded_graph_at_another_phi_rejected(self):
+        Q = random_hypothesis_set(8, 16, seed=0)
+        loaded = graph_from_json_dict(graph_to_json_dict(build_scheffe_graph(Q, 0.5)))
+        assert loaded.phi == 0.5
+        cert = find_dominating_set(loaded, Q, seed=0)
+        with pytest.raises(ConfigError, match="phi"):
+            query_family_from_dominating_set(Q, cert, PHI, graph=loaded)
 
     def test_full_family_is_phi_one(self):
         Q = random_hypothesis_set(6, 7, seed=3)
@@ -333,7 +340,7 @@ class TestDeterministicGuarantee:
                 q_hat = Q.hypotheses[report.selected_index - 1]
                 opt = min(l1_distance(q, p) for q in Q.hypotheses)
                 sup_err = max(
-                    abs(inner(p, SignedFunctional(t)) - est.estimates[i])
+                    abs(p.probs @ t - est.estimates[i])
                     for i, t in enumerate(fam.signs)
                 )
                 bound = (1 + 2 / fam.phi) * opt + (2 / fam.phi) * sup_err

@@ -55,6 +55,11 @@ def duplicate_pair_set():
     return HypothesisSet((q, q, q3))
 
 
+def vertex_pairs(k, ids=slice(None)):
+    """The VertexPair of each given vertex id (every vertex by default), as certificates hold them."""
+    return [VertexPair(lo + 1, hi + 1) for lo, hi in all_pairs(k)[ids].tolist()]
+
+
 def pair_norms(Q):
     """||q_j - q_j'||_1 per vertex {j, j'}, in vertex-id order."""
     pairs = all_pairs(Q.k)
@@ -111,8 +116,7 @@ class TestPairIndexing:
 
     def test_vertex_pair_round_trip(self):
         k = 7
-        for vid in range(pair_count(k)):
-            p = VertexPair.from_vertex_id(vid, k)
+        for vid, p in enumerate(vertex_pairs(k)):
             assert p.vertex_id(k) == vid
 
     def test_vertex_pair_validation(self):
@@ -122,9 +126,9 @@ class TestPairIndexing:
             VertexPair(2, 9).vertex_id(k=4)
 
     @pytest.mark.parametrize("vid", [-1, pair_count(4)])
-    def test_from_vertex_id_out_of_range(self, vid):
+    def test_pairs_from_ids_out_of_range(self, vid):
         with pytest.raises(ArgumentError):
-            VertexPair.from_vertex_id(vid, 4)
+            scheffe_graph._pairs_from_ids([vid], 4)
 
     def test_pair_index_either_order(self):
         assert pair_index(3, 1, 5) == pair_index(1, 3, 5)
@@ -207,8 +211,8 @@ class TestBuild:
     def test_export_round_trip(self):
         Q = random_hypothesis_set(5, 6, seed=13)
         G = build_scheffe_graph(Q, PHI)
-        phi, digraph = graph_from_json_dict(graph_to_json_dict(G))
-        assert phi == pytest.approx(PHI)
+        digraph = graph_from_json_dict(graph_to_json_dict(G))
+        assert digraph.phi == pytest.approx(PHI)
         assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, digraph.out_edges))
 
     @pytest.mark.parametrize("edge, error", [
@@ -244,6 +248,11 @@ class TestBuild:
         ({"k": -3, "phi": PHI, "edges": []}, "k"),
         ({"k": 1, "phi": PHI, "edges": []}, "k"),
         ({"k": 4, "phi": False, "edges": []}, "phi"),
+        ({"k": 4, "phi": -3, "edges": []}, "phi"),
+        ({"k": 4, "phi": 0, "edges": []}, "phi"),
+        ({"k": 4, "phi": 1.5, "edges": []}, "phi"),
+        ({"k": 4, "phi": float("nan"), "edges": []}, "phi"),
+        ({"k": 4, "phi": float("inf"), "edges": []}, "phi"),
     ])
     def test_import_names_missing_or_mistyped_field(self, doc, field):
         with pytest.raises(InvariantError, match=f"'{field}'"):
@@ -256,8 +265,8 @@ class TestBuild:
 
     def test_import_accepts_numpy_integers(self):
         doc = {"k": 4, "edges": [[1, 2, 1, 3], [np.int64(2), 3, 1, np.int32(4)]]}
-        _, fast = graph_from_json_dict({"k": 4, "edges": [[1, 2, 1, 3], [2, 3, 1, 4]]})
-        _, walked = graph_from_json_dict(doc)
+        fast = graph_from_json_dict({"k": 4, "edges": [[1, 2, 1, 3], [2, 3, 1, 4]]})
+        walked = graph_from_json_dict(doc)
         assert all(np.array_equal(a, b) for a, b in zip(fast.out_edges, walked.out_edges))
         assert walked.edge_count == 2
 
@@ -278,8 +287,9 @@ class TestBuild:
         assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, again.out_edges))
 
     def test_import_without_phi(self):
-        phi, digraph = graph_from_json_dict({"k": 3, "edges": [[1, 2, 1, 3]]})
-        assert phi is None and digraph.edge_count == 1
+        for doc in ({"k": 3, "edges": [[1, 2, 1, 3]]}, {"k": 3, "phi": None, "edges": [[1, 2, 1, 3]]}):
+            digraph = graph_from_json_dict(doc)
+            assert digraph.phi is None and digraph.edge_count == 1
 
     def test_arrays_frozen(self):
         G = build_scheffe_graph(random_hypothesis_set(4, 6, seed=2), PHI)
@@ -320,7 +330,7 @@ class TestExport:
         doc = graph_to_json_dict(G)
         assert doc["edges"] == per_edge_export(G)
         assert all(type(x) is int for edge in doc["edges"] for x in edge)
-        assert doc["k"] == G.k and doc["phi"] == getattr(G, "phi", None)
+        assert doc["k"] == G.k and doc["phi"] == G.phi
 
 
 def dense_scheffe_graph(Q, phi):
@@ -578,7 +588,7 @@ class TestDominatingSet:
 class TestVerifyDomination:
     def test_full_set_dominates(self, point_mass_triple):
         G = build_scheffe_graph(point_mass_triple, PHI)
-        assert verify_domination(G, G.vertices)
+        assert verify_domination(G, vertex_pairs(G.k))
 
     def test_empty_set_fails(self, point_mass_triple):
         G = build_scheffe_graph(point_mass_triple, PHI)
@@ -621,7 +631,7 @@ class TestVerifyDomination:
         ids = [v for v in range(G.num_vertices) if v != w and v not in feeds_w]
         assert len(ids) > scheffe_graph._VERIFY_CHUNK
         assert np.flatnonzero(~self.per_row_covered(G, ids)).tolist() == [w]
-        assert not verify_domination(G, [G.vertices[v] for v in ids])
+        assert not verify_domination(G, vertex_pairs(G.k, ids))
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_every_member_row_counts(self, monkeypatch, chunk):
@@ -631,7 +641,7 @@ class TestVerifyDomination:
         k = 48
         evens = np.arange(0, pair_count(k), 2)
         G = PairDigraph.from_edge_ids(k, evens, evens + 1)
-        D = [G.vertices[v] for v in evens.tolist()]
+        D = vertex_pairs(G.k, evens)
         assert len(D) > scheffe_graph._VERIFY_CHUNK
         assert verify_domination(G, D)
         for i in (0, 1, evens.size // 2, evens.size - 1):
@@ -661,7 +671,7 @@ class TestVerifyDomination:
         V = pair_count(k)
         G = PairDigraph.from_edge_ids(k, np.zeros(V - 1, dtype=int), np.arange(1, V))
         read = self.rows_read(G)
-        assert verify_domination(G, G.vertices)
+        assert verify_domination(G, vertex_pairs(G.k))
         assert read == list(range(7))
 
     def test_false_reads_every_row(self, monkeypatch):
@@ -672,7 +682,7 @@ class TestVerifyDomination:
         G = PairDigraph.from_edge_ids(k, evens[:-1], evens[:-1] + 1)
         assert np.flatnonzero(~self.per_row_covered(G, evens.tolist())).tolist() == [evens[-1] + 1]
         read = self.rows_read(G)
-        assert not verify_domination(G, [G.vertices[v] for v in evens.tolist()])
+        assert not verify_domination(G, vertex_pairs(G.k, evens))
         assert read == evens.tolist()
 
 
@@ -692,6 +702,10 @@ class TestTriangles:
             check_triangle(G, 1, 1, 2)
         with pytest.raises(ArgumentError):
             check_triangle(G, 1, 2, 4)
+        for trio in ((1.0, 2, 3), (True, 2, 3), (1, 2, np.float64(3)), (1, 2, "3")):
+            with pytest.raises(ArgumentError, match="integers"):
+                check_triangle(G, *trio)
+        assert check_triangle(G, np.int64(1), 2, 3) == check_triangle(G, 1, 2, 3)
 
     @pytest.mark.parametrize("seed,model", [(0, "dirichlet-uniform"), (1, "sparse"),
                                             (2, "point-mass-mixture")])
