@@ -12,6 +12,7 @@ from ldpselect import (
     mixture,
     random_hypothesis_set,
 )
+from ldpselect.distributions import _scheffe_signs
 from ldpselect.errors import ConfigError, InvariantError
 from ldpselect.rmde import full_scheffe_family
 
@@ -124,6 +125,22 @@ def test_scheffe_antisymmetry(pair):
     rev = scheffe_set(q2, q)
     differs = q.probs != q2.probs
     assert np.array_equal(fwd[differs], -rev[differs])
+
+
+class TestScheffeSigns:
+    """The one Scheffe tie rule: delta >= 0 gives +1, every other entry -1."""
+
+    @pytest.mark.parametrize("deltas, signs", [
+        ([0.5, -0.5, 0.0], [1, -1, 1]),
+        ([[0.25, -0.25], [0.0, 0.0], [-1.0, 1.0]], [[1, -1], [1, 1], [-1, 1]]),
+    ], ids=["one-dimensional", "two-dimensional"])
+    def test_rule_keeps_shape_as_int8(self, deltas, signs):
+        out = _scheffe_signs(np.array(deltas))
+        assert out.dtype == np.int8 and out.shape == np.shape(signs)
+        assert np.array_equal(out, signs)
+
+    def test_negative_zero_is_a_tie(self):
+        assert np.array_equal(_scheffe_signs(np.array([-0.0, 0.0])), [1, 1])
 
 
 class TestHypothesisSet:

@@ -131,9 +131,11 @@ class TestQueryFamilyChecks:
         (np.array([[1, 0, 1], [1, 1, -1]]), ORIGINS, 0.5, r"-1 or \+1"),
         (np.array([[1, 2, 1], [1, 1, -1]]), ORIGINS, 0.5, r"-1 or \+1"),
         (np.array([[1, -1, 1], [1, 1, -1]]), ORIGINS[:1], 0.5, "one origin"),
+        (np.array([[1, -1, 1], [1, 1, -1]]), ORIGINS[:, :1], 0.5, "one origin"),
         (np.array([[1, -1, 1], [1, 1, -1]]), ORIGINS, 0.0, "phi"),
         (np.array([[1, -1, 1], [1, -1, 1]]), ORIGINS, 0.5, "duplicate"),
-    ], ids=["empty", "one-dimensional", "zero", "two", "origins", "phi", "duplicate"])
+    ], ids=["empty", "one-dimensional", "zero", "two", "origins", "origin-columns", "phi",
+            "duplicate"])
     def test_rejects(self, signs, origins, phi, match):
         with pytest.raises(ConfigError, match=match):
             QueryFamily(signs=signs, origins=origins, phi=phi)
@@ -153,6 +155,12 @@ class TestQueryFamilyChecks:
         fam = QueryFamily(signs=given, origins=self.ORIGINS, phi=0.5)
         assert fam.signs.dtype == np.int8 and not fam.signs.flags.writeable
         assert given.flags.writeable and not np.shares_memory(given, fam.signs)
+
+    def test_copies_origins_into_read_only_int64(self):
+        given = self.ORIGINS.astype(np.int32)
+        fam = QueryFamily(signs=np.array([[1, -1, 1], [1, 1, -1]]), origins=given, phi=0.5)
+        assert fam.origins.dtype == np.int64 and not fam.origins.flags.writeable
+        assert np.array_equal(fam.origins, given) and given.flags.writeable
 
 
 class TestFirstDistinctRows:

@@ -332,6 +332,17 @@ class TestExport:
         assert all(type(x) is int for edge in doc["edges"] for x in edge)
         assert doc["k"] == G.k and doc["phi"] == G.phi
 
+    def test_build_records_phi(self):
+        G = build_scheffe_graph(random_hypothesis_set(5, 6, seed=13), 0.25)
+        assert type(G.phi) is float and G.phi == 0.25
+
+    def test_unrecorded_phi_round_trips_as_null(self):
+        G = PairDigraph.from_edge_ids(4, [0, 2], [1, 5])
+        assert G.phi is None
+        doc = graph_to_json_dict(G)
+        assert doc["phi"] is None
+        assert graph_from_json_dict(doc).phi is None
+
 
 def dense_scheffe_graph(Q, phi):
     """Reference build: the (V, V) bool adjacency from one full inner-product matrix."""
