@@ -11,19 +11,17 @@ Usage: python scripts/selection_error_sweep.py [--k 8] [--d 16] [--trials 25]
 import argparse
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from ldpselect import (
     DiscreteDistribution,
     SelectionConfig,
+    SelectionPlan,
     SimulatedPopulation,
     l1_distance,
     mixture,
-    plan_sample_size,
     random_hypothesis_set,
-    select_hypothesis,
 )
 
 
@@ -42,7 +40,8 @@ def main() -> int:
     Q = random_hypothesis_set(args.k, args.d, seed=args.seed)
     p = mixture([Q.hypotheses[0], DiscreteDistribution.uniform(args.d)], [0.9, 0.1])
     opt = min(l1_distance(q, p) for q in Q.hypotheses)
-    n0 = plan_sample_size(args.k, config)
+    plan = SelectionPlan.build(Q, config)  # one plan, shared by every trial and multiple
+    n0 = plan.users_required
     ceiling = config.approximation_factor * opt + config.alpha
     print(f"k={args.k} d={args.d} OPT={opt:.4f} ceiling={ceiling:.4f} planned n0={n0}")
     print(f"{'n/n0':>6} {'mean err':>9} {'max err':>9} {'within':>7} {'sec':>6}")
@@ -55,9 +54,7 @@ def main() -> int:
             seq = np.random.SeedSequence([args.seed, mult, t])
             pop_seed, sel_seed = seq.spawn(2)
             pop = SimulatedPopulation.draw(p, n, pop_seed)
-            rep = select_hypothesis(
-                Q, pop, replace(config, seed=int(sel_seed.generate_state(1, np.uint64)[0] >> 1))
-            )
+            rep = plan.run(pop, np.random.default_rng(sel_seed))
             errs.append(l1_distance(Q.hypotheses[rep.selected_index - 1], p))
         errs = np.array(errs)
         within = float((errs <= ceiling + 1e-12).mean())

@@ -32,7 +32,7 @@ from .distributions import (
 )
 from .errors import InvariantError, LdpSelectError, ResamplingLimitError
 from .protocol import SimulatedPopulation
-from .rmde import SelectionConfig, plan_sample_size, select_hypothesis
+from .rmde import SelectionConfig, SelectionPlan
 from .scheffe_graph import (
     PHI_DEFAULT,
     build_scheffe_graph,
@@ -158,9 +158,6 @@ def cmd_select(args) -> int:
     config = SelectionConfig(
         alpha=args.alpha, beta=args.beta, epsilon=args.epsilon, phi=args.phi, seed=seed
     )
-    n0 = plan_sample_size(Q.k, config)
-    n = args.n if args.n is not None else n0
-
     if args.samples is not None:
         if args.trials != 1:
             raise InvariantError("--samples fixes the data, so --trials must be 1")
@@ -176,6 +173,11 @@ def cmd_select(args) -> int:
         if p is None:
             raise InvariantError("provide --p-index (optionally --p-mix), --p-file, or --samples")
 
+    t0 = time.perf_counter()
+    plan = SelectionPlan.build(Q, config)
+    plan_ms = (time.perf_counter() - t0) * 1e3
+    n = args.n if args.n is not None else plan.users_required
+
     factor = config.approximation_factor
     records = []
     failures = 0
@@ -187,7 +189,7 @@ def cmd_select(args) -> int:
         pop = file_pop if p is None else SimulatedPopulation.draw(
             p, n, np.random.SeedSequence([trial_seed, 0])
         )
-        report = select_hypothesis(Q, pop, replace(config, seed=trial_seed))
+        report = plan.run(pop, np.random.default_rng([trial_seed, 1]))
         wall_ms = (time.perf_counter() - t0) * 1e3
         selected = Q.hypotheses[report.selected_index - 1]
         if p is not None:
@@ -209,7 +211,7 @@ def cmd_select(args) -> int:
                 "bound": bound,
                 "passed": passed,
                 "users_consumed": report.users_consumed,
-                "dominating_set_size": len(report.certificate.dominating_set),
+                "dominating_set_size": len(plan.certificate.dominating_set),
                 "selected_index": report.selected_index,
                 "selected_discrepancy": report.selected_discrepancy,
                 "wall_ms": wall_ms,
@@ -226,7 +228,8 @@ def cmd_select(args) -> int:
         "phi": config.phi,
         "seed": seed,
         "trials": args.trials,
-        "users_planned": n0,
+        "users_planned": plan.users_required,
+        "plan_ms": plan_ms,
         "users_available": int(n) if p is not None else None,
         "approximation_factor": factor,
         "failure_rate": (failures / args.trials) if p is not None else None,

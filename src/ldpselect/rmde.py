@@ -6,9 +6,9 @@ phi-compare every pair of hypotheses, the selected hypothesis
     argmin_q  max_T |<q, T> - p_hat_T|
 
 is within (1 + 2/phi) * OPT plus 2/phi times the worst estimation error over
-the family, deterministically.  The pipeline builds the comparison graph at
-phi = 1/6, extracts a dominating set, queries its Scheffe sets through the
-one-round private protocol, and selects; the factor is then 13 = 1 + 2*6.
+the family, deterministically.  A SelectionPlan fixes, from Q alone, the
+Scheffe sets of a dominating set of the comparison graph at phi = 1/6
+(factor 13 = 1 + 2*6); its run estimates them privately and selects.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import HypothesisSet, _read_only, _scheffe_signs, _write_json
+from .distributions import HypothesisSet, _read_only, _scheffe_signs
 from .errors import (
     ConfigError,
     IncompleteEstimatesError,
@@ -172,9 +172,6 @@ class SelectionReport:
             ),
         }
 
-    def save(self, path) -> None:
-        _write_json(path, self.to_json_dict())
-
 
 def _scheffe_family(Q: HypothesisSet, pairs: np.ndarray, phi: float) -> QueryFamily:
     """Signed Scheffe sets of the (n, 2) 1-based pairs in order, keeping the first pair per distinct test."""
@@ -260,31 +257,45 @@ def plan_sample_size(k: int, config: SelectionConfig) -> int:
     return budget * required_block_size(budget, alpha_query, config.beta / 2.0, config.epsilon)
 
 
-def select_hypothesis(
-    Q: HypothesisSet,
-    pop: SimulatedPopulation,
-    config: SelectionConfig,
-) -> SelectionReport:
-    """Full non-interactive pipeline: graph, dominating set, protocol, selection.
+@dataclass(frozen=True, eq=False)
+class SelectionPlan:
+    """The query side of a selection: a function of (Q, config) alone, fixed before any user answers.
 
-    All queries are fixed before any user message is drawn.  The estimates
-    come from estimate_queries, which draws each block's message sum from
-    its exact law instead of simulating every user (run_protocol), so no
-    transcript is made; a population from a seeded SimulatedPopulation.draw
-    is never built user by user.  With pop.user_count >=
-    plan_sample_size(k, config) the selected hypothesis satisfies
-    ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha  with probability at least
-    1 - beta over the population and the protocol randomness (factor 13 at
-    phi = 1/6).
+    With pop.user_count >= users_required, run(pop, rng) selects q_hat with
+    ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability at least
+    1 - beta over the population and rng (factor 13 at phi = 1/6).
     """
-    n0 = plan_sample_size(Q.k, config)
-    if pop.user_count < n0:
-        raise InsufficientSamplesError(pop.user_count, n0)
-    seed_seq = np.random.SeedSequence(config.seed)
-    dom_seed, proto_seed = seed_seq.spawn(2)
+
+    Q: HypothesisSet
+    config: SelectionConfig
+    certificate: DominatingSetCertificate
+    family: QueryFamily
+    users_required: int  # plan_sample_size(Q.k, config)
+
+    @classmethod
+    def build(cls, Q: HypothesisSet, config: SelectionConfig) -> SelectionPlan:
+        """Graph, dominating set (seeded by the first child of SeedSequence(config.seed)) and family."""
+        return _plan(Q, config, plan_sample_size(Q.k, config), np.random.SeedSequence(config.seed).spawn(2)[0])
+
+    def run(self, pop: SimulatedPopulation, rng: np.random.Generator) -> SelectionReport:
+        """Estimate the family's queries on pop (estimate_queries, exact block law) and select."""
+        if pop.user_count < self.users_required:
+            raise InsufficientSamplesError(pop.user_count, self.users_required)
+        estimates = estimate_queries(pop, self.family.signs, self.config.epsilon, rng)
+        return replace(rmde_select(self.Q, self.family, estimates), certificate=self.certificate)
+
+
+def _plan(Q: HypothesisSet, config: SelectionConfig, users_required: int, seed) -> SelectionPlan:
     graph = build_scheffe_graph(Q, config.phi)
-    cert = find_dominating_set(graph, Q, seed=dom_seed)
+    cert = find_dominating_set(graph, Q, seed=seed)
     family = query_family_from_dominating_set(Q, cert, config.phi, graph=graph)
-    estimates = estimate_queries(pop, family.signs, config.epsilon, np.random.default_rng(proto_seed))
-    report = rmde_select(Q, family, estimates)
-    return replace(report, certificate=cert)
+    return SelectionPlan(Q, config, cert, family, users_required)
+
+
+def select_hypothesis(Q: HypothesisSet, pop: SimulatedPopulation, config: SelectionConfig) -> SelectionReport:
+    """SelectionPlan.build(Q, config).run(pop, rng), rng from the second child of SeedSequence(config.seed)."""
+    users = plan_sample_size(Q.k, config)
+    if pop.user_count < users:  # refused before any graph is built
+        raise InsufficientSamplesError(pop.user_count, users)
+    dom_seed, run_seed = np.random.SeedSequence(config.seed).spawn(2)
+    return _plan(Q, config, users, dom_seed).run(pop, np.random.default_rng(run_seed))

@@ -192,9 +192,9 @@ class PairDigraph:
     """Adjacency-list digraph on the C(k, 2) unordered index pairs.
 
     The arrays are frozen in place at construction.  Graphs made by
-    build_scheffe_graph and from_edge_ids hold their rows as views into one
-    sorted int32 target array.  phi is the comparison constant the graph was
-    built at, or None where it is not recorded.
+    build_scheffe_graph, from_edge_ids and build_lower_bound_graph hold their
+    rows as views into one sorted int32 target array.  phi is the comparison
+    constant the graph was built at, or None where it is not recorded.
     """
 
     k: int

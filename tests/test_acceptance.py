@@ -15,6 +15,7 @@ from ldpselect import (
     DiscreteDistribution,
     HypothesisSet,
     SelectionConfig,
+    SelectionPlan,
     SimulatedPopulation,
     build_flattening_family,
     build_lower_bound_graph,
@@ -24,14 +25,12 @@ from ldpselect import (
     find_dominating_set,
     l1_distance,
     mixture,
-    plan_sample_size,
     query_family_from_dominating_set,
     random_hypothesis_set,
     required_block_size,
     rmde_select,
     run_protocol,
     scan_triangles,
-    select_hypothesis,
     verify_domination,
     verify_domination_lower_bound,
     verify_flattening_violation,
@@ -181,7 +180,8 @@ def test_c7_end_to_end_guarantee():
     k, d = 8, 16
     config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, phi=PHI, seed=0)
     Q = random_hypothesis_set(k, d, seed=20_250_101)
-    n0 = plan_sample_size(k, config)
+    plan = SelectionPlan.build(Q, config)
+    n0 = plan.users_required
     factor = config.approximation_factor
     assert factor == pytest.approx(13.0)
 
@@ -199,10 +199,7 @@ def test_c7_end_to_end_guarantee():
         for trial in range(trials):
             pop_seed, sel_seed = np.random.SeedSequence([tag, trial]).spawn(2)
             pop = SimulatedPopulation.draw(p, n0, pop_seed)
-            sel = int(sel_seed.generate_state(1, np.uint64)[0] >> 1)
-            rep = select_hypothesis(Q, pop, SelectionConfig(
-                alpha=config.alpha, beta=config.beta, epsilon=config.epsilon,
-                phi=config.phi, seed=sel))
+            rep = plan.run(pop, np.random.default_rng(sel_seed))
             err = l1_distance(Q.hypotheses[rep.selected_index - 1], p)
             if err <= bound + 1e-12:
                 successes += 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ldpselect import (
+    PairDigraph,
     StochasticMap,
     build_flattening_family,
     build_lower_bound_graph,
@@ -30,7 +31,7 @@ from ldpselect.errors import (
     ResamplingLimitError,
     UnsupportedSizeError,
 )
-from ldpselect.scheffe_graph import all_pairs, minimum_cover_size, pair_index, scan_triangles
+from ldpselect.scheffe_graph import all_pairs, minimum_cover_size, pair_count, pair_index, scan_triangles
 
 
 class TestLowerBoundGraph:
@@ -101,6 +102,29 @@ class TestLowerBoundGraph:
                     expected = min(wa, wb)
                 assert expected in out
 
+    @pytest.mark.parametrize("k", [16, 33, 64])
+    def test_rows_match_the_edge_id_reference(self, k):
+        graph = build_lower_bound_graph(k, seed=k).graph
+        reference = PairDigraph.from_edge_ids(k, *graph.edge_ids())
+        assert all(np.array_equal(a, b) for a, b in zip(graph.out_edges, reference.out_edges))
+        assert np.array_equal(graph.in_degrees, reference.in_degrees)
+        assert graph.in_degrees.dtype == np.int64
+        base = graph.out_edges[0].base
+        for v, row in enumerate(graph.out_edges):
+            assert row.dtype == np.int32 and row.base is base and not row.flags.writeable
+            assert np.all(np.diff(row) > 0) and v not in row
+
+    def test_peak_memory_within_its_refusal_estimate(self):
+        k = 64
+        build_lower_bound_graph(k, seed=0)
+        tracemalloc.start()
+        try:
+            build_lower_bound_graph(k, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= barriers._LOWER_BOUND_BYTES_PER_EDGE * pair_count(k) * (k - 2)
+
 
 def reference_recount(cert):
     """Recomputed floor |R| / max over v of the sampled vertices v dominates, one vertex at a time."""
@@ -128,12 +152,12 @@ class TestLowerBoundMemoryRefusal:
         return calls
 
     def test_refused_before_allocation(self, monkeypatch):
-        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 58 bytes each
+        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 29 bytes each
         calls = self.available(monkeypatch, 50_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedSizeError,
-                               match="8290560 edges of a k=256 .* need 480852480 bytes, but only 50000000 bytes"):
+                               match="8290560 edges of a k=256 .* need 240426240 bytes, but only 50000000 bytes"):
                 build_lower_bound_graph(256, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

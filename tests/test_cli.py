@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from ldpselect import DiscreteDistribution, HypothesisSet, random_hypothesis_set, scheffe_graph
+from ldpselect import (
+    DiscreteDistribution,
+    HypothesisSet,
+    SelectionConfig,
+    SimulatedPopulation,
+    plan_sample_size,
+    random_hypothesis_set,
+    rmde,
+    scheffe_graph,
+)
 from ldpselect.cli import main
 from ldpselect.scheffe_graph import graph_from_json_dict
 
@@ -201,6 +210,56 @@ class TestSelect:
         assert csv_text[0].startswith("trial,seed,opt,error,bound,passed")
         assert len(csv_text) == 4
 
+    def test_trials_share_one_plan(self, tmp_path, monkeypatch):
+        builds = []
+        real_build = rmde.build_scheffe_graph
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(rmde, "build_scheffe_graph", counting_build)
+        hyp = tmp_path / "hyp.json"
+        main(["gen", "--k", "6", "--d", "8", "--seed", "7", "--out", str(hyp)])
+        out = tmp_path / "report.json"
+        code = main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2",
+            "--epsilon", "0.5", "--seed", "8", "--trials", "3",
+            "--p-index", "2", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(builds) == 1
+        doc = json.loads(out.read_text())
+        config = SelectionConfig(alpha=1.0, beta=0.2, epsilon=0.5, seed=8)
+        assert doc["users_planned"] == plan_sample_size(6, config)
+        assert doc["plan_ms"] > 0
+        assert len({r["dominating_set_size"] for r in doc["records"]}) == 1
+        assert len({r["seed"] for r in doc["records"]}) == 3
+
+    def test_trial_run_stream_is_not_the_population_stream(self, tmp_path, monkeypatch):
+        # SeedSequence(s) and SeedSequence([s, 0]) share their state, so the run must not use either
+        states = {"draw": [], "run": []}
+        real_draw, real_run = SimulatedPopulation.draw.__func__, rmde.SelectionPlan.run
+
+        def draw(cls, dist, n, seed):
+            states["draw"].append(tuple(np.random.SeedSequence(seed.entropy).generate_state(4)))
+            return real_draw(cls, dist, n, seed)
+
+        def run(plan, pop, rng):
+            states["run"].append(tuple(rng.bit_generator.seed_seq.generate_state(4)))
+            return real_run(plan, pop, rng)
+
+        monkeypatch.setattr(SimulatedPopulation, "draw", classmethod(draw))
+        monkeypatch.setattr(rmde.SelectionPlan, "run", run)
+        hyp = tmp_path / "hyp.json"
+        write_point_masses(hyp)
+        assert main([
+            "select", "--in", str(hyp), "--alpha", "1.0", "--beta", "0.2", "--epsilon", "0.5",
+            "--seed", "3", "--trials", "2", "--p-index", "1", "--out", str(tmp_path / "r.json"),
+        ]) == 0
+        assert len(states["draw"]) == len(states["run"]) == 2
+        assert not set(states["draw"]) & set(states["run"])
+
     def test_single_near_noiseless_trial_passes(self, tmp_path):
         hyp = tmp_path / "hyp.json"
         main(["gen", "--k", "4", "--d", "6", "--seed", "21", "--out", str(hyp)])
@@ -375,7 +434,7 @@ class TestBarrierCommands:
         out = tmp_path / "lb.json"
         monkeypatch.setattr(scheffe_graph, "_available_memory", lambda: 50_000_000)
         assert main(["barrier", "lbgraph", "--k", "256", "--seed", "1", "--out", str(out)]) == 2
-        assert "need 480852480 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
+        assert "need 240426240 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flatten(self, tmp_path):

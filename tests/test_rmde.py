@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from ldpselect import (
     HypothesisSet,
     QueryEstimates,
     SelectionConfig,
+    SelectionPlan,
     SimulatedPopulation,
     build_scheffe_graph,
+    estimate_queries,
     find_dominating_set,
     l1_distance,
     plan_sample_size,
@@ -27,6 +30,7 @@ from ldpselect.errors import (
     InsufficientSamplesError,
     InvalidCertificateError,
 )
+from ldpselect import rmde
 from ldpselect.rmde import QueryFamily, _first_distinct_rows, full_scheffe_family, max_query_budget
 from ldpselect.scheffe_graph import VertexPair, graph_from_json_dict, graph_to_json_dict, pair_count
 
@@ -459,3 +463,87 @@ class TestSelectHypothesis:
         assert len(report.discrepancies) == 3
         doc = report.to_json_dict()
         assert doc["dominating_set_size"] >= 1
+
+
+def _pairs(pairs):
+    return [(p.lo, p.hi) for p in pairs]
+
+
+def _report_key(report):
+    cert = report.certificate
+    return (
+        report.selected_index, report.selected_discrepancy, report.discrepancies,
+        report.family_size, report.users_consumed,
+        _pairs(cert.dominating_set), _pairs(cert.random_part), _pairs(cert.low_indegree_part),
+        cert.attempts, cert.target_bound,
+    )
+
+
+class TestSelectionPlan:
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    @pytest.mark.parametrize("k", [3, 8, 16, 32])
+    def test_select_hypothesis_is_plan_plus_run(self, model, k):
+        for seed in range(3):
+            Q = random_hypothesis_set(k, 12, seed=100 * k + seed, model=model)
+            config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=7 * seed + 1)
+            plan = SelectionPlan.build(Q, config)
+            pop = SimulatedPopulation.draw(Q.hypotheses[seed], plan.users_required, seed)
+            dom_seed, proto_seed = np.random.SeedSequence(config.seed).spawn(2)
+            planned = plan.run(pop, np.random.default_rng(proto_seed))
+            one_shot = select_hypothesis(Q, pop, config)
+            # the pipeline written out step by step, as before the plan existed
+            G = build_scheffe_graph(Q, PHI)
+            cert = find_dominating_set(G, Q, seed=dom_seed)
+            family = query_family_from_dominating_set(Q, cert, PHI, graph=G)
+            estimates = estimate_queries(pop, family.signs, config.epsilon, np.random.default_rng(proto_seed))
+            written_out = replace(rmde_select(Q, family, estimates), certificate=cert)
+            assert _report_key(planned) == _report_key(one_shot) == _report_key(written_out)
+            assert plan.certificate is planned.certificate
+            assert np.array_equal(plan.family.signs, family.signs)
+            assert np.array_equal(plan.family.origins, family.origins)
+
+    def test_users_required_is_the_planned_size(self):
+        Q = random_hypothesis_set(5, 6, seed=3)
+        config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=2)
+        assert SelectionPlan.build(Q, config).users_required == plan_sample_size(5, config)
+
+    def test_run_refuses_too_few_users(self):
+        Q = random_hypothesis_set(4, 6, seed=11)
+        plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=1))
+        pop = SimulatedPopulation.draw(Q.hypotheses[0], plan.users_required - 1, 2)
+        with pytest.raises(InsufficientSamplesError) as exc:
+            plan.run(pop, np.random.default_rng(0))
+        assert exc.value.required == plan.users_required
+        assert exc.value.available == plan.users_required - 1
+
+    def test_one_shot_refuses_before_building_a_graph(self, monkeypatch):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("graph built for a population that is too small")
+
+        monkeypatch.setattr(rmde, "build_scheffe_graph", no_graph)
+        Q = random_hypothesis_set(4, 6, seed=11)
+        config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=1)
+        with pytest.raises(InsufficientSamplesError) as exc:
+            select_hypothesis(Q, SimulatedPopulation.draw(Q.hypotheses[0], 10, 2), config)
+        assert exc.value.required == plan_sample_size(4, config)
+
+    def test_one_shot_warns_once_at_epsilon_one(self):
+        Q = random_hypothesis_set(4, 6, seed=13)
+        config = SelectionConfig(alpha=1.0, beta=0.2, epsilon=1.0, seed=21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pop = SimulatedPopulation.draw(Q.hypotheses[1], plan_sample_size(4, config), 22)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            select_hypothesis(Q, pop, config)
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+    def test_plan_is_read_only(self):
+        Q = random_hypothesis_set(6, 8, seed=4)
+        plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=3))
+        for array in (plan.family.signs, plan.family.origins, plan.Q.probs_matrix):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = array[0, 0]
+        with pytest.raises(FrozenInstanceError):
+            plan.users_required = 0
