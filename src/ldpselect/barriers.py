@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .distributions import _write_json
 from .errors import (
     ConfigError,
     DimensionError,
@@ -42,9 +42,11 @@ from .scheffe_graph import (
 
 MIN_LOWER_BOUND_K = 16  # below this the sample would need more vertices than exist
 
-# Peak bytes per edge of build_lower_bound_graph: the (2, V, k - 2) int64 id table (16), the int64
-# targets (8) and their int32 copy (4); 28.1 to 28.3 under tracemalloc for k = 64..192.
-_LOWER_BOUND_BYTES_PER_EDGE = 29
+# Peak bytes per edge of build_lower_bound_graph, reached while the (2, V, k - 2) int32 id table (8) is
+# stacked from its two halves (4 + 4) beside a (V, k) bool mask (1); 17.1 to 17.4 under tracemalloc
+# for k = 64..192.  Later stages hold less: the table with the targets and their masks (13), then the
+# targets with bincount's intp copy of them (12).
+_LOWER_BOUND_BYTES_PER_EDGE = 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +82,6 @@ class LowerBoundCertificate:
             "seed": self.seed,
         }
 
-    def save(self, path) -> None:
-        _write_json(path, self.to_json_dict())
-
 
 def lower_bound_sample_size(k: int) -> int:
     return min(math.ceil(0.25 * k ** 1.5 * math.sqrt(math.log2(k))), pair_count(k))
@@ -103,6 +102,8 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     exactly one of them is sampled the unsampled one is chosen, otherwise the
     lexicographically smaller one.  Out-degree is therefore exactly k - 2,
     and every triangle carries a forward edge from each of its vertices.
+    An integral seed, Python or NumPy, is recorded on the certificate as an
+    int; any other seed is recorded as None.
     A build that would not fit in the memory available raises
     UnsupportedSizeError before allocating.
     """
@@ -140,8 +141,9 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     # {a, i} is the smaller of the two for a < b, so the target is {b, i} only when {a, i} alone is
     # sampled.  Row v takes one of {a, i}, {b, i} per index i outside v = {a, b}: no self-loop, no repeat.
     targets = np.where(in_R[wa] & ~in_R[wb], wb, wa)
+    del wa, wb  # the id table goes before bincount's intp copy of the targets
     targets.sort(axis=1)
-    targets = targets.astype(np.int32).ravel()
+    targets = targets.ravel()
     in_degrees = np.bincount(targets, minlength=V).astype(np.int64)
     graph = PairDigraph(k=k, out_edges=_split_rows(targets, np.full(V, k - 2)), in_degrees=in_degrees)
     sampled_sorted = np.flatnonzero(in_R)
@@ -153,7 +155,7 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
         t_max=t_max,
         implied_lower_bound=ell / (t_max + 1),
         attempts=attempts,
-        seed=seed if isinstance(seed, int) else None,
+        seed=int(seed) if isinstance(seed, Integral) else None,
     )
 
 
@@ -204,10 +206,6 @@ class FlatteningFamily:
     hadamard_matrix: np.ndarray
     point_mass_columns: np.ndarray
     hadamard_columns: np.ndarray
-
-    @property
-    def num_distributions(self) -> int:
-        return 2 * self.n
 
 
 def build_flattening_family(n: int) -> FlatteningFamily:
@@ -403,9 +401,6 @@ class FlatteningReport:
             "bound": self.bound,
             "max_frobenius_deviation": self.max_frobenius_deviation,
         }
-
-    def save(self, path) -> None:
-        _write_json(path, self.to_json_dict())
 
 
 def run_flattening_trials(

@@ -112,8 +112,7 @@ def cmd_dominate(args) -> int:
     G = build_scheffe_graph(Q, args.phi)
     cert = find_dominating_set(G, Q, seed=seed)
     ok = verify_domination(G, cert.dominating_set)
-    cert = replace(cert, seed=seed)
-    cert.save(args.out)
+    _write_json(args.out, replace(cert, seed=seed).to_json_dict())
     bound = domination_bound(G.k)
     print(
         f"dominate: k={G.k} |D|={len(cert.dominating_set)} bound={bound:.1f} "

@@ -169,15 +169,8 @@ class HypothesisSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "HypothesisSet":
-        try:
-            d = doc["domain_size"]
-            rows = doc["hypotheses"]
-        except (KeyError, TypeError) as exc:
-            raise InvariantError(f"hypothesis-set document missing field: {exc}") from exc
-        if not _is_json(d, Integral):
-            raise InvariantError(f"domain_size must be an integer, got {d!r}")
-        if not _is_json(rows, list):
-            raise InvariantError(f"hypotheses must be a list of rows, got {rows!r}")
+        d = _json_number(doc, "domain_size", Integral)
+        rows = _json_number(doc, "hypotheses", list)
         hyps = []
         for row, probs in enumerate(rows, start=1):
             probs = _json_masses(probs, f"hypothesis {row}")

@@ -10,17 +10,14 @@ depends on any released message.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Integral, Real
-from pathlib import Path
+from numbers import Integral
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _is_json, _json_number, _read_only, _write_json
+from .distributions import DiscreteDistribution, _is_json, _read_only
 from .errors import (
     ConfigError,
     DimensionError,
@@ -211,10 +208,6 @@ class LdpTranscript:
         return int(self.messages.size)
 
     @property
-    def user_ids(self) -> np.ndarray:
-        return np.arange(self.user_count)
-
-    @property
     def query_index(self) -> np.ndarray:
         """The query each user answers (int64), rebuilt on each read.
 
@@ -229,46 +222,6 @@ class LdpTranscript:
             raise InvariantError("transcript does not consist of full equal blocks")
         if not np.all(np.abs(self.messages) == 1):
             raise InvariantError("released messages must be single bits in {-1, +1}")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user_id", "query_index", "message"])
-            for uid, qi, m in zip(self.user_ids, self.query_index, self.messages):
-                writer.writerow([int(uid), int(qi), int(m)])
-
-    @classmethod
-    def from_csv(cls, path) -> "LdpTranscript":
-        """Load and check a transcript: user ids 0..n-1, the block map, ±1 messages."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InvariantError(f"transcript file {path} is empty")
-            if header != ["user_id", "query_index", "message"]:
-                raise InvariantError(f"unexpected transcript header {header}")
-            queries, messages = [], []
-            for line, row in enumerate(reader, start=2):
-                try:
-                    uid, q, m = map(int, row)
-                except ValueError as exc:
-                    raise InvariantError(f"transcript line {line}: {exc}") from exc
-                if uid != line - 2:
-                    raise InvariantError(f"transcript line {line}: user_id {uid}, expected {line - 2}")
-                queries.append(q)
-                messages.append(m)
-        try:
-            qi = np.array(queries, dtype=np.int64)
-            msg = np.array(messages, dtype=np.int8)
-        except OverflowError as exc:
-            raise InvariantError(f"transcript value out of range: {exc}") from exc
-        num_queries = max(int(qi.max()) + 1, 0) if qi.size else 0
-        block = qi.size // num_queries if num_queries else 0
-        transcript = cls(msg, block, num_queries)
-        transcript.validate()
-        if not np.array_equal(qi, transcript.query_index):
-            raise InvariantError("query assignment is not the fixed contiguous-block map")
-        return transcript
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,30 +246,6 @@ class QueryEstimates:
                 f"estimate {float(est[i])!r} for query {i} outside the corrected range ±{c}"
             )
         object.__setattr__(self, "estimates", _read_only(est))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "block_size": self.block_size,
-            "estimates": self.estimates.tolist(),
-        }
-
-    def save(self, path) -> None:
-        _write_json(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path) -> "QueryEstimates":
-        """Inverse of save; a missing or mistyped field raises InvariantError naming it."""
-        doc = json.loads(Path(path).read_text())
-        values = _json_number(doc, "estimates", list)
-        for i, value in enumerate(values):
-            if not _is_json(value, Real):
-                raise InvariantError(f"field 'estimates': entry {i} is not a number: {value!r}")
-        return cls(
-            estimates=values,
-            block_size=int(_json_number(doc, "block_size", Integral)),
-            epsilon=float(_json_number(doc, "epsilon", Real)),
-        )
 
 
 def _block_layout(pop: SimulatedPopulation, queries) -> tuple[np.ndarray, int]:

@@ -31,7 +31,7 @@ from .protocol import (
     _check_epsilon,
     estimate_queries,
     required_block_size,
-    run_protocol,  # noqa: F401  the per-user reference; its callers may import it from here
+    run_protocol,  # noqa: F401  the per-user reference; perfbench's tracer wraps it as rmde.run_protocol
 )
 from .scheffe_graph import (
     PHI_DEFAULT,

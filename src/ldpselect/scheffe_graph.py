@@ -15,17 +15,15 @@ probability of the sampling step depends on it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral, Real
-from pathlib import Path
 
 import numpy as np
 
-from .distributions import HypothesisSet, _is_json, _json_number, _read_only, _scheffe_signs, _write_json
+from .distributions import HypothesisSet, _is_json, _json_number, _read_only, _scheffe_signs
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -53,8 +51,8 @@ def pair_index(x, y, k: int):
 
 
 def _pair_id_table(k: int) -> np.ndarray:
-    """(k, k) table whose entry [x, y], x != y, is pair_index(x, y, k)."""
-    ids = np.zeros((k, k), dtype=np.intp)
+    """(k, k) int32 table whose entry [x, y], x != y, is pair_index(x, y, k)."""
+    ids = np.zeros((k, k), dtype=np.int32)
     lo, hi = np.triu_indices(k, 1)
     ids[lo, hi] = ids[hi, lo] = np.arange(lo.size)
     return ids
@@ -67,16 +65,17 @@ def all_pairs(k: int) -> np.ndarray:
 
 
 def shared_index_neighbors(k: int) -> np.ndarray:
-    """Ids of the pairs that share an index with each vertex, shape (2, V, k - 2).
+    """Ids of the pairs that share an index with each vertex, int32 of shape (2, V, k - 2).
 
     For v = {a, b} and each i outside v in increasing order, entry [0, v]
-    holds the id of {a, i} and entry [1, v] the id of {b, i}.
+    holds the id of {a, i} and entry [1, v] the id of {b, i}: rows a and b
+    of _pair_id_table(k) with columns a and b left out.
     """
-    pairs = all_pairs(k)
+    ids = _pair_id_table(k)
+    lo, hi = np.triu_indices(k, 1)
     idx = np.arange(k)
-    outside = (idx != pairs[:, :1]) & (idx != pairs[:, 1:])
-    others = np.broadcast_to(idx, outside.shape)[outside].reshape(len(pairs), k - 2)
-    return _pair_id_table(k)[pairs.T[:, :, None], others]
+    outside = (idx != lo[:, np.newaxis]) & (idx != hi[:, np.newaxis])
+    return np.stack([ids[lo][outside], ids[hi][outside]]).reshape(2, lo.size, k - 2)
 
 
 def shared_index_position(a, b, i):
@@ -359,9 +358,6 @@ class DominatingSetCertificate:
             "seed": self.seed,
         }
 
-    def save(self, path) -> None:
-        _write_json(path, self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominatingSetCertificate":
         """Inverse of to_json_dict.
@@ -388,10 +384,6 @@ class DominatingSetCertificate:
             build_ms=float(_json_number(doc, "build_ms", Real, default=0.0)),
             seed=None if seed is None else int(seed),
         )
-
-    @classmethod
-    def load(cls, path) -> "DominatingSetCertificate":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def sample_size(k: int) -> int:

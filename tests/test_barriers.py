@@ -62,6 +62,14 @@ class TestLowerBoundGraph:
         assert a.sampled_set == b.sampled_set
         assert all(np.array_equal(x, y) for x, y in zip(a.graph.out_edges, b.graph.out_edges))
 
+    @pytest.mark.parametrize("seed, recorded", [
+        (5, 5), (np.int64(5), 5), (np.uint32(5), 5), (None, None), (np.random.SeedSequence(5), None),
+    ])
+    def test_records_integral_seed(self, seed, recorded):
+        cert = build_lower_bound_graph(16, seed=seed)
+        assert cert.seed == recorded and type(cert.seed) is type(recorded)
+        assert cert.to_json_dict()["seed"] == recorded
+
     def test_every_triangle_has_forward_edge_without_case_i(self):
         # each vertex of every triangle sends an edge inside it, under every role order
         cert = build_lower_bound_graph(20, seed=4)
@@ -152,12 +160,12 @@ class TestLowerBoundMemoryRefusal:
         return calls
 
     def test_refused_before_allocation(self, monkeypatch):
-        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 29 bytes each
+        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 18 bytes each
         calls = self.available(monkeypatch, 50_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedSizeError,
-                               match="8290560 edges of a k=256 .* need 240426240 bytes, but only 50000000 bytes"):
+                               match="8290560 edges of a k=256 .* need 149230080 bytes, but only 50000000 bytes"):
                 build_lower_bound_graph(256, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -165,7 +173,7 @@ class TestLowerBoundMemoryRefusal:
         assert calls and peak < 1 << 20
 
     def test_small_builds_read_nothing(self, monkeypatch):
-        # k = 128: 1,024,128 edges, 59,399,424 bytes, below 64 MiB
+        # k = 128: 1,024,128 edges, 18,434,304 bytes, below 64 MiB
         calls = self.available(monkeypatch, 0)
         assert build_lower_bound_graph(128, seed=1).graph.edge_count == 1_024_128
         assert calls == []

@@ -1,5 +1,6 @@
 import itertools
 import json
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ldpselect import (
     mixture,
     random_hypothesis_set,
 )
-from ldpselect.distributions import _scheffe_signs
+from ldpselect.distributions import _json_number, _scheffe_signs
 from ldpselect.errors import ConfigError, InvariantError
 from ldpselect.rmde import full_scheffe_family
 
@@ -219,6 +220,10 @@ class TestSerialization:
         with pytest.raises(InvariantError, match="missing field"):
             HypothesisSet.from_json_dict({"hypotheses": []})
 
+    def test_rejects_non_object_document(self):
+        with pytest.raises(InvariantError, match="object"):
+            HypothesisSet.from_json_dict([0.1])
+
     def test_rejects_boolean_domain_size(self):
         # true would read as 1 and accept one-point rows
         with pytest.raises(InvariantError, match="domain_size"):
@@ -237,6 +242,36 @@ class TestSerialization:
         with pytest.raises(InvariantError, match=match):
             HypothesisSet.from_json_dict({"domain_size": 2, "hypotheses": rows})
 
+
+
+class TestJsonNumber:
+    """The one field reader every JSON loader goes through."""
+
+    @pytest.mark.parametrize("doc, kind, match", [
+        ({}, Integral, "missing field 'n'"),
+        ({"n": "10"}, Integral, "'n' must be an integer"),
+        ({"n": True}, Integral, "'n' must be an integer"),  # true would read as 1
+        ({"n": 1.5}, Integral, "'n' must be an integer"),
+        ({}, Real, "missing field 'n'"),
+        ({"n": "x"}, Real, "'n' must be a number"),
+        ({"n": False}, Real, "'n' must be a number"),
+        ({"n": {"0": 0.1}}, list, "'n' must be a list"),
+        ({"n": "abc"}, list, "'n' must be a list"),
+        ([0.1], Integral, "object"),
+        (None, Real, "object"),
+    ])
+    def test_refusal_names_field(self, doc, kind, match):
+        with pytest.raises(InvariantError, match=match):
+            _json_number(doc, "n", kind)
+
+    @pytest.mark.parametrize("doc, kind, default, expected", [
+        ({}, Integral, None, None),  # an optional field left out
+        ({}, Real, 0.0, 0.0),
+        ({"n": None}, Integral, None, None),  # the default itself may be written
+        ({"n": 3}, Real, 0.0, 3),  # an integer is a number
+    ])
+    def test_accepts(self, doc, kind, default, expected):
+        assert _json_number(doc, "n", kind, default=default) == expected
 
 def test_every_exported_name_resolves():
     import ldpselect

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -558,77 +557,23 @@ class TestNonInteractivityAndPrivacyStructure:
         with pytest.raises(InvariantError, match="single bits"):
             LdpTranscript(messages=messages, block_size=messages.size, num_queries=1).validate()
 
+    @pytest.mark.parametrize("shape, block_size, num_queries, match", [
+        ((2, 2), 2, 2, "one-dimensional"),
+        ((5,), 3, 2, "full equal blocks"),  # one user short
+        ((7,), 3, 2, "full equal blocks"),  # a surplus user kept
+        ((3,), 3, 0, "full equal blocks"),  # messages with no query to answer
+    ])
+    def test_validate_rejects_layout(self, shape, block_size, num_queries, match):
+        messages = np.ones(shape, dtype=np.int8)
+        with pytest.raises(InvariantError, match=match):
+            LdpTranscript(messages=messages, block_size=block_size,
+                          num_queries=num_queries).validate()
+
     def test_validate_accepts_empty_transcript(self):
         LdpTranscript(messages=np.empty(0, dtype=np.int8), block_size=0, num_queries=0).validate()
 
 
-class TestSerialization:
-    def test_transcript_csv_round_trip(self, tmp_path):
-        p = DiscreteDistribution(np.array([0.5, 0.5]))
-        pop = SimulatedPopulation.draw(p, 20, 7)
-        queries = [[1, -1]]
-        eps = 0.5
-        transcript, _ = run_protocol(pop, queries, eps, np.random.default_rng(14))
-        path = tmp_path / "transcript.csv"
-        transcript.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "user_id,query_index,message"  # samples never exported
-        loaded = LdpTranscript.from_csv(path)
-        assert np.array_equal(loaded.messages, transcript.messages)
-        assert np.array_equal(loaded.query_index, transcript.query_index)
-
-    @pytest.mark.parametrize("rows", [
-        [(0, 0, 1), (1, 1, -1), (2, 0, 1), (3, 1, 1)],  # blocks not contiguous
-        [(0, 0, 1), (1, 0, 0)],  # a message that is not a bit
-        [(0, 0, 1), (1, 0)],  # a short row
-        [(0, 0, 1), (1, "x", 1)],  # a field that is not an integer
-        [(5, 0, 1), (9, 0, 1)],  # user ids that are not the positions 0..n-1
-        [("x", 0, 1), ("x", 0, -1)],  # user ids that are not integers
-        [(1, 0, 1), (0, 0, -1)],  # user ids swapped
-        [(0, -3, 1), (1, -3, 1)],  # a negative query index
-        [(0, 0, 1), (1, 0, 257)],  # a message outside the int8 range
-    ])
-    def test_transcript_csv_malformed_rejected(self, tmp_path, rows):
-        path = tmp_path / "transcript.csv"
-        lines = ["user_id,query_index,message"] + [",".join(map(str, r)) for r in rows]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvariantError):
-            LdpTranscript.from_csv(path)
-
-    def test_transcript_csv_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "transcript.csv"
-        path.write_text("")
-        with pytest.raises(InvariantError, match="empty"):
-            LdpTranscript.from_csv(path)
-
-    def test_estimates_json_round_trip(self, tmp_path):
-        est = QueryEstimates(estimates=[0.25, -0.5], block_size=10, epsilon=0.5)
-        path = tmp_path / "estimates.json"
-        est.save(path)
-        assert json.loads(path.read_text())["estimates"] == [0.25, -0.5]
-        loaded = QueryEstimates.load(path)
-        assert loaded.estimates.tolist() == est.estimates.tolist()
-        assert loaded.block_size == 10 and loaded.epsilon == 0.5
-
-    @pytest.mark.parametrize("doc, field", [
-        ({"epsilon": 0.5, "estimates": [0.1]}, "block_size"),
-        ({"block_size": "10", "epsilon": 0.5, "estimates": [0.1]}, "block_size"),
-        ({"block_size": 0, "epsilon": 0.5, "estimates": [0.1]}, "block_size"),
-        ({"block_size": 10, "estimates": [0.1]}, "epsilon"),
-        ({"block_size": 10, "epsilon": "x", "estimates": [0.1]}, "epsilon"),
-        ({"block_size": 10, "epsilon": 0.5}, "estimates"),
-        ({"block_size": 10, "epsilon": 0.5, "estimates": {"0": 0.1}}, "estimates"),
-        ({"block_size": 10, "epsilon": 0.5, "estimates": [0.1, "x"]}, "estimates"),
-        ({"block_size": 10, "epsilon": 0.5, "estimates": [0.1, True]}, "estimates"),
-        ({"block_size": True, "epsilon": 0.5, "estimates": [0.1]}, "block_size"),
-        ([0.1], "object"),
-    ])
-    def test_estimates_json_malformed_names_field(self, tmp_path, doc, field):
-        path = tmp_path / "estimates.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InvariantError, match=field):
-            QueryEstimates.load(path)
-
+class TestQueryEstimates:
     def test_estimates_range_validated(self):
         with pytest.raises(InvariantError):
             QueryEstimates(estimates=[100.0], block_size=5, epsilon=0.5)
@@ -642,3 +587,22 @@ class TestSerialization:
         est = QueryEstimates(estimates=given, block_size=10, epsilon=0.5)
         assert est.estimates.dtype == np.float64 and not est.estimates.flags.writeable
         assert given.flags.writeable
+
+    @pytest.mark.parametrize("fields, error, match", [
+        ({"block_size": 0}, InvariantError, "block_size"),
+        ({"block_size": -3}, InvariantError, "block_size"),
+        ({"epsilon": 0.0}, ConfigError, "epsilon"),
+        ({"epsilon": float("nan")}, ConfigError, "epsilon"),
+        ({"estimates": [0.1, float("inf")]}, InvariantError, "query 1"),
+        ({"estimates": [0.1, -0.2, -50.0]}, InvariantError, "query 2"),
+        ({"estimates": 0.1}, InvariantError, "one-dimensional"),
+    ])
+    def test_rejects_field(self, fields, error, match):
+        kwargs = {"estimates": [0.25, -0.5], "block_size": 10, "epsilon": 0.5, **fields}
+        with pytest.raises(error, match=match):
+            QueryEstimates(**kwargs)
+
+    def test_accepts_corrected_range_ends(self):
+        c = correction_factor(0.5)
+        est = QueryEstimates(estimates=[c, -c, 0.0], block_size=1, epsilon=0.5)
+        assert est.estimates.tolist() == [c, -c, 0.0]

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -23,7 +24,13 @@ from ldpselect import (
 from ldpselect import scheffe_graph
 from ldpselect.barriers import build_lower_bound_graph
 from ldpselect.distributions import GENERATOR_MODELS
-from ldpselect.errors import ArgumentError, ConfigError, InvariantError, UnsupportedSizeError
+from ldpselect.errors import (
+    ArgumentError,
+    ConfigError,
+    InvariantError,
+    ResamplingLimitError,
+    UnsupportedSizeError,
+)
 from ldpselect.scheffe_graph import (
     DominatingSetCertificate,
     PairDigraph,
@@ -145,6 +152,7 @@ class TestPairIndexing:
             expect_a.append([ids[frozenset((a, i))] for i in others])
             expect_b.append([ids[frozenset((b, i))] for i in others])
         assert wa.shape == wb.shape == (pair_count(k), k - 2)
+        assert wa.dtype == wb.dtype == np.int32
         assert wa.tolist() == expect_a and wb.tolist() == expect_b
 
     @pytest.mark.parametrize("k", range(2, 8))
@@ -537,8 +545,8 @@ class TestDominatingSet:
         assert cert.target_bound == domination_bound(Q.k)  # the bound actually enforced
         for seed in (None, 8):
             path = tmp_path / f"cert_{seed}.json"
-            replace(cert, seed=seed).save(path)
-            loaded = DominatingSetCertificate.load(path)
+            path.write_text(json.dumps(replace(cert, seed=seed).to_json_dict()))
+            loaded = DominatingSetCertificate.from_json_dict(json.loads(path.read_text()))
             assert loaded.dominating_set == cert.dominating_set
             assert loaded.target_bound == pytest.approx(cert.target_bound)
             assert loaded.seed == seed
@@ -842,6 +850,14 @@ class TestExactCover:
     def test_single_target(self, point_mass_triple):
         G = build_scheffe_graph(point_mass_triple, PHI)
         assert minimum_cover_size(G, targets=[VertexPair(2, 3)]) == 1
+
+    def test_node_budget_refused(self):
+        # this instance's branch and bound visits 14 nodes on its way to a cover of size 2
+        G = build_scheffe_graph(random_hypothesis_set(7, 8, seed=3), PHI)
+        with pytest.raises(ResamplingLimitError, match="node budget") as info:
+            minimum_cover_size(G, node_budget=13)
+        assert info.value.attempts == 14
+        assert minimum_cover_size(G, node_budget=14) == minimum_cover_size(G) == 2
 
     def test_heuristic_never_beats_exact(self):
         Q = random_hypothesis_set(6, 8, seed=23)
