@@ -50,7 +50,7 @@ class ResamplingLimitError(LdpSelectError, RuntimeError):
     def __init__(self, message: str, attempts: int, diagnostics: dict | None = None):
         self.attempts = int(attempts)
         self.diagnostics = dict(diagnostics or {})
-        super().__init__(f"{message} (after {self.attempts} attempts)")
+        super().__init__(f"{message} (after {self.attempts} attempt{'s' * (self.attempts != 1)})")
 
 
 class FlatnessError(LdpSelectError, ValueError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral, Real
@@ -181,6 +182,39 @@ def _split_rows(targets: np.ndarray, out_degrees: np.ndarray) -> tuple[np.ndarra
     return tuple(targets[start:end] for start, end in zip([0, *ends[:-1]], ends))
 
 
+class PackedRows(Sequence):
+    """The out-rows of a graph kept as packed adjacency bits.
+
+    bits is the read-only (V, ceil(V / 8)) uint8 matrix whose row v packs
+    the V-column adjacency row of vertex v as np.packbits writes it.  Reading
+    out_edges[v] unpacks that one row into a sorted read-only int32 array of
+    out-neighbor ids; a slice gives a tuple of such rows.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = _read_only(bits)
+
+    def __len__(self) -> int:
+        return self.bits.shape[0]
+
+    def __getitem__(self, v):
+        if isinstance(v, slice):
+            return tuple(map(self._row, range(*v.indices(len(self)))))
+        return self._row(v)
+
+    def _row(self, v) -> np.ndarray:
+        row = np.unpackbits(self.bits[v], count=len(self)).view(bool)
+        return _read_only(np.flatnonzero(row).astype(np.int32))
+
+
+# Peak bytes of PairDigraph.from_edge_ids beyond its inputs: a row view object and the V-long
+# arrays per vertex, the sort keys and their quotient and remainder per edge (measured 145 and 24).
+_ROW_BYTES_PER_VERTEX = 150
+_ROW_BYTES_PER_EDGE = 24
+
+
 def _edge_name(u: int, w: int, k: int) -> str:
     (a, b), (c, d) = all_pairs(k)[[u, w]] + 1
     return f"{{{a}, {b}}} -> {{{c}, {d}}}"
@@ -190,21 +224,24 @@ def _edge_name(u: int, w: int, k: int) -> str:
 class PairDigraph:
     """Adjacency-list digraph on the C(k, 2) unordered index pairs.
 
-    The arrays are frozen in place at construction.  Graphs made by
-    build_scheffe_graph, from_edge_ids and build_lower_bound_graph hold their
-    rows as views into one sorted int32 target array.  phi is the comparison
+    out_edges[v] is the sorted array of v's out-neighbor ids, read-only.
+    build_scheffe_graph keeps its rows as packed bits (PackedRows), unpacked
+    one row at a time on read; from_edge_ids and build_lower_bound_graph
+    hold theirs as read-only views into one sorted int32 target array.  The
+    arrays are frozen in place at construction.  phi is the comparison
     constant the graph was built at, or None where it is not recorded.
     """
 
     k: int
-    out_edges: tuple[np.ndarray, ...]  # sorted out-neighbor ids, one array per vertex
+    out_edges: Sequence[np.ndarray]  # sorted out-neighbor ids, one array per vertex
     in_degrees: np.ndarray
     phi: float | None = None
 
     def __post_init__(self):
-        for out in self.out_edges:
-            if out.flags.writeable:  # views of a base frozen by the builder are read-only already
-                _read_only(out)
+        if not isinstance(self.out_edges, PackedRows):  # its bits are frozen and its rows made read-only
+            for out in self.out_edges:
+                if out.flags.writeable:  # views of a base frozen by the builder are read-only already
+                    _read_only(out)
         _read_only(self.in_degrees)
 
     @property
@@ -216,9 +253,29 @@ class PairDigraph:
         return int(self.in_degrees.sum())
 
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and target ids of every edge, in row order: the inverse of from_edge_ids."""
-        sources = np.repeat(np.arange(self.num_vertices), [out.size for out in self.out_edges])
-        return sources, np.concatenate(self.out_edges)
+        """Source and target ids of every edge, in row order: the inverse of from_edge_ids.
+
+        Packed rows are unpacked one row block at a time straight into the
+        int64 sources and int32 targets; if those would not fit in the memory
+        available, UnsupportedSizeError is raised before allocating them.
+        """
+        rows = self.out_edges
+        V = self.num_vertices
+        if not isinstance(rows, PackedRows):
+            return np.repeat(np.arange(V), [out.size for out in rows]), np.concatenate(rows)
+        E = self.edge_count
+        _check_fits(12 * E, f"the {E} edge source and target ids of a k={self.k} graph")
+        sources = np.empty(E, dtype=np.int64)
+        targets = np.empty(E, dtype=np.int32)
+        end = 0
+        for start, stop in _row_blocks(V):
+            adj = np.unpackbits(rows.bits[start:stop], axis=1, count=V).view(bool)
+            for v, row in enumerate(adj, start):
+                out = np.flatnonzero(row)
+                targets[end:end + out.size] = out
+                sources[end:end + out.size] = v
+                end += out.size
+        return sources, targets
 
     @cached_property
     def _shared_index_ids(self) -> np.ndarray:
@@ -250,13 +307,16 @@ class PairDigraph:
         """Graph with edges sources[i] -> targets[i].
 
         An id outside 0..V-1 raises ArgumentError; a self-loop or a repeated
-        edge raises InvariantError naming it.
+        edge raises InvariantError naming it.  A graph whose rows would not fit
+        in the memory available raises UnsupportedSizeError before allocating.
         """
         V = pair_count(k)
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         _check_ids(sources, k)
         _check_ids(targets, k)
+        _check_fits(_ROW_BYTES_PER_VERTEX * V + _ROW_BYTES_PER_EDGE * sources.size,
+                    f"the rows of a k={k} graph with {sources.size} edges")
         # one sort of the (source, target) keys orders edges as a lexsort on both would
         sources, targets = np.divmod(np.sort(sources * V + targets), V)
         loops = np.flatnonzero(sources == targets)
@@ -276,21 +336,19 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
     identical hypotheses have zero norm and therefore receive edges from every
     other vertex.  O(k^2) vertices and O(k^4) pair checks, made one row block
-    at a time: memory is the int32 edges plus one float64 row block, never a
-    V x V array.  The shared-index table is gathered from the same blocks.
-    A first pass keeps each block's adjacency as packed bits, each row padded
-    to a power-of-two stride (under V^2 / 4 bytes in all); a second unpacks
-    them into one int32 target array of exact size, reading each target as
-    its bit's offset masked to the stride.  A build whose packed bits or
-    targets would not fit in the memory available raises UnsupportedSizeError
-    before allocating them.
+    at a time: memory is the packed adjacency bits, V * ceil(V / 8) bytes,
+    plus one float64 row block, never a V x V array.  Each block's rows are
+    packed straight into the bit matrix the graph keeps (PackedRows), and
+    the in-degrees and the shared-index table are gathered from the same
+    blocks.  A build whose packed bits would not fit in the memory available
+    raises UnsupportedSizeError before allocating them.
     """
     if not (0.0 < phi <= 1.0):
         raise ConfigError(f"phi must lie in (0, 1], got {phi}")
     k = Q.k
     V = pair_count(k)
-    stride = 1 << (V - 1).bit_length()
-    _check_fits(V * stride // 8, f"the packed adjacency bits of a k={k} graph")
+    width = (V + 7) // 8
+    _check_fits(V * width, f"the packed adjacency bits of a k={k} graph")
     P = Q.probs_matrix
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
@@ -299,32 +357,16 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     candidates = _read_only(shared_index_neighbors(k))
     table = np.zeros(candidates.shape, dtype=bool)
     in_deg = np.zeros(V, dtype=np.int64)
-    edge_count = 0
-    packed = []
+    bits = np.empty((V, width), dtype=np.uint8)
     for start, stop in _row_blocks(V):
         inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
-        adj = np.zeros((stop - start, stride), dtype=bool)  # columns V.. stay False
-        np.greater_equal(np.abs(inner, out=inner), threshold, out=adj[:, :V])
+        adj = np.abs(inner, out=inner) >= threshold
         del inner
         adj[np.arange(stop - start), np.arange(start, stop)] = False
-        edge_count += np.count_nonzero(adj)
-        in_deg += np.add.reduce(adj[:, :V].view(np.uint8), axis=0, dtype=np.int32)
+        in_deg += np.add.reduce(adj.view(np.uint8), axis=0, dtype=np.int32)
         _gather_shared_index_edges(table, adj, start, candidates)
-        packed.append(np.packbits(adj))
-    del adj
-    _check_fits(4 * edge_count, f"the {edge_count} int32 edge targets of a k={k} graph")
-    targets = np.empty(edge_count, dtype=np.int32)
-    out_deg = np.empty(V, dtype=np.int64)
-    end = 0
-    for start, stop in _row_blocks(V):
-        # flatnonzero, not nonzero: the column half of nonzero's (N, 2) buffer would keep all of it
-        # alive; and of a bool view, which it scans several times faster than uint8
-        flat = np.flatnonzero(np.unpackbits(packed.pop(0), count=(stop - start) * stride).view(bool))
-        np.bitwise_and(flat, stride - 1, out=targets[end:end + flat.size])
-        out_deg[start:stop] = np.diff(np.searchsorted(flat, np.arange(stop - start + 1) * stride))
-        end += flat.size
-    out = _split_rows(targets, out_deg)
-    G = PairDigraph(k=k, out_edges=out, in_degrees=in_deg, phi=float(phi))
+        bits[start:stop] = np.packbits(adj, axis=1)
+    G = PairDigraph(k=k, out_edges=PackedRows(bits), in_degrees=in_deg, phi=float(phi))
     # Prime the cached properties with the tables gathered above.
     object.__setattr__(G, "_shared_index_ids", candidates)
     object.__setattr__(G, "shared_index_edges", _read_only(table))
@@ -463,17 +505,24 @@ _VERIFY_CHUNK = 256
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
-    The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices, each
-    chunk joined into one index array and scattered at once.  The check stops
+    The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices.
+    Packed rows of a chunk are ORed together and unpacked once; other rows
+    are joined into one index array and scattered at once.  The check stops
     with True after the first chunk that leaves no vertex uncovered; False is
     returned only after every row of the set was read.
     """
     ids = _ids_from_pairs(list(dominating_set), G.k)
-    covered = np.zeros(G.num_vertices, dtype=bool)
+    V = G.num_vertices
+    rows = G.out_edges
+    packed = isinstance(rows, PackedRows)
+    covered = np.zeros(V, dtype=bool)
     covered[ids] = True
     for start in range(0, ids.size, _VERIFY_CHUNK):
-        chunk = ids[start:start + _VERIFY_CHUNK].tolist()
-        covered[np.concatenate([G.out_edges[v] for v in chunk])] = True
+        chunk = ids[start:start + _VERIFY_CHUNK]
+        if packed:
+            covered |= np.unpackbits(np.bitwise_or.reduce(rows.bits[chunk], axis=0), count=V).view(bool)
+        else:
+            covered[np.concatenate([rows[v] for v in chunk.tolist()])] = True
         if covered.all():
             return True
     return False
@@ -659,7 +708,11 @@ def minimum_cover_size(G: PairDigraph, targets=None, node_budget: int = 2_000_00
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise ResamplingLimitError("exact cover search exceeded its node budget", nodes)
+            raise ResamplingLimitError(
+                f"exact cover search visited {nodes} search-tree nodes, over its budget of {node_budget}",
+                1,
+                {"nodes": nodes, "node_budget": node_budget},
+            )
         if uncovered == 0:
             return min(best, size)
         if size + packing_lower_bound(uncovered) >= best:
@@ -730,7 +783,7 @@ def graph_from_json_dict(doc: dict) -> PairDigraph:
     quads = _int_quadruples(edges)
     pairs = None if quads is None else quads.reshape(-1, 2)  # [lo, hi] of each endpoint
     if pairs is not None and ((1 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] <= k)).all():
-        ids = _pair_id_table(k)[pairs[:, 0] - 1, pairs[:, 1] - 1]
+        ids = pair_index(pairs[:, 0] - 1, pairs[:, 1] - 1, k)
     else:
         ids = np.array([_edge_ids(edge, k) for edge in edges], dtype=np.int64)
     sources, targets = ids.reshape(-1, 2).T

@@ -128,10 +128,10 @@ class TestGraph:
 
     def test_graph_too_large_for_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         hyp, out = tmp_path / "hyp.json", tmp_path / "g.json"
-        random_hypothesis_set(216, 4, seed=1).save(hyp)  # 95,109,120 bytes of packed bits
+        random_hypothesis_set(216, 4, seed=1).save(hyp)  # 67,407,660 bytes of packed bits
         monkeypatch.setattr(scheffe_graph, "_available_memory", lambda: 50_000_000)
         assert main(["graph", "--in", str(hyp), "--out", str(out)]) == 2
-        assert "need 95109120 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
+        assert "need 67407660 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
         assert not out.exists()
 
 

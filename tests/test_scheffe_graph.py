@@ -378,9 +378,24 @@ class TestBlockedBuild:
         assert len(G.out_edges) == V
         assert all(np.array_equal(out, np.flatnonzero(row)) for out, row in zip(G.out_edges, adj))
         assert np.array_equal(G.in_degrees, adj.sum(axis=0))
+        sources, targets = G.edge_ids()
+        assert all(np.array_equal(a, b) for a, b in zip((sources, targets), np.nonzero(adj), strict=True))
         table = adj[np.arange(V)[:, np.newaxis], shared_index_neighbors(k)]
         assert np.array_equal(G.shared_index_edges, table)
-        assert np.array_equal(PairDigraph.from_edge_ids(k, *np.nonzero(adj)).shared_index_edges, table)
+        reference = PairDigraph.from_edge_ids(k, *np.nonzero(adj))
+        assert np.array_equal(reference.shared_index_edges, table)
+        # dominating: the sampled certificate and the full set; not dominating: everything but the
+        # vertex w of least in-degree and its in-neighbours, which leaves w alone uncovered
+        w = int(np.argmin(adj.sum(axis=0)))
+        missing_w = np.flatnonzero(~adj[:, w] & (np.arange(V) != w))
+        seeded = np.random.default_rng(k).permutation(V)
+        sets = [(find_dominating_set(G, Q, seed=k).dominating_set, True), (vertex_pairs(k), True),
+                (vertex_pairs(k, missing_w), False)]
+        sets += [(vertex_pairs(k, seeded[:n]), None) for n in (1, V // 8, V // 2)]
+        for D, expected in sets:
+            dominated = verify_domination(G, D)
+            assert dominated == verify_domination(reference, D)
+            assert expected in (None, dominated)
 
     @pytest.mark.parametrize("model", [*GENERATOR_MODELS, "duplicate"])
     def test_matches_dense_reference(self, model):
@@ -395,25 +410,34 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     @pytest.mark.parametrize("k", [2, 3, 45, 46])
     def test_matches_dense_reference_around_powers_of_two(self, monkeypatch, k, model, block_bytes):
-        """Rows are padded to a power-of-two stride: V = 1 (stride 1), V = 3 (stride 4),
-        V = 990 just under 1024 and V = 1035 just over it (stride 2048).  64 KiB blocks
-        hold 7 or 8 rows, so the padded rows are also cut across many blocks."""
+        """Rows are packed eight columns to a byte, the last byte padded: V = 1 and V = 3
+        fill part of one byte, V = 990 and V = 1035 (just under and over 1024) end 6 and
+        3 columns into their last byte.  64 KiB blocks hold 7 or 8 rows, so the packed
+        rows are also cut across many blocks."""
         if block_bytes is not None:
             monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", block_bytes)
         self.assert_matches_dense_reference(random_hypothesis_set(k, 16, seed=k, model=model))
 
-    def test_rows_are_views_of_one_int32_array(self):
-        G = build_scheffe_graph(random_hypothesis_set(12, 16, seed=4), PHI)
-        base = G.out_edges[0].base
-        assert all(out.dtype == np.int32 and out.base is base for out in G.out_edges)
-        assert base.size == G.edge_count and not base.flags.writeable
+    def test_rows_are_sorted_read_only_int32(self):
+        Q = random_hypothesis_set(12, 16, seed=4)
+        G = build_scheffe_graph(Q, PHI)
+        adj = dense_scheffe_graph(Q, PHI)
+        rows = [G.out_edges[v] for v in range(len(G.out_edges))]
+        assert all(out.dtype == np.int32 and not out.flags.writeable for out in rows)
+        assert all(np.array_equal(out, np.sort(out)) for out in rows)
+        assert all(np.array_equal(out, np.flatnonzero(row)) for out, row in zip(rows, adj, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, rows, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(G.out_edges[3:9], rows[3:9], strict=True))
+        assert np.array_equal(G.out_edges[-1], rows[-1])
+        with pytest.raises(ValueError):
+            G.out_edges.bits[0, 0] = 0
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_peak_memory_below_one_dense_matrix(self, model):
         """At k = 96 one float64 V x V matrix is 159 MiB; the build must stay below it.
 
-        The edges are also held once: the int32 targets plus at most 36 MiB
-        for a row block, the packed bits and the shared-index tables.
+        The edges are also held once: the V * ceil(V / 8) bytes of packed
+        bits plus at most 36 MiB for a row block and the shared-index tables.
         """
         k = 96
         Q = random_hypothesis_set(k, 64, seed=5, model=model)
@@ -425,7 +449,8 @@ class TestBlockedBuild:
             tracemalloc.stop()
         assert G.edge_count > 0
         assert peak < pair_count(k) ** 2 * 8
-        assert peak <= 4 * G.edge_count + (36 << 20)
+        V = pair_count(k)
+        assert peak <= V * -(-V // 8) + (36 << 20)
 
 
 class TestMemoryRefusal:
@@ -443,32 +468,52 @@ class TestMemoryRefusal:
         return calls
 
     def test_packed_bits_refused_before_allocation(self, monkeypatch):
-        # V = 23,220 rows padded to 32,768 columns: 95,109,120 bytes of packed bits, above 64 MiB
+        # V = 23,220 rows of 2,903 bytes: 67,407,660 bytes of packed bits, above 64 MiB
         Q = random_hypothesis_set(216, 4, seed=1)
         Q.probs_matrix  # cached before tracing starts
         calls = self.available(monkeypatch, 50_000_000)
         tracemalloc.start()
         try:
-            with pytest.raises(UnsupportedSizeError, match="need 95109120 bytes, but only 50000000 bytes"):
+            with pytest.raises(UnsupportedSizeError, match="need 67407660 bytes, but only 50000000 bytes"):
                 build_scheffe_graph(Q, PHI)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert calls and peak < 1 << 20
 
-    def test_targets_refused_before_second_pass(self, monkeypatch):
+    def test_edge_ids_refused_before_allocation(self, monkeypatch):
         Q = random_hypothesis_set(12, 16, seed=2)
-        edges = build_scheffe_graph(Q, PHI).edge_count
+        G = build_scheffe_graph(Q, PHI)
+        edges = G.edge_count
         monkeypatch.setattr(scheffe_graph, "_MEMORY_CHECK_BYTES", 0)
-        packed_bytes = pair_count(12) * 128 // 8  # V = 66 padded to 128
-        assert 4 * edges > packed_bytes
-        calls = self.available(monkeypatch, packed_bytes)
-        with pytest.raises(UnsupportedSizeError, match=f"need {4 * edges} bytes, but only {packed_bytes} bytes"):
-            build_scheffe_graph(Q, PHI)
-        assert len(calls) == 2
+        calls = self.available(monkeypatch, 12 * edges - 1)  # int64 sources and int32 targets
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSizeError, match=f"need {12 * edges} bytes, but only {12 * edges - 1} bytes"):
+                G.edge_ids()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1 and peak < 4 * edges
+
+    @pytest.mark.parametrize("load", [
+        pytest.param(lambda: graph_from_json_dict({"k": 4000, "edges": []}), id="json"),
+        pytest.param(lambda: PairDigraph.from_edge_ids(4000, [], []), id="edge-ids"),
+    ])
+    def test_edge_id_graph_refused_before_allocation(self, monkeypatch, load):
+        # k = 4000: V = 7,998,000 row views and V-long arrays, over a GB from a 30-byte document
+        calls = self.available(monkeypatch, 50_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSizeError, match="rows of a k=4000 graph with 0 edges"):
+                load()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls and peak < 1 << 20
 
     def test_small_builds_read_nothing(self, monkeypatch):
-        # k = 64: 516,096 bytes of packed bits and about 6 MB of targets, both below 64 MiB
+        # k = 64: 508,032 bytes of packed bits, below 64 MiB
         calls = self.available(monkeypatch, 0)
         assert build_scheffe_graph(random_hypothesis_set(64, 16, seed=3), PHI).edge_count > 0
         assert calls == []
@@ -478,7 +523,7 @@ class TestMemoryRefusal:
         calls = self.available(monkeypatch, None)
         Q = random_hypothesis_set(12, 16, seed=2)
         assert np.array_equal(build_scheffe_graph(Q, PHI).in_degrees, dense_scheffe_graph(Q, PHI).sum(axis=0))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("text,expected", [
         ("MemTotal:       8000000 kB\nMemAvailable:    2048 kB\nSwapTotal: 0 kB\n", 2048 * 1024),
@@ -854,9 +899,10 @@ class TestExactCover:
     def test_node_budget_refused(self):
         # this instance's branch and bound visits 14 nodes on its way to a cover of size 2
         G = build_scheffe_graph(random_hypothesis_set(7, 8, seed=3), PHI)
-        with pytest.raises(ResamplingLimitError, match="node budget") as info:
+        with pytest.raises(ResamplingLimitError, match="visited 14 search-tree nodes, over its budget of 13") as info:
             minimum_cover_size(G, node_budget=13)
-        assert info.value.attempts == 14
+        assert info.value.diagnostics == {"nodes": 14, "node_budget": 13}
+        assert info.value.attempts == 1
         assert minimum_cover_size(G, node_budget=14) == minimum_cover_size(G) == 2
 
     def test_heuristic_never_beats_exact(self):
