@@ -18,8 +18,8 @@ import itertools
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -51,18 +51,24 @@ def pair_index(x, y, k: int):
     return idx if np.ndim(idx) else int(idx)
 
 
+# The O(k^2) index data below is kept, read-only, for the last few k asked for.
+_INDEX_CACHE = 8
+
+
+@lru_cache(maxsize=_INDEX_CACHE)
 def _pair_id_table(k: int) -> np.ndarray:
-    """(k, k) int32 table whose entry [x, y], x != y, is pair_index(x, y, k)."""
+    """Read-only (k, k) int32 table whose entry [x, y], x != y, is pair_index(x, y, k)."""
     ids = np.zeros((k, k), dtype=np.int32)
     lo, hi = np.triu_indices(k, 1)
     ids[lo, hi] = ids[hi, lo] = np.arange(lo.size)
-    return ids
+    return _read_only(ids)
 
 
+@lru_cache(maxsize=_INDEX_CACHE)
 def all_pairs(k: int) -> np.ndarray:
-    """All C(k, 2) index pairs, 0-based, in lexicographic order."""
+    """All C(k, 2) index pairs, 0-based, in lexicographic order, read-only."""
     i, j = np.triu_indices(k, 1)
-    return np.column_stack([i, j])
+    return _read_only(np.column_stack([i, j]))
 
 
 def shared_index_neighbors(k: int) -> np.ndarray:
@@ -128,19 +134,30 @@ def _check_ids(ids: np.ndarray, k: int) -> None:
         raise ArgumentError(f"vertex ids must lie in 0..{pair_count(k) - 1} for k={k}")
 
 
+@lru_cache(maxsize=_INDEX_CACHE)
+def _vertex_pairs(k: int) -> tuple[VertexPair, ...]:
+    """Every vertex of a graph on k hypotheses as a VertexPair, indexed by vertex id."""
+    return tuple(VertexPair(lo + 1, hi + 1) for lo, hi in all_pairs(k).tolist())
+
+
 def _pairs_from_ids(ids, k: int) -> tuple[VertexPair, ...]:
     ids = np.asarray(ids, dtype=np.int64)
     _check_ids(ids, k)
-    return tuple(VertexPair(lo + 1, hi + 1) for lo, hi in all_pairs(k)[ids].tolist())
+    return tuple(map(_vertex_pairs(k).__getitem__, ids.tolist()))
 
 
 # Rows per block of a graph build: one float64 row block of about 16 MiB.
 _BLOCK_BYTES = 16 << 20
 
 
+def _block_rows(V: int) -> int:
+    """Rows per row block of a graph on V vertices."""
+    return max(1, _BLOCK_BYTES // (8 * V))
+
+
 def _row_blocks(V: int):
     """Consecutive (start, stop) row ranges covering 0..V-1, one row block each."""
-    step = max(1, _BLOCK_BYTES // (8 * V))
+    step = _block_rows(V)
     return ((s, min(s + step, V)) for s in range(0, V, step))
 
 
@@ -169,12 +186,6 @@ def _check_fits(nbytes: int, what: str) -> None:
         raise UnsupportedSizeError(f"{what} need {nbytes} bytes, but only {available} bytes are available")
 
 
-def _gather_shared_index_edges(table: np.ndarray, adj: np.ndarray, start: int, candidates: np.ndarray) -> None:
-    """Fill rows start.. of the shared-index table from the dense bool rows adj of those vertices."""
-    rows = slice(start, start + adj.shape[0])
-    table[:, rows] = adj[np.arange(adj.shape[0])[:, np.newaxis], candidates[:, rows]]
-
-
 def _split_rows(targets: np.ndarray, out_degrees: np.ndarray) -> tuple[np.ndarray, ...]:
     """Read-only views of one target array, cut into consecutive rows of the given lengths."""
     targets = _read_only(targets)
@@ -183,30 +194,75 @@ def _split_rows(targets: np.ndarray, out_degrees: np.ndarray) -> tuple[np.ndarra
 
 
 class PackedRows(Sequence):
-    """The out-rows of a graph kept as packed adjacency bits.
+    """The out-rows of a phi-comparison graph, as packed adjacency bits filled on first read.
 
-    bits is the read-only (V, ceil(V / 8)) uint8 matrix whose row v packs
-    the V-column adjacency row of vertex v as np.packbits writes it.  Reading
-    out_edges[v] unpacks that one row into a sorted read-only int32 array of
-    out-neighbor ids; a slice gives a tuple of such rows.
+    Row v of a (V, ceil(V / 8)) uint8 bit matrix packs the V-column
+    adjacency row of vertex v as np.packbits writes it.  No row is computed
+    up front.  The first read of a row fills its whole row block
+    (_row_blocks) with one product of the block's signs against every delta,
+    so a row's bits are the same whatever was read before it.  out_edges[v]
+    unpacks row v into a sorted read-only int32 array of out-neighbor ids,
+    and a slice gives a tuple of such rows.  packed(rows) and
+    has_edges(sources, targets) fill only the blocks of the rows they read.
+    bits fills every block and gives the whole matrix, read-only.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("_bits", "_filled", "_step", "_signs", "_deltas", "_threshold")
 
-    def __init__(self, bits: np.ndarray):
-        self.bits = _read_only(bits)
+    def __init__(self, signs: np.ndarray, deltas: np.ndarray, threshold: np.ndarray):
+        V = deltas.shape[0]
+        self._bits = np.empty((V, (V + 7) // 8), dtype=np.uint8)
+        self._step = _block_rows(V)
+        self._filled = np.zeros(-(-V // self._step), dtype=bool)
+        self._signs, self._deltas, self._threshold = signs, deltas, threshold
 
     def __len__(self) -> int:
-        return self.bits.shape[0]
+        return self._bits.shape[0]
 
     def __getitem__(self, v):
         if isinstance(v, slice):
             return tuple(map(self._row, range(*v.indices(len(self)))))
         return self._row(v)
 
+    @property
+    def filled_blocks(self) -> int:
+        """How many row blocks have been filled so far."""
+        return int(np.count_nonzero(self._filled))
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The whole bit matrix, every block filled, as a read-only view."""
+        self._fill(np.arange(0, len(self), self._step))
+        return _read_only(self._bits.view())
+
+    def packed(self, rows: np.ndarray) -> np.ndarray:
+        """The packed bit rows of the given vertex ids, one row each."""
+        self._fill(rows)
+        return self._bits[rows]
+
+    def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Whether each edge sources[i] -> targets[i] is present, as a bool array."""
+        self._fill(sources)
+        return ((self._bits[sources, targets >> 3] >> (7 - (targets & 7))) & 1).astype(bool)
+
     def _row(self, v) -> np.ndarray:
-        row = np.unpackbits(self.bits[v], count=len(self)).view(bool)
+        v = range(len(self))[v]
+        if not self._filled[v // self._step]:
+            self._fill(v)
+        row = np.unpackbits(self._bits[v], count=len(self)).view(bool)
         return _read_only(np.flatnonzero(row).astype(np.int32))
+
+    def _fill(self, rows) -> None:
+        """Fill every row block that holds one of the given rows and is not filled yet."""
+        blocks = np.unique(np.asarray(rows) // self._step)
+        for b in blocks[~self._filled[blocks]].tolist():
+            start, stop = b * self._step, min((b + 1) * self._step, len(self))
+            inner = self._signs[start:stop] @ self._deltas.T  # inner[u - start, w] = <S_u, delta_w>
+            adj = np.abs(inner, out=inner) >= self._threshold
+            del inner
+            adj[np.arange(stop - start), np.arange(start, stop)] = False
+            self._bits[start:stop] = np.packbits(adj, axis=1)
+            self._filled[b] = True
 
 
 # Peak bytes of PairDigraph.from_edge_ids beyond its inputs: a row view object and the V-long
@@ -220,33 +276,50 @@ def _edge_name(u: int, w: int, k: int) -> str:
     return f"{{{a}, {b}}} -> {{{c}, {d}}}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PairDigraph:
     """Adjacency-list digraph on the C(k, 2) unordered index pairs.
 
     out_edges[v] is the sorted array of v's out-neighbor ids, read-only.
-    build_scheffe_graph keeps its rows as packed bits (PackedRows), unpacked
-    one row at a time on read; from_edge_ids and build_lower_bound_graph
-    hold theirs as read-only views into one sorted int32 target array.  The
-    arrays are frozen in place at construction.  phi is the comparison
-    constant the graph was built at, or None where it is not recorded.
+    from_edge_ids and build_lower_bound_graph hold their rows as read-only
+    views into one sorted int32 target array and pass in_degrees with them;
+    any sequence of sorted arrays works the same way, and its arrays are
+    frozen in place at construction.  build_scheffe_graph passes PackedRows,
+    whose row blocks are computed on first read, and no in_degrees: those
+    are summed from the bits on first read, which fills every block, and
+    edge_count with them.  phi is the comparison constant the graph was
+    built at, or None where it is not recorded.
     """
 
     k: int
     out_edges: Sequence[np.ndarray]  # sorted out-neighbor ids, one array per vertex
-    in_degrees: np.ndarray
     phi: float | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.out_edges, PackedRows):  # its bits are frozen and its rows made read-only
-            for out in self.out_edges:
+    def __init__(self, k: int, out_edges: Sequence[np.ndarray], in_degrees: np.ndarray | None = None,
+                 phi: float | None = None):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "out_edges", out_edges)
+        object.__setattr__(self, "phi", phi)
+        if not isinstance(out_edges, PackedRows):  # PackedRows hands out read-only rows
+            for out in out_edges:
                 if out.flags.writeable:  # views of a base frozen by the builder are read-only already
                     _read_only(out)
-        _read_only(self.in_degrees)
+        if in_degrees is not None:
+            self.__dict__["in_degrees"] = _read_only(in_degrees)
 
     @property
     def num_vertices(self) -> int:
         return pair_count(self.k)
+
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        """Read-only int64 in-degree of every vertex, summed from the packed rows when not given."""
+        V = self.num_vertices
+        bits = self.out_edges.bits
+        in_deg = np.zeros(V, dtype=np.int64)
+        for start, stop in _row_blocks(V):
+            in_deg += np.add.reduce(np.unpackbits(bits[start:stop], axis=1, count=V), axis=0, dtype=np.int32)
+        return _read_only(in_deg)
 
     @property
     def edge_count(self) -> int:
@@ -265,11 +338,12 @@ class PairDigraph:
             return np.repeat(np.arange(V), [out.size for out in rows]), np.concatenate(rows)
         E = self.edge_count
         _check_fits(12 * E, f"the {E} edge source and target ids of a k={self.k} graph")
+        bits = rows.bits
         sources = np.empty(E, dtype=np.int64)
         targets = np.empty(E, dtype=np.int32)
         end = 0
         for start, stop in _row_blocks(V):
-            adj = np.unpackbits(rows.bits[start:stop], axis=1, count=V).view(bool)
+            adj = np.unpackbits(bits[start:stop], axis=1, count=V).view(bool)
             for v, row in enumerate(adj, start):
                 out = np.flatnonzero(row)
                 targets[end:end + out.size] = out
@@ -279,7 +353,7 @@ class PairDigraph:
 
     @cached_property
     def _shared_index_ids(self) -> np.ndarray:
-        """shared_index_neighbors(k), built once for the table and its readers."""
+        """shared_index_neighbors(k), built once for the table's readers."""
         return _read_only(shared_index_neighbors(self.k))
 
     @cached_property
@@ -288,9 +362,9 @@ class PairDigraph:
 
         Entry [s, v, t] says whether v = {a, b} has an edge to {a, i} (s = 0)
         or to {b, i} (s = 1), where i is the t-th index outside v, laid out
-        as in shared_index_neighbors(k).  build_scheffe_graph fills it from
-        its dense row blocks; any other graph scatters out_edges into row
-        blocks of the same size and gathers the same way, once per graph.
+        as in shared_index_neighbors(k).  build_scheffe_graph sets it from
+        per-hypothesis star blocks; any other graph scatters out_edges into
+        row blocks and gathers from those, once per graph.
         """
         V = self.num_vertices
         candidates = self._shared_index_ids
@@ -299,12 +373,12 @@ class PairDigraph:
             rows = self.out_edges[start:stop]
             adj = np.zeros((stop - start, V), dtype=bool)
             adj[np.repeat(np.arange(stop - start), [out.size for out in rows]), np.concatenate(rows)] = True
-            _gather_shared_index_edges(table, adj, start, candidates)
+            table[:, start:stop] = adj[np.arange(stop - start)[:, np.newaxis], candidates[:, start:stop]]
         return _read_only(table)
 
     @classmethod
-    def from_edge_ids(cls, k: int, sources, targets) -> "PairDigraph":
-        """Graph with edges sources[i] -> targets[i].
+    def from_edge_ids(cls, k: int, sources, targets, phi: float | None = None) -> "PairDigraph":
+        """Graph with edges sources[i] -> targets[i], recording phi.
 
         An id outside 0..V-1 raises ArgumentError; a self-loop or a repeated
         edge raises InvariantError naming it.  A graph whose rows would not fit
@@ -327,49 +401,95 @@ class PairDigraph:
             raise InvariantError(f"repeated edge {_edge_name(sources[repeats[0]], targets[repeats[0]], k)}")
         out = _split_rows(targets.astype(np.int32), np.bincount(sources, minlength=V))
         in_deg = np.bincount(targets, minlength=V).astype(np.int64)
-        return cls(k=k, out_edges=out, in_degrees=in_deg)
+        return cls(k=k, out_edges=out, in_degrees=in_deg, phi=phi)
+
+
+def _rounding_band(norms: np.ndarray, d: int) -> np.ndarray:
+    """How far apart two float64 sums of <S_u, delta_w> over d terms may lie, per w, with room to spare.
+
+    Each product is exact, S_u being +-1, so a sum in any order lies within
+    gamma_d * ||delta_w||_1 of the exact value, gamma_d = d u / (1 - d u) and
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Section 4.2); two such sums lie within twice that.  A further
+    factor of 2 covers the rounding of the norm and of this product.
+    """
+    u = np.finfo(np.float64).eps / 2
+    return 4 * (d * u / (1 - d * u)) * norms
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The (..., n, n - 1) copy of a (..., n, n) array with each row's diagonal entry left out."""
+    n = a.shape[-1]
+    rest = a.reshape(*a.shape[:-2], n * n)[..., 1:].reshape(*a.shape[:-2], n - 1, n + 1)
+    return rest[..., :-1].reshape(*a.shape[:-2], n, n - 1)
+
+
+def _star_shared_index_edges(rows: PackedRows, k: int, signs: np.ndarray, deltas: np.ndarray,
+                             threshold: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """The shared-index table of the graph with these rows, from one star block per hypothesis.
+
+    The star of hypothesis c is its k - 1 pairs {c, x}.  Its block holds
+    |<S_{c,x}, delta_{c,y}>| >= threshold for every two of them, and row
+    {c, x} of the block less its diagonal is row {c, x} of the table: side 0
+    where c < x, side 1 where x < c.  That is O(k^3 d) in all, against
+    O(k^4 d) for every row of the graph.  Hypotheses go in chunks whose
+    gathered operands and block stay within _BLOCK_BYTES.
+
+    A star value sums the products of the row gemm's value in another order,
+    so the two can differ in the last bits.  An entry whose star value lies
+    within band of its threshold, zero-norm pairs included, is read from its
+    row instead, so the table equals the one gathered from the rows.
+    """
+    V = pair_count(k)
+    table = np.empty((2, V, k - 2), dtype=bool)
+    if k < 3:
+        return table
+    star = _off_diagonal(_pair_id_table(k))  # star[c, x]: the x-th pair holding c
+    upper = (np.arange(k - 1) < np.arange(k)[:, np.newaxis]).astype(np.intp)  # 1 where c is the larger index
+    # per hypothesis: its gathered signs and deltas, the float64 block and three bool copies of it
+    chunk = max(1, _BLOCK_BYTES // ((k - 1) * (16 * deltas.shape[1] + 11 * (k - 1))))
+    for c in range(0, k, chunk):
+        members = star[c:c + chunk]
+        margin = np.matmul(signs[members], deltas[members].transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
+        np.abs(margin, out=margin)
+        margin -= threshold[members][:, np.newaxis]
+        table[upper[c:c + chunk], members] = _off_diagonal(margin >= 0)
+        near = _off_diagonal(np.abs(margin, out=margin) <= band[members][:, np.newaxis])
+        if near.any():  # near[., x, t]: the t-th member other than x
+            h, x, t = np.nonzero(near)
+            table[upper[c + h, x], members[h, x], t] = rows.has_edges(members[h, x], members[h, t + (t >= x)])
+    return table
 
 
 def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigraph:
-    """Materialize the phi-comparison graph of Q.
+    """The phi-comparison graph of Q, with its rows computed on first read.
 
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
     identical hypotheses have zero norm and therefore receive edges from every
-    other vertex.  O(k^2) vertices and O(k^4) pair checks, made one row block
-    at a time: memory is the packed adjacency bits, V * ceil(V / 8) bytes,
-    plus one float64 row block, never a V x V array.  Each block's rows are
-    packed straight into the bit matrix the graph keeps (PackedRows), and
-    the in-degrees and the shared-index table are gathered from the same
-    blocks.  A build whose packed bits would not fit in the memory available
-    raises UnsupportedSizeError before allocating them.
+    other vertex.  The build computes the O(V d) deltas, signs and
+    thresholds, and the shared-index table from per-hypothesis star blocks in
+    O(k^3 d).  The O(k^4 d) pair checks of the rows are left to PackedRows,
+    which makes them one row block at a time when a row of the block is
+    first read.  Memory is the packed bits, V * ceil(V / 8) bytes, reserved
+    here and written block by block, plus one float64 row block, never a
+    V x V array.  A build whose packed bits would not fit in the memory
+    available raises UnsupportedSizeError before allocating them.
     """
     if not (0.0 < phi <= 1.0):
         raise ConfigError(f"phi must lie in (0, 1], got {phi}")
     k = Q.k
     V = pair_count(k)
-    width = (V + 7) // 8
-    _check_fits(V * width, f"the packed adjacency bits of a k={k} graph")
+    _check_fits(V * ((V + 7) // 8), f"the packed adjacency bits of a k={k} graph")
     P = Q.probs_matrix
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-    threshold = phi * np.abs(deltas).sum(axis=1)
+    norms = np.abs(deltas).sum(axis=1)
+    threshold = phi * norms
     signs = _scheffe_signs(deltas).astype(np.float64)
-    candidates = _read_only(shared_index_neighbors(k))
-    table = np.zeros(candidates.shape, dtype=bool)
-    in_deg = np.zeros(V, dtype=np.int64)
-    bits = np.empty((V, width), dtype=np.uint8)
-    for start, stop in _row_blocks(V):
-        inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
-        adj = np.abs(inner, out=inner) >= threshold
-        del inner
-        adj[np.arange(stop - start), np.arange(start, stop)] = False
-        in_deg += np.add.reduce(adj.view(np.uint8), axis=0, dtype=np.int32)
-        _gather_shared_index_edges(table, adj, start, candidates)
-        bits[start:stop] = np.packbits(adj, axis=1)
-    G = PairDigraph(k=k, out_edges=PackedRows(bits), in_degrees=in_deg, phi=float(phi))
-    # Prime the cached properties with the tables gathered above.
-    object.__setattr__(G, "_shared_index_ids", candidates)
-    object.__setattr__(G, "shared_index_edges", _read_only(table))
+    rows = PackedRows(signs, deltas, threshold)
+    G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
+    band = _rounding_band(norms, deltas.shape[1])
+    G.__dict__["shared_index_edges"] = _read_only(_star_shared_index_edges(rows, k, signs, deltas, threshold, band))
     return G
 
 
@@ -506,10 +626,12 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
     The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices.
-    Packed rows of a chunk are ORed together and unpacked once; other rows
-    are joined into one index array and scattered at once.  The check stops
-    with True after the first chunk that leaves no vertex uncovered; False is
-    returned only after every row of the set was read.
+    Packed rows of a chunk come from PackedRows.packed, which fills only the
+    row blocks the chunk lies in; they are ORed together and unpacked once.
+    Other rows are joined into one index array and scattered at once.  The
+    check stops with True after the first chunk that leaves no vertex
+    uncovered, so the row blocks of later chunks are never computed; False
+    is returned only after every row of the set was read.
     """
     ids = _ids_from_pairs(list(dominating_set), G.k)
     V = G.num_vertices
@@ -520,7 +642,7 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
     for start in range(0, ids.size, _VERIFY_CHUNK):
         chunk = ids[start:start + _VERIFY_CHUNK]
         if packed:
-            covered |= np.unpackbits(np.bitwise_or.reduce(rows.bits[chunk], axis=0), count=V).view(bool)
+            covered |= np.unpackbits(np.bitwise_or.reduce(rows.packed(chunk), axis=0), count=V).view(bool)
         else:
             covered[np.concatenate([rows[v] for v in chunk.tolist()])] = True
         if covered.all():
@@ -738,8 +860,19 @@ def minimum_cover_size(G: PairDigraph, targets=None, node_budget: int = 2_000_00
     return dfs(full_mask, 0, best)
 
 
+# Peak bytes per edge of an export: the edge list of graph_to_json_dict and its JSON text at
+# indent 2 (measured 531 to 563 at k = 24 to 40).
+_EXPORT_BYTES_PER_EDGE = 570
+
+
 def graph_to_json_dict(G: PairDigraph) -> dict:
-    """Edge-list export; quadruple [a, b, c, d] means {a, b} -> {c, d} (1-based)."""
+    """Edge-list export; quadruple [a, b, c, d] means {a, b} -> {c, d} (1-based).
+
+    An export whose edge list and JSON text would not fit in the memory
+    available raises UnsupportedSizeError before the list is built.
+    """
+    E = G.edge_count
+    _check_fits(_EXPORT_BYTES_PER_EDGE * E, f"the JSON export of the {E} edges of a k={G.k} graph")
     pairs = all_pairs(G.k) + 1
     sources, targets = G.edge_ids()
     edges = np.concatenate([pairs[sources], pairs[targets]], axis=1).tolist()
@@ -787,5 +920,4 @@ def graph_from_json_dict(doc: dict) -> PairDigraph:
     else:
         ids = np.array([_edge_ids(edge, k) for edge in edges], dtype=np.int64)
     sources, targets = ids.reshape(-1, 2).T
-    digraph = PairDigraph.from_edge_ids(k, sources, targets)
-    return replace(digraph, phi=None if phi is None else float(phi))
+    return PairDigraph.from_edge_ids(k, sources, targets, phi=None if phi is None else float(phi))

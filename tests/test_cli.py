@@ -134,6 +134,26 @@ class TestGraph:
         assert "need 67407660 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_export_too_large_for_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        hyp, out = tmp_path / "hyp.json", tmp_path / "g.json"
+        random_hypothesis_set(12, 16, seed=2).save(hyp)
+        assert main(["graph", "--in", str(hyp), "--out", str(out)]) == 0
+        written = out.read_bytes()
+        edges = json.loads(written)["stats"]["edge_count"]
+        need = scheffe_graph._EXPORT_BYTES_PER_EDGE * edges
+        out.unlink()
+        monkeypatch.setattr(scheffe_graph, "_MEMORY_CHECK_BYTES", 0)
+        with monkeypatch.context() as m:
+            m.setattr(scheffe_graph, "_available_memory", lambda: need - 1)
+            m.setattr(scheffe_graph.PairDigraph, "edge_ids", None)  # the edge list is never built
+            assert main(["graph", "--in", str(hyp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"JSON export of the {edges} edges of a k=12 graph need {need} bytes, but only {need - 1}" in err
+        assert not out.exists()
+        monkeypatch.setattr(scheffe_graph, "_available_memory", lambda: need)
+        assert main(["graph", "--in", str(hyp), "--out", str(out)]) == 0
+        assert out.read_bytes() == written
+
 
 class TestDominate:
     def test_certificate_file(self, tmp_path):

@@ -137,6 +137,17 @@ class TestPairIndexing:
         with pytest.raises(ArgumentError):
             scheffe_graph._pairs_from_ids([vid], 4)
 
+    def test_index_data_is_kept_read_only_per_k(self):
+        for index in (all_pairs, scheffe_graph._pair_id_table):
+            first = index(6)
+            assert index(6) is first and not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 1
+        ids = np.array([14, 0, 3, 3])
+        pairs = scheffe_graph._pairs_from_ids(ids, 6)
+        assert pairs == tuple(vertex_pairs(6, ids))
+        assert all(p is scheffe_graph._vertex_pairs(6)[i] for p, i in zip(pairs, ids.tolist()))
+
     def test_pair_index_either_order(self):
         assert pair_index(3, 1, 5) == pair_index(1, 3, 5)
         i, j = np.triu_indices(5, 1)
@@ -451,6 +462,126 @@ class TestBlockedBuild:
         assert peak < pair_count(k) ** 2 * 8
         V = pair_count(k)
         assert peak <= V * -(-V // 8) + (36 << 20)
+
+
+def filled_table(G):
+    """The shared-index table read bit by bit from G's fully filled packed rows."""
+    candidates = shared_index_neighbors(G.k)
+    rows = np.arange(G.num_vertices)[:, np.newaxis]
+    return ((G.out_edges.bits[rows, candidates >> 3] >> (7 - (candidates & 7))) & 1).astype(bool)
+
+
+def with_duplicates(Q):
+    """Q with q2 = q1 and, where there are that many, q5 = q4 = q3: vertices of zero pair norm."""
+    h = list(Q.hypotheses)
+    h[1] = h[0]
+    h[3:5] = [h[2]] * len(h[3:5])
+    return HypothesisSet(tuple(h))
+
+
+class TestLazyRows:
+    """Packed rows are computed one row block at a time, on the first read of a row in the block."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # V = 190: 8 KiB blocks hold 5 rows, so the graph has 38 blocks
+        monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", 1 << 13)
+        Q = random_hypothesis_set(20, 16, seed=8)
+        return Q, dense_scheffe_graph(Q, PHI)
+
+    def test_rows_read_in_any_order_match_dense_reference(self, small_blocks):
+        Q, adj = small_blocks
+        G = build_scheffe_graph(Q, PHI)
+        rows = G.out_edges
+        assert rows.filled_blocks == 0
+        order = np.random.default_rng(3).permutation(len(rows))
+        for n, v in enumerate(order.tolist(), 1):
+            assert np.array_equal(rows[v], np.flatnonzero(adj[v]))
+            if n == 1:
+                assert rows.filled_blocks == 1
+        assert rows.filled_blocks == 38
+
+    def test_every_reader_matches_dense_reference(self, small_blocks):
+        Q, adj = small_blocks
+        V = adj.shape[0]
+        readers = {
+            "slice": lambda G: all(np.array_equal(out, np.flatnonzero(row))
+                                   for out, row in zip(G.out_edges[37:121:3], adj[37:121:3], strict=True)),
+            "bits": lambda G: np.array_equal(G.out_edges.bits, np.packbits(adj, axis=1)),
+            "edge_ids": lambda G: all(np.array_equal(a, b) for a, b in zip(G.edge_ids(), np.nonzero(adj), strict=True)),
+            "in_degrees": lambda G: np.array_equal(G.in_degrees, adj.sum(axis=0)),
+            "edge_count": lambda G: G.edge_count == adj.sum(),
+            "has_edges": lambda G: np.array_equal(G.out_edges.has_edges(np.arange(V), np.arange(V)[::-1]),
+                                                  adj[np.arange(V), np.arange(V)[::-1]]),
+        }
+        for name, reader in readers.items():
+            assert reader(build_scheffe_graph(Q, PHI)), name
+        bits = build_scheffe_graph(Q, PHI).out_edges.bits
+        with pytest.raises(ValueError):
+            bits[0, 0] = 0
+
+    def test_verify_fills_only_the_blocks_of_the_rows_it_reads(self, small_blocks, monkeypatch):
+        Q, adj = small_blocks
+        V = adj.shape[0]
+        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 5)
+        G = build_scheffe_graph(Q, PHI)
+        assert verify_domination(G, vertex_pairs(Q.k))  # the first chunk, rows 0..4, covers everything
+        assert G.out_edges.filled_blocks == 1
+        # everything but w and its in-neighbours: not dominating, so every row of the set is read
+        w = int(np.argmin(adj.sum(axis=0)))
+        missing_w = np.flatnonzero(~adj[:, w] & (np.arange(V) != w))
+        G = build_scheffe_graph(Q, PHI)
+        assert not verify_domination(G, vertex_pairs(Q.k, missing_w))
+        assert G.out_edges.filled_blocks == np.unique(missing_w // 5).size
+
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_offline_path_fills_few_blocks(self, model):
+        """At k = 128 a row block holds 258 of the 8128 rows.  The build reads only the rows
+        whose table entries point at a zero-norm vertex (the sparse instance has two identical
+        hypotheses); the dominating-set search and the triangle scan read the table alone; the
+        domination checks stop after the first chunk of 256 rows of D, in id order."""
+        from ldpselect.rmde import query_family_from_dominating_set
+
+        k, V = 128, pair_count(128)
+        Q = random_hypothesis_set(k, 64, seed=11, model=model)
+        step = scheffe_graph._block_rows(V)
+        zero_norm = pair_norms(Q) == 0
+        assert zero_norm.any() == (model == "sparse")
+        touched = np.flatnonzero(zero_norm[shared_index_neighbors(k)].any(axis=(0, 2)))
+        G = build_scheffe_graph(Q, PHI)
+        assert G.out_edges.filled_blocks == np.unique(touched // step).size
+        cert = find_dominating_set(G, Q, seed=2)
+        scan_triangles(G)
+        assert G.out_edges.filled_blocks == np.unique(touched // step).size
+        assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
+        assert verify_domination(G, cert.dominating_set)
+        ids = np.array([p.vertex_id(k) for p in cert.dominating_set])
+        first_chunk = ids[:scheffe_graph._VERIFY_CHUNK]
+        assert G.out_edges.filled_blocks == np.unique(np.concatenate([first_chunk, touched]) // step).size
+        assert np.unique(first_chunk // step).size <= 3
+
+    @pytest.mark.parametrize("band", ["proven", "huge"])
+    @pytest.mark.parametrize("k", [3, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("model", [*GENERATOR_MODELS, "duplicates"])
+    def test_star_table_equals_table_of_filled_rows(self, monkeypatch, model, k, band):
+        """A huge rounding band sends every entry of the star table through the row path."""
+        if band == "huge":
+            monkeypatch.setattr(scheffe_graph, "_rounding_band", lambda norms, d: np.full(norms.shape, np.inf))
+        Q = random_hypothesis_set(k, 64, seed=k, model="sparse" if model == "duplicates" else model)
+        if model == "duplicates":
+            Q = with_duplicates(Q)
+        G = build_scheffe_graph(Q, PHI)
+        table = G.shared_index_edges
+        assert not table.flags.writeable
+        assert np.array_equal(table, filled_table(G))
+
+    def test_zero_norm_entries_go_through_the_rows(self):
+        """Entries into a zero-norm vertex sit on their threshold, 0 >= 0, so each is read from its row."""
+        Q = with_duplicates(random_hypothesis_set(12, 16, seed=4))
+        assert (pair_norms(Q) == 0).sum() == 4
+        G = build_scheffe_graph(Q, PHI)
+        assert G.out_edges.filled_blocks == 1
+        assert np.array_equal(G.shared_index_edges, filled_table(G))
 
 
 class TestMemoryRefusal:
