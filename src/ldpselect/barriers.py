@@ -34,8 +34,8 @@ from .scheffe_graph import (
     PairDigraph,
     VertexPair,
     pair_count,
-    shared_index_neighbors,
     _check_fits,
+    _pair_id_table,
     _pairs_from_ids,
     _split_rows,
 )
@@ -83,6 +83,20 @@ class LowerBoundCertificate:
         }
 
 
+def _shared_index_neighbors(k: int) -> np.ndarray:
+    """Ids of the pairs that share an index with each vertex, int32 of shape (2, V, k - 2).
+
+    For v = {a, b} and each i outside v in increasing order, entry [0, v]
+    holds the id of {a, i} and entry [1, v] the id of {b, i}: rows a and b
+    of _pair_id_table(k) with columns a and b left out.
+    """
+    ids = _pair_id_table(k)
+    lo, hi = np.triu_indices(k, 1)
+    idx = np.arange(k)
+    outside = (idx != lo[:, np.newaxis]) & (idx != hi[:, np.newaxis])
+    return np.stack([ids[lo][outside], ids[hi][outside]]).reshape(2, lo.size, k - 2)
+
+
 def lower_bound_sample_size(k: int) -> int:
     return min(math.ceil(0.25 * k ** 1.5 * math.sqrt(math.log2(k))), pair_count(k))
 
@@ -117,7 +131,7 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     ell = lower_bound_sample_size(k)
     overlap_cap = 2.0 * math.log2(k)  # accept when t_max + 1 <= this
     rng = np.random.default_rng(seed)
-    wa, wb = shared_index_neighbors(k)
+    wa, wb = _shared_index_neighbors(k)
 
     t_max = None
     overlaps = None

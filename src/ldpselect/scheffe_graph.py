@@ -71,23 +71,11 @@ def all_pairs(k: int) -> np.ndarray:
     return _read_only(np.column_stack([i, j]))
 
 
-def shared_index_neighbors(k: int) -> np.ndarray:
-    """Ids of the pairs that share an index with each vertex, int32 of shape (2, V, k - 2).
-
-    For v = {a, b} and each i outside v in increasing order, entry [0, v]
-    holds the id of {a, i} and entry [1, v] the id of {b, i}: rows a and b
-    of _pair_id_table(k) with columns a and b left out.
-    """
-    ids = _pair_id_table(k)
-    lo, hi = np.triu_indices(k, 1)
-    idx = np.arange(k)
-    outside = (idx != lo[:, np.newaxis]) & (idx != hi[:, np.newaxis])
-    return np.stack([ids[lo][outside], ids[hi][outside]]).reshape(2, lo.size, k - 2)
-
-
-def shared_index_position(a, b, i):
-    """Column of index i in row {a, b} of shared_index_neighbors(k), for i outside {a, b}."""
-    return i - (i > a) - (i > b)
+@lru_cache(maxsize=_INDEX_CACHE)
+def _star_ids(k: int) -> np.ndarray:
+    """Read-only (k, k - 1) int32 table whose entry [c, x] is the id of {c, x + (x >= c)}: the x-th pair holding c."""
+    c, x = np.indices((k, k - 1))
+    return _read_only(pair_index(c, x + (x >= c), k).astype(np.int32))
 
 
 @dataclass(frozen=True, order=True)
@@ -283,12 +271,12 @@ class PairDigraph:
     out_edges[v] is the sorted array of v's out-neighbor ids, read-only.
     from_edge_ids and build_lower_bound_graph hold their rows as read-only
     views into one sorted int32 target array and pass in_degrees with them;
-    any sequence of sorted arrays works the same way, and its arrays are
-    frozen in place at construction.  build_scheffe_graph passes PackedRows,
-    whose row blocks are computed on first read, and no in_degrees: those
-    are summed from the bits on first read, which fills every block, and
-    edge_count with them.  phi is the comparison constant the graph was
-    built at, or None where it is not recorded.
+    any C(k, 2) sorted arrays work the same way (another count raises
+    InvariantError) and are frozen in place.  build_scheffe_graph passes
+    PackedRows, whose row blocks are computed on first read.  In-degrees not
+    given are summed from the rows on first read, which fills every block of
+    PackedRows, and edge_count with them.  phi is the comparison constant
+    the graph was built at, or None where it is not recorded.
     """
 
     k: int
@@ -297,6 +285,8 @@ class PairDigraph:
 
     def __init__(self, k: int, out_edges: Sequence[np.ndarray], in_degrees: np.ndarray | None = None,
                  phi: float | None = None):
+        if len(out_edges) != pair_count(k):
+            raise InvariantError(f"a graph on {k} hypotheses needs {pair_count(k)} rows, got {len(out_edges)}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "out_edges", out_edges)
         object.__setattr__(self, "phi", phi)
@@ -313,8 +303,10 @@ class PairDigraph:
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        """Read-only int64 in-degree of every vertex, summed from the packed rows when not given."""
+        """Read-only int64 in-degree of every vertex, summed from the rows when not given."""
         V = self.num_vertices
+        if not isinstance(self.out_edges, PackedRows):
+            return _read_only(np.bincount(np.concatenate(self.out_edges), minlength=V).astype(np.int64))
         bits = self.out_edges.bits
         in_deg = np.zeros(V, dtype=np.int64)
         for start, stop in _row_blocks(V):
@@ -352,28 +344,27 @@ class PairDigraph:
         return sources, targets
 
     @cached_property
-    def _shared_index_ids(self) -> np.ndarray:
-        """shared_index_neighbors(k), built once for the table's readers."""
-        return _read_only(shared_index_neighbors(self.k))
-
-    @cached_property
     def shared_index_edges(self) -> np.ndarray:
-        """Read-only (2, V, k - 2) table of the edges between pairs sharing an index.
+        """Read-only (k, k - 1, k - 1) table of the edges between pairs sharing an index.
 
-        Entry [s, v, t] says whether v = {a, b} has an edge to {a, i} (s = 0)
-        or to {b, i} (s = 1), where i is the t-th index outside v, laid out
-        as in shared_index_neighbors(k).  build_scheffe_graph sets it from
-        per-hypothesis star blocks; any other graph scatters out_edges into
-        row blocks and gathers from those, once per graph.
+        Entry [c, x, y] says whether the x-th pair holding c has an edge to
+        the y-th, pairs numbered as in _star_ids(k); the diagonal is False.
+        build_scheffe_graph sets it from per-hypothesis star blocks; any
+        other graph scatters out_edges into row blocks and gathers from
+        those, once per graph: row v = {a, b}, a < b, is row b - 1 of star a
+        and row a of star b.
         """
-        V = self.num_vertices
-        candidates = self._shared_index_ids
-        table = np.zeros(candidates.shape, dtype=bool)
+        k, V = self.k, self.num_vertices
+        star = _star_ids(k)
+        lo, hi = all_pairs(k).T
+        table = np.empty((k, k - 1, k - 1), dtype=bool)
         for start, stop in _row_blocks(V):
             rows = self.out_edges[start:stop]
             adj = np.zeros((stop - start, V), dtype=bool)
             adj[np.repeat(np.arange(stop - start), [out.size for out in rows]), np.concatenate(rows)] = True
-            table[:, start:stop] = adj[np.arange(stop - start)[:, np.newaxis], candidates[:, start:stop]]
+            a, b, r = lo[start:stop], hi[start:stop], np.arange(stop - start)[:, np.newaxis]
+            table[a, b - 1] = adj[r, star[a]]
+            table[b, a] = adj[r, star[b]]
         return _read_only(table)
 
     @classmethod
@@ -417,47 +408,41 @@ def _rounding_band(norms: np.ndarray, d: int) -> np.ndarray:
     return 4 * (d * u / (1 - d * u)) * norms
 
 
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """The (..., n, n - 1) copy of a (..., n, n) array with each row's diagonal entry left out."""
-    n = a.shape[-1]
-    rest = a.reshape(*a.shape[:-2], n * n)[..., 1:].reshape(*a.shape[:-2], n - 1, n + 1)
-    return rest[..., :-1].reshape(*a.shape[:-2], n, n - 1)
-
-
 def _star_shared_index_edges(rows: PackedRows, k: int, signs: np.ndarray, deltas: np.ndarray,
                              threshold: np.ndarray, band: np.ndarray) -> np.ndarray:
     """The shared-index table of the graph with these rows, from one star block per hypothesis.
 
-    The star of hypothesis c is its k - 1 pairs {c, x}.  Its block holds
-    |<S_{c,x}, delta_{c,y}>| >= threshold for every two of them, and row
-    {c, x} of the block less its diagonal is row {c, x} of the table: side 0
-    where c < x, side 1 where x < c.  That is O(k^3 d) in all, against
-    O(k^4 d) for every row of the graph.  Hypotheses go in chunks whose
-    gathered operands and block stay within _BLOCK_BYTES.
+    The star of hypothesis c is its k - 1 pairs {c, x}, numbered as in
+    _star_ids(k).  Its block holds |<S_{c,x}, delta_{c,y}>| >= threshold for
+    every two of them, and less its diagonal it is entry [c] of the table.
+    That is O(k^3 d) in all, against O(k^4 d) for every row of the graph.
+    Hypotheses go in chunks whose gathered operands and block stay within
+    _BLOCK_BYTES.
 
     A star value sums the products of the row gemm's value in another order,
     so the two can differ in the last bits.  An entry whose star value lies
-    within band of its threshold, zero-norm pairs included, is read from its
-    row instead, so the table equals the one gathered from the rows.
+    within band of its threshold is read from its row instead, so the table
+    equals the one gathered from the rows.  A zero threshold is the one
+    exception: |sum| >= 0 holds in any order, so that entry is an edge as it
+    stands.
     """
-    V = pair_count(k)
-    table = np.empty((2, V, k - 2), dtype=bool)
-    if k < 3:
-        return table
-    star = _off_diagonal(_pair_id_table(k))  # star[c, x]: the x-th pair holding c
-    upper = (np.arange(k - 1) < np.arange(k)[:, np.newaxis]).astype(np.intp)  # 1 where c is the larger index
-    # per hypothesis: its gathered signs and deltas, the float64 block and three bool copies of it
+    table = np.empty((k, k - 1, k - 1), dtype=bool)
+    star = _star_ids(k)
+    # per hypothesis: its gathered signs and deltas, the float64 block and bool masks of it
     chunk = max(1, _BLOCK_BYTES // ((k - 1) * (16 * deltas.shape[1] + 11 * (k - 1))))
     for c in range(0, k, chunk):
         members = star[c:c + chunk]
         margin = np.matmul(signs[members], deltas[members].transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
         np.abs(margin, out=margin)
-        margin -= threshold[members][:, np.newaxis]
-        table[upper[c:c + chunk], members] = _off_diagonal(margin >= 0)
-        near = _off_diagonal(np.abs(margin, out=margin) <= band[members][:, np.newaxis])
-        if near.any():  # near[., x, t]: the t-th member other than x
-            h, x, t = np.nonzero(near)
-            table[upper[c + h, x], members[h, x], t] = rows.has_edges(members[h, x], members[h, t + (t >= x)])
+        limit = threshold[members][:, np.newaxis]
+        margin -= limit
+        margin.reshape(len(members), -1)[:, ::k] = -np.inf  # the diagonal: no edge, and not near
+        np.greater_equal(margin, 0, out=table[c:c + chunk])
+        near = np.abs(margin, out=margin) <= band[members][:, np.newaxis]
+        near &= limit > 0
+        if near.any():
+            h, x, y = np.nonzero(near)
+            table[c + h, x, y] = rows.has_edges(members[h, x], members[h, y])
     return table
 
 
@@ -561,15 +546,19 @@ def domination_bound(k: int) -> float:
 def _shared_index_cover(graph: PairDigraph, sampled: np.ndarray) -> np.ndarray:
     """Mark each sampled vertex and its out-neighbors among index-sharing pairs.
 
-    For v = {a, b} only the candidates {a, i} and {b, i}, i outside v, are
-    read from graph.shared_index_edges; this is the O(k)-per-vertex scan.  A
-    vertex left unmarked may still be an out-neighbor of the sample, so the
-    resulting patch set is conservative but always yields a valid dominating
-    set.
+    For each hypothesis c, the rows of graph.shared_index_edges[c] of the
+    sampled pairs holding c are ORed, which marks the pairs holding c that
+    they reach; this is the O(k)-per-vertex scan.  A vertex left unmarked
+    may still be an out-neighbor of the sample, so the resulting patch set
+    is conservative but always yields a valid dominating set.
     """
+    table = graph.shared_index_edges
+    star = _star_ids(graph.k)
     covered = np.zeros(graph.num_vertices, dtype=bool)
     covered[sampled] = True
-    covered[graph._shared_index_ids[:, sampled][graph.shared_index_edges[:, sampled]]] = True
+    in_star = covered[star]
+    reached = np.array([table[c][in_star[c]].any(axis=0) for c in range(graph.k)])
+    covered[star[reached]] = True
     return covered
 
 
@@ -653,24 +642,21 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
 _TRIANGLE_CASES = ("i", "ii", "iii")
 
 
-def _triple_edges(G: PairDigraph, a, b, c, ids: np.ndarray) -> np.ndarray:
+def _triple_edges(G: PairDigraph, a, b, c) -> np.ndarray:
     """The six edges among {a, b}, {a, c} and {b, c} for 0-based roles (a, b, c).
 
-    The roles are integer arrays of one shape and ids is _pair_id_table(G.k).
-    The result stacks, on a new first axis, AB->AC, AB->BC, AC->BC, BC->AC,
-    AC->AB and BC->AB, so the first four give cases ii, iii and i for the
-    roles as given.  Every one of the six is case ii or iii under some
+    The roles are integer arrays of one shape.  The result stacks, on a new
+    first axis, AB->AC, AB->BC, AC->BC, BC->AC, AC->AB and BC->AB, so the
+    first four give cases ii, iii and i for the roles as given.  Every one of the six is case ii or iii under some
     assignment of the indices to the roles, so a triple violates exactly
     when none of them exists.
     """
-    edges = G.shared_index_edges
+    table = G.shared_index_edges
 
-    def edge(x, y, z, xy):  # {x, y} -> {x, z}, where xy is the id of {x, y}
-        return edges[np.greater(x, y).astype(np.intp), xy, shared_index_position(x, y, z)]
+    def edge(x, y, z):  # {x, y} -> {x, z}: star x numbers {x, i} as i, less one past x
+        return table[x, y - (y > x), z - (z > x)]
 
-    ab, ac, bc = ids[a, b], ids[a, c], ids[b, c]
-    return np.stack([edge(a, b, c, ab), edge(b, a, c, ab), edge(c, a, b, ac), edge(c, b, a, bc),
-                     edge(a, c, b, ac), edge(b, c, a, bc)])
+    return np.stack([edge(a, b, c), edge(b, a, c), edge(c, a, b), edge(c, b, a), edge(a, c, b), edge(b, c, a)])
 
 
 def _as_given_cases(six: np.ndarray) -> np.ndarray:
@@ -692,7 +678,7 @@ def check_triangle(G: PairDigraph, j: int, j2: int, j3: int) -> tuple[str, ...]:
         raise ArgumentError(f"indices must be integers, got {trio}")
     if len(set(trio)) != 3 or any(not 1 <= t <= G.k for t in trio):
         raise ArgumentError(f"indices must be distinct and within 1..{G.k}, got {trio}")
-    six = _triple_edges(G, *(np.array(trio) - 1), _pair_id_table(G.k))
+    six = _triple_edges(G, *(np.array(trio) - 1))
     labels = tuple(c for c, hold in zip(_TRIANGLE_CASES, _as_given_cases(six)) if hold)
     return labels if labels or six.any() else ("violation",)
 
@@ -717,11 +703,10 @@ def scan_triangles(G: PairDigraph) -> TriangleScan:
     """
     i = np.arange(G.k)
     trio = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i)))  # x < y < z
-    ids = _pair_id_table(G.k)
     violations = 0
     counts = np.zeros(len(_TRIANGLE_CASES), dtype=np.int64)
     for start in range(0, trio.shape[1], _TRIPLE_CHUNK):
-        six = _triple_edges(G, *trio[:, start:start + _TRIPLE_CHUNK], ids)
+        six = _triple_edges(G, *trio[:, start:start + _TRIPLE_CHUNK])
         violations += int(np.count_nonzero(~six.any(axis=0)))
         counts += np.count_nonzero(_as_given_cases(six), axis=1)
     return TriangleScan(

@@ -22,7 +22,7 @@ from ldpselect import (
     verify_domination,
 )
 from ldpselect import scheffe_graph
-from ldpselect.barriers import build_lower_bound_graph
+from ldpselect.barriers import _shared_index_neighbors, build_lower_bound_graph
 from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import (
     ArgumentError,
@@ -44,7 +44,6 @@ from ldpselect.scheffe_graph import (
     pair_count,
     pair_index,
     sample_size,
-    shared_index_neighbors,
 )
 
 PHI = 1.0 / 6.0
@@ -155,7 +154,7 @@ class TestPairIndexing:
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_shared_index_neighbors_brute_force(self, k):
-        wa, wb = shared_index_neighbors(k)
+        wa, wb = _shared_index_neighbors(k)
         ids = pair_ids(k)
         expect_a, expect_b = [], []
         for a, b in all_pairs(k):
@@ -166,17 +165,17 @@ class TestPairIndexing:
         assert wa.dtype == wb.dtype == np.int32
         assert wa.tolist() == expect_a and wb.tolist() == expect_b
 
-    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k", [*range(2, 8), 16, 24])
     def test_shared_index_edges_brute_force(self, k):
-        G = random_digraph(k, seed=k, density=0.5)
+        """Random digraphs at k <= 7, lower-bound graphs at k = 16 and 24."""
+        G = random_digraph(k, seed=k, density=0.5) if k < 8 else build_lower_bound_graph(k, seed=k).graph
         ids = pair_ids(k)
-        expect = [[], []]
-        for v, (a, b) in enumerate(all_pairs(k)):
-            others = [i for i in range(k) if i not in (a, b)]
-            for s, x in enumerate((a, b)):
-                expect[s].append([ids[frozenset((x, i))] in G.out_edges[v] for i in others])
+        expect = []
+        for c in range(k):
+            star = [ids[frozenset((c, x))] for x in range(k) if x != c]
+            expect.append([[v != w and w in G.out_edges[v] for w in star] for v in star])
         table = G.shared_index_edges
-        assert table.shape == (2, pair_count(k), k - 2)
+        assert table.shape == (k, k - 1, k - 1)
         assert table.tolist() == expect
         assert not table.flags.writeable
 
@@ -316,6 +315,19 @@ class TestBuild:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_plain_rows_sum_their_in_degrees(self):
+        # edges {1,2} -> {2,3} and {2,3} -> {1,2}, given as plain rows without in-degrees
+        rows = (np.array([2]), np.array([], dtype=np.int64), np.array([0]))
+        G = PairDigraph(k=3, out_edges=rows)
+        assert G.edge_count == 2 and G.in_degrees.tolist() == [1, 0, 1]
+        assert not G.in_degrees.flags.writeable
+        assert scan_triangles(G).violations == 0
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_rows_must_number_one_per_vertex(self, count):
+        with pytest.raises(InvariantError, match="needs 3 rows"):
+            PairDigraph(k=3, out_edges=tuple(np.empty(0, dtype=np.int64) for _ in range(count)))
+
     def test_caller_rows_frozen(self):
         # edges {1,2} -> {1,3}, {2,3} and {2,3} -> {1,2}; the last row is a view of a frozen base
         base = np.array([0], dtype=np.int64)
@@ -391,7 +403,8 @@ class TestBlockedBuild:
         assert np.array_equal(G.in_degrees, adj.sum(axis=0))
         sources, targets = G.edge_ids()
         assert all(np.array_equal(a, b) for a, b in zip((sources, targets), np.nonzero(adj), strict=True))
-        table = adj[np.arange(V)[:, np.newaxis], shared_index_neighbors(k)]
+        star = scheffe_graph._star_ids(k)
+        table = adj[star[:, :, np.newaxis], star[:, np.newaxis, :]]
         assert np.array_equal(G.shared_index_edges, table)
         reference = PairDigraph.from_edge_ids(k, *np.nonzero(adj))
         assert np.array_equal(reference.shared_index_edges, table)
@@ -466,8 +479,8 @@ class TestBlockedBuild:
 
 def filled_table(G):
     """The shared-index table read bit by bit from G's fully filled packed rows."""
-    candidates = shared_index_neighbors(G.k)
-    rows = np.arange(G.num_vertices)[:, np.newaxis]
+    star = scheffe_graph._star_ids(G.k)
+    rows, candidates = star[:, :, np.newaxis], star[:, np.newaxis, :]
     return ((G.out_edges.bits[rows, candidates >> 3] >> (7 - (candidates & 7))) & 1).astype(bool)
 
 
@@ -536,8 +549,8 @@ class TestLazyRows:
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_offline_path_fills_few_blocks(self, model):
-        """At k = 128 a row block holds 258 of the 8128 rows.  The build reads only the rows
-        whose table entries point at a zero-norm vertex (the sparse instance has two identical
+        """At k = 128 a row block holds 258 of the 8128 rows.  The build reads no row, not
+        even for the entries into a zero-norm vertex (the sparse instance has two identical
         hypotheses); the dominating-set search and the triangle scan read the table alone; the
         domination checks stop after the first chunk of 256 rows of D, in id order."""
         from ldpselect.rmde import query_family_from_dominating_set
@@ -545,19 +558,17 @@ class TestLazyRows:
         k, V = 128, pair_count(128)
         Q = random_hypothesis_set(k, 64, seed=11, model=model)
         step = scheffe_graph._block_rows(V)
-        zero_norm = pair_norms(Q) == 0
-        assert zero_norm.any() == (model == "sparse")
-        touched = np.flatnonzero(zero_norm[shared_index_neighbors(k)].any(axis=(0, 2)))
+        assert (pair_norms(Q) == 0).any() == (model == "sparse")
         G = build_scheffe_graph(Q, PHI)
-        assert G.out_edges.filled_blocks == np.unique(touched // step).size
+        assert G.out_edges.filled_blocks == 0
         cert = find_dominating_set(G, Q, seed=2)
         scan_triangles(G)
-        assert G.out_edges.filled_blocks == np.unique(touched // step).size
+        assert G.out_edges.filled_blocks == 0
         assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
         assert verify_domination(G, cert.dominating_set)
         ids = np.array([p.vertex_id(k) for p in cert.dominating_set])
         first_chunk = ids[:scheffe_graph._VERIFY_CHUNK]
-        assert G.out_edges.filled_blocks == np.unique(np.concatenate([first_chunk, touched]) // step).size
+        assert G.out_edges.filled_blocks == np.unique(first_chunk // step).size
         assert np.unique(first_chunk // step).size <= 3
 
     @pytest.mark.parametrize("band", ["proven", "huge"])
@@ -575,12 +586,13 @@ class TestLazyRows:
         assert not table.flags.writeable
         assert np.array_equal(table, filled_table(G))
 
-    def test_zero_norm_entries_go_through_the_rows(self):
-        """Entries into a zero-norm vertex sit on their threshold, 0 >= 0, so each is read from its row."""
+    def test_zero_norm_entries_skip_the_rows(self):
+        """Entries into a zero-norm vertex sit on their threshold, 0 >= 0, in any summation order,
+        so none is read from its row."""
         Q = with_duplicates(random_hypothesis_set(12, 16, seed=4))
         assert (pair_norms(Q) == 0).sum() == 4
         G = build_scheffe_graph(Q, PHI)
-        assert G.out_edges.filled_blocks == 1
+        assert G.out_edges.filled_blocks == 0
         assert np.array_equal(G.shared_index_edges, filled_table(G))
 
 
@@ -706,6 +718,37 @@ class TestDominatingSet:
         assert verify_domination(G, [VertexPair(1, 2)])
         cert = find_dominating_set(G, Q, seed=4)
         assert verify_domination(G, cert.dominating_set)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_shared_index_cover_brute_force(self, k):
+        """The sample and its out-neighbours among pairs sharing an index; random digraphs are
+        not symmetric, so reading in-edges instead would differ."""
+        G = random_digraph(k, seed=k, density=0.3)
+        pairs = [set(p) for p in all_pairs(k).tolist()]
+        rng = np.random.default_rng(k)
+        for sampled in (np.arange(0), np.array([0]), np.sort(rng.choice(G.num_vertices, k, replace=False))):
+            expect = np.zeros(G.num_vertices, dtype=bool)
+            expect[sampled] = True
+            for u in sampled.tolist():
+                expect[[w for w in G.out_edges[u].tolist() if pairs[u] & pairs[w]]] = True
+            assert np.array_equal(scheffe_graph._shared_index_cover(G, sampled), expect)
+
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_peak_memory_below_a_pair_id_table(self, model):
+        """At k = 96 a (2, V, k - 2) int32 table of pair ids is 3.27 MiB; the search on a built
+        graph, its VertexPair objects included, must stay below it."""
+        k = 96
+        Q = random_hypothesis_set(k, 64, seed=5, model=model)
+        G = build_scheffe_graph(Q, PHI)
+        scheffe_graph._vertex_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            cert = find_dominating_set(G, Q, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cert.dominating_set) <= domination_bound(k)
+        assert peak < 2 * pair_count(k) * (k - 2) * 4
 
     def test_mismatched_hypotheses_rejected(self):
         Q = random_hypothesis_set(6, 6, seed=1)
