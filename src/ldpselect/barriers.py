@@ -21,6 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .distributions import _read_only
 from .errors import (
     ConfigError,
     DimensionError,
@@ -35,18 +36,17 @@ from .scheffe_graph import (
     VertexPair,
     pair_count,
     _check_fits,
-    _pair_id_table,
     _pairs_from_ids,
-    _split_rows,
+    _star_ids,
 )
 
 MIN_LOWER_BOUND_K = 16  # below this the sample would need more vertices than exist
 
-# Peak bytes per edge of build_lower_bound_graph, reached while the (2, V, k - 2) int32 id table (8) is
-# stacked from its two halves (4 + 4) beside a (V, k) bool mask (1); 17.1 to 17.4 under tracemalloc
-# for k = 64..192.  Later stages hold less: the table with the targets and their masks (13), then the
-# targets with bincount's intp copy of them (12).
-_LOWER_BOUND_BYTES_PER_EDGE = 18
+# Peak bytes per edge of build_lower_bound_graph, reached while _shared_index_neighbors stacks its two
+# int32 halves (4 + 4) into the (2, V, k - 2) table (8); 16.1 to 16.3 under tracemalloc for k = 64..192.
+# Later stages hold less: the table with the targets and their masks (13), then the targets with
+# bincount's intp copy of them (12).
+_LOWER_BOUND_BYTES_PER_EDGE = 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +88,15 @@ def _shared_index_neighbors(k: int) -> np.ndarray:
 
     For v = {a, b} and each i outside v in increasing order, entry [0, v]
     holds the id of {a, i} and entry [1, v] the id of {b, i}: rows a and b
-    of _pair_id_table(k) with columns a and b left out.
+    of _star_ids(k) without the column of {a, b}: column b - 1 of star a
+    and column a of star b, for a < b.
     """
-    ids = _pair_id_table(k)
+    star = _star_ids(k)
     lo, hi = np.triu_indices(k, 1)
-    idx = np.arange(k)
-    outside = (idx != lo[:, np.newaxis]) & (idx != hi[:, np.newaxis])
-    return np.stack([ids[lo][outside], ids[hi][outside]]).reshape(2, lo.size, k - 2)
+    col = np.arange(k - 1)
+    wa = star[lo][col != hi[:, np.newaxis] - 1]
+    wb = star[hi][col != lo[:, np.newaxis]]
+    return np.stack([wa, wb]).reshape(2, lo.size, k - 2)
 
 
 def lower_bound_sample_size(k: int) -> int:
@@ -155,11 +157,10 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     # {a, i} is the smaller of the two for a < b, so the target is {b, i} only when {a, i} alone is
     # sampled.  Row v takes one of {a, i}, {b, i} per index i outside v = {a, b}: no self-loop, no repeat.
     targets = np.where(in_R[wa] & ~in_R[wb], wb, wa)
-    del wa, wb  # the id table goes before bincount's intp copy of the targets
+    del wa, wb  # the neighbour table goes before bincount's intp copy of the targets
     targets.sort(axis=1)
-    targets = targets.ravel()
-    in_degrees = np.bincount(targets, minlength=V).astype(np.int64)
-    graph = PairDigraph(k=k, out_edges=_split_rows(targets, np.full(V, k - 2)), in_degrees=in_degrees)
+    in_degrees = np.bincount(targets.ravel(), minlength=V).astype(np.int64)
+    graph = PairDigraph(k=k, out_edges=tuple(_read_only(targets)), in_degrees=in_degrees)
     sampled_sorted = np.flatnonzero(in_R)
     return LowerBoundCertificate(
         k=k,

@@ -14,7 +14,6 @@ probability of the sampling step depends on it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections.abc import Sequence
@@ -56,15 +55,6 @@ _INDEX_CACHE = 8
 
 
 @lru_cache(maxsize=_INDEX_CACHE)
-def _pair_id_table(k: int) -> np.ndarray:
-    """Read-only (k, k) int32 table whose entry [x, y], x != y, is pair_index(x, y, k)."""
-    ids = np.zeros((k, k), dtype=np.int32)
-    lo, hi = np.triu_indices(k, 1)
-    ids[lo, hi] = ids[hi, lo] = np.arange(lo.size)
-    return _read_only(ids)
-
-
-@lru_cache(maxsize=_INDEX_CACHE)
 def all_pairs(k: int) -> np.ndarray:
     """All C(k, 2) index pairs, 0-based, in lexicographic order, read-only."""
     i, j = np.triu_indices(k, 1)
@@ -98,7 +88,7 @@ class VertexPair:
 def _pair_from_json(lo, hi) -> VertexPair:
     if not (_is_json(lo, Integral) and _is_json(hi, Integral)):
         raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
-    return VertexPair(lo, hi)
+    return VertexPair(int(lo), int(hi))
 
 
 def _json_k(doc: dict) -> int:
@@ -174,13 +164,6 @@ def _check_fits(nbytes: int, what: str) -> None:
         raise UnsupportedSizeError(f"{what} need {nbytes} bytes, but only {available} bytes are available")
 
 
-def _split_rows(targets: np.ndarray, out_degrees: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Read-only views of one target array, cut into consecutive rows of the given lengths."""
-    targets = _read_only(targets)
-    ends = np.cumsum(out_degrees).tolist()
-    return tuple(targets[start:end] for start, end in zip([0, *ends[:-1]], ends))
-
-
 class PackedRows(Sequence):
     """The out-rows of a phi-comparison graph, as packed adjacency bits filled on first read.
 
@@ -253,25 +236,14 @@ class PackedRows(Sequence):
             self._filled[b] = True
 
 
-# Peak bytes of PairDigraph.from_edge_ids beyond its inputs: a row view object and the V-long
-# arrays per vertex, the sort keys and their quotient and remainder per edge (measured 145 and 24).
-_ROW_BYTES_PER_VERTEX = 150
-_ROW_BYTES_PER_EDGE = 24
-
-
-def _edge_name(u: int, w: int, k: int) -> str:
-    (a, b), (c, d) = all_pairs(k)[[u, w]] + 1
-    return f"{{{a}, {b}}} -> {{{c}, {d}}}"
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class PairDigraph:
     """Adjacency-list digraph on the C(k, 2) unordered index pairs.
 
     out_edges[v] is the sorted array of v's out-neighbor ids, read-only.
-    from_edge_ids and build_lower_bound_graph hold their rows as read-only
-    views into one sorted int32 target array and pass in_degrees with them;
-    any C(k, 2) sorted arrays work the same way (another count raises
+    build_lower_bound_graph holds its rows as read-only row views of one
+    (V, k - 2) int32 target matrix and passes in_degrees with them; any
+    C(k, 2) sorted arrays work the same way (another count raises
     InvariantError) and are frozen in place.  build_scheffe_graph passes
     PackedRows, whose row blocks are computed on first read.  In-degrees not
     given are summed from the rows on first read, which fills every block of
@@ -318,7 +290,7 @@ class PairDigraph:
         return int(self.in_degrees.sum())
 
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and target ids of every edge, in row order: the inverse of from_edge_ids.
+        """Source and target ids of every edge, in row order.
 
         Packed rows are unpacked one row block at a time straight into the
         int64 sources and int32 targets; if those would not fit in the memory
@@ -366,34 +338,6 @@ class PairDigraph:
             table[a, b - 1] = adj[r, star[a]]
             table[b, a] = adj[r, star[b]]
         return _read_only(table)
-
-    @classmethod
-    def from_edge_ids(cls, k: int, sources, targets, phi: float | None = None) -> "PairDigraph":
-        """Graph with edges sources[i] -> targets[i], recording phi.
-
-        An id outside 0..V-1 raises ArgumentError; a self-loop or a repeated
-        edge raises InvariantError naming it.  A graph whose rows would not fit
-        in the memory available raises UnsupportedSizeError before allocating.
-        """
-        V = pair_count(k)
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        _check_ids(sources, k)
-        _check_ids(targets, k)
-        _check_fits(_ROW_BYTES_PER_VERTEX * V + _ROW_BYTES_PER_EDGE * sources.size,
-                    f"the rows of a k={k} graph with {sources.size} edges")
-        # one sort of the (source, target) keys orders edges as a lexsort on both would
-        sources, targets = np.divmod(np.sort(sources * V + targets), V)
-        loops = np.flatnonzero(sources == targets)
-        if loops.size:
-            raise InvariantError(f"self-loop {_edge_name(sources[loops[0]], targets[loops[0]], k)}")
-        repeats = np.flatnonzero((sources[1:] == sources[:-1]) & (targets[1:] == targets[:-1]))
-        if repeats.size:
-            raise InvariantError(f"repeated edge {_edge_name(sources[repeats[0]], targets[repeats[0]], k)}")
-        out = _split_rows(targets.astype(np.int32), np.bincount(sources, minlength=V))
-        in_deg = np.bincount(targets, minlength=V).astype(np.int64)
-        return cls(k=k, out_edges=out, in_degrees=in_deg, phi=phi)
-
 
 def _rounding_band(norms: np.ndarray, d: int) -> np.ndarray:
     """How far apart two float64 sums of <S_u, delta_w> over d terms may lie, per w, with room to spare.
@@ -509,9 +453,10 @@ class DominatingSetCertificate:
     def from_json_dict(cls, doc: dict) -> "DominatingSetCertificate":
         """Inverse of to_json_dict.
 
-        A missing or mistyped field, a row that is not a pair, or a non-integer
-        index raises InvariantError naming it; a pair outside k raises
-        ArgumentError.
+        A missing or mistyped field, a row that is not a pair, a non-integer
+        index, a repeated pair, attempts below 1, a negative seed, or a
+        target_bound or build_ms that is negative or not finite raises
+        InvariantError naming it; a pair outside k raises ArgumentError.
         """
         k = _json_k(doc)
         rows = _json_number(doc, "dominating_set", list)
@@ -519,16 +464,28 @@ class DominatingSetCertificate:
             if not (isinstance(row, list) and len(row) == 2):
                 raise InvariantError(f"field 'dominating_set': row {row!r} is not a pair [lo, hi]")
         pairs = tuple(_pair_from_json(a, b) for a, b in rows)
-        _ids_from_pairs(pairs, k)  # ArgumentError for a pair outside k
+        seen = set()
+        for pair in pairs:
+            pair.vertex_id(k)  # ArgumentError for a pair outside k, however large its index
+            if pair in seen:
+                raise InvariantError(f"field 'dominating_set': repeated pair {{{pair.lo}, {pair.hi}}}")
+            seen.add(pair)
+        attempts = int(_json_number(doc, "attempts", Integral))
+        target_bound = float(_json_number(doc, "target_bound", Real))
+        build_ms = float(_json_number(doc, "build_ms", Real, default=0.0))
         seed = _json_number(doc, "seed", Integral, default=None)
+        for name, ok in (("attempts", attempts >= 1), ("target_bound", 0 <= target_bound < math.inf),
+                         ("build_ms", 0 <= build_ms < math.inf), ("seed", seed is None or seed >= 0)):
+            if not ok:  # NaN fails both comparisons
+                raise InvariantError(f"field {name!r} is out of range, got {doc[name]!r}")
         return cls(
             k=k,
             dominating_set=pairs,
             random_part=(),
             low_indegree_part=(),
-            attempts=int(_json_number(doc, "attempts", Integral)),
-            target_bound=float(_json_number(doc, "target_bound", Real)),
-            build_ms=float(_json_number(doc, "build_ms", Real, default=0.0)),
+            attempts=attempts,
+            target_bound=target_bound,
+            build_ms=build_ms,
             seed=None if seed is None else int(seed),
         )
 
@@ -718,8 +675,8 @@ def scan_triangles(G: PairDigraph) -> TriangleScan:
 
 def count_low_indegree(G: PairDigraph, r: float) -> int:
     """Number of vertices with in-degree strictly below r; at phi = 1/6 this is <= 3kr."""
-    if r < 1:
-        raise ArgumentError(f"r must be at least 1, got {r}")
+    if not (math.isfinite(r) and r >= 1):
+        raise ArgumentError(f"r must be a finite number of at least 1, got {r}")
     return int((G.in_degrees < r).sum())
 
 
@@ -730,8 +687,8 @@ def check_metric_triple(a: float, b: float, c: float) -> tuple[str, ...]:
     At least one label always applies; both can.
     """
     sides = (a, b, c)
-    if any(s < 0 for s in sides):
-        raise ArgumentError(f"lengths must be non-negative, got {sides}")
+    if not all(math.isfinite(s) and s >= 0 for s in sides):
+        raise ArgumentError(f"lengths must be finite and non-negative, got {sides}")
     tol = 1e-12 * max(1.0, *sides)
     if a > b + c + tol or b > a + c + tol or c > a + b + tol:
         raise ArgumentError(f"triangle inequality violated for {sides}")
@@ -862,47 +819,3 @@ def graph_to_json_dict(G: PairDigraph) -> dict:
     sources, targets = G.edge_ids()
     edges = np.concatenate([pairs[sources], pairs[targets]], axis=1).tolist()
     return {"k": G.k, "phi": G.phi, "edges": edges}
-
-
-def _edge_ids(edge, k: int) -> tuple[int, int]:
-    """Source and target vertex ids of one exported edge [a, b, c, d], checked as documented."""
-    if not (isinstance(edge, list) and len(edge) == 4):
-        raise InvariantError(f"graph edge {edge!r} is not a quadruple [a, b, c, d]")
-    a, b, c, d = edge
-    return _pair_from_json(a, b).vertex_id(k), _pair_from_json(c, d).vertex_id(k)
-
-
-def _int_quadruples(edges: list) -> np.ndarray | None:
-    """edges as an (E, 4) int64 array if each is a list of four ints that fit, else None."""
-    flat = itertools.chain.from_iterable
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {4}
-            and set(map(type, flat(edges))) <= {int}):  # type, not isinstance: true and false are no indices
-        return None
-    try:
-        return np.fromiter(flat(edges), np.int64, 4 * len(edges)).reshape(-1, 4)
-    except OverflowError:  # an index past int64 is out of range
-        return None
-
-
-def graph_from_json_dict(doc: dict) -> PairDigraph:
-    """Inverse of graph_to_json_dict: the graph, carrying the file's phi.
-
-    A missing or mistyped field, a phi outside (0, 1] or a malformed pair
-    raises InvariantError naming it; an out-of-range pair raises
-    ArgumentError.  A null or missing phi means not recorded.  A list of
-    integer quadruples is checked and mapped as arrays; any other list is
-    walked edge by edge, which names the first bad edge.
-    """
-    k = _json_k(doc)
-    phi = _json_number(doc, "phi", Real, default=None)
-    if phi is not None and not 0 < phi <= 1:
-        raise InvariantError(f"field 'phi' must lie in (0, 1], got {phi!r}")
-    edges = _json_number(doc, "edges", list)
-    quads = _int_quadruples(edges)
-    pairs = None if quads is None else quads.reshape(-1, 2)  # [lo, hi] of each endpoint
-    if pairs is not None and ((1 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] <= k)).all():
-        ids = pair_index(pairs[:, 0] - 1, pairs[:, 1] - 1, k)
-    else:
-        ids = np.array([_edge_ids(edge, k) for edge in edges], dtype=np.int64)
-    sources, targets = ids.reshape(-1, 2).T
-    return PairDigraph.from_edge_ids(k, sources, targets, phi=None if phi is None else float(phi))

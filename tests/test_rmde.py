@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -32,7 +33,7 @@ from ldpselect.errors import (
 )
 from ldpselect import rmde
 from ldpselect.rmde import QueryFamily, _first_distinct_rows, full_scheffe_family, max_query_budget
-from ldpselect.scheffe_graph import VertexPair, graph_from_json_dict, graph_to_json_dict, pair_count
+from ldpselect.scheffe_graph import DominatingSetCertificate, VertexPair, pair_count
 
 PHI = 1.0 / 6.0
 
@@ -239,13 +240,15 @@ class TestQueryFamily:
             query_family_from_dominating_set(Q, cert, 0.95, graph=G)
         assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
 
-    def test_loaded_graph_at_another_phi_rejected(self):
-        Q = random_hypothesis_set(8, 16, seed=0)
-        loaded = graph_from_json_dict(graph_to_json_dict(build_scheffe_graph(Q, 0.5)))
-        assert loaded.phi == 0.5
-        cert = find_dominating_set(loaded, Q, seed=0)
-        with pytest.raises(ConfigError, match="phi"):
-            query_family_from_dominating_set(Q, cert, PHI, graph=loaded)
+    def test_read_back_certificate_gives_the_same_family(self):
+        Q = random_hypothesis_set(12, 16, seed=4)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=4)
+        loaded = DominatingSetCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+        assert loaded.dominating_set == cert.dominating_set
+        fam = query_family_from_dominating_set(Q, cert, PHI, graph=G)
+        again = query_family_from_dominating_set(Q, loaded, PHI, graph=G)
+        assert np.array_equal(again.signs, fam.signs) and np.array_equal(again.origins, fam.origins)
 
     def test_full_family_is_phi_one(self):
         Q = random_hypothesis_set(6, 7, seed=3)

@@ -38,7 +38,6 @@ from ldpselect.scheffe_graph import (
     VertexPair,
     all_pairs,
     domination_bound,
-    graph_from_json_dict,
     graph_to_json_dict,
     minimum_cover_size,
     pair_count,
@@ -77,7 +76,19 @@ def random_digraph(k, seed, density):
     V = pair_count(k)
     adj = np.random.default_rng(seed).random((V, V)) < density
     np.fill_diagonal(adj, False)
-    return PairDigraph.from_edge_ids(k, *np.nonzero(adj))
+    return adjacency_digraph(k, adj)
+
+
+def adjacency_digraph(k, adj):
+    """PairDigraph whose row v holds the columns set in row v of a (V, V) bool adjacency matrix."""
+    return PairDigraph(k, [np.flatnonzero(row).astype(np.int32) for row in adj])
+
+
+def edge_adjacency(k, sources, targets):
+    """(V, V) bool adjacency matrix with exactly the edges sources[i] -> targets[i]."""
+    adj = np.zeros((pair_count(k), pair_count(k)), dtype=bool)
+    adj[sources, targets] = True
+    return adj
 
 
 def pair_ids(k):
@@ -137,7 +148,7 @@ class TestPairIndexing:
             scheffe_graph._pairs_from_ids([vid], 4)
 
     def test_index_data_is_kept_read_only_per_k(self):
-        for index in (all_pairs, scheffe_graph._pair_id_table):
+        for index in (all_pairs, scheffe_graph._star_ids):
             first = index(6)
             assert index(6) is first and not first.flags.writeable
             with pytest.raises(ValueError):
@@ -207,6 +218,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_scheffe_graph(two_hypotheses(), 1.5)
 
+    @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ConfigError, match="phi"):
+            build_scheffe_graph(two_hypotheses(), phi)
+
     def test_rebuild_reproduces_edges(self):
         Q = random_hypothesis_set(8, 10, seed=3)
         G1 = build_scheffe_graph(Q, PHI)
@@ -225,89 +241,6 @@ class TestBuild:
         assert np.allclose(own, norms, atol=1e-9)
         positive = norms > 0
         assert np.all(own[positive] >= PHI * norms[positive] - 1e-12)
-
-    def test_export_round_trip(self):
-        Q = random_hypothesis_set(5, 6, seed=13)
-        G = build_scheffe_graph(Q, PHI)
-        digraph = graph_from_json_dict(graph_to_json_dict(G))
-        assert digraph.phi == pytest.approx(PHI)
-        assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, digraph.out_edges))
-
-    @pytest.mark.parametrize("edge, error", [
-        ([2, 2, 1, 3], InvariantError),  # {2, 2} is no pair
-        ([1, 9, 1, 3], ArgumentError),   # index 9 outside k = 4
-        ([1, 2, 1, 2.5], InvariantError),  # an index that is not an integer
-        ([1, 2, 1], InvariantError),       # not a quadruple
-        ([1, 2, 1, 3], InvariantError),    # repeats the first edge
-        ([1, 2, 1, 2], InvariantError),    # a self-loop
-        ([True, 2, 1, 3], InvariantError),  # a boolean index
-        ([1, 2, 1, 2 ** 70], ArgumentError),  # an index past int64
-        ((1, 2, 1, 3), InvariantError),     # a tuple, not a list
-    ])
-    def test_import_rejects_malformed_pair(self, edge, error):
-        with pytest.raises(error):
-            graph_from_json_dict({"k": 4, "phi": PHI, "edges": [[1, 2, 1, 3], edge]})
-
-    @pytest.mark.parametrize("edge, message", [
-        ([1, 2, 1, 3], r"repeated edge \{1, 2\} -> \{1, 3\}"),
-        ([1, 2, 1, 2], r"self-loop \{1, 2\} -> \{1, 2\}"),
-    ])
-    def test_import_names_repeated_edge_and_self_loop(self, edge, message):
-        with pytest.raises(InvariantError, match=message):
-            graph_from_json_dict({"k": 4, "phi": PHI, "edges": [[1, 2, 1, 3], edge]})
-
-    @pytest.mark.parametrize("doc, field", [
-        ({"k": "x", "phi": PHI, "edges": []}, "k"),
-        ({"phi": PHI, "edges": []}, "k"),
-        ({"k": 4, "phi": PHI}, "edges"),
-        ({"k": 4, "phi": PHI, "edges": 5}, "edges"),
-        ({"k": 4, "phi": "x", "edges": []}, "phi"),
-        ({"k": True, "phi": PHI, "edges": []}, "k"),
-        ({"k": -3, "phi": PHI, "edges": []}, "k"),
-        ({"k": 1, "phi": PHI, "edges": []}, "k"),
-        ({"k": 4, "phi": False, "edges": []}, "phi"),
-        ({"k": 4, "phi": -3, "edges": []}, "phi"),
-        ({"k": 4, "phi": 0, "edges": []}, "phi"),
-        ({"k": 4, "phi": 1.5, "edges": []}, "phi"),
-        ({"k": 4, "phi": float("nan"), "edges": []}, "phi"),
-        ({"k": 4, "phi": float("inf"), "edges": []}, "phi"),
-    ])
-    def test_import_names_missing_or_mistyped_field(self, doc, field):
-        with pytest.raises(InvariantError, match=f"'{field}'"):
-            graph_from_json_dict(doc)
-
-    @pytest.mark.parametrize("sources, targets", [([0], [5]), ([-1], [1]), ([3], [0])])
-    def test_edge_ids_outside_graph_rejected(self, sources, targets):
-        with pytest.raises(ArgumentError):
-            PairDigraph.from_edge_ids(3, sources, targets)
-
-    def test_import_accepts_numpy_integers(self):
-        doc = {"k": 4, "edges": [[1, 2, 1, 3], [np.int64(2), 3, 1, np.int32(4)]]}
-        fast = graph_from_json_dict({"k": 4, "edges": [[1, 2, 1, 3], [2, 3, 1, 4]]})
-        walked = graph_from_json_dict(doc)
-        assert all(np.array_equal(a, b) for a, b in zip(fast.out_edges, walked.out_edges))
-        assert walked.edge_count == 2
-
-    def test_edge_order_does_not_matter(self):
-        k = 9
-        sources, targets = np.nonzero(dense_scheffe_graph(random_hypothesis_set(k, 12, seed=8), PHI))
-        order = np.random.default_rng(0).permutation(sources.size)
-        G = PairDigraph.from_edge_ids(k, sources[order], targets[order])
-        by_lexsort = np.lexsort((targets[order], sources[order]))
-        assert np.array_equal(np.concatenate(G.out_edges), targets[order][by_lexsort])
-        assert [out.size for out in G.out_edges] == np.bincount(sources, minlength=pair_count(k)).tolist()
-
-    def test_edge_ids_inverts_from_edge_ids(self):
-        G = random_digraph(8, seed=2, density=0.2)
-        sources, targets = G.edge_ids()
-        assert sources.size == targets.size == G.edge_count
-        again = PairDigraph.from_edge_ids(G.k, sources, targets)
-        assert all(np.array_equal(a, b) for a, b in zip(G.out_edges, again.out_edges))
-
-    def test_import_without_phi(self):
-        for doc in ({"k": 3, "edges": [[1, 2, 1, 3]]}, {"k": 3, "phi": None, "edges": [[1, 2, 1, 3]]}):
-            digraph = graph_from_json_dict(doc)
-            assert digraph.phi is None and digraph.edge_count == 1
 
     def test_arrays_frozen(self):
         G = build_scheffe_graph(random_hypothesis_set(4, 6, seed=2), PHI)
@@ -339,6 +272,18 @@ class TestBuild:
         with pytest.raises(ValueError):
             rows[0][0] = 2
 
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_edge_ids_of_plain_rows_match_adjacency(self, density):
+        k = 6
+        adj = np.random.default_rng(7).random((pair_count(k), pair_count(k))) < density
+        np.fill_diagonal(adj, False)
+        G = adjacency_digraph(k, adj)
+        sources, targets = G.edge_ids()
+        expected_sources, expected_targets = np.nonzero(adj)
+        assert np.array_equal(sources, expected_sources) and np.array_equal(targets, expected_targets)
+        assert G.edge_count == sources.size == adj.sum()
+        assert np.array_equal(G.in_degrees, adj.sum(axis=0))
+
 
 def per_edge_export(G):
     """Reference edge list: one [a, b, c, d] per edge, walked row by row."""
@@ -356,6 +301,7 @@ class TestExport:
           for model in GENERATOR_MODELS),
         pytest.param(build_scheffe_graph(two_hypotheses(), PHI), id="k2-edgeless"),
         pytest.param(random_digraph(7, seed=5, density=0.3), id="random-digraph"),
+        pytest.param(build_lower_bound_graph(16, seed=2).graph, id="lower-bound"),
     ])
     def test_matches_per_edge_reference(self, G):
         doc = graph_to_json_dict(G)
@@ -367,12 +313,12 @@ class TestExport:
         G = build_scheffe_graph(random_hypothesis_set(5, 6, seed=13), 0.25)
         assert type(G.phi) is float and G.phi == 0.25
 
-    def test_unrecorded_phi_round_trips_as_null(self):
-        G = PairDigraph.from_edge_ids(4, [0, 2], [1, 5])
+    def test_unrecorded_phi_exports_as_null(self):
+        G = adjacency_digraph(4, edge_adjacency(4, [0, 2], [1, 5]))
         assert G.phi is None
         doc = graph_to_json_dict(G)
         assert doc["phi"] is None
-        assert graph_from_json_dict(doc).phi is None
+        assert doc["edges"] == [[1, 2, 1, 3], [1, 4, 3, 4]]
 
 
 def dense_scheffe_graph(Q, phi):
@@ -406,7 +352,7 @@ class TestBlockedBuild:
         star = scheffe_graph._star_ids(k)
         table = adj[star[:, :, np.newaxis], star[:, np.newaxis, :]]
         assert np.array_equal(G.shared_index_edges, table)
-        reference = PairDigraph.from_edge_ids(k, *np.nonzero(adj))
+        reference = adjacency_digraph(k, adj)
         assert np.array_equal(reference.shared_index_edges, table)
         # dominating: the sampled certificate and the full set; not dominating: everything but the
         # vertex w of least in-degree and its in-neighbours, which leaves w alone uncovered
@@ -639,22 +585,6 @@ class TestMemoryRefusal:
             tracemalloc.stop()
         assert len(calls) == 1 and peak < 4 * edges
 
-    @pytest.mark.parametrize("load", [
-        pytest.param(lambda: graph_from_json_dict({"k": 4000, "edges": []}), id="json"),
-        pytest.param(lambda: PairDigraph.from_edge_ids(4000, [], []), id="edge-ids"),
-    ])
-    def test_edge_id_graph_refused_before_allocation(self, monkeypatch, load):
-        # k = 4000: V = 7,998,000 row views and V-long arrays, over a GB from a 30-byte document
-        calls = self.available(monkeypatch, 50_000_000)
-        tracemalloc.start()
-        try:
-            with pytest.raises(UnsupportedSizeError, match="rows of a k=4000 graph with 0 edges"):
-                load()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert calls and peak < 1 << 20
-
     def test_small_builds_read_nothing(self, monkeypatch):
         # k = 64: 508,032 bytes of packed bits, below 64 MiB
         calls = self.available(monkeypatch, 0)
@@ -775,11 +705,29 @@ class TestDominatingSet:
         ([3, 9], ArgumentError),     # index 9 outside k = 4
         ([1, 2, 3], InvariantError),  # a row that is not a pair
         ([True, 2], InvariantError),  # a boolean index
+        ([2, 2], InvariantError),     # {2, 2} is no pair
+        ([3, 1], InvariantError),     # not in lo < hi order
+        ([0, 2], InvariantError),     # indices are 1-based
+        ([1, 2 ** 70], ArgumentError),  # an index past int64
+        ((1, 3), InvariantError),     # a tuple, not a list
     ])
     def test_certificate_rejects_malformed_pair(self, pair, error):
         doc = {"k": 4, "dominating_set": [[1, 2], pair], "attempts": 1, "target_bound": 6.0}
         with pytest.raises(error):
             DominatingSetCertificate.from_json_dict(doc)
+
+    def test_certificate_names_repeated_pair(self):
+        doc = {"k": 4, "dominating_set": [[1, 2], [1, 3], [1, 2]], "attempts": 1, "target_bound": 6.0}
+        with pytest.raises(InvariantError, match=r"repeated pair \{1, 2\}"):
+            DominatingSetCertificate.from_json_dict(doc)
+
+    def test_certificate_reads_numpy_integers_as_ints(self):
+        doc = {"k": np.int64(4), "dominating_set": [[np.int64(1), 3], [2, np.int32(4)]], "attempts": np.int32(2),
+               "target_bound": 6.0, "seed": np.int64(5)}
+        cert = DominatingSetCertificate.from_json_dict(doc)
+        assert cert.dominating_set == (VertexPair(1, 3), VertexPair(2, 4))
+        assert all(type(x) is int for p in cert.dominating_set for x in (p.lo, p.hi))
+        assert json.loads(json.dumps(cert.to_json_dict()))["dominating_set"] == [[1, 3], [2, 4]]
 
     @pytest.mark.parametrize("field, value", [
         ("k", "x"),
@@ -792,12 +740,31 @@ class TestDominatingSet:
         ("k", True),
         ("attempts", True),
         ("target_bound", False),
+        ("k", 1),
+        ("k", 2.0),
+        ("attempts", 0),
+        ("attempts", -1),
+        ("target_bound", -1.0),
+        ("target_bound", float("nan")),
+        ("target_bound", float("inf")),
+        ("build_ms", -5.0),
+        ("build_ms", float("nan")),
+        ("seed", -1),
+        ("seed", True),
+        ("dominating_set", [(1, 2)]),
     ])
     def test_certificate_rejects_malformed_document(self, field, value):
         doc = {"k": 4, "dominating_set": [[1, 2]], "attempts": 1, "target_bound": 6.0, field: value}
         if value is None:
             del doc[field]
         with pytest.raises(InvariantError, match=repr(field)):
+            DominatingSetCertificate.from_json_dict(doc)
+
+    @pytest.mark.parametrize("field", ["k", "dominating_set", "attempts"])
+    def test_certificate_names_missing_field(self, field):
+        doc = {"k": 4, "dominating_set": [[1, 2]], "attempts": 1, "target_bound": 6.0}
+        del doc[field]
+        with pytest.raises(InvariantError, match=f"missing field {field!r}"):
             DominatingSetCertificate.from_json_dict(doc)
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
@@ -878,13 +845,13 @@ class TestVerifyDomination:
             monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", chunk)
         k = 48
         evens = np.arange(0, pair_count(k), 2)
-        G = PairDigraph.from_edge_ids(k, evens, evens + 1)
+        G = adjacency_digraph(k, edge_adjacency(k, evens, evens + 1))
         D = vertex_pairs(G.k, evens)
         assert len(D) > scheffe_graph._VERIFY_CHUNK
         assert verify_domination(G, D)
         for i in (0, 1, evens.size // 2, evens.size - 1):
             kept = np.delete(evens, i)
-            H = PairDigraph.from_edge_ids(k, kept, kept + 1)
+            H = adjacency_digraph(k, edge_adjacency(k, kept, kept + 1))
             assert np.flatnonzero(~self.per_row_covered(H, evens.tolist())).tolist() == [evens[i] + 1]
             assert not verify_domination(H, D)
 
@@ -907,7 +874,7 @@ class TestVerifyDomination:
         monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 7)
         k = 12
         V = pair_count(k)
-        G = PairDigraph.from_edge_ids(k, np.zeros(V - 1, dtype=int), np.arange(1, V))
+        G = adjacency_digraph(k, edge_adjacency(k, 0, np.arange(1, V)))
         read = self.rows_read(G)
         assert verify_domination(G, vertex_pairs(G.k))
         assert read == list(range(7))
@@ -917,7 +884,7 @@ class TestVerifyDomination:
         monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 7)
         k = 12
         evens = np.arange(0, pair_count(k), 2)
-        G = PairDigraph.from_edge_ids(k, evens[:-1], evens[:-1] + 1)
+        G = adjacency_digraph(k, edge_adjacency(k, evens[:-1], evens[:-1] + 1))
         assert np.flatnonzero(~self.per_row_covered(G, evens.tolist())).tolist() == [evens[-1] + 1]
         read = self.rows_read(G)
         assert not verify_domination(G, vertex_pairs(G.k, evens))
@@ -960,7 +927,7 @@ class TestTriangles:
         if graph == "lower-bound":
             G = build_lower_bound_graph(16, seed=3).graph
         elif graph == "edgeless":  # every triple is a violation
-            G = PairDigraph.from_edge_ids(6, [], [])
+            G = adjacency_digraph(6, edge_adjacency(6, [], []))
         elif graph == "random":  # reaches both () and ("violation",)
             G = random_digraph(7, seed=0, density=0.3)
         else:
@@ -1005,6 +972,12 @@ class TestLowInDegree:
         with pytest.raises(ArgumentError):
             count_low_indegree(G, 0.5)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_r_rejected(self, point_mass_triple, r):
+        G = build_scheffe_graph(point_mass_triple, PHI)
+        with pytest.raises(ArgumentError, match="finite"):
+            count_low_indegree(G, r)
+
     def test_every_vertex_covered_graph(self):
         q = DiscreteDistribution(np.array([0.3, 0.7]))
         Q = HypothesisSet((q, q, q))
@@ -1039,6 +1012,12 @@ class TestMetricTriple:
             check_metric_triple(3.0, 1.0, 1.0)
         with pytest.raises(ArgumentError):
             check_metric_triple(1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize("triple", [(float("nan"), 1.0, 1.0), (1.0, float("nan"), 1.0),
+                                        (float("inf"), float("inf"), 1.0), (1.0, 1.0, float("inf"))])
+    def test_non_finite_length_rejected(self, triple):
+        with pytest.raises(ArgumentError, match="finite"):
+            check_metric_triple(*triple)
 
     @given(st.tuples(st.floats(0, 2), st.floats(0, 2), st.floats(0, 2)).filter(
         lambda t: t[0] <= t[1] + t[2] and t[1] <= t[0] + t[2] and t[2] <= t[0] + t[1]
