@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -44,8 +45,7 @@ MIN_LOWER_BOUND_K = 16  # below this the sample would need more vertices than ex
 
 # Peak bytes per edge of build_lower_bound_graph, reached while _shared_index_neighbors stacks its two
 # int32 halves (4 + 4) into the (2, V, k - 2) table (8); 16.1 to 16.3 under tracemalloc for k = 64..192.
-# Later stages hold less: the table with the targets and their masks (13), then the targets with
-# bincount's intp copy of them (12).
+# Later stages hold less: the table with the targets and their masks (13).
 _LOWER_BOUND_BYTES_PER_EDGE = 17
 
 
@@ -53,14 +53,16 @@ _LOWER_BOUND_BYTES_PER_EDGE = 17
 class LowerBoundCertificate:
     """Digraph plus the sampled set witnessing its large domination number.
 
-    overlap_sizes[v] counts the indices i outside v for which both pairs
-    {a, i} and {b, i} landed in the sample; a vertex dominates at most
-    overlap_sizes[v] + 1 sampled elements, so the domination number is at
-    least |R| / (t_max + 1).
+    Row v of targets, read-only int32 (V, k - 2), holds v's out-neighbor
+    ids; graph packs those rows on first read, into V * ceil(V / 8) bytes
+    (644 MiB at k = 384).  overlap_sizes[v] counts the indices i outside v
+    for which both pairs {a, i} and {b, i} landed in the sample; a vertex
+    dominates at most overlap_sizes[v] + 1 sampled elements, so the
+    domination number is at least |R| / (t_max + 1).
     """
 
     k: int
-    graph: PairDigraph
+    targets: np.ndarray
     sampled_set: tuple[VertexPair, ...]
     overlap_sizes: np.ndarray
     t_max: int
@@ -71,6 +73,10 @@ class LowerBoundCertificate:
     @property
     def sample_size(self) -> int:
         return len(self.sampled_set)
+
+    @cached_property
+    def graph(self) -> PairDigraph:
+        return PairDigraph(self.k, self.targets)
 
     def to_json_dict(self) -> dict:
         return {
@@ -157,14 +163,10 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     # {a, i} is the smaller of the two for a < b, so the target is {b, i} only when {a, i} alone is
     # sampled.  Row v takes one of {a, i}, {b, i} per index i outside v = {a, b}: no self-loop, no repeat.
     targets = np.where(in_R[wa] & ~in_R[wb], wb, wa)
-    del wa, wb  # the neighbour table goes before bincount's intp copy of the targets
-    targets.sort(axis=1)
-    in_degrees = np.bincount(targets.ravel(), minlength=V).astype(np.int64)
-    graph = PairDigraph(k=k, out_edges=tuple(_read_only(targets)), in_degrees=in_degrees)
     sampled_sorted = np.flatnonzero(in_R)
     return LowerBoundCertificate(
         k=k,
-        graph=graph,
+        targets=_read_only(targets),
         sampled_set=_pairs_from_ids(sampled_sorted, k),
         overlap_sizes=overlaps,
         t_max=t_max,
@@ -175,19 +177,16 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
 
 
 def verify_domination_lower_bound(cert: LowerBoundCertificate) -> float:
-    """Recompute the certified floor from the graph itself.
+    """Recompute the certified floor from the graph's target matrix, without packing the graph.
 
-    Counts, for every vertex, how many sampled elements it dominates
-    (including itself when sampled); |R| divided by the maximum is a valid
+    Counts, for every vertex, how many sampled elements its row of targets
+    holds, plus itself when sampled; |R| divided by the maximum is a valid
     lower bound on the domination number of the graph, and is at least the
     certificate's implied bound.
     """
-    G = cert.graph
-    V = G.num_vertices
-    in_R = np.zeros(V, dtype=bool)
-    in_R[[p.vertex_id(G.k) for p in cert.sampled_set]] = True
-    sources, targets = G.edge_ids()
-    dominated = np.bincount(sources[in_R[targets]], minlength=V) + in_R
+    in_R = np.zeros(len(cert.targets), dtype=bool)
+    in_R[[p.vertex_id(cert.k) for p in cert.sampled_set]] = True
+    dominated = in_R[cert.targets].sum(axis=1) + in_R
     bound = len(cert.sampled_set) / int(dominated.max())
     if bound + 1e-9 < cert.implied_lower_bound:
         raise InvariantError(

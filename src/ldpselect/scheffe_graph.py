@@ -165,35 +165,39 @@ def _check_fits(nbytes: int, what: str) -> None:
 
 
 class PackedRows(Sequence):
-    """The out-rows of a phi-comparison graph, as packed adjacency bits filled on first read.
+    """The out-rows of a pair digraph, as packed adjacency bits filled on first read.
 
     Row v of a (V, ceil(V / 8)) uint8 bit matrix packs the V-column
     adjacency row of vertex v as np.packbits writes it.  No row is computed
     up front.  The first read of a row fills its whole row block
-    (_row_blocks) with one product of the block's signs against every delta,
-    so a row's bits are the same whatever was read before it.  out_edges[v]
-    unpacks row v into a sorted read-only int32 array of out-neighbor ids,
-    and a slice gives a tuple of such rows.  packed(rows) and
-    has_edges(sources, targets) fill only the blocks of the rows they read.
-    bits fills every block and gives the whole matrix, read-only.
+    (_row_blocks) with block(start, stop), the block's (stop - start, V)
+    bool adjacency, so a row's bits are the same whatever was read before
+    it; block is let go once every block is filled.  out_edges[v] unpacks
+    row v into a sorted read-only int32 array of out-neighbor ids.
+    packed(rows) and has_edges(sources, targets) fill only the blocks of the
+    rows they read.  bits fills every block and gives the whole matrix,
+    read-only.  Bits that would not fit in the memory available raise
+    UnsupportedSizeError before they are allocated.
     """
 
-    __slots__ = ("_bits", "_filled", "_step", "_signs", "_deltas", "_threshold")
+    __slots__ = ("_bits", "_filled", "_step", "_block")
 
-    def __init__(self, signs: np.ndarray, deltas: np.ndarray, threshold: np.ndarray):
-        V = deltas.shape[0]
+    def __init__(self, V: int, block):
+        _check_fits(V * ((V + 7) // 8), f"the packed adjacency bits of a graph on {V} vertices")
         self._bits = np.empty((V, (V + 7) // 8), dtype=np.uint8)
         self._step = _block_rows(V)
         self._filled = np.zeros(-(-V // self._step), dtype=bool)
-        self._signs, self._deltas, self._threshold = signs, deltas, threshold
+        self._block = block
 
     def __len__(self) -> int:
         return self._bits.shape[0]
 
-    def __getitem__(self, v):
-        if isinstance(v, slice):
-            return tuple(map(self._row, range(*v.indices(len(self)))))
-        return self._row(v)
+    def __getitem__(self, v) -> np.ndarray:
+        v = range(len(self))[v]
+        if not self._filled[v // self._step]:
+            self._fill(v)
+        row = np.unpackbits(self._bits[v], count=len(self)).view(bool)
+        return _read_only(np.flatnonzero(row).astype(np.int32))
 
     @property
     def filled_blocks(self) -> int:
@@ -212,60 +216,74 @@ class PackedRows(Sequence):
         return self._bits[rows]
 
     def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Whether each edge sources[i] -> targets[i] is present, as a bool array."""
+        """Whether each edge sources[i] -> targets[i] is present, as a bool array; the two broadcast."""
         self._fill(sources)
-        return ((self._bits[sources, targets >> 3] >> (7 - (targets & 7))) & 1).astype(bool)
-
-    def _row(self, v) -> np.ndarray:
-        v = range(len(self))[v]
-        if not self._filled[v // self._step]:
-            self._fill(v)
-        row = np.unpackbits(self._bits[v], count=len(self)).view(bool)
-        return _read_only(np.flatnonzero(row).astype(np.int32))
+        return (self._bits[sources, targets >> 3] & (0x80 >> (targets & 7)).astype(np.uint8)) != 0  # uint8 temporaries
 
     def _fill(self, rows) -> None:
         """Fill every row block that holds one of the given rows and is not filled yet."""
         blocks = np.unique(np.asarray(rows) // self._step)
         for b in blocks[~self._filled[blocks]].tolist():
             start, stop = b * self._step, min((b + 1) * self._step, len(self))
-            inner = self._signs[start:stop] @ self._deltas.T  # inner[u - start, w] = <S_u, delta_w>
-            adj = np.abs(inner, out=inner) >= self._threshold
-            del inner
-            adj[np.arange(stop - start), np.arange(start, stop)] = False
-            self._bits[start:stop] = np.packbits(adj, axis=1)
+            self._bits[start:stop] = np.packbits(self._block(start, stop), axis=1)
             self._filled[b] = True
+        if self._filled.all():
+            self._block = None  # and with it the deltas or caller's rows it holds
+
+
+def _block_of_rows(rows, start: int, stop: int, V: int) -> np.ndarray:
+    """The (stop - start, V) bool adjacency of rows[start:stop], each row checked as it is set."""
+    adj = np.zeros((stop - start, V), dtype=bool)
+    for v, row in zip(range(start, stop), adj):
+        out = np.asarray(rows[v])
+        if out.ndim != 1 or (out.size and out.dtype.kind not in "iu"):
+            raise InvariantError(f"row {v} is not a 1-d array of integer vertex ids")
+        if not out.size:
+            continue
+        if out.min() < 0 or out.max() >= V:
+            raise InvariantError(f"row {v} holds an id outside 0..{V - 1}")
+        row[out] = True
+        if row[v]:
+            raise InvariantError(f"row {v} has a self-loop")
+        if np.count_nonzero(row) != out.size:
+            raise InvariantError(f"row {v} repeats a target")
+    return adj
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class PairDigraph:
-    """Adjacency-list digraph on the C(k, 2) unordered index pairs.
+    """Digraph on the C(k, 2) unordered index pairs, its edges held as PackedRows.
 
-    out_edges[v] is the sorted array of v's out-neighbor ids, read-only.
-    build_lower_bound_graph holds its rows as read-only row views of one
-    (V, k - 2) int32 target matrix and passes in_degrees with them; any
-    C(k, 2) sorted arrays work the same way (another count raises
-    InvariantError) and are frozen in place.  build_scheffe_graph passes
-    PackedRows, whose row blocks are computed on first read.  In-degrees not
-    given are summed from the rows on first read, which fills every block of
-    PackedRows, and edge_count with them.  phi is the comparison constant
-    the graph was built at, or None where it is not recorded.
+    out_edges[v] is the sorted read-only int32 array of v's out-neighbor
+    ids.  build_scheffe_graph passes PackedRows filled on first read; any
+    other out_edges, one id array per vertex, is packed here block by block
+    and not kept.  A k that is not an integer of at least 2, another count
+    of rows or in_degrees, or a row with a non-integer id, an id outside
+    0..C(k, 2) - 1, a self-loop or a repeated target raises InvariantError.
+    In-degrees not given are summed from the bits on first read, and
+    edge_count with them.  phi is the comparison constant the graph was
+    built at, or None where it is not recorded.
     """
 
     k: int
-    out_edges: Sequence[np.ndarray]  # sorted out-neighbor ids, one array per vertex
+    out_edges: PackedRows
     phi: float | None = None
 
     def __init__(self, k: int, out_edges: Sequence[np.ndarray], in_degrees: np.ndarray | None = None,
                  phi: float | None = None):
-        if len(out_edges) != pair_count(k):
-            raise InvariantError(f"a graph on {k} hypotheses needs {pair_count(k)} rows, got {len(out_edges)}")
+        if not (_is_json(k, Integral) and k >= 2):
+            raise InvariantError(f"k must be an integer of at least 2, got {k!r}")
+        V = pair_count(k)
+        for name, given in (("rows", out_edges), ("in-degrees", in_degrees)):
+            if given is not None and len(given) != V:
+                raise InvariantError(f"a graph on {k} hypotheses needs {V} {name}, got {len(given)}")
+        if not isinstance(out_edges, PackedRows):
+            rows = out_edges
+            out_edges = PackedRows(V, lambda start, stop: _block_of_rows(rows, start, stop, V))
+            out_edges.bits  # packs every block now, so the rows given are not kept
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "out_edges", out_edges)
         object.__setattr__(self, "phi", phi)
-        if not isinstance(out_edges, PackedRows):  # PackedRows hands out read-only rows
-            for out in out_edges:
-                if out.flags.writeable:  # views of a base frozen by the builder are read-only already
-                    _read_only(out)
         if in_degrees is not None:
             self.__dict__["in_degrees"] = _read_only(in_degrees)
 
@@ -275,10 +293,8 @@ class PairDigraph:
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        """Read-only int64 in-degree of every vertex, summed from the rows when not given."""
+        """Read-only int64 in-degree of every vertex, summed from the bits when not given."""
         V = self.num_vertices
-        if not isinstance(self.out_edges, PackedRows):
-            return _read_only(np.bincount(np.concatenate(self.out_edges), minlength=V).astype(np.int64))
         bits = self.out_edges.bits
         in_deg = np.zeros(V, dtype=np.int64)
         for start, stop in _row_blocks(V):
@@ -292,17 +308,14 @@ class PairDigraph:
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target ids of every edge, in row order.
 
-        Packed rows are unpacked one row block at a time straight into the
-        int64 sources and int32 targets; if those would not fit in the memory
+        The rows are unpacked one row block at a time straight into the int64
+        sources and int32 targets; if those would not fit in the memory
         available, UnsupportedSizeError is raised before allocating them.
         """
-        rows = self.out_edges
         V = self.num_vertices
-        if not isinstance(rows, PackedRows):
-            return np.repeat(np.arange(V), [out.size for out in rows]), np.concatenate(rows)
         E = self.edge_count
         _check_fits(12 * E, f"the {E} edge source and target ids of a k={self.k} graph")
-        bits = rows.bits
+        bits = self.out_edges.bits
         sources = np.empty(E, dtype=np.int64)
         targets = np.empty(E, dtype=np.int32)
         end = 0
@@ -322,22 +335,11 @@ class PairDigraph:
         Entry [c, x, y] says whether the x-th pair holding c has an edge to
         the y-th, pairs numbered as in _star_ids(k); the diagonal is False.
         build_scheffe_graph sets it from per-hypothesis star blocks; any
-        other graph scatters out_edges into row blocks and gathers from
-        those, once per graph: row v = {a, b}, a < b, is row b - 1 of star a
-        and row a of star b.
+        other graph reads it off the bits, once per graph.
         """
-        k, V = self.k, self.num_vertices
-        star = _star_ids(k)
-        lo, hi = all_pairs(k).T
-        table = np.empty((k, k - 1, k - 1), dtype=bool)
-        for start, stop in _row_blocks(V):
-            rows = self.out_edges[start:stop]
-            adj = np.zeros((stop - start, V), dtype=bool)
-            adj[np.repeat(np.arange(stop - start), [out.size for out in rows]), np.concatenate(rows)] = True
-            a, b, r = lo[start:stop], hi[start:stop], np.arange(stop - start)[:, np.newaxis]
-            table[a, b - 1] = adj[r, star[a]]
-            table[b, a] = adj[r, star[b]]
-        return _read_only(table)
+        star = _star_ids(self.k)
+        return _read_only(self.out_edges.has_edges(star[:, :, np.newaxis], star[:, np.newaxis, :]))
+
 
 def _rounding_band(norms: np.ndarray, d: int) -> np.ndarray:
     """How far apart two float64 sums of <S_u, delta_w> over d terms may lie, per w, with room to spare.
@@ -402,20 +404,25 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     first read.  Memory is the packed bits, V * ceil(V / 8) bytes, reserved
     here and written block by block, plus one float64 row block, never a
     V x V array.  A build whose packed bits would not fit in the memory
-    available raises UnsupportedSizeError before allocating them.
+    available raises UnsupportedSizeError before allocating anything.
     """
     if not (0.0 < phi <= 1.0):
         raise ConfigError(f"phi must lie in (0, 1], got {phi}")
     k = Q.k
-    V = pair_count(k)
-    _check_fits(V * ((V + 7) // 8), f"the packed adjacency bits of a k={k} graph")
+
+    def block(start, stop):
+        inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
+        adj = np.abs(inner, out=inner) >= threshold
+        adj[np.arange(stop - start), np.arange(start, stop)] = False
+        return adj
+
+    rows = PackedRows(pair_count(k), block)  # made first: it refuses bits that do not fit before the deltas exist
     P = Q.probs_matrix
     pairs = all_pairs(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
     norms = np.abs(deltas).sum(axis=1)
     threshold = phi * norms
     signs = _scheffe_signs(deltas).astype(np.float64)
-    rows = PackedRows(signs, deltas, threshold)
     G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
     band = _rounding_band(norms, deltas.shape[1])
     G.__dict__["shared_index_edges"] = _read_only(_star_shared_index_edges(rows, k, signs, deltas, threshold, band))
@@ -571,26 +578,20 @@ _VERIFY_CHUNK = 256
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
-    The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices.
-    Packed rows of a chunk come from PackedRows.packed, which fills only the
-    row blocks the chunk lies in; they are ORed together and unpacked once.
-    Other rows are joined into one index array and scattered at once.  The
+    The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices
+    from PackedRows.packed, which fills only the row blocks the chunk lies
+    in; a chunk's packed rows are ORed together and unpacked once.  The
     check stops with True after the first chunk that leaves no vertex
     uncovered, so the row blocks of later chunks are never computed; False
     is returned only after every row of the set was read.
     """
     ids = _ids_from_pairs(list(dominating_set), G.k)
     V = G.num_vertices
-    rows = G.out_edges
-    packed = isinstance(rows, PackedRows)
     covered = np.zeros(V, dtype=bool)
     covered[ids] = True
     for start in range(0, ids.size, _VERIFY_CHUNK):
         chunk = ids[start:start + _VERIFY_CHUNK]
-        if packed:
-            covered |= np.unpackbits(np.bitwise_or.reduce(rows.packed(chunk), axis=0), count=V).view(bool)
-        else:
-            covered[np.concatenate([rows[v] for v in chunk.tolist()])] = True
+        covered |= np.unpackbits(np.bitwise_or.reduce(G.out_edges.packed(chunk), axis=0), count=V).view(bool)
         if covered.all():
             return True
     return False

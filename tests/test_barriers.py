@@ -117,9 +117,8 @@ class TestLowerBoundGraph:
         assert np.array_equal(np.stack(graph.out_edges), targets.reshape(-1, k - 2))
         assert np.array_equal(graph.in_degrees, np.bincount(targets, minlength=graph.num_vertices))
         assert graph.in_degrees.dtype == np.int64
-        base = graph.out_edges[0].base
         for v, row in enumerate(graph.out_edges):
-            assert row.dtype == np.int32 and row.base is base and not row.flags.writeable
+            assert row.dtype == np.int32 and not row.flags.writeable
             assert np.all(np.diff(row) > 0) and v not in row
 
     def test_peak_memory_within_its_refusal_estimate(self):
@@ -183,7 +182,12 @@ class TestLowerBoundVerification:
     @pytest.mark.parametrize("k", [16, 32, 64])
     def test_matches_per_vertex_recount(self, k):
         cert = build_lower_bound_graph(k, seed=k)
-        assert verify_domination_lower_bound(cert) == reference_recount(cert)
+        recount = verify_domination_lower_bound(cert)
+        assert cert.targets.shape == (pair_count(k), k - 2) and cert.targets.dtype == np.int32
+        assert not cert.targets.flags.writeable
+        assert "graph" not in cert.__dict__  # neither the build nor the recount packs the graph
+        assert recount == reference_recount(cert)
+        assert "graph" in cert.__dict__
 
     def test_recomputed_at_least_implied(self):
         cert = build_lower_bound_graph(16, seed=7)
@@ -192,18 +196,13 @@ class TestLowerBoundVerification:
     def test_edgeless_graph_gives_full_sample_size(self):
         # nobody dominates more than itself, so the bound is |R| exactly
         from ldpselect.barriers import LowerBoundCertificate
-        from ldpselect.scheffe_graph import PairDigraph, VertexPair, pair_count
+        from ldpselect.scheffe_graph import VertexPair, pair_count
 
         k = 16
         V = pair_count(k)
-        empty = PairDigraph(
-            k=k,
-            out_edges=tuple(np.empty(0, dtype=np.int64) for _ in range(V)),
-            in_degrees=np.zeros(V, dtype=np.int64),
-        )
         sample = tuple(VertexPair(1, hi) for hi in range(2, 10))
         cert = LowerBoundCertificate(
-            k=k, graph=empty, sampled_set=sample,
+            k=k, targets=np.empty((V, 0), np.int32), sampled_set=sample,
             overlap_sizes=np.zeros(V, dtype=np.int64), t_max=0,
             implied_lower_bound=float(len(sample)), attempts=1,
         )
