@@ -312,6 +312,16 @@ def verify_flattening_violation(
     return i0 + 2, value
 
 
+def _collapse_basis(fam: FlatteningFamily) -> np.ndarray:
+    """B, with columns (f_1, f_2 - f_1, ..., f_n - f_1) of the Hadamard-derived columns."""
+    F = fam.hadamard_columns
+    return np.column_stack([F[:, :1], F[:, 1:] - F[:, :1]])
+
+
+def _frobenius_sq(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x, "fro") ** 2)
+
+
 def frobenius_identities(phi_map: StochasticMap, fam: FlatteningFamily) -> dict[str, float]:
     """Exact norm identities behind the collapse bound, for verification.
 
@@ -320,10 +330,8 @@ def frobenius_identities(phi_map: StochasticMap, fam: FlatteningFamily) -> dict[
     its cap 4n/m implied by flat entries.
     """
     M = phi_map.matrix
-    F = fam.hadamard_columns
-    B = np.column_stack([F[:, :1], F[:, 1:] - F[:, :1]])
-    lhs = float(np.linalg.norm(M @ B, "fro") ** 2)
-    frob_sq = float(np.linalg.norm(M, "fro") ** 2)
+    lhs = _frobenius_sq(M @ _collapse_basis(fam))
+    frob_sq = _frobenius_sq(M)
     return {
         "identity_deviation": abs(lhs - frob_sq / fam.n),
         "frobenius_sq": frob_sq,
@@ -336,29 +344,33 @@ _FLAT_BATCH_BYTES = 1 << 20
 
 
 def _flat_maps(n: int, m: int, alpha: float, rng: np.random.Generator, max_tries: int, maps: int):
-    """The next `maps` flat (m x n) maps, rejection-sampled from rng in row batches.
+    """The next `maps` flat (m x n) maps, rejection-sampled from rng in row batches, in stacks.
 
     A candidate column is a row of m uniforms on [0, 2/m] divided by its sum;
     it is accepted when every entry lies in [(1 - alpha)/m, (1 + alpha)/m].
     Rows are drawn in batches and accepted in stream order, and accepted rows
-    a map does not use carry over to the next, so the maps are those of a
+    a stack does not use carry over to the next, so the maps are those of a
     one-column-at-a-time loop on the same generator.  A batch holds the rows
     the columns still wanted should take at the acceptance rate seen so far,
-    capped at _FLAT_BATCH_BYTES.  Raises ResamplingLimitError once a column
-    would need more than max_tries rows.
+    capped at _FLAT_BATCH_BYTES.  Each stack is a C-contiguous (cnt, m, n)
+    array of at most _FLAT_BATCH_BYTES / 8 of maps, one map at least.  Raises
+    ResamplingLimitError once a column would need more than max_tries rows.
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     low = (1.0 - alpha) / m
     high = (1.0 + alpha) / m
     cap = max(1, _FLAT_BATCH_BYTES // (8 * m))
+    # a stack and the copies and products made of it, about eight of its size, stay within one batch
+    per_stack = max(1, _FLAT_BATCH_BYTES // (64 * m * n))
     drawn = taken = 0  # rows drawn and accepted so far
     accepted = np.empty((0, m))
     rejected = 0  # rows drawn since the last accepted one
-    for left in range(maps, 0, -1):
+    for left in range(maps, 0, -per_stack):
+        wanted = min(left, per_stack) * n
         parts = [accepted]
         have = len(accepted)
-        while have < n:
+        while have < wanted:
             if rejected >= max_tries:
                 raise ResamplingLimitError("could not sample a flat column", max_tries)
             batch = min(cap, (left * n - have) * (drawn + 1) // (taken + 1) + 1)
@@ -376,9 +388,9 @@ def _flat_maps(n: int, m: int, alpha: float, rng: np.random.Generator, max_tries
             drawn += batch
             taken += pos.size
         accepted = np.concatenate(parts)
-        # C order, as a column-by-column fill gives: the matrix products downstream depend on it
-        yield StochasticMap(np.ascontiguousarray(accepted[:n].T))
-        accepted = accepted[n:]
+        # each map C order, as a column-by-column fill gives: the matrix products downstream depend on it
+        yield np.ascontiguousarray(accepted[:wanted].reshape(-1, n, m).transpose(0, 2, 1))
+        accepted = accepted[wanted:]
 
 
 def random_flat_map(n: int, m: int, alpha: float, rng, max_tries: int = 100_000) -> StochasticMap:
@@ -390,7 +402,7 @@ def random_flat_map(n: int, m: int, alpha: float, rng, max_tries: int = 100_000)
     Candidates are drawn in row batches, so a Generator shared across calls
     advances past the rows this map used.
     """
-    return next(_flat_maps(n, m, alpha, np.random.default_rng(rng), max_tries, maps=1))
+    return StochasticMap(next(_flat_maps(n, m, alpha, np.random.default_rng(rng), max_tries, maps=1))[0])
 
 
 @dataclass(frozen=True)
@@ -424,25 +436,53 @@ def run_flattening_trials(
     alpha: float = 0.99,
     seed=None,
 ) -> FlatteningReport:
-    """Search for a counterexample among random flat maps (none can exist)."""
+    """Search for a counterexample among random flat maps (none can exist).
+
+    The maps come from _flat_maps in stacks.  Each stack takes one matrix
+    product for each of the family images, their differences from the
+    uniform column and the collapse basis of frobenius_identities.  Every
+    map is checked as StochasticMap and verify_flattening_violation check
+    it: no negative entry, each column summing to 1 within 1e-9, flat on
+    both groups, and no distance above 2/sqrt(n).  The first map that fails
+    raises the error they raise for it alone.  The Frobenius norms are taken
+    map by map, as in frobenius_identities, so the report is the one a
+    map-by-map loop gives.
+    """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
     m = n if m is None else int(m)
     if m < 2:
         raise ConfigError(f"image domain must have at least 2 points, got {m}")
     fam = build_flattening_family(n)
+    F = fam.hadamard_columns
+    B = _collapse_basis(fam)
+    tol = 1e-12  # as in verify_flattening_violation
+    low = (1.0 - alpha) / m - tol
+    high = (1.0 + alpha) / m + tol
+    bound = 2.0 / math.sqrt(n)
     worst = 0.0
     max_dev = 0.0
-    for phi_map in _flat_maps(n, m, alpha, np.random.default_rng(seed), max_tries=100_000, maps=trials):
-        _, value = verify_flattening_violation(phi_map, fam, alpha)
-        worst = max(worst, value)
-        max_dev = max(max_dev, frobenius_identities(phi_map, fam)["identity_deviation"])
+    for stack in _flat_maps(n, m, alpha, np.random.default_rng(seed), max_tries=100_000, maps=trials):
+        images = stack @ F
+        nearest = np.abs(stack @ (F[:, 1:] - F[:, :1])).sum(axis=1).min(axis=1)
+        bad = ((stack < 0).any(axis=(1, 2))
+               | (np.abs(stack.sum(axis=1) - 1.0) > 1e-9).any(axis=1)
+               | ((stack < low) | (stack > high)).any(axis=(1, 2))
+               | ((images < low) | (images > high)).any(axis=(1, 2))
+               | (nearest > bound + 1e-9))
+        if bad.any():
+            i = int(np.argmax(bad))
+            verify_flattening_violation(StochasticMap(stack[i]), fam, alpha)  # raises the error of map i
+            raise InvariantError(f"map {i + 1} of a stack failed a check there that it passes alone")
+        worst = max(worst, float(nearest.max()))
+        for M, MB in zip(stack, stack @ B):
+            max_dev = max(max_dev, abs(_frobenius_sq(MB) - _frobenius_sq(M) / n))
     return FlatteningReport(
         n=n,
         m=m,
         trials=trials,
         alpha=alpha,
         worst_min_distance=worst,
-        bound=2.0 / math.sqrt(n),
+        bound=bound,
         max_frobenius_deviation=max_dev,
     )

@@ -174,8 +174,8 @@ class PackedRows(Sequence):
     bool adjacency, so a row's bits are the same whatever was read before
     it; block is let go once every block is filled.  out_edges[v] unpacks
     row v into a sorted read-only int32 array of out-neighbor ids.
-    packed(rows) and has_edges(sources, targets) fill only the blocks of the
-    rows they read.  bits fills every block and gives the whole matrix,
+    packed(rows), has_edges(sources, targets) and dominated_by(ids) fill
+    only the blocks of the rows they read.  bits fills every block and gives the whole matrix,
     read-only.  Bits that would not fit in the memory available raise
     UnsupportedSizeError before they are allocated.
     """
@@ -214,6 +214,34 @@ class PackedRows(Sequence):
         """The packed bit rows of the given vertex ids, one row each."""
         self._fill(rows)
         return self._bits[rows]
+
+    def dominated_by(self, ids: np.ndarray) -> bool:
+        """Whether every vertex is one of ids or an out-neighbor of one of them.
+
+        The ids are grouped by row block.  Blocks already filled are read
+        first, then the others, those holding the most ids first; ties go by
+        block, and ids keep their given order within a block.  A block's rows
+        are ORed in chunks of at most _VERIFY_CHUNK, so a chunk never spans
+        two blocks, and coverage is tested after each chunk.  True is
+        returned at the first chunk that leaves no vertex uncovered, and
+        False only after every row of ids was read.
+        """
+        V = len(self)
+        covered = np.zeros(V, dtype=bool)
+        covered[ids] = True
+        covered = np.packbits(covered)
+        everything = np.packbits(np.ones(V, dtype=bool))
+        blocks = ids // self._step
+        members = np.bincount(blocks, minlength=self._filled.size)
+        order = np.lexsort((blocks, -members[blocks], ~self._filled[blocks]))  # the last key sorts first; stable
+        ids, blocks = ids[order], blocks[order]
+        starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
+        for first, end in zip(starts, starts[1:] + [ids.size]):
+            for start in range(first, end, _VERIFY_CHUNK):
+                covered |= np.bitwise_or.reduce(self.packed(ids[start:min(start + _VERIFY_CHUNK, end)]), axis=0)
+                if np.array_equal(covered, everything):
+                    return True
+        return False
 
     def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Whether each edge sources[i] -> targets[i] is present, as a bool array; the two broadcast."""
@@ -511,17 +539,18 @@ def _shared_index_cover(graph: PairDigraph, sampled: np.ndarray) -> np.ndarray:
     """Mark each sampled vertex and its out-neighbors among index-sharing pairs.
 
     For each hypothesis c, the rows of graph.shared_index_edges[c] of the
-    sampled pairs holding c are ORed, which marks the pairs holding c that
-    they reach; this is the O(k)-per-vertex scan.  A vertex left unmarked
-    may still be an out-neighbor of the sample, so the resulting patch set
-    is conservative but always yields a valid dominating set.
+    sampled pairs holding c are ORed, in one bool matmul for every c, which
+    marks the pairs holding c that they reach; this is the O(k)-per-vertex
+    scan.  A vertex left unmarked may still be an out-neighbor of the
+    sample, so the resulting patch set is conservative but always yields a
+    valid dominating set.
     """
     table = graph.shared_index_edges
     star = _star_ids(graph.k)
     covered = np.zeros(graph.num_vertices, dtype=bool)
     covered[sampled] = True
     in_star = covered[star]
-    reached = np.array([table[c][in_star[c]].any(axis=0) for c in range(graph.k)])
+    reached = np.matmul(in_star[:, np.newaxis, :], table)[:, 0, :]
     covered[star[reached]] = True
     return covered
 
@@ -571,30 +600,21 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     )
 
 
-# Dominating rows gathered per scatter of verify_domination.
+# Most dominating rows ORed at once by PackedRows.dominated_by.
 _VERIFY_CHUNK = 256
 
 
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
-    The out-rows of the set are read in chunks of _VERIFY_CHUNK vertices
-    from PackedRows.packed, which fills only the row blocks the chunk lies
-    in; a chunk's packed rows are ORed together and unpacked once.  The
-    check stops with True after the first chunk that leaves no vertex
-    uncovered, so the row blocks of later chunks are never computed; False
-    is returned only after every row of the set was read.
+    The out-rows of the set are ORed by PackedRows.dominated_by, block by
+    block: row blocks already filled first, then the others, those holding
+    the most members of the set first.  The check stops with True after the
+    first chunk that leaves no vertex uncovered, so the row blocks of later
+    chunks are never computed; False is returned only after every row of the
+    set was read.
     """
-    ids = _ids_from_pairs(list(dominating_set), G.k)
-    V = G.num_vertices
-    covered = np.zeros(V, dtype=bool)
-    covered[ids] = True
-    for start in range(0, ids.size, _VERIFY_CHUNK):
-        chunk = ids[start:start + _VERIFY_CHUNK]
-        covered |= np.unpackbits(np.bitwise_or.reduce(G.out_edges.packed(chunk), axis=0), count=V).view(bool)
-        if covered.all():
-            return True
-    return False
+    return G.out_edges.dominated_by(_ids_from_pairs(list(dominating_set), G.k))
 
 
 _TRIANGLE_CASES = ("i", "ii", "iii")
@@ -648,27 +668,41 @@ class TriangleScan:
     case_counts: dict[str, int]
 
 
-# Triples per chunk of scan_triangles; bounds its temporaries to a few MiB.
-_TRIPLE_CHUNK = 1 << 15
-
-
 def scan_triangles(G: PairDigraph) -> TriangleScan:
-    """Exhaustive triangle check over all C(k, 3) triples, vectorized in fixed-size chunks.
+    """Exhaustive triangle check over all C(k, 3) triples, vectorized one star at a time.
 
     A triple violates only if no role assignment admits any of the three edge
     structures, that is, if none of the six edges among its pairs exists;
     case_counts tallies the cases under the as-given (sorted) role order.
+    For each a < k - 2 the six edges of _triple_edges for every triple
+    (a, b, c), a < b < c, are contiguous slices of the shared-index table or
+    their transposes, each of shape (k - a - 2, k - a - 2) and indexed
+    [b - a - 1, c - a - 2]; the triples are its upper triangle, diagonal
+    included.
     """
-    i = np.arange(G.k)
-    trio = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i)))  # x < y < z
+    k = G.k
+    table = G.shared_index_edges
+    upper = np.triu(np.ones((k, k), dtype=bool))
     violations = 0
     counts = np.zeros(len(_TRIANGLE_CASES), dtype=np.int64)
-    for start in range(0, trio.shape[1], _TRIPLE_CHUNK):
-        six = _triple_edges(G, *trio[:, start:start + _TRIPLE_CHUNK])
-        violations += int(np.count_nonzero(~six.any(axis=0)))
-        counts += np.count_nonzero(_as_given_cases(six), axis=1)
+    for a in range(k - 2):
+        # Star x numbers hypothesis y as y - (y > x).  So star a numbers b and c as b - 1 and c - 1,
+        # star b numbers a and c as a and c - 1, star c numbers a and b as themselves.
+        b = slice(a + 1, k - 1)
+        c = slice(a + 2, k)
+        six = np.stack([
+            table[a, a:k - 2, a + 1:],  # AB->AC
+            table[b, a, a + 1:],  # AB->BC
+            table[c, a, b].T,  # AC->BC
+            table[c, b, a].T,  # BC->AC
+            table[a, a + 1:, a:k - 2].T,  # AC->AB
+            table[b, a + 1:, a],  # BC->AB
+        ])
+        mask = upper[a + 2:, a + 2:]
+        violations += int(np.count_nonzero(mask & ~six.any(axis=0)))
+        counts += np.count_nonzero(_as_given_cases(six) & mask, axis=(1, 2))
     return TriangleScan(
-        triples=trio.shape[1],
+        triples=math.comb(k, 3),
         violations=violations,
         case_counts={c: int(n) for c, n in zip(_TRIANGLE_CASES, counts)},
     )

@@ -27,6 +27,7 @@ from ldpselect.errors import (
     ConfigError,
     DimensionError,
     FlatnessError,
+    InvariantError,
     ResamplingLimitError,
     UnsupportedSizeError,
 )
@@ -448,3 +449,44 @@ class TestBatchedFlatMaps:
         assert np.array_equal(phi_map.matrix, expected)
         with pytest.raises(ResamplingLimitError):
             random_flat_map(n, m, alpha, np.random.default_rng(seed), max_tries=most - 1)
+
+    @staticmethod
+    def stack_with(monkeypatch, n, m, alpha, seed, faults):
+        """Make run_flattening_trials take one stack of 10 sampled maps, map i given the fault faults[i]."""
+        stack = next(barriers._flat_maps(n, m, alpha, np.random.default_rng(seed), 100_000, maps=10))
+        for i, fault in faults.items():
+            stack[i] = np.full((m, n), 1.0 / m)
+            if fault == "negative":  # column 5 still sums to 1
+                stack[i, [2, 3], 4] = [-0.1, 0.1 + 2.0 / m]
+            elif fault == "column sum":  # column 6 sums to 1 + 1e-3 / m
+                stack[i, 0, 5] *= 1.0 + 1e-3
+            else:  # column 3 is a point mass: a distribution, but not flat
+                stack[i, :, 2] = np.eye(m)[3]
+        monkeypatch.setattr(barriers, "_flat_maps", lambda *args, **kwargs: iter([stack]))
+        return stack
+
+    @pytest.mark.parametrize("later", [None, "negative", "column sum"])
+    def test_non_flat_map_inside_a_stack_raises_its_own_error(self, monkeypatch, later):
+        """A non-flat map in the middle of a stack raises the FlatnessError verify_flattening_violation
+        raises for it alone, also when a later map of the stack fails another check."""
+        n = m = 8
+        faults = {4: "not flat"} if later is None else {4: "not flat", 7: later}
+        stack = self.stack_with(monkeypatch, n, m, 0.9, 1, faults)
+        with pytest.raises(FlatnessError) as alone:
+            verify_flattening_violation(StochasticMap(stack[4]), build_flattening_family(n), 0.9)
+        with pytest.raises(FlatnessError) as trials:
+            run_flattening_trials(n, m=m, trials=10, alpha=0.9, seed=1)
+        got, want = trials.value, alone.value
+        assert (got.group, got.column, got.entry, got.value) == (want.group, want.column, want.entry, want.value)
+        assert (got.group, got.column, got.entry) == ("E", 3, 1)
+
+    @pytest.mark.parametrize("i, fault", [(3, "negative"), (6, "column sum")])
+    def test_map_that_is_not_stochastic_raises_as_stochastic_map_does(self, monkeypatch, i, fault):
+        n = m = 8
+        stack = self.stack_with(monkeypatch, n, m, 0.9, 2, {i: fault})
+        with pytest.raises(InvariantError) as alone:
+            StochasticMap(stack[i])
+        with pytest.raises(InvariantError) as trials:
+            run_flattening_trials(n, m=m, trials=10, alpha=0.9, seed=2)
+        assert str(trials.value) == str(alone.value)
+        assert ("negative" in str(trials.value)) == (fault == "negative")

@@ -510,7 +510,11 @@ class TestLazyRows:
         V = adj.shape[0]
         monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 5)
         G = build_scheffe_graph(Q, PHI)
-        assert verify_domination(G, vertex_pairs(Q.k))  # the first chunk, rows 0..4, covers everything
+        G.out_edges[152]  # fills block 30, rows 150..154
+        # every vertex is a member, so the first chunk read covers everything: that of the filled block
+        read = TestVerifyDomination.chunks_read(monkeypatch)
+        assert verify_domination(G, vertex_pairs(Q.k))
+        assert read == [list(range(150, 155))]
         assert G.out_edges.filled_blocks == 1
         # everything but w and its in-neighbours: not dominating, so every row of the set is read
         w = int(np.argmin(adj.sum(axis=0)))
@@ -523,8 +527,10 @@ class TestLazyRows:
     def test_offline_path_fills_few_blocks(self, model):
         """At k = 128 a row block holds 258 of the 8128 rows.  The build reads no row, not
         even for the entries into a zero-norm vertex (the sparse instance has two identical
-        hypotheses); the dominating-set search and the triangle scan read the table alone; the
-        domination checks stop after the first chunk of 256 rows of D, in id order."""
+        hypotheses); the dominating-set search and the triangle scan read the table alone.  The
+        family's domination check reads the blocks holding the most members of D first and stops
+        at the first chunk that covers: here within one or two blocks, where reading D in id order
+        took three.  The second check reads those filled blocks first and fills no other."""
         from ldpselect.rmde import query_family_from_dominating_set
 
         k, V = 128, pair_count(128)
@@ -537,11 +543,13 @@ class TestLazyRows:
         scan_triangles(G)
         assert G.out_edges.filled_blocks == 0
         assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
-        assert verify_domination(G, cert.dominating_set)
+        filled = np.flatnonzero(G.out_edges._filled)
+        assert 1 <= filled.size <= 2
         ids = np.array([p.vertex_id(k) for p in cert.dominating_set])
-        first_chunk = ids[:scheffe_graph._VERIFY_CHUNK]
-        assert G.out_edges.filled_blocks == np.unique(first_chunk // step).size
-        assert np.unique(first_chunk // step).size <= 3
+        members = np.bincount(ids // step, minlength=G.out_edges._filled.size)
+        assert filled.tolist() == sorted(np.lexsort((np.arange(members.size), -members))[:filled.size].tolist())
+        assert verify_domination(G, cert.dominating_set)
+        assert np.flatnonzero(G.out_edges._filled).tolist() == filled.tolist()
 
     @pytest.mark.parametrize("band", ["proven", "huge"])
     @pytest.mark.parametrize("k", [3, 8, 16, 32, 64, 128])
@@ -895,15 +903,76 @@ class TestVerifyDomination:
         monkeypatch.setattr(scheffe_graph.PackedRows, "packed", recording)
         return read
 
-    def test_stops_after_the_first_covering_chunk(self, monkeypatch):
-        # vertex 0 reaches every other vertex, so the first chunk of the full set covers everything
-        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 7)
-        k = 12
-        V = pair_count(k)
-        G = adjacency_digraph(k, edge_adjacency(k, 0, np.arange(1, V)))
+    @pytest.fixture
+    def five_row_blocks(self, monkeypatch):
+        """At k = 12 (V = 66), row blocks of 5 rows and chunks of at most 3 rows."""
+        monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", 8 * 66 * 5)
+        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 3)
+
+    @staticmethod
+    def lazy_digraph(k, adj):
+        """PairDigraph whose row blocks are filled from a (V, V) bool adjacency on first read."""
+        return PairDigraph(k, scheffe_graph.PackedRows(pair_count(k), lambda start, stop: adj[start:stop]))
+
+    # members in blocks 12, 0, 1, 4 (all five rows) and 0 again, given out of id order
+    MEMBERS = [60, 0, 7, 21, 20, 22, 23, 24, 1]
+
+    def test_stops_after_the_first_covering_chunk(self, monkeypatch, five_row_blocks):
+        # vertex 22 reaches every other vertex; its block, 4, holds the most members, so it is read first
+        k, V = 12, 66
+        others = np.delete(np.arange(V), 22)
+        G = adjacency_digraph(k, edge_adjacency(k, 22, others))
         read = self.chunks_read(monkeypatch)
-        assert verify_domination(G, vertex_pairs(G.k))
-        assert read == [list(range(7))]
+        assert verify_domination(G, vertex_pairs(k, self.MEMBERS))
+        assert read == [[21, 20, 22]]
+
+    def test_reads_blocks_with_most_members_first(self, monkeypatch, five_row_blocks):
+        # no edges, so every row is read: by block, most members first and ties by block, in given order
+        # within a block, in chunks of at most 3 that never span two blocks
+        k = 12
+        G = adjacency_digraph(k, edge_adjacency(k, [], []))
+        read = self.chunks_read(monkeypatch)
+        assert not verify_domination(G, vertex_pairs(k, self.MEMBERS))
+        assert read == [[21, 20, 22], [23, 24], [0, 1], [7], [60]]
+
+    @pytest.mark.parametrize("reaches_all", [False, True])
+    def test_filled_blocks_are_read_first(self, monkeypatch, five_row_blocks, reaches_all):
+        # block 12 is filled before the check and holds one member; block 4 holds five
+        k, V = 12, 66
+        adj = edge_adjacency(k, 60, np.delete(np.arange(V), 60)) if reaches_all else edge_adjacency(k, [], [])
+        G = self.lazy_digraph(k, adj)
+        G.out_edges[62]
+        assert G.out_edges.filled_blocks == 1
+        read = self.chunks_read(monkeypatch)
+        assert verify_domination(G, vertex_pairs(k, self.MEMBERS)) == reaches_all
+        if reaches_all:
+            assert read == [[60]]
+            assert G.out_edges.filled_blocks == 1
+        else:
+            assert read == [[60], [21, 20, 22], [23, 24], [0, 1], [7]]
+            assert G.out_edges.filled_blocks == 4
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_matches_brute_force_on_random_digraphs(self, monkeypatch, lazy):
+        """Against an OR of the members' dense rows, on random digraphs, sets and read states.  Blocks
+        of 512 bytes hold 1 to 51 rows, so the sets span from one block to every block."""
+        monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", 1 << 9)
+        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 3)
+        answers = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(2, 13))
+            V = pair_count(k)
+            adj = rng.random((V, V)) < rng.uniform(0.0, 0.4)
+            np.fill_diagonal(adj, False)
+            G = self.lazy_digraph(k, adj) if lazy else adjacency_digraph(k, adj)
+            for v in rng.choice(V, size=int(rng.integers(0, 3))).tolist():
+                G.out_edges[v]  # fill a block or two first
+            ids = rng.choice(V, size=int(rng.integers(0, V + 1)), replace=bool(rng.integers(2)))
+            expected = bool((adj[ids].any(axis=0) | np.isin(np.arange(V), ids)).all())
+            assert verify_domination(G, vertex_pairs(k, ids)) == expected, seed
+            answers.append(expected)
+        assert 10 <= sum(answers) <= 30
 
     def test_false_reads_every_row(self, monkeypatch):
         # a matching 2i -> 2i + 1 whose last pair is missing: only the last chunk's last member falls short
@@ -962,16 +1031,45 @@ class TestTriangles:
         assert scan_triangles(G) == scan
         assert {trio: check_triangle(G, *trio) for trio in checks} == checks
 
-    def test_chunked_scan_matches_brute_force(self, monkeypatch):
-        monkeypatch.setattr(scheffe_graph, "_TRIPLE_CHUNK", 7)  # C(9, 3) = 84 triples in 12 chunks
+    @staticmethod
+    def scan_by_single_checks(G):
+        """Reference TriangleScan from check_triangle on every triple, in sorted role order."""
+        counts, violations = dict.fromkeys(("i", "ii", "iii"), 0), 0
+        for trio in itertools.combinations(range(1, G.k + 1), 3):
+            labels = check_triangle(G, *trio)
+            if labels == ("violation",):
+                violations += 1
+                continue
+            for c in labels:
+                counts[c] += 1
+        return TriangleScan(math.comb(G.k, 3), violations, counts)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 16, 64])
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_star_slices_match_single_checks_on_scheffe_graphs(self, model, k):
+        G = build_scheffe_graph(random_hypothesis_set(k, 16, seed=k, model=model), PHI)
+        scan = scan_triangles(G)
+        assert scan == self.scan_by_single_checks(G)
+        assert scan.violations == 0 and scan.triples == math.comb(k, 3)
+
+    @pytest.mark.parametrize("graph", ["lower-bound", "random"])
+    def test_star_slices_match_single_checks(self, graph):
+        if graph == "lower-bound":
+            G = build_lower_bound_graph(16, seed=3).graph
+        else:
+            G = random_digraph(11, seed=2, density=0.1)
+        scan = scan_triangles(G)
+        assert scan == self.scan_by_single_checks(G)
+        assert (scan.violations > 0) == (graph == "random")
+
+    def test_sliced_scan_matches_brute_force(self):
         G = random_digraph(9, seed=1, density=0.3)
         scan, _ = brute_force_triangles(G)
         assert scan_triangles(G) == scan
         assert scan.violations > 0
 
     @pytest.mark.parametrize("density", [0.02, 0.1])
-    def test_sparse_random_digraphs_match_brute_force(self, monkeypatch, density):
-        monkeypatch.setattr(scheffe_graph, "_TRIPLE_CHUNK", 7)  # C(10, 3) = 120 triples in 18 chunks
+    def test_sparse_random_digraphs_match_brute_force(self, density):
         G = random_digraph(10, seed=3, density=density)
         scan, checks = brute_force_triangles(G)
         assert scan_triangles(G) == scan
