@@ -37,6 +37,7 @@ from .scheffe_graph import (
     PHI_DEFAULT,
     DominatingSetCertificate,
     PairDigraph,
+    _check_phi,
     all_pairs,
     build_scheffe_graph,
     domination_bound,
@@ -44,6 +45,10 @@ from .scheffe_graph import (
     pair_count,
     verify_domination,
 )
+
+
+# certifies reads this many first tests for every pair, and the rest only for the pairs they leave open.
+_WITNESS_TESTS = 64
 
 
 def _first_distinct_rows(signs: np.ndarray) -> np.ndarray:
@@ -71,8 +76,9 @@ class QueryFamily:
     [lo, hi] of the hypothesis pair test i is the Scheffe set of.
 
     The family certifies: for every pair of hypotheses, some test recovers a
-    phi-fraction of their l1 distance (condition checkable exhaustively via
-    star_margins).
+    phi-fraction of their l1 distance.  certifies decides this, stopping at the
+    first witness of each pair; star_margins measures every pair's slack over
+    all tests.
     """
 
     signs: np.ndarray
@@ -88,8 +94,7 @@ class QueryFamily:
         origins = np.array(self.origins, dtype=np.int64)
         if origins.shape != (len(signs), 2):
             raise ConfigError(f"one origin pair per test required, got origins of shape {origins.shape}")
-        if not 0 < self.phi <= 1:
-            raise ConfigError(f"phi must lie in (0, 1], got {self.phi}")
+        _check_phi(self.phi)
         if _first_distinct_rows(signs).size != len(signs):
             raise ConfigError("duplicate tests must be pruned before constructing the family")
         object.__setattr__(self, "signs", _read_only(signs.astype(np.int8)))
@@ -98,31 +103,75 @@ class QueryFamily:
     def __len__(self) -> int:
         return len(self.signs)
 
-    def star_margins(self, Q: HypothesisSet, phi: float | None = None) -> np.ndarray:
-        """Per-hypothesis-pair slack of the comparison condition.
+    def _check_domain(self, Q: HypothesisSet) -> None:
+        if self.signs.shape[1] != Q.domain_size:
+            raise ConfigError(
+                f"family is on domain size {self.signs.shape[1]}, hypotheses on {Q.domain_size}"
+            )
 
-        Entry for pair (j, j') is max_T |<q_j - q_j', T>| - phi * ||q_j - q_j'||_1;
-        the family certifies phi-comparisons exactly when all entries are >= 0
-        (up to float noise).
+    def _star_rows(self, Q: HypothesisSet, phi: float | None):
+        """For each j < k - 1 in turn: M[j], M[j + 1:] and phi * ||q_j - q_j'||_1 for every j' > j.
+
+        M = P @ signs.T (k x m, entries <q_j, T>) is formed once and only
+        sliced, since BLAS does not promise a subset of columns the same bits.
         """
         phi = self.phi if phi is None else phi
+        _check_phi(phi)
+        self._check_domain(Q)
         P = Q.probs_matrix
-        M = P @ self.signs.astype(np.float64).T  # k x m, entries <q_j, T>
-        # One row j at a time against every j' > j, in lexicographic pair order, through one
-        # reused (k - 1, m) buffer: O(k m) memory.
-        buf = np.empty((Q.k - 1, M.shape[1]))
+        M = P @ self.signs.astype(np.float64).T
+        return ((M[j], M[j + 1:], phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)) for j in range(Q.k - 1))
+
+    def star_margins(self, Q: HypothesisSet, phi: float | None = None) -> np.ndarray:
+        """Per-hypothesis-pair slack of the comparison condition, measured over every test.
+
+        Entry for pair (j, j'), in lexicographic pair order, is
+        max_T |<q_j - q_j', T>| - phi * ||q_j - q_j'||_1; the family certifies
+        phi-comparisons exactly when all entries are >= 0 (up to float noise).
+        This is the exhaustive reference that certifies agrees with.
+        """
+        rows = self._star_rows(Q, phi)
+        # One row j at a time against every j' > j through one reused (k - 1, m) buffer: O(k m) memory.
+        buf = np.empty((Q.k - 1, len(self)))
         margins = np.empty(pair_count(Q.k))
         end = 0
-        for j in range(Q.k - 1):
-            gaps = buf[:Q.k - 1 - j]
-            np.subtract(M[j], M[j + 1:], out=gaps)
+        for row, rest, need in rows:
+            gaps = buf[:len(rest)]
+            np.subtract(row, rest, out=gaps)
             np.abs(gaps, out=gaps)
-            margins[end:end + len(gaps)] = gaps.max(axis=1) - phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)
+            margins[end:end + len(gaps)] = gaps.max(axis=1) - need
             end += len(gaps)
         return margins
 
     def certifies(self, Q: HypothesisSet, phi: float | None = None, tol: float = 1e-9) -> bool:
-        return bool((self.star_margins(Q, phi) >= -tol).all())
+        """Whether every star margin is >= -tol, stopping at the first witness of each pair.
+
+        Equals bool((star_margins(Q, phi) >= -tol).all()) on every input: a max
+        is exact and fl(x - s) is monotone in x, so a pair that passes on the
+        first _WITNESS_TESTS tests passes on all of them.  Only the pairs still
+        open read the other tests, and the first row holding a pair whose full
+        maximum fails returns False.
+        """
+        rows = self._star_rows(Q, phi)
+        head = min(_WITNESS_TESTS, len(self))
+        buf = np.empty((Q.k - 1, head))
+        for row, rest, need in rows:
+            gaps = buf[:len(rest)]
+            np.subtract(row[:head], rest[:, :head], out=gaps)
+            np.abs(gaps, out=gaps)
+            best = gaps.max(axis=1)
+            # ~(x >= -tol) rather than x < -tol: a NaN fails the reference, so it stays open
+            still_open = np.flatnonzero(~(best - need >= -tol))
+            if not still_open.size:
+                continue
+            if head < len(self):
+                tail = rest[still_open, head:]  # a gathered copy, so written in place
+                np.subtract(row[head:], tail, out=tail)
+                best = np.maximum(best[still_open], np.abs(tail, out=tail).max(axis=1))
+                if (best - need[still_open] >= -tol).all():
+                    continue
+            return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -141,8 +190,7 @@ class SelectionConfig:
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         _check_epsilon(self.epsilon)
-        if not 0 < self.phi <= 1:
-            raise ConfigError(f"phi must lie in (0, 1], got {self.phi}")
+        _check_phi(self.phi)
 
     @property
     def approximation_factor(self) -> float:
@@ -221,12 +269,8 @@ def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates
     p_hat = estimates.estimates
     if p_hat.size != m:
         raise IncompleteEstimatesError(f"{p_hat.size} estimates for a family of {m} tests")
-    T = family.signs.astype(np.float64)
-    if T.shape[1] != Q.domain_size:
-        raise ConfigError(
-            f"family is on domain size {T.shape[1]}, hypotheses on {Q.domain_size}"
-        )
-    values = Q.probs_matrix @ T.T  # k x m, entries <q, T>
+    family._check_domain(Q)
+    values = Q.probs_matrix @ family.signs.astype(np.float64).T  # k x m, entries <q, T>
     disc = np.abs(values - p_hat[np.newaxis, :]).max(axis=1)
     best = int(np.argmin(disc))  # first occurrence = smallest index
     return SelectionReport(

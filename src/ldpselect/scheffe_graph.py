@@ -38,6 +38,11 @@ PHI_DEFAULT = 1.0 / 6.0
 MAX_RESAMPLE_ATTEMPTS = 64
 
 
+def _check_phi(phi: float) -> None:
+    if not 0 < phi <= 1:  # also refuses NaN
+        raise ConfigError(f"phi must lie in (0, 1], got {phi}")
+
+
 def pair_count(k: int) -> int:
     return k * (k - 1) // 2
 
@@ -434,8 +439,7 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     V x V array.  A build whose packed bits would not fit in the memory
     available raises UnsupportedSizeError before allocating anything.
     """
-    if not (0.0 < phi <= 1.0):
-        raise ConfigError(f"phi must lie in (0, 1], got {phi}")
+    _check_phi(phi)
     k = Q.k
 
     def block(start, stop):

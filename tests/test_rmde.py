@@ -33,7 +33,8 @@ from ldpselect.errors import (
 )
 from ldpselect import rmde
 from ldpselect.rmde import QueryFamily, _first_distinct_rows, full_scheffe_family, max_query_budget
-from ldpselect.scheffe_graph import DominatingSetCertificate, VertexPair, pair_count
+from ldpselect.barriers import build_flattening_family
+from ldpselect.scheffe_graph import DominatingSetCertificate, VertexPair, pair_count, pair_index
 
 PHI = 1.0 / 6.0
 
@@ -268,6 +269,91 @@ class TestQueryFamily:
                 for j2 in range(j + 1, Q.k)
             ]
             np.testing.assert_allclose(fam.star_margins(Q, phi), reference, rtol=0, atol=1e-12)
+
+
+def hadamard_set():
+    F = build_flattening_family(16).hadamard_columns
+    return HypothesisSet(tuple(DiscreteDistribution(column) for column in F.T))
+
+
+def without_tests(fam, drop):
+    keep = np.setdiff1d(np.arange(len(fam)), drop)
+    return QueryFamily(signs=fam.signs[keep], origins=fam.origins[keep], phi=fam.phi)
+
+
+def reference_certifies(fam, Q, phi, tol=1e-9):
+    return bool((fam.star_margins(Q, phi) >= -tol).all())
+
+
+class TestCertifiesMatchesStarMargins:
+    """certifies stops at the first witness of each pair; star_margins reads every test."""
+
+    @pytest.mark.parametrize("sets", [
+        *(pytest.param([random_hypothesis_set(k, 16, seed=seed, model=model)
+                        for k in (2, 3, 8, 32, 128) for seed in (0, 1)], id=model)
+          for model in GENERATOR_MODELS),
+        pytest.param([hadamard_set()], id="hadamard-columns"),
+    ])
+    def test_equivalence_corpus(self, sets):
+        answers = set()
+        for Q in sets:
+            families = [pipeline_family(Q)] + ([full_scheffe_family(Q)] if Q.k <= 32 else [])
+            for fam in list(families):
+                if len(fam) > 1:
+                    # every other test, and the first half (so witnesses move to later tests)
+                    families += [without_tests(fam, np.arange(0, len(fam), 2)),
+                                 without_tests(fam, np.arange(len(fam) // 2))]
+            for fam in families:
+                for phi in (PHI, 0.5, 0.9, 1.0):
+                    expected = reference_certifies(fam, Q, phi)
+                    assert fam.certifies(Q, phi) == expected, (Q.k, len(fam), phi)
+                    answers.add(expected)
+        assert answers == {True, False}
+
+    def test_late_witnesses(self):
+        Q = random_hypothesis_set(16, 16, seed=5)
+        fam = full_scheffe_family(Q)
+        head = rmde._WITNESS_TESTS
+        assert len(fam) > head
+        # some pair has no witness among the first tests, so certifying reads past them
+        assert not without_tests(fam, np.arange(head, len(fam))).certifies(Q, 1.0)
+        assert fam.certifies(Q, 1.0)
+        # the last pair's own test lies past the first tests; without it, that pair fails
+        lo, hi = fam.origins[-1]
+        thinned = without_tests(fam, [len(fam) - 1])
+        assert not thinned.certifies(Q, 1.0)
+        margins = thinned.star_margins(Q, 1.0)
+        assert margins[pair_index(lo - 1, hi - 1, Q.k)] < -1e-9
+        assert not reference_certifies(thinned, Q, 1.0)
+
+    @pytest.mark.parametrize("case", ["late-pair", "dominating"])
+    def test_tol_edge(self, case):
+        if case == "late-pair":
+            Q = random_hypothesis_set(16, 16, seed=5)
+            fam, phi = without_tests(full_scheffe_family(Q), [pair_count(16) - 1]), 1.0
+        else:
+            Q = random_hypothesis_set(32, 16, seed=0)
+            fam, phi = pipeline_family(Q), 0.9
+        tol = -fam.star_margins(Q, phi).min()
+        assert tol > 0
+        assert fam.certifies(Q, phi, tol=tol) and reference_certifies(fam, Q, phi, tol)
+        tighter = np.nextafter(tol, 0)
+        assert not fam.certifies(Q, phi, tol=tighter) and not reference_certifies(fam, Q, phi, tighter)
+
+    @pytest.mark.parametrize("method", ["certifies", "star_margins"])
+    @pytest.mark.parametrize("phi, d, match", [
+        (-1.0, 12, "phi"),
+        (0.0, 12, "phi"),
+        (1.5, 12, "phi"),
+        (math.nan, 12, "phi"),
+        (math.inf, 12, "phi"),
+        (None, 16, "family is on domain size 16, hypotheses on 12"),
+    ], ids=["negative", "zero", "above-one", "nan", "inf", "domain"])
+    def test_rejects(self, method, phi, d, match):
+        Q = random_hypothesis_set(8, 12, seed=0)
+        fam = pipeline_family(random_hypothesis_set(8, d, seed=0))
+        with pytest.raises(ConfigError, match=match):
+            getattr(fam, method)(Q, phi)
 
 
 class TestRmdeSelect:
