@@ -129,13 +129,15 @@ def _pairs_from_ids(ids, k: int) -> tuple[VertexPair, ...]:
     return tuple(map(_vertex_pairs(k).__getitem__, ids.tolist()))
 
 
-# Rows per block of a graph build: one float64 row block of about 16 MiB.
+# Rows per block of a graph build: one float64 row block of about 16 MiB, and at most
+# _MAX_BLOCK_ROWS rows, so a read of a few rows computes few others.
 _BLOCK_BYTES = 16 << 20
+_MAX_BLOCK_ROWS = 64
 
 
 def _block_rows(V: int) -> int:
     """Rows per row block of a graph on V vertices."""
-    return max(1, _BLOCK_BYTES // (8 * V))
+    return max(1, min(_MAX_BLOCK_ROWS, _BLOCK_BYTES // (8 * V)))
 
 
 def _row_blocks(V: int):
@@ -175,14 +177,15 @@ class PackedRows(Sequence):
     Row v of a (V, ceil(V / 8)) uint8 bit matrix packs the V-column
     adjacency row of vertex v as np.packbits writes it.  No row is computed
     up front.  The first read of a row fills its whole row block
-    (_row_blocks) with block(start, stop), the block's (stop - start, V)
-    bool adjacency, so a row's bits are the same whatever was read before
-    it; block is let go once every block is filled.  out_edges[v] unpacks
-    row v into a sorted read-only int32 array of out-neighbor ids.
-    packed(rows), has_edges(sources, targets) and dominated_by(ids) fill
-    only the blocks of the rows they read.  bits fills every block and gives the whole matrix,
-    read-only.  Bits that would not fit in the memory available raise
-    UnsupportedSizeError before they are allocated.
+    (_row_blocks: at most _MAX_BLOCK_ROWS rows) with block(start, stop), the
+    block's (stop - start, V) bool adjacency, so a row's bits are the same
+    whatever was read before it; block is let go once every block is
+    filled.  out_edges[v] unpacks row v into a sorted read-only int32 array
+    of out-neighbor ids.  packed(rows), has_edges(sources, targets) and
+    dominated_by(ids) fill only the blocks of the rows they read.  bits
+    fills every block and gives the whole matrix, read-only.  Bits that
+    would not fit in the memory available raise UnsupportedSizeError before
+    they are allocated.
     """
 
     __slots__ = ("_bits", "_filled", "_step", "_block")
@@ -223,17 +226,19 @@ class PackedRows(Sequence):
     def dominated_by(self, ids: np.ndarray) -> bool:
         """Whether every vertex is one of ids or an out-neighbor of one of them.
 
-        The ids are grouped by row block.  Blocks already filled are read
-        first, then the others, those holding the most ids first; ties go by
-        block, and ids keep their given order within a block.  A block's rows
-        are ORed in chunks of at most _VERIFY_CHUNK, so a chunk never spans
-        two blocks, and coverage is tested after each chunk.  True is
-        returned at the first chunk that leaves no vertex uncovered, and
-        False only after every row of ids was read.
+        When ids hold every vertex, True is returned before any row is read.
+        Otherwise the ids are grouped by row block.  Blocks already filled are
+        read first, then the others, those holding the most ids first; ties
+        go by block.  The rows of one block's ids are ORed together and
+        coverage is tested after each block, so True is returned at the first
+        block that leaves no vertex uncovered, and False only after every row
+        of ids was read.
         """
         V = len(self)
         covered = np.zeros(V, dtype=bool)
         covered[ids] = True
+        if covered.all():
+            return True
         covered = np.packbits(covered)
         everything = np.packbits(np.ones(V, dtype=bool))
         blocks = ids // self._step
@@ -241,11 +246,10 @@ class PackedRows(Sequence):
         order = np.lexsort((blocks, -members[blocks], ~self._filled[blocks]))  # the last key sorts first; stable
         ids, blocks = ids[order], blocks[order]
         starts = np.flatnonzero(np.diff(blocks, prepend=-1)).tolist()
-        for first, end in zip(starts, starts[1:] + [ids.size]):
-            for start in range(first, end, _VERIFY_CHUNK):
-                covered |= np.bitwise_or.reduce(self.packed(ids[start:min(start + _VERIFY_CHUNK, end)]), axis=0)
-                if np.array_equal(covered, everything):
-                    return True
+        for start, end in zip(starts, starts[1:] + [ids.size]):
+            covered |= np.bitwise_or.reduce(self.packed(ids[start:end]), axis=0)
+            if np.array_equal(covered, everything):
+                return True
         return False
 
     def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -265,21 +269,31 @@ class PackedRows(Sequence):
 
 
 def _block_of_rows(rows, start: int, stop: int, V: int) -> np.ndarray:
-    """The (stop - start, V) bool adjacency of rows[start:stop], each row checked as it is set."""
+    """The (stop - start, V) bool adjacency of rows[start:stop], checked as one block.
+
+    The rows are concatenated and scattered at once; an InvariantError names
+    the first bad row and, within it, the first of: not a 1-d array of
+    integer ids, an id outside 0..V-1, a self-loop, a repeated target.
+    """
+    outs = [np.asarray(rows[v]) for v in range(start, stop)]
+    typed = next((i for i, out in enumerate(outs) if out.ndim != 1 or (out.size and out.dtype.kind not in "iu")),
+                 len(outs))  # rows before the first that is not integer ids
+    sizes = [out.size for out in outs[:typed]]
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *outs[:typed]], dtype=np.int64, casting="unsafe")
+    owner = np.repeat(np.arange(typed), sizes)
+    inside = (0 <= ids) & (ids < V)  # an unsigned id of 2**63 or more wraps below 0
     adj = np.zeros((stop - start, V), dtype=bool)
-    for v, row in zip(range(start, stop), adj):
-        out = np.asarray(rows[v])
-        if out.ndim != 1 or (out.size and out.dtype.kind not in "iu"):
-            raise InvariantError(f"row {v} is not a 1-d array of integer vertex ids")
-        if not out.size:
-            continue
-        if out.min() < 0 or out.max() >= V:
-            raise InvariantError(f"row {v} holds an id outside 0..{V - 1}")
-        row[out] = True
-        if row[v]:
-            raise InvariantError(f"row {v} has a self-loop")
-        if np.count_nonzero(row) != out.size:
-            raise InvariantError(f"row {v} repeats a target")
+    adj[owner[inside], ids[inside]] = True
+    outside = np.bincount(owner[~inside], minlength=typed) > 0
+    loops = adj[np.arange(typed), np.arange(start, start + typed)]
+    repeats = np.zeros(typed, dtype=bool)
+    if np.count_nonzero(adj) != np.count_nonzero(inside):  # one count of the block is far cheaper than one per row
+        repeats = np.count_nonzero(adj[:typed], axis=1) != np.bincount(owner[inside], minlength=typed)
+    for i in np.flatnonzero(outside | loops | repeats)[:1].tolist():
+        what = f"holds an id outside 0..{V - 1}" if outside[i] else "has a self-loop" if loops[i] else "repeats a target"
+        raise InvariantError(f"row {start + i} {what}")
+    if typed < len(outs):
+        raise InvariantError(f"row {start + typed} is not a 1-d array of integer vertex ids")
     return adj
 
 
@@ -604,19 +618,16 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     )
 
 
-# Most dominating rows ORed at once by PackedRows.dominated_by.
-_VERIFY_CHUNK = 256
-
-
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
-    The out-rows of the set are ORed by PackedRows.dominated_by, block by
-    block: row blocks already filled first, then the others, those holding
-    the most members of the set first.  The check stops with True after the
-    first chunk that leaves no vertex uncovered, so the row blocks of later
-    chunks are never computed; False is returned only after every row of the
-    set was read.
+    The out-rows of the set are ORed by PackedRows.dominated_by, one row
+    block at a time: blocks already filled first, then the others, those
+    holding the most members of the set first.  A set holding every vertex
+    is True before any row is read.  Otherwise the check stops with True
+    after the first block that leaves no vertex uncovered, so later blocks
+    are never computed; False is returned only after every row of the set
+    was read.
     """
     return G.out_edges.dominated_by(_ids_from_pairs(list(dominating_set), G.k))
 

@@ -284,10 +284,56 @@ class TestBuild:
         ([[], [], [2]], "row 2 has a self-loop"),
         ([[], [0.5], []], "row 1 is not a 1-d array of integer vertex ids"),
         ([[], [], [[0]]], "row 2 is not a 1-d array of integer vertex ids"),
+        ([[1], [0, 0], [0.5]], "row 1 repeats a target"),  # the first bad row, whatever comes after it
+        ([[1], [0.5], [9]], "row 1 is not a 1-d array of integer vertex ids"),
+        ([[0, 0], [], []], "row 0 has a self-loop"),  # and a repeat: the self-loop is named
+        ([[], [], np.array([2**64 - 1], dtype=np.uint64)], "row 2 holds an id outside 0..2"),
     ])
     def test_invalid_rows_are_named(self, rows, message):
         with pytest.raises(InvariantError, match=message):
             PairDigraph(3, rows)
+
+    @staticmethod
+    def row_by_row_error(rows, V):
+        """Reference: the error of the first bad row, each row checked on its own, or None."""
+        for v, row in enumerate(rows):
+            out = np.asarray(row)
+            if out.ndim != 1 or (out.size and out.dtype.kind not in "iu"):
+                return f"row {v} is not a 1-d array of integer vertex ids"
+            if out.size and (out.min() < 0 or out.max() >= V):
+                return f"row {v} holds an id outside 0..{V - 1}"
+            if v in out.tolist():
+                return f"row {v} has a self-loop"
+            if np.unique(out).size != out.size:
+                return f"row {v} repeats a target"
+        return None
+
+    @pytest.mark.parametrize("max_rows", [1, 5, 64])
+    def test_blocks_of_rows_match_row_by_row_reference(self, monkeypatch, max_rows):
+        """Random rows at k = 8 (V = 28), up to three of them spoilt, packed in blocks of 1, 5 or 28 rows."""
+        monkeypatch.setattr(scheffe_graph, "_MAX_BLOCK_ROWS", max_rows)
+        k, V = 8, 28
+        rng = np.random.default_rng(max_rows)
+        errors = 0
+        for _ in range(80):
+            rows = [rng.choice(np.delete(np.arange(V), v), size=int(rng.integers(0, 6)), replace=False)
+                    for v in range(V)]
+            for v in rng.choice(V, size=int(rng.integers(0, 4))).tolist():
+                out = rows[v]
+                rows[v] = [np.append(out, V + 3), np.append(out, -1), np.append(out, v), np.append(out, out[:1]),
+                           out + 0.5, out.reshape(1, -1)][int(rng.integers(6))]
+            expected = self.row_by_row_error(rows, V)
+            if expected is None:
+                adj = np.zeros((V, V), dtype=bool)
+                for v, out in enumerate(rows):
+                    adj[v, out] = True
+                assert np.array_equal(PairDigraph(k, rows).out_edges.bits, np.packbits(adj, axis=1))
+            else:
+                errors += 1
+                with pytest.raises(InvariantError) as raised:
+                    PairDigraph(k, rows)
+                assert str(raised.value) == expected
+        assert 0 < errors < 80  # both outcomes occur
 
     @pytest.mark.parametrize("k", [1, 0, -2, 2.0, True, "3", None])
     def test_k_must_be_an_integer_of_at_least_two(self, k):
@@ -361,8 +407,8 @@ def dense_scheffe_graph(Q, phi):
 class TestBlockedBuild:
     """The row-blocked build against the one-matrix reference.
 
-    At k = 64 (V = 2016) a 16 MiB float64 row block holds 1040 rows, so the
-    build runs a full block and then a partial one.
+    At k = 64 (V = 2016) a row block holds _MAX_BLOCK_ROWS = 64 rows, so the
+    graph has 31 full blocks and then a partial one of 32 rows.
     """
 
     @staticmethod
@@ -405,16 +451,18 @@ class TestBlockedBuild:
             assert pair_norms(Q)[0] == 0.0
         self.assert_matches_dense_reference(Q)
 
-    @pytest.mark.parametrize("block_bytes", [None, 1 << 16])
+    @pytest.mark.parametrize("limit", [None, ("_BLOCK_BYTES", 1 << 16), ("_MAX_BLOCK_ROWS", 1),
+                                       ("_MAX_BLOCK_ROWS", 7)])
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     @pytest.mark.parametrize("k", [2, 3, 45, 46])
-    def test_matches_dense_reference_around_powers_of_two(self, monkeypatch, k, model, block_bytes):
+    def test_matches_dense_reference_around_powers_of_two(self, monkeypatch, k, model, limit):
         """Rows are packed eight columns to a byte, the last byte padded: V = 1 and V = 3
         fill part of one byte, V = 990 and V = 1035 (just under and over 1024) end 6 and
-        3 columns into their last byte.  64 KiB blocks hold 7 or 8 rows, so the packed
-        rows are also cut across many blocks."""
-        if block_bytes is not None:
-            monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", block_bytes)
+        3 columns into their last byte.  64 KiB blocks hold 7 or 8 rows, and blocks capped
+        at 1 or 7 rows cut the packed rows across many blocks too: a row's bits do not
+        depend on the block it is computed in."""
+        if limit is not None:
+            monkeypatch.setattr(scheffe_graph, *limit)
         self.assert_matches_dense_reference(random_hypothesis_set(k, 16, seed=k, model=model))
 
     def test_rows_are_sorted_read_only_int32(self):
@@ -508,12 +556,15 @@ class TestLazyRows:
     def test_verify_fills_only_the_blocks_of_the_rows_it_reads(self, small_blocks, monkeypatch):
         Q, adj = small_blocks
         V = adj.shape[0]
-        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 5)
         G = build_scheffe_graph(Q, PHI)
         G.out_edges[152]  # fills block 30, rows 150..154
-        # every vertex is a member, so the first chunk read covers everything: that of the filled block
-        read = TestVerifyDomination.chunks_read(monkeypatch)
+        read = TestVerifyDomination.blocks_read(monkeypatch)
+        # every vertex is a member: dominating before any row is read
         assert verify_domination(G, vertex_pairs(Q.k))
+        assert read == []
+        # every vertex but x, which a row of the filled block reaches: that block is read first and covers
+        x = int(np.flatnonzero(adj[150:155].any(axis=0) & ((np.arange(V) < 150) | (np.arange(V) >= 155)))[0])
+        assert verify_domination(G, vertex_pairs(Q.k, np.delete(np.arange(V), x)))
         assert read == [list(range(150, 155))]
         assert G.out_edges.filled_blocks == 1
         # everything but w and its in-neighbours: not dominating, so every row of the set is read
@@ -525,12 +576,12 @@ class TestLazyRows:
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_offline_path_fills_few_blocks(self, model):
-        """At k = 128 a row block holds 258 of the 8128 rows.  The build reads no row, not
+        """At k = 128 a row block holds 64 of the 8128 rows.  The build reads no row, not
         even for the entries into a zero-norm vertex (the sparse instance has two identical
         hypotheses); the dominating-set search and the triangle scan read the table alone.  The
         family's domination check reads the blocks holding the most members of D first and stops
-        at the first chunk that covers: here within one or two blocks, where reading D in id order
-        took three.  The second check reads those filled blocks first and fills no other."""
+        at the first block that covers: here within 192 rows, where blocks of 258 rows took 258
+        to 516.  The second check reads those filled blocks first and fills no other."""
         from ldpselect.rmde import query_family_from_dominating_set
 
         k, V = 128, pair_count(128)
@@ -544,12 +595,30 @@ class TestLazyRows:
         assert G.out_edges.filled_blocks == 0
         assert query_family_from_dominating_set(Q, cert, PHI, graph=G).certifies(Q)
         filled = np.flatnonzero(G.out_edges._filled)
-        assert 1 <= filled.size <= 2
+        assert 1 <= filled.size and filled.size * step <= 192
         ids = np.array([p.vertex_id(k) for p in cert.dominating_set])
         members = np.bincount(ids // step, minlength=G.out_edges._filled.size)
         assert filled.tolist() == sorted(np.lexsort((np.arange(members.size), -members))[:filled.size].tolist())
         assert verify_domination(G, cert.dominating_set)
         assert np.flatnonzero(G.out_edges._filled).tolist() == filled.tolist()
+
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_plan_fills_few_blocks(self, monkeypatch, model):
+        """A plan's domination check reads rows only where its set misses a vertex.  At k = 8 the
+        set is every vertex (sample_size(8) = C(8, 2)), so no block is filled; at k = 32 (8 blocks
+        of at most 64 rows) the blocks holding the most members cover every vertex within two."""
+        from ldpselect import rmde
+
+        graphs = []
+        build = rmde.build_scheffe_graph
+        monkeypatch.setattr(rmde, "build_scheffe_graph", lambda *args: graphs.append(build(*args)) or graphs[-1])
+        for k, d, allowed in ((8, 16, {0}), (32, 64, {1, 2})):
+            for seed in range(5):
+                Q = random_hypothesis_set(k, d, seed=seed, model=model)
+                rmde.SelectionPlan.build(Q, rmde.SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=seed))
+                rows = graphs[-1].out_edges
+                assert rows._filled.size == -(-pair_count(k) // 64)
+                assert rows.filled_blocks in allowed, (k, seed)
 
     @pytest.mark.parametrize("band", ["proven", "huge"])
     @pytest.mark.parametrize("k", [3, 8, 16, 32, 64, 128])
@@ -853,35 +922,36 @@ class TestVerifyDomination:
             covered[G.out_edges[v]] = True
         return covered
 
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_chunked_matches_per_row_loop(self, monkeypatch, chunk):
-        if chunk is not None:
-            monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", chunk)
+    @pytest.mark.parametrize("max_rows", [None, 7])
+    def test_blockwise_matches_per_row_loop(self, monkeypatch, max_rows):
+        if max_rows is not None:
+            monkeypatch.setattr(scheffe_graph, "_MAX_BLOCK_ROWS", max_rows)
         k = 48
+        step = scheffe_graph._block_rows(pair_count(k))
         Q = random_hypothesis_set(k, 32, seed=1)
         G = build_scheffe_graph(Q, PHI)
         D = find_dominating_set(G, Q, seed=1).dominating_set
-        assert len(D) > scheffe_graph._VERIFY_CHUNK
+        assert len(D) > step
         assert self.per_row_covered(G, [p.vertex_id(k) for p in D]).all()
         assert verify_domination(G, D)
         # every vertex except w and the in-neighbours of w: w alone is left uncovered
         w = int(np.argmin(G.in_degrees))
         feeds_w = {u for u, out in enumerate(G.out_edges) if w in out}
         ids = [v for v in range(G.num_vertices) if v != w and v not in feeds_w]
-        assert len(ids) > scheffe_graph._VERIFY_CHUNK
+        assert len(ids) > step
         assert np.flatnonzero(~self.per_row_covered(G, ids)).tolist() == [w]
         assert not verify_domination(G, vertex_pairs(G.k, ids))
 
-    @pytest.mark.parametrize("chunk", [None, 7])
-    def test_every_member_row_counts(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("max_rows", [None, 7])
+    def test_every_member_row_counts(self, monkeypatch, max_rows):
         # a matching 2i -> 2i + 1: each odd vertex is reached from one member of the evens only
-        if chunk is not None:
-            monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", chunk)
+        if max_rows is not None:
+            monkeypatch.setattr(scheffe_graph, "_MAX_BLOCK_ROWS", max_rows)
         k = 48
         evens = np.arange(0, pair_count(k), 2)
         G = adjacency_digraph(k, edge_adjacency(k, evens, evens + 1))
         D = vertex_pairs(G.k, evens)
-        assert len(D) > scheffe_graph._VERIFY_CHUNK
+        assert len(D) > scheffe_graph._block_rows(pair_count(k))
         assert verify_domination(G, D)
         for i in (0, 1, evens.size // 2, evens.size - 1):
             kept = np.delete(evens, i)
@@ -889,10 +959,9 @@ class TestVerifyDomination:
             assert np.flatnonzero(~self.per_row_covered(H, evens.tolist())).tolist() == [evens[i] + 1]
             assert not verify_domination(H, D)
 
-
     @staticmethod
-    def chunks_read(monkeypatch):
-        """Record the vertex ids of each chunk of packed rows read, as a list."""
+    def blocks_read(monkeypatch):
+        """Record the vertex ids of each block's packed rows read, as a list."""
         read = []
         packed = scheffe_graph.PackedRows.packed
 
@@ -905,9 +974,8 @@ class TestVerifyDomination:
 
     @pytest.fixture
     def five_row_blocks(self, monkeypatch):
-        """At k = 12 (V = 66), row blocks of 5 rows and chunks of at most 3 rows."""
-        monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", 8 * 66 * 5)
-        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 3)
+        """At k = 12 (V = 66), row blocks of 5 rows."""
+        monkeypatch.setattr(scheffe_graph, "_MAX_BLOCK_ROWS", 5)
 
     @staticmethod
     def lazy_digraph(k, adj):
@@ -917,23 +985,23 @@ class TestVerifyDomination:
     # members in blocks 12, 0, 1, 4 (all five rows) and 0 again, given out of id order
     MEMBERS = [60, 0, 7, 21, 20, 22, 23, 24, 1]
 
-    def test_stops_after_the_first_covering_chunk(self, monkeypatch, five_row_blocks):
+    def test_stops_after_the_first_covering_block(self, monkeypatch, five_row_blocks):
         # vertex 22 reaches every other vertex; its block, 4, holds the most members, so it is read first
         k, V = 12, 66
         others = np.delete(np.arange(V), 22)
         G = adjacency_digraph(k, edge_adjacency(k, 22, others))
-        read = self.chunks_read(monkeypatch)
+        read = self.blocks_read(monkeypatch)
         assert verify_domination(G, vertex_pairs(k, self.MEMBERS))
-        assert read == [[21, 20, 22]]
+        assert read == [[21, 20, 22, 23, 24]]
 
     def test_reads_blocks_with_most_members_first(self, monkeypatch, five_row_blocks):
         # no edges, so every row is read: by block, most members first and ties by block, in given order
-        # within a block, in chunks of at most 3 that never span two blocks
+        # within a block
         k = 12
         G = adjacency_digraph(k, edge_adjacency(k, [], []))
-        read = self.chunks_read(monkeypatch)
+        read = self.blocks_read(monkeypatch)
         assert not verify_domination(G, vertex_pairs(k, self.MEMBERS))
-        assert read == [[21, 20, 22], [23, 24], [0, 1], [7], [60]]
+        assert read == [[21, 20, 22, 23, 24], [0, 1], [7], [60]]
 
     @pytest.mark.parametrize("reaches_all", [False, True])
     def test_filled_blocks_are_read_first(self, monkeypatch, five_row_blocks, reaches_all):
@@ -943,21 +1011,21 @@ class TestVerifyDomination:
         G = self.lazy_digraph(k, adj)
         G.out_edges[62]
         assert G.out_edges.filled_blocks == 1
-        read = self.chunks_read(monkeypatch)
+        read = self.blocks_read(monkeypatch)
         assert verify_domination(G, vertex_pairs(k, self.MEMBERS)) == reaches_all
         if reaches_all:
             assert read == [[60]]
             assert G.out_edges.filled_blocks == 1
         else:
-            assert read == [[60], [21, 20, 22], [23, 24], [0, 1], [7]]
+            assert read == [[60], [21, 20, 22, 23, 24], [0, 1], [7]]
             assert G.out_edges.filled_blocks == 4
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_matches_brute_force_on_random_digraphs(self, monkeypatch, lazy):
         """Against an OR of the members' dense rows, on random digraphs, sets and read states.  Blocks
-        of 512 bytes hold 1 to 51 rows, so the sets span from one block to every block."""
+        of 512 bytes hold 1 to 64 rows, so the sets span from one block to every block; some sets
+        hold every vertex."""
         monkeypatch.setattr(scheffe_graph, "_BLOCK_BYTES", 1 << 9)
-        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 3)
         answers = []
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -975,13 +1043,13 @@ class TestVerifyDomination:
         assert 10 <= sum(answers) <= 30
 
     def test_false_reads_every_row(self, monkeypatch):
-        # a matching 2i -> 2i + 1 whose last pair is missing: only the last chunk's last member falls short
-        monkeypatch.setattr(scheffe_graph, "_VERIFY_CHUNK", 7)
+        # a matching 2i -> 2i + 1 whose last pair is missing: only the last block's last member falls short
+        monkeypatch.setattr(scheffe_graph, "_MAX_BLOCK_ROWS", 14)  # 7 evens a block, 5 in the last
         k = 12
         evens = np.arange(0, pair_count(k), 2)
         G = adjacency_digraph(k, edge_adjacency(k, evens[:-1], evens[:-1] + 1))
         assert np.flatnonzero(~self.per_row_covered(G, evens.tolist())).tolist() == [evens[-1] + 1]
-        read = self.chunks_read(monkeypatch)
+        read = self.blocks_read(monkeypatch)
         assert not verify_domination(G, vertex_pairs(G.k, evens))
         assert read == [evens[i:i + 7].tolist() for i in range(0, evens.size, 7)]
 
