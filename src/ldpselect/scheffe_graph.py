@@ -180,12 +180,13 @@ class PackedRows(Sequence):
     (_row_blocks: at most _MAX_BLOCK_ROWS rows) with block(start, stop), the
     block's (stop - start, V) bool adjacency, so a row's bits are the same
     whatever was read before it; block is let go once every block is
-    filled.  out_edges[v] unpacks row v into a sorted read-only int32 array
-    of out-neighbor ids.  packed(rows), has_edges(sources, targets) and
-    dominated_by(ids) fill only the blocks of the rows they read.  bits
-    fills every block and gives the whole matrix, read-only.  Bits that
-    would not fit in the memory available raise UnsupportedSizeError before
-    they are allocated.
+    filled.  A built graph's block is a row gemm whose shared-index entries
+    are copied from the graph's table (build_scheffe_graph).  out_edges[v]
+    unpacks row v into a sorted read-only int32 array of out-neighbor ids.
+    packed(rows), has_edges(sources, targets) and dominated_by(ids) fill
+    only the blocks of the rows they read.  bits fills every block and gives
+    the whole matrix, read-only.  Bits that would not fit in the memory
+    available raise UnsupportedSizeError before they are allocated.
     """
 
     __slots__ = ("_bits", "_filled", "_step", "_block")
@@ -307,9 +308,12 @@ class PairDigraph:
     and not kept.  A k that is not an integer of at least 2, another count
     of rows or in_degrees, or a row with a non-integer id, an id outside
     0..C(k, 2) - 1, a self-loop or a repeated target raises InvariantError.
-    In-degrees not given are summed from the bits on first read, and
-    edge_count with them.  phi is the comparison constant the graph was
-    built at, or None where it is not recorded.
+    in_degrees, where given, must be a 1-d array of integers equal to the
+    in-degrees summed from the bits, or InvariantError is raised, naming the
+    first vertex where they differ; the caller's array is not kept.
+    Otherwise the in-degrees are summed on first read, and edge_count with
+    them.  phi is the comparison constant the graph was built at, or None
+    where it is not recorded.
     """
 
     k: int
@@ -321,6 +325,11 @@ class PairDigraph:
         if not (_is_json(k, Integral) and k >= 2):
             raise InvariantError(f"k must be an integer of at least 2, got {k!r}")
         V = pair_count(k)
+        if in_degrees is not None:
+            in_degrees = np.asarray(in_degrees)
+            if in_degrees.ndim != 1 or in_degrees.dtype.kind not in "iu":
+                raise InvariantError(f"in-degrees must be a 1-d array of integers, got {in_degrees.dtype} "
+                                     f"of shape {in_degrees.shape}")
         for name, given in (("rows", out_edges), ("in-degrees", in_degrees)):
             if given is not None and len(given) != V:
                 raise InvariantError(f"a graph on {k} hypotheses needs {V} {name}, got {len(given)}")
@@ -332,7 +341,8 @@ class PairDigraph:
         object.__setattr__(self, "out_edges", out_edges)
         object.__setattr__(self, "phi", phi)
         if in_degrees is not None:
-            self.__dict__["in_degrees"] = _read_only(in_degrees)
+            for v in np.flatnonzero(in_degrees != self.in_degrees)[:1].tolist():
+                raise InvariantError(f"vertex {v} has in-degree {self.in_degrees[v]}, but {in_degrees[v]} was given")
 
     @property
     def num_vertices(self) -> int:
@@ -355,9 +365,10 @@ class PairDigraph:
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target ids of every edge, in row order.
 
-        The rows are unpacked one row block at a time straight into the int64
-        sources and int32 targets; if those would not fit in the memory
-        available, UnsupportedSizeError is raised before allocating them.
+        The rows are unpacked one row block at a time, and one np.nonzero of
+        the block writes its edges into the int64 sources and int32 targets;
+        if those would not fit in the memory available, UnsupportedSizeError
+        is raised before allocating them.
         """
         V = self.num_vertices
         E = self.edge_count
@@ -367,12 +378,10 @@ class PairDigraph:
         targets = np.empty(E, dtype=np.int32)
         end = 0
         for start, stop in _row_blocks(V):
-            adj = np.unpackbits(bits[start:stop], axis=1, count=V).view(bool)
-            for v, row in enumerate(adj, start):
-                out = np.flatnonzero(row)
-                targets[end:end + out.size] = out
-                sources[end:end + out.size] = v
-                end += out.size
+            rows, cols = np.nonzero(np.unpackbits(bits[start:stop], axis=1, count=V).view(bool))  # row-major
+            sources[end:end + rows.size] = rows + start
+            targets[end:end + rows.size] = cols
+            end += rows.size
         return sources, targets
 
     @cached_property
@@ -381,61 +390,33 @@ class PairDigraph:
 
         Entry [c, x, y] says whether the x-th pair holding c has an edge to
         the y-th, pairs numbered as in _star_ids(k); the diagonal is False.
-        build_scheffe_graph sets it from per-hypothesis star blocks; any
-        other graph reads it off the bits, once per graph.
+        build_scheffe_graph computes it from per-hypothesis star blocks, and
+        the rows it fills copy their shared-index entries from it, so reading
+        it fills no row block.  Any other graph reads it off the bits, once
+        per graph.
         """
         star = _star_ids(self.k)
         return _read_only(self.out_edges.has_edges(star[:, :, np.newaxis], star[:, np.newaxis, :]))
 
 
-def _rounding_band(norms: np.ndarray, d: int) -> np.ndarray:
-    """How far apart two float64 sums of <S_u, delta_w> over d terms may lie, per w, with room to spare.
-
-    Each product is exact, S_u being +-1, so a sum in any order lies within
-    gamma_d * ||delta_w||_1 of the exact value, gamma_d = d u / (1 - d u) and
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., Section 4.2); two such sums lie within twice that.  A further
-    factor of 2 covers the rounding of the norm and of this product.
-    """
-    u = np.finfo(np.float64).eps / 2
-    return 4 * (d * u / (1 - d * u)) * norms
-
-
-def _star_shared_index_edges(rows: PackedRows, k: int, signs: np.ndarray, deltas: np.ndarray,
-                             threshold: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """The shared-index table of the graph with these rows, from one star block per hypothesis.
+def _star_shared_index_edges(k: int, signs: np.ndarray, deltas: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """The shared-index table of the phi-comparison graph, from one star block per hypothesis.
 
     The star of hypothesis c is its k - 1 pairs {c, x}, numbered as in
     _star_ids(k).  Its block holds |<S_{c,x}, delta_{c,y}>| >= threshold for
     every two of them, and less its diagonal it is entry [c] of the table.
     That is O(k^3 d) in all, against O(k^4 d) for every row of the graph.
-    Hypotheses go in chunks whose gathered operands and block stay within
-    _BLOCK_BYTES.
-
-    A star value sums the products of the row gemm's value in another order,
-    so the two can differ in the last bits.  An entry whose star value lies
-    within band of its threshold is read from its row instead, so the table
-    equals the one gathered from the rows.  A zero threshold is the one
-    exception: |sum| >= 0 holds in any order, so that entry is an edge as it
-    stands.
+    Hypotheses go in chunks whose gathered operands and float64 block stay
+    within _BLOCK_BYTES.
     """
     table = np.empty((k, k - 1, k - 1), dtype=bool)
     star = _star_ids(k)
-    # per hypothesis: its gathered signs and deltas, the float64 block and bool masks of it
-    chunk = max(1, _BLOCK_BYTES // ((k - 1) * (16 * deltas.shape[1] + 11 * (k - 1))))
+    chunk = max(1, _BLOCK_BYTES // ((k - 1) * (16 * deltas.shape[1] + 8 * (k - 1))))
     for c in range(0, k, chunk):
         members = star[c:c + chunk]
         margin = np.matmul(signs[members], deltas[members].transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
-        np.abs(margin, out=margin)
-        limit = threshold[members][:, np.newaxis]
-        margin -= limit
-        margin.reshape(len(members), -1)[:, ::k] = -np.inf  # the diagonal: no edge, and not near
-        np.greater_equal(margin, 0, out=table[c:c + chunk])
-        near = np.abs(margin, out=margin) <= band[members][:, np.newaxis]
-        near &= limit > 0
-        if near.any():
-            h, x, y = np.nonzero(near)
-            table[c + h, x, y] = rows.has_edges(members[h, x], members[h, y])
+        np.greater_equal(np.abs(margin, out=margin), threshold[members][:, np.newaxis], out=table[c:c + chunk])
+    table.reshape(k, -1)[:, ::k] = False  # the diagonal: no self-loop
     return table
 
 
@@ -446,32 +427,41 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     identical hypotheses have zero norm and therefore receive edges from every
     other vertex.  The build computes the O(V d) deltas, signs and
     thresholds, and the shared-index table from per-hypothesis star blocks in
-    O(k^3 d).  The O(k^4 d) pair checks of the rows are left to PackedRows,
-    which makes them one row block at a time when a row of the block is
-    first read.  Memory is the packed bits, V * ceil(V / 8) bytes, reserved
-    here and written block by block, plus one float64 row block, never a
-    V x V array.  A build whose packed bits would not fit in the memory
-    available raises UnsupportedSizeError before allocating anything.
+    O(k^3 d); it reads no row.  The rest of each row is left to PackedRows,
+    which computes one row block at a time, when a row of the block is first
+    read: one gemm gives the edges into pairs disjoint from the row's, and
+    the 2(k - 1) entries into the pairs sharing an index with it, its own
+    included, are copied from the table, whose False diagonal clears the
+    self-loop.  So every shared-index edge is computed once, by the table.
+    Memory is the packed bits, V * ceil(V / 8) bytes, reserved here and
+    written block by block, plus one float64 row block, never a V x V array.
+    A build whose packed bits would not fit in the memory available raises
+    UnsupportedSizeError before allocating anything.
     """
     _check_phi(phi)
     k = Q.k
+    V = pair_count(k)
 
     def block(start, stop):
         inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
         adj = np.abs(inner, out=inner) >= threshold
-        adj[np.arange(stop - start), np.arange(start, stop)] = False
+        lo, hi = pairs[start:stop].T
+        offsets = np.arange(0, (stop - start) * V, V)[:, np.newaxis]
+        flat = adj.reshape(-1)  # one flat scatter per star: 2-d indexing of the block is slower
+        flat[offsets + star[lo]] = table[lo, hi - 1]  # u = {lo, hi} is pair hi - 1 of star lo
+        flat[offsets + star[hi]] = table[hi, lo]  # and pair lo of star hi
         return adj
 
-    rows = PackedRows(pair_count(k), block)  # made first: it refuses bits that do not fit before the deltas exist
+    rows = PackedRows(V, block)  # made first: it refuses bits that do not fit before the deltas exist
     P = Q.probs_matrix
     pairs = all_pairs(k)
+    star = _star_ids(k)
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-    norms = np.abs(deltas).sum(axis=1)
-    threshold = phi * norms
+    threshold = phi * np.abs(deltas).sum(axis=1)
     signs = _scheffe_signs(deltas).astype(np.float64)
+    table = _read_only(_star_shared_index_edges(k, signs, deltas, threshold))
     G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
-    band = _rounding_band(norms, deltas.shape[1])
-    G.__dict__["shared_index_edges"] = _read_only(_star_shared_index_edges(rows, k, signs, deltas, threshold, band))
+    G.__dict__["shared_index_edges"] = table
     return G
 
 
