@@ -3,7 +3,8 @@
 
 Runs the full private pipeline at multiples of the planned user count and
 reports the achieved l1 error against the (1 + 2/phi) * OPT + alpha ceiling.
-Useful for seeing how conservative the Hoeffding-based plan is in practice.
+Useful for seeing how conservative the plan is in practice: its blocks are
+sized by binomial_block_size, a union bound over worst-case binomial tails.
 
 Usage: python scripts/selection_error_sweep.py [--k 8] [--d 16] [--trials 25]
 """

@@ -439,14 +439,17 @@ def run_flattening_trials(
     """Search for a counterexample among random flat maps (none can exist).
 
     The maps come from _flat_maps in stacks.  Each stack takes one matrix
-    product for each of the family images, their differences from the
-    uniform column and the collapse basis of frobenius_identities.  Every
+    product for the differences of the family images from the uniform
+    column and one for the collapse basis of frobenius_identities.  Every
     map is checked as StochasticMap and verify_flattening_violation check
     it: no negative entry, each column summing to 1 within 1e-9, flat on
-    both groups, and no distance above 2/sqrt(n).  The first map that fails
-    raises the error they raise for it alone.  The Frobenius norms are taken
-    map by map, as in frobenius_identities, so the report is the one a
-    map-by-map loop gives.
+    group E, and no distance above 2/sqrt(n).  Group F needs no check here:
+    each F column is a distribution, so its image is a convex mixture of
+    the map's columns and stays within the flat range, up to rounding far
+    below the tolerance.  The first map that fails raises the error
+    verify_flattening_violation raises for it alone.  The Frobenius norms
+    are taken map by map, as in frobenius_identities, so the report is the
+    one a map-by-map loop gives.
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
@@ -463,12 +466,10 @@ def run_flattening_trials(
     worst = 0.0
     max_dev = 0.0
     for stack in _flat_maps(n, m, alpha, np.random.default_rng(seed), max_tries=100_000, maps=trials):
-        images = stack @ F
         nearest = np.abs(stack @ (F[:, 1:] - F[:, :1])).sum(axis=1).min(axis=1)
         bad = ((stack < 0).any(axis=(1, 2))
                | (np.abs(stack.sum(axis=1) - 1.0) > 1e-9).any(axis=1)
                | ((stack < low) | (stack > high)).any(axis=(1, 2))
-               | ((images < low) | (images > high)).any(axis=(1, 2))
                | (nearest > bound + 1e-9))
         if bad.any():
             i = int(np.argmax(bad))

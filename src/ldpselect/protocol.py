@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -80,6 +81,19 @@ def channel_privacy_ratio(epsilon: float) -> float:
     return worst
 
 
+def _check_block_request(num_queries: int, alpha_query: float, beta: float) -> None:
+    if num_queries < 1:
+        raise ConfigError(f"need at least one query, got {num_queries}")
+    if not 0 < alpha_query <= 2:
+        raise ConfigError(f"alpha_query must lie in (0, 2], got {alpha_query}")
+    if not 0 < beta < 1:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+
+
+def _hoeffding_block_size(num_queries: int, alpha_query: float, beta: float, c: float) -> int:
+    return math.ceil(2.0 * c * c * math.log(2.0 * num_queries / beta) / (alpha_query ** 2))
+
+
 def required_block_size(num_queries: int, alpha_query: float, beta: float, epsilon: float) -> int:
     """Users needed per query so all estimates are alpha-accurate w.p. >= 1 - beta.
 
@@ -88,13 +102,9 @@ def required_block_size(num_queries: int, alpha_query: float, beta: float, epsil
         l = ceil(2 c^2 ln(2 |T| / beta) / alpha^2).
     The bound is exact for every epsilon > 0, but its 1/eps^2 scaling regime
     assumes epsilon < 1, so larger budgets draw a RuntimeWarning.
+    binomial_block_size is never larger and is what plans use.
     """
-    if num_queries < 1:
-        raise ConfigError(f"need at least one query, got {num_queries}")
-    if not 0 < alpha_query <= 2:
-        raise ConfigError(f"alpha_query must lie in (0, 2], got {alpha_query}")
-    if not 0 < beta < 1:
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    _check_block_request(num_queries, alpha_query, beta)
     c = correction_factor(epsilon)
     if epsilon >= 1:
         warnings.warn(
@@ -103,7 +113,125 @@ def required_block_size(num_queries: int, alpha_query: float, beta: float, epsil
             RuntimeWarning,
             stacklevel=2,
         )
-    return math.ceil(2.0 * c * c * math.log(2.0 * num_queries / beta) / (alpha_query ** 2))
+    return _hoeffding_block_size(num_queries, alpha_query, beta, c)
+
+
+# _binomial_tail_bound takes its sup over pi on this many equal cells of [1 - keep, keep].
+_TAIL_CELLS = 2000
+
+
+def _bernoulli_kl(x, p):
+    """KL(Bernoulli(x) || Bernoulli(p)) elementwise, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.where(x > 0, x * np.log(x / p), 0.0)
+        second = np.where(x < 1, (1 - x) * np.log((1 - x) / (1 - p)), 0.0)
+    return first + second
+
+
+def _kl_argmin(lo: float, hi: float, t: float) -> float:
+    """The pi in [lo, hi] minimising KL(pi + t || pi), by bisection on the sign of its slope.
+
+    KL is jointly convex, so KL(pi + t || pi) is convex in pi; its slope is
+    log((pi + t)(1 - pi) / (pi (1 - pi - t))) - t / (pi (1 - pi)).
+    """
+    def slope(p: float) -> float:
+        rest = 1.0 - p - t
+        if rest <= 0:
+            return math.inf
+        return math.log((p + t) * (1.0 - p) / (p * rest)) - t / (p * (1.0 - p))
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _upper_tail_parts(a: np.ndarray, b: np.ndarray, t: float, pi_min: float):
+    """Block-free parts (G, H, need) of a bound on P(Bin(l, pi) >= l (pi + t)) for pi in each cell [a, b].
+
+    With x = pi + t < 1 and r = pi (1 - x) / (x (1 - pi)):
+    - every ratio pmf(j + 1)/pmf(j) with j >= l x is below r, so the tail is
+      at most pmf(j0)/(1 - r) = pmf(j0) x (1 - pi) / t, j0 its first point;
+    - pmf extends to s -> Gamma(l + 1) pi^s (1 - pi)^(l - s) /
+      (Gamma(s + 1) Gamma(l - s + 1)), log-concave in s.  Since
+      log(z + 1/2) < digamma(z + 1) < log(z + 1) for z > 0, its slope is <= 0
+      from s = l x on once l t >= (3 pi - 1)/2, so then pmf(j0) <= its value
+      at l x;
+    - Stirling's series with Robbins' constants, valid for real arguments,
+      bounds that value by e^(1/(12 l)) exp(-l KL(x || pi)) / sqrt(2 pi l x (1 - x)).
+    Together: tail <= exp(-l G) * e^(1/(12 l)) / sqrt(2 pi l) * H when l t >= need,
+    and tail <= exp(-l G) (Chernoff) always.  Over the cell G is the minimum of
+    the convex KL(pi + t || pi), at pi_min clipped into it, and H the product
+    of the largest 1 - pi and sqrt(x / (1 - x)).  A cell whose x reaches 1 has
+    H = inf (Chernoff only, which at x = 1 is the pmf pi^l of the boundary
+    point l), and one wholly past pi = 1 - t has no tail: G = inf.
+    """
+    top = 1.0 - t
+    at = np.clip(pi_min, a, np.minimum(b, top))
+    G = np.where(a < top, np.maximum(_bernoulli_kl(np.minimum(at + t, 1.0), at), 0.0), np.inf)
+    inside = b + t < 1.0
+    rest = np.where(inside, 1.0 - b - t, 1.0)
+    H = np.where(inside, (1.0 - a) / t * np.sqrt((b + t) / rest), np.inf)
+    return G, H, (3.0 * b - 1.0) / 2.0
+
+
+def _binomial_tail_bound(t: float, keep: float):
+    """U with U(l) >= sup over pi in [1 - keep, keep] of P(|Bin(l, pi)/l - pi| >= t), non-increasing in l.
+
+    The lower tail at pi is the upper tail of Bin(l, 1 - pi), so each cell
+    adds _upper_tail_parts on its mirror image.  Every part is non-increasing
+    in l, and so is their sum, its max over the cells and its cap at 1.
+    A NaN stays NaN, which no test of the form U(l) <= target passes.
+    """
+    edges = np.linspace(1.0 - keep, keep, _TAIL_CELLS + 1)
+    a, b = edges[:-1], edges[1:]
+    top = 1.0 - t
+    pi_min = _kl_argmin(1.0 - keep, min(keep, top), t) if 1.0 - keep < top else top
+    G, H, need = map(np.stack, zip(_upper_tail_parts(a, b, t, pi_min), _upper_tail_parts(1.0 - b, 1.0 - a, t, pi_min)))
+
+    def bound(block: int) -> float:
+        stirling = math.exp(1.0 / (12.0 * block)) / math.sqrt(2.0 * math.pi * block)
+        factor = np.where(block * t >= need, np.minimum(1.0, stirling * H), 1.0)
+        return float(np.minimum(1.0, (np.exp(-block * G) * factor).sum(axis=0).max()))
+
+    return bound
+
+
+@lru_cache(maxsize=256)
+def binomial_block_size(num_queries: int, alpha_query: float, beta: float, epsilon: float) -> int:
+    """Users needed per query so all estimates are alpha-accurate w.p. >= 1 - beta, from the exact block law.
+
+    A block of l users whose query has true value <p, T> releases
+    Binomial(l, pi) messages +1, with pi = keep p(T = +1) + (1 - keep) p(T = -1)
+    in [1 - keep, keep] (Warner 1965); its estimate misses by more than
+    alpha_query exactly when the count's mean is off pi by more than
+    t = alpha_query / (2c).  This is the smallest l whose tail bound
+    _binomial_tail_bound(t, keep)(l) is at most beta / num_queries, union-bounded
+    over the queries; the bound is non-increasing in l, so any larger block
+    meets the target too.  It is capped by the Hoeffding size of
+    required_block_size (a valid bound as well), so it is never larger, and it
+    does not warn at epsilon >= 1.  Cached: every plan and one-shot selection
+    asks for it, whatever its seed.
+    """
+    _check_block_request(num_queries, alpha_query, beta)
+    c = correction_factor(epsilon)
+    hoeffding = _hoeffding_block_size(num_queries, alpha_query, beta, c)
+    bound = _binomial_tail_bound(alpha_query / (2.0 * c), keep_probability(epsilon))
+    target = beta / num_queries
+    if not bound(hoeffding) <= target:
+        return hoeffding
+    lo, hi = 0, hoeffding  # bound(hi) <= target; lo = 0 or bound(lo) > target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True, eq=False, init=False)

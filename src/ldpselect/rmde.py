@@ -29,8 +29,8 @@ from .protocol import (
     QueryEstimates,
     SimulatedPopulation,
     _check_epsilon,
+    binomial_block_size,
     estimate_queries,
-    required_block_size,
     run_protocol,  # noqa: F401  the per-user reference; perfbench's tracer wraps it as rmde.run_protocol
 )
 from .scheffe_graph import (
@@ -294,11 +294,14 @@ def plan_sample_size(k: int, config: SelectionConfig) -> int:
 
     Per-query accuracy is set to phi*alpha/2 so the selection error term
     collapses to exactly alpha; the failure budget is split evenly between
-    estimation and sampling diagnostics.
+    estimation and sampling diagnostics.  Each of the max_query_budget(k)
+    blocks gets binomial_block_size users, so any family of at most that
+    many tests is estimated to that accuracy from floor(n / m) >= l users
+    per test.
     """
     budget = max_query_budget(k)
     alpha_query = config.phi * config.alpha / 2.0
-    return budget * required_block_size(budget, alpha_query, config.beta / 2.0, config.epsilon)
+    return budget * binomial_block_size(budget, alpha_query, config.beta / 2.0, config.epsilon)
 
 
 @dataclass(frozen=True, eq=False)

@@ -399,23 +399,33 @@ class PairDigraph:
         return _read_only(self.out_edges.has_edges(star[:, :, np.newaxis], star[:, np.newaxis, :]))
 
 
-def _star_shared_index_edges(k: int, signs: np.ndarray, deltas: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """The shared-index table of the phi-comparison graph, from one star block per hypothesis.
+# A star chunk gathers at most this many bytes per float64 operand, so each chunk stays in cache.
+_STAR_OPERAND_BYTES = 128 << 10
+
+
+def _star_shared_index_edges(P: np.ndarray, phi: float) -> np.ndarray:
+    """The shared-index table of the phi-comparison graph of the (k, d) rows P, one star block per hypothesis.
 
     The star of hypothesis c is its k - 1 pairs {c, x}, numbered as in
     _star_ids(k).  Its block holds |<S_{c,x}, delta_{c,y}>| >= threshold for
     every two of them, and less its diagonal it is entry [c] of the table.
     That is O(k^3 d) in all, against O(k^4 d) for every row of the graph.
-    Hypotheses go in chunks whose gathered operands and float64 block stay
-    within _BLOCK_BYTES.
+    Hypotheses go in chunks whose deltas, gathered straight from P, take at
+    most _STAR_OPERAND_BYTES; each value is the one the graph's rows use.
     """
+    k, d = P.shape
     table = np.empty((k, k - 1, k - 1), dtype=bool)
-    star = _star_ids(k)
-    chunk = max(1, _BLOCK_BYTES // ((k - 1) * (16 * deltas.shape[1] + 8 * (k - 1))))
+    star_pairs = all_pairs(k)[_star_ids(k)]  # [c, x] = the x-th pair holding c, 0-based
+    chunk = max(1, _STAR_OPERAND_BYTES // (8 * (k - 1) * d))
     for c in range(0, k, chunk):
-        members = star[c:c + chunk]
-        margin = np.matmul(signs[members], deltas[members].transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
-        np.greater_equal(np.abs(margin, out=margin), threshold[members][:, np.newaxis], out=table[c:c + chunk])
+        members = star_pairs[c:c + chunk]
+        deltas = P[members[..., 0]] - P[members[..., 1]]
+        threshold = phi * np.abs(deltas).sum(axis=2)
+        signs = (deltas >= 0.0).astype(np.float64)  # _scheffe_signs as float64, without np.where's cost
+        signs *= 2.0
+        signs -= 1.0
+        margin = np.matmul(signs, deltas.transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
+        np.greater_equal(np.abs(margin, out=margin), threshold[:, np.newaxis], out=table[c:c + chunk])
     table.reshape(k, -1)[:, ::k] = False  # the diagonal: no self-loop
     return table
 
@@ -459,7 +469,7 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
     threshold = phi * np.abs(deltas).sum(axis=1)
     signs = _scheffe_signs(deltas).astype(np.float64)
-    table = _read_only(_star_shared_index_edges(k, signs, deltas, threshold))
+    table = _read_only(_star_shared_index_edges(P, phi))
     G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
     G.__dict__["shared_index_edges"] = table
     return G

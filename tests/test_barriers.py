@@ -328,6 +328,23 @@ class TestFlatteningViolation:
         assert err.column == 1 and err.entry == 1
         assert err.value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n, m, alpha", [(8, 8, 0.9), (16, 32, 0.9), (32, 8, 0.5), (64, 64, 0.99)])
+    def test_group_f_never_fires_on_a_map_that_passes_e(self, n, m, alpha):
+        """Each F column is a distribution, so its image is a convex mixture of the map's columns and
+        stays flat: run_flattening_trials checks group E alone.  Seeded maps, sampled and extreme."""
+        fam = build_flattening_family(n)
+        rng = np.random.default_rng(1000 * n + m)
+        low, high = (1 - alpha) / m, (1 + alpha) / m
+        maps = [random_flat_map(n, m, alpha, rng).matrix for _ in range(20)]
+        # the least flat maps E allows: every column half at low and half at high, in random order
+        edge = np.where(np.arange(m) < m // 2, low, high)
+        maps += [np.column_stack([rng.permutation(edge) for _ in range(n)]) for _ in range(20)]
+        for M in maps:
+            assert ((M >= low) & (M <= high)).all()
+            images = M @ fam.hadamard_columns
+            assert ((images >= low - 1e-12) & (images <= high + 1e-12)).all()
+            verify_flattening_violation(StochasticMap(M), fam, alpha)  # no FlatnessError on group F
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_random_flat_maps_always_collapse(self, n):
         fam = build_flattening_family(n)

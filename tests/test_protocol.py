@@ -11,13 +11,15 @@ from ldpselect import (
     SimulatedPopulation,
     channel_privacy_ratio,
     estimate_queries,
+    binomial_block_size,
     randomized_response,
     required_block_size,
     run_protocol,
 )
 from ldpselect.distributions import GENERATOR_MODELS, random_hypothesis_set
 from ldpselect.errors import ConfigError, DimensionError, InsufficientSamplesError, InvariantError
-from ldpselect.protocol import channel_matrix, correction_factor, keep_probability
+from ldpselect import protocol
+from ldpselect.protocol import _binomial_tail_bound, channel_matrix, correction_factor, keep_probability
 
 
 class TestChannel:
@@ -146,6 +148,123 @@ class TestRequiredBlockSize:
             if np.max(np.abs(values - truth)) > alpha:
                 failures += 1
         assert failures / runs <= beta
+
+
+def exact_tails(block, pis, t):
+    """P(|Bin(block, pi)/block - pi| > t) for each pi, summed from log pmfs (no scipy)."""
+    j = np.arange(block + 1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, block + 1)))])
+    pis = np.asarray(pis, dtype=float)[:, np.newaxis]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (log_fact[block] - log_fact[j] - log_fact[block - j]
+                   + np.where(j > 0, j * np.log(pis), 0.0) + np.where(j < block, (block - j) * np.log1p(-pis), 0.0))
+    outside = (j > block * (pis + t)) | (j < block * (pis - t))
+    return np.where(outside, np.exp(log_pmf), 0.0).sum(axis=1)
+
+
+# the benchmark's selection config: alpha = 0.5, beta = 0.1, epsilon = 1, phi = 1/6
+BENCH_ALPHA_QUERY = (1 / 6) * 0.5 / 2
+
+
+class TestBinomialBlockSize:
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 8.0])
+    @pytest.mark.parametrize("t", [0.02, 0.1, 0.3])
+    def test_bound_is_at_least_the_exact_tail(self, eps, t):
+        keep = keep_probability(eps)
+        bound = _binomial_tail_bound(t, keep)
+        pis = np.linspace(1 - keep, keep, 101)
+        for block in list(range(1, 40)) + list(range(40, 2001, 53)) + [2000]:
+            exact = exact_tails(block, pis, t).max()
+            assert exact <= bound(block) * (1 + 1e-9), (block, exact, bound(block))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0, 8.0])
+    @pytest.mark.parametrize("t", [0.02, 0.1, 0.3])
+    def test_bound_does_not_increase_with_the_block(self, eps, t):
+        bound = _binomial_tail_bound(t, keep_probability(eps))
+        values = [bound(block) for block in range(1, 3001)]
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+    def test_bound_does_not_increase_near_the_benchmark_block(self):
+        bound = _binomial_tail_bound(BENCH_ALPHA_QUERY / (2 * correction_factor(1.0)), keep_probability(1.0))
+        values = [bound(block) for block in range(40_000, 42_001)]
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+    def test_bound_is_close_to_the_exact_tail(self):
+        # a loose bound is still valid, but would give back the users this sizing saves
+        t, keep = 0.05, keep_probability(1.0)
+        exact = exact_tails(2000, np.linspace(1 - keep, keep, 2001), t).max()
+        assert _binomial_tail_bound(t, keep)(2000) <= 1.25 * exact
+
+    def test_benchmark_config_sizes(self):
+        # max_query_budget(k) tests at k = 8, 32, 128 with beta / 2; Hoeffding gives 37,875 / 53,381 / 68,467
+        sizes = [binomial_block_size(m, BENCH_ALPHA_QUERY, 0.05, 1.0) for m in (28, 496, 8128)]
+        assert sizes == [26_827, 41_176, 55_458]
+
+    def test_smallest_block_meeting_the_target(self):
+        for m, eps in ((496, 1.0), (28, 0.5), (1, 8.0)):
+            block = binomial_block_size(m, BENCH_ALPHA_QUERY, 0.05, eps)
+            bound = _binomial_tail_bound(BENCH_ALPHA_QUERY / (2 * correction_factor(eps)), keep_probability(eps))
+            assert bound(block) <= 0.05 / m < bound(block - 1)
+
+    def test_never_above_hoeffding(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for m in (1, 28, 496, 8128):
+                for alpha_query in (0.01, BENCH_ALPHA_QUERY, 0.5, 2.0):
+                    for beta in (0.01, 0.1, 0.9):
+                        for eps in (0.1, 0.5, 1.0, 2.0, 8.0):
+                            args = (m, alpha_query, beta, eps)
+                            assert 1 <= binomial_block_size(*args) <= required_block_size(*args), args
+
+    def test_upper_boundary_point_uses_its_exact_pmf(self):
+        # pi + t reaches 1 inside the range: the tail there is the single point block, pmf pi^block
+        keep = keep_probability(8.0)
+        t = 1 / correction_factor(8.0)
+        bound = _binomial_tail_bound(t, keep)
+        for block in (1, 2, 5, 20):
+            assert bound(block) == pytest.approx((1 - t) ** block, rel=1e-9)
+            assert exact_tails(block, [1 - t - 1e-12], t)[0] == pytest.approx((1 - t) ** block, rel=1e-6)
+
+    def test_tails_outside_the_unit_interval_count_zero(self):
+        keep = keep_probability(8.0)
+        assert _binomial_tail_bound(keep, keep)(1) == 0.0
+
+    def test_nan_fails_the_target(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_bernoulli_kl", lambda x, p: np.full(np.shape(x), np.nan))
+        uncached = binomial_block_size.__wrapped__
+        assert uncached(496, BENCH_ALPHA_QUERY, 0.05, 1.0) == 53_381  # the Hoeffding size
+
+    def test_large_epsilon_is_sized_like_the_plain_binomial(self):
+        # at epsilon = 20 the channel is almost the identity; pi = 1/2 needs about z^2 / (4 t^2)
+        block = binomial_block_size(496, BENCH_ALPHA_QUERY, 0.05, 20.0)
+        z = 3.89  # two-sided normal quantile at 0.05 / 496
+        assert 0.95 < block / (z * z / (4 * (BENCH_ALPHA_QUERY / 2) ** 2)) < 1.1
+
+    def test_validation_and_no_warning(self):
+        for args in ((0, 0.1, 0.1, 1.0), (5, 3.0, 0.1, 1.0), (5, 0.0, 0.1, 0.5), (5, 0.1, 1.0, 0.5),
+                     (5, 0.1, 0.1, -1.0), (5, 0.1, 0.1, math.nan)):
+            with pytest.raises(ConfigError):
+                binomial_block_size(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            binomial_block_size(5, 0.1, 0.1, 2.0)
+
+    def test_monte_carlo_all_tests_at_the_benchmark_config(self):
+        # 496 blocks of the select-k32 plan on the exact aggregate law at pi = 1/2, the worst case.
+        # The all-tests failure rate must not exceed beta / 2 = 0.05: the test fails only if the
+        # failure count reaches the one-sided binomial critical value at level 0.001.
+        m, beta, eps, trials = 496, 0.05, 1.0, 4000
+        block = binomial_block_size(m, BENCH_ALPHA_QUERY, beta, eps)
+        c = correction_factor(eps)
+        rng = np.random.default_rng(2026)
+        failures = 0
+        for _ in range(trials // 500):
+            ones = rng.binomial(block, 0.5, size=(500, m))
+            failures += int((np.abs(c * (2 * ones - block) / block) > BENCH_ALPHA_QUERY).any(axis=1).sum())
+        log_pmf = [math.lgamma(trials + 1) - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+                   + j * math.log(beta) + (trials - j) * math.log1p(-beta) for j in range(trials + 1)]
+        critical = next(f for f in range(trials + 1) if sum(math.exp(x) for x in log_pmf[f:]) <= 0.001)
+        assert failures < critical, (failures, critical)
 
 
 class TestSimulatedPopulation:

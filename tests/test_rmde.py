@@ -13,6 +13,7 @@ from ldpselect import (
     SelectionConfig,
     SelectionPlan,
     SimulatedPopulation,
+    binomial_block_size,
     build_scheffe_graph,
     estimate_queries,
     find_dominating_set,
@@ -452,8 +453,9 @@ class TestPlanning:
     def test_k2_single_block(self):
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=0)
         assert max_query_budget(2) == 1
-        block = required_block_size(1, PHI * 0.5 / 2, 0.05, 0.5)
+        block = binomial_block_size(1, PHI * 0.5 / 2, 0.05, 0.5)
         assert plan_sample_size(2, config) == block
+        assert block <= required_block_size(1, PHI * 0.5 / 2, 0.05, 0.5)
 
     def test_budget_capped_by_pair_count(self):
         assert max_query_budget(8) == pair_count(8) == 28
@@ -616,16 +618,14 @@ class TestSelectionPlan:
             select_hypothesis(Q, SimulatedPopulation.draw(Q.hypotheses[0], 10, 2), config)
         assert exc.value.required == plan_sample_size(4, config)
 
-    def test_one_shot_warns_once_at_epsilon_one(self):
+    def test_one_shot_does_not_warn_at_epsilon_one(self):
+        # the epsilon >= 1 warning belongs to required_block_size's Hoeffding regime, which plans no longer use
         Q = random_hypothesis_set(4, 6, seed=13)
         config = SelectionConfig(alpha=1.0, beta=0.2, epsilon=1.0, seed=21)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             pop = SimulatedPopulation.draw(Q.hypotheses[1], plan_sample_size(4, config), 22)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
             select_hypothesis(Q, pop, config)
-        assert [w.category for w in caught] == [RuntimeWarning]
 
     def test_plan_is_read_only(self):
         Q = random_hypothesis_set(6, 8, seed=4)
