@@ -192,9 +192,16 @@ class HypothesisSet:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def _scheffe_signs(deltas: np.ndarray) -> np.ndarray:
-    """Signed Scheffe sets of the rows of a difference array, as int8; ties (delta = 0) give +1."""
-    return np.where(deltas >= 0.0, np.int8(1), np.int8(-1))
+def _scheffe_signs(deltas: np.ndarray, dtype=np.int8) -> np.ndarray:
+    """Signed Scheffe sets of the rows of a difference array, as dtype.
+
+    +1 where delta >= 0, so ties (delta = 0) give +1 and NaN gives -1.  The
+    bool test is cast and written in place, far cheaper than np.where.
+    """
+    signs = (np.asarray(deltas) >= 0.0).astype(dtype)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def l1_distance(q: DiscreteDistribution, q2: DiscreteDistribution) -> float:

@@ -244,19 +244,22 @@ def query_family_from_dominating_set(
 
     The certificate is re-verified against the comparison graph of Q at phi
     before use; a set that dominates that graph automatically yields a family
-    satisfying the phi-comparison condition for every hypothesis pair.  A
-    given graph that records another phi raises ConfigError.
+    satisfying the phi-comparison condition for every hypothesis pair.  The
+    check and the family read the certificate's vertex_ids, and a set holding
+    every vertex passes before any row of the graph is read.  A given graph
+    that records another phi raises ConfigError; a graph or certificate on
+    another k raises InvalidCertificateError.
     """
     if graph is None:
         graph = build_scheffe_graph(Q, phi)
     if graph.phi not in (None, phi):
         raise ConfigError(f"graph is built at phi={graph.phi}, family asked for phi={phi}")
-    if graph.k != Q.k:
-        raise InvalidCertificateError(f"graph is on k={graph.k}, hypothesis set has k={Q.k}")
-    if not verify_domination(graph, cert.dominating_set):
+    for name, k in (("graph", graph.k), ("certificate", cert.k)):
+        if k != Q.k:
+            raise InvalidCertificateError(f"{name} is on k={k}, hypothesis set has k={Q.k}")
+    if not verify_domination(graph, cert):
         raise InvalidCertificateError("certificate set does not dominate the comparison graph")
-    pairs = np.array([(p.lo, p.hi) for p in cert.dominating_set], dtype=np.int64).reshape(-1, 2)
-    return _scheffe_family(Q, pairs, phi)
+    return _scheffe_family(Q, all_pairs(Q.k)[cert.vertex_ids] + 1, phi)
 
 
 def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates) -> SelectionReport:
@@ -293,11 +296,13 @@ def plan_sample_size(k: int, config: SelectionConfig) -> int:
     """Users sufficient for the full pipeline at the config's targets.
 
     Per-query accuracy is set to phi*alpha/2 so the selection error term
-    collapses to exactly alpha; the failure budget is split evenly between
-    estimation and sampling diagnostics.  Each of the max_query_budget(k)
-    blocks gets binomial_block_size users, so any family of at most that
-    many tests is estimated to that accuracy from floor(n / m) >= l users
-    per test.
+    collapses to exactly alpha.  Estimation gets failure probability beta/2.
+    The other half covers no failure event: the dominating-set search either
+    returns a verified set or raises before any user answers, so the family
+    never fails once a plan exists, and estimation could take all of beta.
+    Each of the max_query_budget(k) blocks gets binomial_block_size users,
+    so any family of at most that many tests is estimated to that accuracy
+    from floor(n / m) >= l users per test.
     """
     budget = max_query_budget(k)
     alpha_query = config.phi * config.alpha / 2.0

@@ -18,7 +18,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -319,6 +319,7 @@ class PairDigraph:
     k: int
     out_edges: PackedRows
     phi: float | None = None
+    _star_table = None  # build_scheffe_graph's cached function giving the table; None for a graph made from rows
 
     def __init__(self, k: int, out_edges: Sequence[np.ndarray], in_degrees: np.ndarray | None = None,
                  phi: float | None = None):
@@ -390,11 +391,13 @@ class PairDigraph:
 
         Entry [c, x, y] says whether the x-th pair holding c has an edge to
         the y-th, pairs numbered as in _star_ids(k); the diagonal is False.
-        build_scheffe_graph computes it from per-hypothesis star blocks, and
-        the rows it fills copy their shared-index entries from it, so reading
-        it fills no row block.  Any other graph reads it off the bits, once
-        per graph.
+        build_scheffe_graph computes it from per-hypothesis star blocks, on
+        the first read of it or of a row, and the rows it fills copy their
+        shared-index entries from it, so reading it fills no row block.  Any
+        other graph reads it off the bits, once per graph.
         """
+        if self._star_table is not None:
+            return self._star_table()
         star = _star_ids(self.k)
         return _read_only(self.out_edges.has_edges(star[:, :, np.newaxis], star[:, np.newaxis, :]))
 
@@ -421,9 +424,7 @@ def _star_shared_index_edges(P: np.ndarray, phi: float) -> np.ndarray:
         members = star_pairs[c:c + chunk]
         deltas = P[members[..., 0]] - P[members[..., 1]]
         threshold = phi * np.abs(deltas).sum(axis=2)
-        signs = (deltas >= 0.0).astype(np.float64)  # _scheffe_signs as float64, without np.where's cost
-        signs *= 2.0
-        signs -= 1.0
+        signs = _scheffe_signs(deltas, np.float64)
         margin = np.matmul(signs, deltas.transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
         np.greater_equal(np.abs(margin, out=margin), threshold[:, np.newaxis], out=table[c:c + chunk])
     table.reshape(k, -1)[:, ::k] = False  # the diagonal: no self-loop
@@ -431,47 +432,57 @@ def _star_shared_index_edges(P: np.ndarray, phi: float) -> np.ndarray:
 
 
 def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigraph:
-    """The phi-comparison graph of Q, with its rows computed on first read.
+    """The phi-comparison graph of Q, computing each of its parts on first read.
 
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
     identical hypotheses have zero norm and therefore receive edges from every
-    other vertex.  The build computes the O(V d) deltas, signs and
-    thresholds, and the shared-index table from per-hypothesis star blocks in
-    O(k^3 d); it reads no row.  The rest of each row is left to PackedRows,
-    which computes one row block at a time, when a row of the block is first
-    read: one gemm gives the edges into pairs disjoint from the row's, and
-    the 2(k - 1) entries into the pairs sharing an index with it, its own
-    included, are copied from the table, whose False diagonal clears the
+    other vertex.  The build reserves the packed bits and computes nothing
+    else.  The shared-index table, from per-hypothesis star blocks in
+    O(k^3 d), is computed on the first read of shared_index_edges or of a
+    row.  The rest of each row is left to PackedRows, which computes one row
+    block at a time, when a row of the block is first read; the first fill
+    computes the O(V d) deltas, signs and thresholds every block reads.  One
+    gemm gives the edges into pairs disjoint from the block's rows, and the
+    2(k - 1) entries of a row into the pairs sharing an index with it, its
+    own included, are copied from the table, whose False diagonal clears the
     self-loop.  So every shared-index edge is computed once, by the table.
-    Memory is the packed bits, V * ceil(V / 8) bytes, reserved here and
-    written block by block, plus one float64 row block, never a V x V array.
-    A build whose packed bits would not fit in the memory available raises
-    UnsupportedSizeError before allocating anything.
+    Neither the table nor the row operands hold the graph, so a graph no
+    caller holds is freed at once.  Memory is the packed bits, V * ceil(V / 8)
+    bytes, reserved here and written block by block, plus one float64 row
+    block, never a V x V array.  A build whose packed bits would not fit in
+    the memory available raises UnsupportedSizeError before allocating
+    anything.
     """
     _check_phi(phi)
     k = Q.k
     V = pair_count(k)
 
+    @cache
+    def table():
+        return _read_only(_star_shared_index_edges(P, phi))
+
+    @cache
+    def operands():
+        deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
+        return deltas, _scheffe_signs(deltas, np.float64), phi * np.abs(deltas).sum(axis=1)
+
     def block(start, stop):
+        deltas, signs, threshold = operands()
         inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
         adj = np.abs(inner, out=inner) >= threshold
         lo, hi = pairs[start:stop].T
         offsets = np.arange(0, (stop - start) * V, V)[:, np.newaxis]
         flat = adj.reshape(-1)  # one flat scatter per star: 2-d indexing of the block is slower
-        flat[offsets + star[lo]] = table[lo, hi - 1]  # u = {lo, hi} is pair hi - 1 of star lo
-        flat[offsets + star[hi]] = table[hi, lo]  # and pair lo of star hi
+        flat[offsets + star[lo]] = table()[lo, hi - 1]  # u = {lo, hi} is pair hi - 1 of star lo
+        flat[offsets + star[hi]] = table()[hi, lo]  # and pair lo of star hi
         return adj
 
-    rows = PackedRows(V, block)  # made first: it refuses bits that do not fit before the deltas exist
+    rows = PackedRows(V, block)  # made first: it refuses bits that do not fit before the index tables exist
     P = Q.probs_matrix
     pairs = all_pairs(k)
     star = _star_ids(k)
-    deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-    threshold = phi * np.abs(deltas).sum(axis=1)
-    signs = _scheffe_signs(deltas).astype(np.float64)
-    table = _read_only(_star_shared_index_edges(P, phi))
     G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
-    G.__dict__["shared_index_edges"] = table
+    object.__setattr__(G, "_star_table", table)
     return G
 
 
@@ -491,6 +502,15 @@ class DominatingSetCertificate:
     target_bound: float
     build_ms: float = 0.0
     seed: int | None = None
+
+    @cached_property
+    def vertex_ids(self) -> np.ndarray:
+        """Read-only int64 vertex id of each dominating pair, in the set's order.
+
+        find_dominating_set fills it with the ids it drew the pairs from; any
+        other certificate derives it from the pairs on first read.
+        """
+        return _read_only(_ids_from_pairs(self.dominating_set, self.k))
 
     def to_json_dict(self) -> dict:
         return {
@@ -581,7 +601,9 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     together with everything left uncovered.  Resamples with fresh randomness
     until the union meets domination_bound(k); each attempt succeeds with
     probability > 1/2 on graphs built at phi = 1/6, and the loop raises after
-    MAX_RESAMPLE_ATTEMPTS.
+    MAX_RESAMPLE_ATTEMPTS.  Where the sample is every vertex (k <= 19), R is
+    every vertex at once, with nothing drawn, scanned or patched.  The
+    certificate's vertex_ids are the ids its pairs were drawn as.
     """
     if Q is not None and Q.k != G.k:
         raise ArgumentError(f"hypothesis set has k={Q.k}, graph has k={G.k}")
@@ -589,39 +611,46 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     V = G.num_vertices
     ell = sample_size(k)
     bound = domination_bound(k)
-    rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    attempts = 0
-    while attempts < MAX_RESAMPLE_ATTEMPTS:
-        attempts += 1
-        sampled = np.sort(rng.choice(V, size=ell, replace=False))
-        covered = _shared_index_cover(G, sampled)
-        patch = np.flatnonzero(~covered)
-        total = ell + patch.size
-        if total <= bound:
-            dom_ids = np.union1d(sampled, patch)
-            dom = _pairs_from_ids(dom_ids, k)
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            return DominatingSetCertificate(
-                k=k,
-                dominating_set=dom,
-                random_part=tuple(dom[i] for i in np.searchsorted(dom_ids, sampled).tolist()),
-                low_indegree_part=tuple(dom[i] for i in np.searchsorted(dom_ids, patch).tolist()),
-                attempts=attempts,
-                target_bound=bound,
-                build_ms=elapsed_ms,
+    if ell == V:  # every draw is all of V, which covers itself
+        dom_ids, dom = np.arange(V), _vertex_pairs(k)
+        attempts, random_part, patched = 1, dom, ()
+    else:
+        rng = np.random.default_rng(seed)
+        for attempts in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
+            sampled = np.sort(rng.choice(V, size=ell, replace=False))
+            patch = np.flatnonzero(~_shared_index_cover(G, sampled))
+            if ell + patch.size <= bound:
+                break
+        else:
+            raise ResamplingLimitError(
+                "dominating-set sampling kept exceeding the size bound",
+                attempts,
+                {"sample_size": ell, "bound": bound, "vertices": V},
             )
-    raise ResamplingLimitError(
-        "dominating-set sampling kept exceeding the size bound",
-        attempts,
-        {"sample_size": ell, "bound": bound, "vertices": V},
+        dom_ids = np.union1d(sampled, patch)
+        dom = _pairs_from_ids(dom_ids, k)
+        random_part = tuple(dom[i] for i in np.searchsorted(dom_ids, sampled).tolist())
+        patched = tuple(dom[i] for i in np.searchsorted(dom_ids, patch).tolist())
+    cert = DominatingSetCertificate(
+        k=k,
+        dominating_set=dom,
+        random_part=random_part,
+        low_indegree_part=patched,
+        attempts=attempts,
+        target_bound=bound,
+        build_ms=(time.perf_counter() - t0) * 1e3,
     )
+    cert.__dict__["vertex_ids"] = _read_only(dom_ids)
+    return cert
 
 
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
-    The out-rows of the set are ORed by PackedRows.dominated_by, one row
+    The set is VertexPairs, or a DominatingSetCertificate on G's k, whose
+    vertex_ids are read instead of its pairs.  The out-rows of the set are
+    ORed by PackedRows.dominated_by, one row
     block at a time: blocks already filled first, then the others, those
     holding the most members of the set first.  A set holding every vertex
     is True before any row is read.  Otherwise the check stops with True
@@ -629,6 +658,10 @@ def verify_domination(G: PairDigraph, dominating_set) -> bool:
     are never computed; False is returned only after every row of the set
     was read.
     """
+    if isinstance(dominating_set, DominatingSetCertificate):
+        if dominating_set.k != G.k:
+            raise ArgumentError(f"certificate is on k={dominating_set.k}, graph has k={G.k}")
+        return G.out_edges.dominated_by(dominating_set.vertex_ids)
     return G.out_edges.dominated_by(_ids_from_pairs(list(dominating_set), G.k))
 
 

@@ -143,6 +143,17 @@ class TestScheffeSigns:
     def test_negative_zero_is_a_tie(self):
         assert np.array_equal(_scheffe_signs(np.array([-0.0, 0.0])), [1, 1])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_bool_cast_matches_the_where_rule(self, dtype):
+        """The int8 signs and the graph's float64 signs equal np.where(delta >= 0, 1, -1) entry for
+        entry: zero of either sign gives +1, NaN gives -1."""
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+        deltas = np.concatenate([special, np.random.default_rng(0).normal(size=997)]).reshape(2, 503)
+        signs = _scheffe_signs(deltas, dtype)
+        assert signs.dtype == dtype and signs.shape == deltas.shape
+        assert np.array_equal(signs, np.where(deltas >= 0.0, 1, -1).astype(dtype))
+        assert signs[0, :3].tolist() == [1, 1, -1]
+
 
 class TestHypothesisSet:
     def test_requires_two(self):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from ldpselect import (
     required_block_size,
     rmde_select,
     select_hypothesis,
+    verify_domination,
 )
 from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import (
@@ -32,10 +35,17 @@ from ldpselect.errors import (
     InsufficientSamplesError,
     InvalidCertificateError,
 )
-from ldpselect import rmde
+from ldpselect import rmde, scheffe_graph
 from ldpselect.rmde import QueryFamily, _first_distinct_rows, full_scheffe_family, max_query_budget
 from ldpselect.barriers import build_flattening_family
-from ldpselect.scheffe_graph import DominatingSetCertificate, VertexPair, pair_count, pair_index
+from ldpselect.scheffe_graph import (
+    DominatingSetCertificate,
+    VertexPair,
+    domination_bound,
+    pair_count,
+    pair_index,
+    sample_size,
+)
 
 PHI = 1.0 / 6.0
 
@@ -636,3 +646,149 @@ class TestSelectionPlan:
                 array[0, 0] = array[0, 0]
         with pytest.raises(FrozenInstanceError):
             plan.users_required = 0
+
+
+CORPUS_KS = (2, 3, 8, 16, 19, 20, 21, 32, 40)  # the sample is every vertex up to k = 19
+
+
+def corpus_set(kind, k):
+    """A seeded set of the plan corpus: a generator model, Hadamard columns, or a sparse set with repeats."""
+    if kind == "hadamard":
+        F = build_flattening_family(max(8, 1 << (k - 1).bit_length())).hadamard_columns
+        return HypothesisSet(tuple(DiscreteDistribution(column) for column in F[:, :k].T))
+    hypotheses = list(random_hypothesis_set(k, 16, seed=k, model="sparse" if kind == "repeated" else kind).hypotheses)
+    if kind == "repeated":
+        hypotheses[1] = hypotheses[0]
+        hypotheses[-1] = hypotheses[-2]
+    return HypothesisSet(tuple(hypotheses))
+
+
+def _certificate_key(cert):
+    return (cert.k, _pairs(cert.dominating_set), _pairs(cert.random_part), _pairs(cert.low_indegree_part),
+            cert.attempts, cert.target_bound)
+
+
+class TestLazyPlan:
+    """A plan computes only the parts of the graph it reads, and carries its dominating set as vertex ids."""
+
+    @staticmethod
+    def recorded_graphs(monkeypatch):
+        graphs = []
+        build = rmde.build_scheffe_graph
+
+        def recording(*args):
+            graphs.append(build(*args))
+            return graphs[-1]
+
+        monkeypatch.setattr(rmde, "build_scheffe_graph", recording)
+        return graphs
+
+    @pytest.mark.parametrize("kind", [*GENERATOR_MODELS, "hadamard", "repeated"])
+    @pytest.mark.parametrize("k", CORPUS_KS)
+    def test_plan_and_selection_match_eager_reference(self, monkeypatch, kind, k):
+        Q = corpus_set(kind, k)
+        config = SelectionConfig(alpha=2.0, beta=0.5, epsilon=5.0, seed=k)
+        eager = build_scheffe_graph(Q, PHI)
+        table, bits = eager.shared_index_edges, eager.out_edges.bits  # the table first, then every row
+        graphs = self.recorded_graphs(monkeypatch)
+        plan = SelectionPlan.build(Q, config)
+        pop = SimulatedPopulation.draw(Q.hypotheses[-1], plan.users_required, k)
+        report = select_hypothesis(Q, pop, config)
+        # the reference, from the public pieces on the eagerly read graph
+        dom_seed, run_seed = np.random.SeedSequence(config.seed).spawn(2)
+        if sample_size(k) == pair_count(k):
+            every = tuple(VertexPair(lo, hi) for lo, hi in all_vertex_pairs(k))
+            cert = DominatingSetCertificate(k, every, every, (), 1, domination_bound(k))
+        else:
+            cert = find_dominating_set(eager, Q, seed=dom_seed)
+        assert verify_domination(eager, cert.dominating_set)
+        rows, origins = reference_family(Q, _pairs(cert.dominating_set))
+        estimates = estimate_queries(pop, rows, config.epsilon, np.random.default_rng(run_seed))
+        expected = replace(rmde_select(Q, QueryFamily(rows, origins, PHI), estimates), certificate=cert)
+        assert _certificate_key(plan.certificate) == _certificate_key(cert)
+        assert np.array_equal(plan.family.signs, rows) and np.array_equal(plan.family.origins, origins)
+        assert _report_key(report) == _report_key(expected)
+        ids = plan.certificate.vertex_ids
+        assert not ids.flags.writeable
+        assert ids.tolist() == [pair_index(p.lo - 1, p.hi - 1, k) for p in cert.dominating_set]
+        # the plan's graph and the selection's, read now in either order, equal the eager build
+        planned, selected = graphs
+        assert np.array_equal(planned.shared_index_edges, table) and np.array_equal(planned.out_edges.bits, bits)
+        assert np.array_equal(selected.out_edges.bits, bits) and np.array_equal(selected.shared_index_edges, table)
+
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_vacuous_cover_computes_no_graph(self, monkeypatch, model):
+        """Up to k = 19 the sample is every vertex: the plan computes no star table and fills no
+        row.  At k = 20 the cover computes the table, once, and the rows it fills copy it."""
+        calls = []
+        star_table = scheffe_graph._star_shared_index_edges
+        monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", lambda *args: calls.append(1) or star_table(*args))
+        graphs = self.recorded_graphs(monkeypatch)
+        config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=2)
+        for k in (2, 3, 8, 16, 19):
+            plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k, model=model), config)
+            assert len(plan.certificate.dominating_set) == pair_count(k)
+            assert calls == [] and graphs[-1].out_edges.filled_blocks == 0, k
+        SelectionPlan.build(random_hypothesis_set(20, 16, seed=20, model=model), config)
+        assert sample_size(20) < pair_count(20)
+        assert len(calls) == 1 and graphs[-1].out_edges.filled_blocks >= 1
+
+    @pytest.mark.parametrize("k", [8, 32])
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self, monkeypatch, k):
+        """Neither the lazy table nor the lazy rows hold their graph, so reference counting alone
+        frees a graph once the plan that built it returns, and a graph whose parts were read."""
+        refs = []
+        build = rmde.build_scheffe_graph
+
+        def recording(*args):
+            G = build(*args)
+            refs.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(rmde, "build_scheffe_graph", recording)
+        Q = random_hypothesis_set(k, 16, seed=k)
+        gc.collect()
+        gc.disable()
+        try:
+            plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=1))
+            assert refs[0]() is None
+            G = build_scheffe_graph(Q, PHI)
+            G.out_edges[0]
+            G.shared_index_edges
+            refs.append(weakref.ref(G))
+            del G
+            assert refs[1]() is None
+        finally:
+            gc.enable()
+        assert plan.family.certifies(Q)
+
+    def test_family_checks_the_certificate_through_verify_domination(self, monkeypatch):
+        """The plan's domination check is rmde.verify_domination, handed the certificate itself."""
+        checked = []
+        verify = rmde.verify_domination
+        monkeypatch.setattr(rmde, "verify_domination", lambda G, D: checked.append(D) or verify(G, D))
+        for k in (8, 24):
+            plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k), SelectionConfig(0.5, 0.1, 0.5, seed=k))
+            assert checked[-1] is plan.certificate
+        assert len(checked) == 2
+
+    def test_certificate_on_another_k_rejected(self):
+        Q = random_hypothesis_set(4, 8, seed=1)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(build_scheffe_graph(random_hypothesis_set(3, 8, seed=1), PHI), seed=1)
+        with pytest.raises(InvalidCertificateError, match="certificate is on k=3"):
+            query_family_from_dominating_set(Q, cert, PHI, graph=G)
+
+    def test_loaded_certificate_derives_its_ids(self):
+        Q = random_hypothesis_set(24, 16, seed=3)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=4)
+        doc = cert.to_json_dict()
+        doc["dominating_set"] = doc["dominating_set"][::-1]  # the family keeps the set's order
+        loaded = DominatingSetCertificate.from_json_dict(doc)
+        assert "vertex_ids" not in loaded.__dict__
+        assert loaded.vertex_ids.tolist() == cert.vertex_ids.tolist()[::-1]
+        assert not loaded.vertex_ids.flags.writeable
+        family = query_family_from_dominating_set(Q, loaded, PHI, graph=G)
+        rows, origins = reference_family(Q, _pairs(loaded.dominating_set))
+        assert np.array_equal(family.signs, rows) and np.array_equal(family.origins, origins)

@@ -277,6 +277,35 @@ class TestBuild:
         del rows
         assert first() is None  # the graph holds no reference to the rows it was given
 
+    @staticmethod
+    def bool_block_bits(rows, V):
+        """Reference: a (V, V) bool adjacency filled one row at a time, then np.packbits."""
+        adj = np.zeros((V, V), dtype=bool)
+        for v, out in enumerate(rows):
+            adj[v, np.asarray(out)] = True
+        return np.packbits(adj, axis=1)
+
+    @pytest.mark.parametrize("max_rows", [1, 7, 64])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["increasing", "shuffled"])
+    def test_packed_rows_match_row_by_row_reference_on_random_digraphs(self, monkeypatch, max_rows, shuffled):
+        """V = 10, 36 and 66 end inside a byte; density 0.97 fills whole bytes."""
+        monkeypatch.setattr(scheffe_graph, "_MAX_BLOCK_ROWS", max_rows)
+        for seed, (k, density, dtype) in enumerate([(5, 0.0, np.int64), (8, 0.05, np.int32), (9, 0.5, np.uint16),
+                                                     (12, 0.97, np.int64)]):
+            V = pair_count(k)
+            rng = np.random.default_rng(seed)
+            adj = rng.random((V, V)) < density
+            np.fill_diagonal(adj, False)
+            rows = [np.flatnonzero(row).astype(dtype) for row in adj]
+            if shuffled:
+                rows = [rng.permutation(row) for row in rows]
+            assert np.array_equal(PairDigraph(k, rows).out_edges.bits, self.bool_block_bits(rows, V)), k
+
+    @pytest.mark.parametrize("k", [16, 24, 32, 48, 64])
+    def test_packed_rows_match_row_by_row_reference_on_lower_bound_graphs(self, k):
+        lb = build_lower_bound_graph(k, seed=k)
+        assert np.array_equal(lb.graph.out_edges.bits, self.bool_block_bits(lb.targets, pair_count(k)))
+
     @pytest.mark.parametrize("rows, message", [
         ([[5], [0, 0], [2]], "row 0 holds an id outside 0..2"),
         ([[-1], [], []], "row 0 holds an id outside 0..2"),
@@ -613,6 +642,23 @@ class TestLazyRows:
         assert not verify_domination(G, vertex_pairs(Q.k, missing_w))
         assert G.out_edges.filled_blocks == np.unique(missing_w // 5).size
 
+    @pytest.mark.parametrize("table_first", [True, False])
+    def test_build_computes_the_table_on_first_need(self, monkeypatch, table_first):
+        """The build computes no table; the first read of the table or of a row computes it, once."""
+        calls = []
+        star_table = scheffe_graph._star_shared_index_edges
+        monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", lambda *args: calls.append(1) or star_table(*args))
+        Q = random_hypothesis_set(12, 16, seed=6)
+        G = build_scheffe_graph(Q, PHI)
+        assert calls == [] and G.out_edges.filled_blocks == 0
+        reads = [lambda: G.shared_index_edges, lambda: G.out_edges[0]]
+        for read in reads if table_first else reads[::-1]:
+            read()
+            assert len(calls) == 1
+        assert G.out_edges.filled_blocks == 1
+        assert np.array_equal(G.out_edges.bits, np.packbits(dense_scheffe_graph(Q, PHI), axis=1))
+        assert np.array_equal(G.shared_index_edges, filled_table(G)) and len(calls) == 1
+
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_offline_path_fills_few_blocks(self, model):
         """At k = 128 a row block holds 64 of the 8128 rows.  The build reads no row (the sparse
@@ -947,6 +993,21 @@ class TestDominatingSet:
         assert cert.random_part == scheffe_graph._pairs_from_ids(sampled, k)
         assert cert.low_indegree_part == scheffe_graph._pairs_from_ids(patch, k)
 
+    @pytest.mark.parametrize("k", [2, 3, 8, 16, 19])
+    def test_every_vertex_sample_draws_and_reads_nothing(self, monkeypatch, k):
+        """Up to k = 19 sample_size(k) is C(k, 2): R is every vertex, with nothing drawn, scanned or
+        patched, and no part of the graph is computed."""
+        scans, tables = [], []
+        monkeypatch.setattr(scheffe_graph, "_shared_index_cover", lambda *args: scans.append(args))
+        monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", lambda *args: tables.append(args))
+        G = build_scheffe_graph(random_hypothesis_set(k, 8, seed=k), PHI)
+        cert = find_dominating_set(G, seed=k)
+        assert sample_size(k) == pair_count(k)
+        assert cert.dominating_set == cert.random_part == tuple(vertex_pairs(k)) and cert.low_indegree_part == ()
+        assert cert.attempts == 1 and cert.target_bound == pair_count(k)
+        assert cert.vertex_ids.tolist() == list(range(pair_count(k))) and not cert.vertex_ids.flags.writeable
+        assert scans == tables == [] and G.out_edges.filled_blocks == 0
+
     def test_size_formulas(self):
         assert sample_size(2) == 1
         assert sample_size(16) == 120  # capped at |V|
@@ -1002,6 +1063,21 @@ class TestVerifyDomination:
         assert len(ids) > step
         assert np.flatnonzero(~self.per_row_covered(G, ids)).tolist() == [w]
         assert not verify_domination(G, vertex_pairs(G.k, ids))
+
+    def test_certificate_is_checked_by_its_vertex_ids(self):
+        """A certificate gives the answer its pairs give, read from its vertex_ids."""
+        k = 24
+        Q = random_hypothesis_set(k, 16, seed=2)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=2)
+        assert verify_domination(G, cert) and verify_domination(G, cert.dominating_set)
+        w = int(np.argmin(G.in_degrees))
+        ids = [v for v in range(G.num_vertices) if v != w and w not in G.out_edges[v]]
+        short = replace(cert, dominating_set=vertex_pairs(k, ids))
+        assert "vertex_ids" not in short.__dict__
+        assert not verify_domination(G, short) and not verify_domination(G, short.dominating_set)
+        with pytest.raises(ArgumentError, match="certificate is on k=24, graph has k=3"):
+            verify_domination(build_scheffe_graph(random_hypothesis_set(3, 8, seed=1), PHI), cert)
 
     @pytest.mark.parametrize("max_rows", [None, 7])
     def test_every_member_row_counts(self, monkeypatch, max_rows):
