@@ -6,9 +6,10 @@ phi-compare every pair of hypotheses, the selected hypothesis
     argmin_q  max_T |<q, T> - p_hat_T|
 
 is within (1 + 2/phi) * OPT plus 2/phi times the worst estimation error over
-the family, deterministically.  A SelectionPlan fixes, from Q alone, the
-Scheffe sets of a dominating set of the comparison graph at phi = 1/6
-(factor 13 = 1 + 2*6); its run estimates them privately and selects.
+the family, deterministically.  A SelectionPlan fixes, from Q and its config
+alone, the Scheffe sets of a dominating set of the comparison graph at
+config.phi (factor 13 = 1 + 2*6 at phi = 1/6), checked by certifies; its run
+estimates them privately and selects.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ from .scheffe_graph import (
     DominatingSetCertificate,
     PairDigraph,
     _check_phi,
+    _randomized_cover,
+    _star_shared_index_edges,
     all_pairs,
     build_scheffe_graph,
     domination_bound,
-    find_dominating_set,
+    find_dominating_set,  # noqa: F401  unused here; perfbench's tracer wraps it as rmde.find_dominating_set
     pair_count,
     verify_domination,
 )
@@ -49,6 +52,9 @@ from .scheffe_graph import (
 
 # certifies reads this many first tests for every pair, and the rest only for the pairs they leave open.
 _WITNESS_TESTS = 64
+
+# certifies gathers at most this many bytes per float64 operand (or one pair's row), so each chunk stays in cache.
+_PAIR_OPERAND_BYTES = 128 << 10
 
 
 def _first_distinct_rows(signs: np.ndarray) -> np.ndarray:
@@ -109,18 +115,16 @@ class QueryFamily:
                 f"family is on domain size {self.signs.shape[1]}, hypotheses on {Q.domain_size}"
             )
 
-    def _star_rows(self, Q: HypothesisSet, phi: float | None):
-        """For each j < k - 1 in turn: M[j], M[j + 1:] and phi * ||q_j - q_j'||_1 for every j' > j.
+    def _products(self, Q: HypothesisSet, phi: float | None):
+        """phi (the family's when None), checked, P = Q.probs_matrix and M = P @ signs.T (k x m, entries <q_j, T>).
 
-        M = P @ signs.T (k x m, entries <q_j, T>) is formed once and only
-        sliced, since BLAS does not promise a subset of columns the same bits.
+        M is formed once and only sliced or gathered: BLAS does not promise a subset of columns the same bits.
         """
         phi = self.phi if phi is None else phi
         _check_phi(phi)
         self._check_domain(Q)
         P = Q.probs_matrix
-        M = P @ self.signs.astype(np.float64).T
-        return ((M[j], M[j + 1:], phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)) for j in range(Q.k - 1))
+        return phi, P, P @ self.signs.astype(np.float64).T
 
     def star_margins(self, Q: HypothesisSet, phi: float | None = None) -> np.ndarray:
         """Per-hypothesis-pair slack of the comparison condition, measured over every test.
@@ -130,7 +134,8 @@ class QueryFamily:
         phi-comparisons exactly when all entries are >= 0 (up to float noise).
         This is the exhaustive reference that certifies agrees with.
         """
-        rows = self._star_rows(Q, phi)
+        phi, P, M = self._products(Q, phi)
+        rows = ((M[j], M[j + 1:], phi * np.abs(P[j] - P[j + 1:]).sum(axis=1)) for j in range(Q.k - 1))
         # One row j at a time against every j' > j through one reused (k - 1, m) buffer: O(k m) memory.
         buf = np.empty((Q.k - 1, len(self)))
         margins = np.empty(pair_count(Q.k))
@@ -148,29 +153,35 @@ class QueryFamily:
 
         Equals bool((star_margins(Q, phi) >= -tol).all()) on every input: a max
         is exact and fl(x - s) is monotone in x, so a pair that passes on the
-        first _WITNESS_TESTS tests passes on all of them.  Only the pairs still
-        open read the other tests, and the first row holding a pair whose full
-        maximum fails returns False.
+        first _WITNESS_TESTS tests passes on all of them.  Pairs go in
+        lexicographic chunks, and only the pairs a chunk leaves open read the
+        other tests, in chunks too; the first chunk holding a pair whose full
+        maximum fails returns False.  A gathered float64 operand passes
+        _PAIR_OPERAND_BYTES only where one pair's row does.
         """
-        rows = self._star_rows(Q, phi)
+        phi, P, M = self._products(Q, phi)
         head = min(_WITNESS_TESTS, len(self))
-        buf = np.empty((Q.k - 1, head))
-        for row, rest, need in rows:
-            gaps = buf[:len(rest)]
-            np.subtract(row[:head], rest[:, :head], out=gaps)
-            np.abs(gaps, out=gaps)
-            best = gaps.max(axis=1)
-            # ~(x >= -tol) rather than x < -tol: a NaN fails the reference, so it stays open
-            still_open = np.flatnonzero(~(best - need >= -tol))
-            if not still_open.size:
+        first, rest = M[:, :head], M[:, head:]
+        lo, hi = all_pairs(Q.k).T
+        chunk = max(1, _PAIR_OPERAND_BYTES // (8 * max(head, Q.domain_size)))
+        tail_chunk = max(1, _PAIR_OPERAND_BYTES // (8 * max(1, rest.shape[1])))
+        for start in range(0, lo.size, chunk):
+            a, b = lo[start:start + chunk], hi[start:start + chunk]
+            gaps = first.take(a, axis=0) - first.take(b, axis=0)
+            best = np.abs(gaps, out=gaps).max(axis=1)
+            need = phi * np.abs(P.take(a, axis=0) - P.take(b, axis=0)).sum(axis=1)
+            passed = best - need >= -tol
+            if passed.all():
                 continue
-            if head < len(self):
-                tail = rest[still_open, head:]  # a gathered copy, so written in place
-                np.subtract(row[head:], tail, out=tail)
-                best = np.maximum(best[still_open], np.abs(tail, out=tail).max(axis=1))
-                if (best - need[still_open] >= -tol).all():
-                    continue
-            return False
+            if head == len(self):
+                return False
+            still_open = np.flatnonzero(~passed)  # not x < -tol: a NaN fails the reference, so it stays open
+            for t in range(0, still_open.size, tail_chunk):
+                rows = still_open[t:t + tail_chunk]
+                tail = rest.take(a[rows], axis=0) - rest.take(b[rows], axis=0)
+                full = np.maximum(best[rows], np.abs(tail, out=tail).max(axis=1))
+                if not (full - need[rows] >= -tol).all():
+                    return False
         return True
 
 
@@ -245,8 +256,7 @@ def query_family_from_dominating_set(
     The certificate is re-verified against the comparison graph of Q at phi
     before use; a set that dominates that graph automatically yields a family
     satisfying the phi-comparison condition for every hypothesis pair.  The
-    check and the family read the certificate's vertex_ids, and a set holding
-    every vertex passes before any row of the graph is read.  A given graph
+    check and the family read the certificate's vertex_ids.  A given graph
     that records another phi raises ConfigError; a graph or certificate on
     another k raises InvalidCertificateError.
     """
@@ -313,9 +323,12 @@ def plan_sample_size(k: int, config: SelectionConfig) -> int:
 class SelectionPlan:
     """The query side of a selection: a function of (Q, config) alone, fixed before any user answers.
 
-    With pop.user_count >= users_required, run(pop, rng) selects q_hat with
-    ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability at least
-    1 - beta over the population and rng (factor 13 at phi = 1/6).
+    build covers the comparison graph at config.phi from its shared-index
+    table alone and builds no graph.  It keeps the cover's Scheffe sets only
+    if family.certifies(Q, config.phi), and raises InvalidCertificateError
+    otherwise.  With pop.user_count >= users_required, run(pop, rng) selects
+    q_hat with ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability
+    at least 1 - beta over the population and rng (factor 13 at phi = 1/6).
     """
 
     Q: HypothesisSet
@@ -326,7 +339,7 @@ class SelectionPlan:
 
     @classmethod
     def build(cls, Q: HypothesisSet, config: SelectionConfig) -> SelectionPlan:
-        """Graph, dominating set (seeded by the first child of SeedSequence(config.seed)) and family."""
+        """Dominating set (seeded by the first child of SeedSequence(config.seed)), family and its check."""
         return _plan(Q, config, plan_sample_size(Q.k, config), np.random.SeedSequence(config.seed).spawn(2)[0])
 
     def run(self, pop: SimulatedPopulation, rng: np.random.Generator) -> SelectionReport:
@@ -338,16 +351,17 @@ class SelectionPlan:
 
 
 def _plan(Q: HypothesisSet, config: SelectionConfig, users_required: int, seed) -> SelectionPlan:
-    graph = build_scheffe_graph(Q, config.phi)
-    cert = find_dominating_set(graph, Q, seed=seed)
-    family = query_family_from_dominating_set(Q, cert, config.phi, graph=graph)
+    cert = _randomized_cover(Q.k, lambda: _star_shared_index_edges(Q.probs_matrix, config.phi), seed)
+    family = _scheffe_family(Q, all_pairs(Q.k)[cert.vertex_ids] + 1, config.phi)
+    if not family.certifies(Q, config.phi):
+        raise InvalidCertificateError(f"the plan's family does not {config.phi:g}-compare every pair of hypotheses")
     return SelectionPlan(Q, config, cert, family, users_required)
 
 
 def select_hypothesis(Q: HypothesisSet, pop: SimulatedPopulation, config: SelectionConfig) -> SelectionReport:
     """SelectionPlan.build(Q, config).run(pop, rng), rng from the second child of SeedSequence(config.seed)."""
     users = plan_sample_size(Q.k, config)
-    if pop.user_count < users:  # refused before any graph is built
+    if pop.user_count < users:  # refused before anything is planned
         raise InsufficientSamplesError(pop.user_count, users)
     dom_seed, run_seed = np.random.SeedSequence(config.seed).spawn(2)
     return _plan(Q, config, users, dom_seed).run(pop, np.random.default_rng(run_seed))

@@ -18,7 +18,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -227,19 +227,16 @@ class PackedRows(Sequence):
     def dominated_by(self, ids: np.ndarray) -> bool:
         """Whether every vertex is one of ids or an out-neighbor of one of them.
 
-        When ids hold every vertex, True is returned before any row is read.
-        Otherwise the ids are grouped by row block.  Blocks already filled are
-        read first, then the others, those holding the most ids first; ties
-        go by block.  The rows of one block's ids are ORed together and
-        coverage is tested after each block, so True is returned at the first
-        block that leaves no vertex uncovered, and False only after every row
-        of ids was read.
+        The ids are grouped by row block.  Blocks already filled are read
+        first, then the others, those holding the most ids first; ties go by
+        block.  The rows of one block's ids are ORed together and coverage is
+        tested after each block, so True is returned at the first block that
+        leaves no vertex uncovered, and False only after every row of ids was
+        read.
         """
         V = len(self)
         covered = np.zeros(V, dtype=bool)
         covered[ids] = True
-        if covered.all():
-            return True
         covered = np.packbits(covered)
         everything = np.packbits(np.ones(V, dtype=bool))
         blocks = ids // self._step
@@ -303,11 +300,12 @@ class PairDigraph:
     """Digraph on the C(k, 2) unordered index pairs, its edges held as PackedRows.
 
     out_edges[v] is the sorted read-only int32 array of v's out-neighbor
-    ids.  build_scheffe_graph passes PackedRows filled on first read; any
-    other out_edges, one id array per vertex, is packed here block by block
-    and not kept.  A k that is not an integer of at least 2, another count
-    of rows or in_degrees, or a row with a non-integer id, an id outside
-    0..C(k, 2) - 1, a self-loop or a repeated target raises InvariantError.
+    ids.  build_scheffe_graph passes PackedRows filled on first read, and
+    pre-sets shared_index_edges; any other out_edges, one id array per
+    vertex, is packed here block by block and not kept.  A k that is not an
+    integer of at least 2, another count of rows or in_degrees, or a row
+    with a non-integer id, an id outside 0..C(k, 2) - 1, a self-loop or a
+    repeated target raises InvariantError.
     in_degrees, where given, must be a 1-d array of integers equal to the
     in-degrees summed from the bits, or InvariantError is raised, naming the
     first vertex where they differ; the caller's array is not kept.
@@ -319,7 +317,6 @@ class PairDigraph:
     k: int
     out_edges: PackedRows
     phi: float | None = None
-    _star_table = None  # build_scheffe_graph's cached function giving the table; None for a graph made from rows
 
     def __init__(self, k: int, out_edges: Sequence[np.ndarray], in_degrees: np.ndarray | None = None,
                  phi: float | None = None):
@@ -391,13 +388,10 @@ class PairDigraph:
 
         Entry [c, x, y] says whether the x-th pair holding c has an edge to
         the y-th, pairs numbered as in _star_ids(k); the diagonal is False.
-        build_scheffe_graph computes it from per-hypothesis star blocks, on
-        the first read of it or of a row, and the rows it fills copy their
-        shared-index entries from it, so reading it fills no row block.  Any
-        other graph reads it off the bits, once per graph.
+        build_scheffe_graph sets it from per-hypothesis star blocks, and the
+        rows it fills copy their shared-index entries from it.  Any other
+        graph reads it off the bits, once per graph.
         """
-        if self._star_table is not None:
-            return self._star_table()
         star = _star_ids(self.k)
         return _read_only(self.out_edges.has_edges(star[:, :, np.newaxis], star[:, np.newaxis, :]))
 
@@ -432,57 +426,46 @@ def _star_shared_index_edges(P: np.ndarray, phi: float) -> np.ndarray:
 
 
 def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigraph:
-    """The phi-comparison graph of Q, computing each of its parts on first read.
+    """The phi-comparison graph of Q, its rows computed one row block at a time on first read.
 
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
     identical hypotheses have zero norm and therefore receive edges from every
-    other vertex.  The build reserves the packed bits and computes nothing
-    else.  The shared-index table, from per-hypothesis star blocks in
-    O(k^3 d), is computed on the first read of shared_index_edges or of a
-    row.  The rest of each row is left to PackedRows, which computes one row
-    block at a time, when a row of the block is first read; the first fill
-    computes the O(V d) deltas, signs and thresholds every block reads.  One
-    gemm gives the edges into pairs disjoint from the block's rows, and the
-    2(k - 1) entries of a row into the pairs sharing an index with it, its
-    own included, are copied from the table, whose False diagonal clears the
-    self-loop.  So every shared-index edge is computed once, by the table.
-    Neither the table nor the row operands hold the graph, so a graph no
-    caller holds is freed at once.  Memory is the packed bits, V * ceil(V / 8)
-    bytes, reserved here and written block by block, plus one float64 row
-    block, never a V x V array.  A build whose packed bits would not fit in
-    the memory available raises UnsupportedSizeError before allocating
-    anything.
+    other vertex.  After reserving the packed bits, V * ceil(V / 8) bytes, the
+    build computes the shared-index table from per-hypothesis star blocks, in
+    O(k^3 d), and the O(V d) deltas, signs and thresholds of the rows.  A row
+    block, filled by PackedRows when a row of it is first read, takes one gemm
+    for the edges into pairs disjoint from its rows, and copies the 2(k - 1)
+    entries of each row into the pairs sharing an index with it from the
+    table, whose False diagonal clears the self-loop: every shared-index edge
+    is computed once.  The row function does not hold the graph, so a graph no
+    caller holds is freed at once.  No V x V array is made.  A build whose
+    packed bits would not fit in the memory available raises
+    UnsupportedSizeError before allocating anything.
     """
     _check_phi(phi)
     k = Q.k
     V = pair_count(k)
 
-    @cache
-    def table():
-        return _read_only(_star_shared_index_edges(P, phi))
-
-    @cache
-    def operands():
-        deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-        return deltas, _scheffe_signs(deltas, np.float64), phi * np.abs(deltas).sum(axis=1)
-
     def block(start, stop):
-        deltas, signs, threshold = operands()
         inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
         adj = np.abs(inner, out=inner) >= threshold
         lo, hi = pairs[start:stop].T
         offsets = np.arange(0, (stop - start) * V, V)[:, np.newaxis]
         flat = adj.reshape(-1)  # one flat scatter per star: 2-d indexing of the block is slower
-        flat[offsets + star[lo]] = table()[lo, hi - 1]  # u = {lo, hi} is pair hi - 1 of star lo
-        flat[offsets + star[hi]] = table()[hi, lo]  # and pair lo of star hi
+        flat[offsets + star[lo]] = table[lo, hi - 1]  # u = {lo, hi} is pair hi - 1 of star lo
+        flat[offsets + star[hi]] = table[hi, lo]  # and pair lo of star hi
         return adj
 
-    rows = PackedRows(V, block)  # made first: it refuses bits that do not fit before the index tables exist
+    rows = PackedRows(V, block)  # made first: it refuses bits that do not fit before anything else is computed
     P = Q.probs_matrix
     pairs = all_pairs(k)
     star = _star_ids(k)
+    table = _read_only(_star_shared_index_edges(P, phi))
+    deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
+    signs = _scheffe_signs(deltas, np.float64)
+    threshold = phi * np.abs(deltas).sum(axis=1)
     G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
-    object.__setattr__(G, "_star_table", table)
+    G.__dict__["shared_index_edges"] = table
     return G
 
 
@@ -573,28 +556,26 @@ def domination_bound(k: int) -> float:
     return min(4.0 * k ** 1.5 * math.sqrt(math.log2(k)), float(pair_count(k)))
 
 
-def _shared_index_cover(graph: PairDigraph, sampled: np.ndarray) -> np.ndarray:
+def _shared_index_cover(table: np.ndarray, sampled: np.ndarray) -> np.ndarray:
     """Mark each sampled vertex and its out-neighbors among index-sharing pairs.
 
-    For each hypothesis c, the rows of graph.shared_index_edges[c] of the
+    For each hypothesis c, the rows of the shared-index table[c] of the
     sampled pairs holding c are ORed, in one bool matmul for every c, which
     marks the pairs holding c that they reach; this is the O(k)-per-vertex
     scan.  A vertex left unmarked may still be an out-neighbor of the
     sample, so the resulting patch set is conservative but always yields a
     valid dominating set.
     """
-    table = graph.shared_index_edges
-    star = _star_ids(graph.k)
-    covered = np.zeros(graph.num_vertices, dtype=bool)
+    star = _star_ids(len(table))
+    covered = np.zeros(pair_count(len(table)), dtype=bool)
     covered[sampled] = True
-    in_star = covered[star]
-    reached = np.matmul(in_star[:, np.newaxis, :], table)[:, 0, :]
+    reached = np.matmul(covered[star][:, np.newaxis, :], table)[:, 0, :]
     covered[star[reached]] = True
     return covered
 
 
-def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=None) -> DominatingSetCertificate:
-    """Randomized dominating-set search over a pair digraph.
+def _randomized_cover(k: int, star_table, seed=None) -> DominatingSetCertificate:
+    """The randomized dominating-set search on k hypotheses; star_table() gives the shared-index table.
 
     Samples R of sample_size(k) vertices without replacement, marks R and the
     out-neighbors found by the shared-index scan as covered, and returns R
@@ -602,13 +583,10 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     until the union meets domination_bound(k); each attempt succeeds with
     probability > 1/2 on graphs built at phi = 1/6, and the loop raises after
     MAX_RESAMPLE_ATTEMPTS.  Where the sample is every vertex (k <= 19), R is
-    every vertex at once, with nothing drawn, scanned or patched.  The
-    certificate's vertex_ids are the ids its pairs were drawn as.
+    every vertex at once, with nothing drawn or patched and star_table never
+    called.  The certificate's vertex_ids are the ids its pairs were drawn as.
     """
-    if Q is not None and Q.k != G.k:
-        raise ArgumentError(f"hypothesis set has k={Q.k}, graph has k={G.k}")
-    k = G.k
-    V = G.num_vertices
+    V = pair_count(k)
     ell = sample_size(k)
     bound = domination_bound(k)
     t0 = time.perf_counter()
@@ -616,10 +594,11 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
         dom_ids, dom = np.arange(V), _vertex_pairs(k)
         attempts, random_part, patched = 1, dom, ()
     else:
+        table = star_table()
         rng = np.random.default_rng(seed)
         for attempts in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
             sampled = np.sort(rng.choice(V, size=ell, replace=False))
-            patch = np.flatnonzero(~_shared_index_cover(G, sampled))
+            patch = np.flatnonzero(~_shared_index_cover(table, sampled))
             if ell + patch.size <= bound:
                 break
         else:
@@ -645,18 +624,23 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     return cert
 
 
+def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=None) -> DominatingSetCertificate:
+    """Randomized dominating-set search on G's shared-index table; a Q on another k raises ArgumentError."""
+    if Q is not None and Q.k != G.k:
+        raise ArgumentError(f"hypothesis set has k={Q.k}, graph has k={G.k}")
+    return _randomized_cover(G.k, lambda: G.shared_index_edges, seed)
+
+
 def verify_domination(G: PairDigraph, dominating_set) -> bool:
     """Independent brute-force check that every vertex is in or reached from the set.
 
     The set is VertexPairs, or a DominatingSetCertificate on G's k, whose
     vertex_ids are read instead of its pairs.  The out-rows of the set are
-    ORed by PackedRows.dominated_by, one row
-    block at a time: blocks already filled first, then the others, those
-    holding the most members of the set first.  A set holding every vertex
-    is True before any row is read.  Otherwise the check stops with True
-    after the first block that leaves no vertex uncovered, so later blocks
-    are never computed; False is returned only after every row of the set
-    was read.
+    ORed by PackedRows.dominated_by, one row block at a time: blocks already
+    filled first, then the others, those holding the most members of the
+    set first.  The check stops with True after the first block that leaves
+    no vertex uncovered, so later blocks are never computed; False is
+    returned only after every row of the set was read.
     """
     if isinstance(dominating_set, DominatingSetCertificate):
         if dominating_set.k != G.k:

@@ -229,14 +229,14 @@ class TestSelect:
         assert len(csv_text) == 4
 
     def test_trials_share_one_plan(self, tmp_path, monkeypatch):
-        builds = []
-        real_build = rmde.build_scheffe_graph
+        covers = []
+        real_cover = rmde._randomized_cover
 
-        def counting_build(*args, **kwargs):
-            builds.append(args)
-            return real_build(*args, **kwargs)
+        def counting_cover(*args, **kwargs):
+            covers.append(args)
+            return real_cover(*args, **kwargs)
 
-        monkeypatch.setattr(rmde, "build_scheffe_graph", counting_build)
+        monkeypatch.setattr(rmde, "_randomized_cover", counting_cover)
         hyp = tmp_path / "hyp.json"
         main(["gen", "--k", "6", "--d", "8", "--seed", "7", "--out", str(hyp)])
         out = tmp_path / "report.json"
@@ -246,7 +246,7 @@ class TestSelect:
             "--p-index", "2", "--out", str(out),
         ])
         assert code == 0
-        assert len(builds) == 1
+        assert len(covers) == 1
         doc = json.loads(out.read_text())
         config = SelectionConfig(alpha=1.0, beta=0.2, epsilon=0.5, seed=8)
         assert doc["users_planned"] == plan_sample_size(6, config)

@@ -282,6 +282,21 @@ class TestQueryFamily:
             np.testing.assert_allclose(fam.star_margins(Q, phi), reference, rtol=0, atol=1e-12)
 
 
+CORPUS_KS = (2, 3, 8, 16, 19, 20, 21, 32, 40)  # the sample is every vertex up to k = 19
+
+
+def corpus_set(kind, k):
+    """A seeded set of the plan corpus: a generator model, Hadamard columns, or a sparse set with repeats."""
+    if kind == "hadamard":
+        F = build_flattening_family(max(8, 1 << (k - 1).bit_length())).hadamard_columns
+        return HypothesisSet(tuple(DiscreteDistribution(column) for column in F[:, :k].T))
+    hypotheses = list(random_hypothesis_set(k, 16, seed=k, model="sparse" if kind == "repeated" else kind).hypotheses)
+    if kind == "repeated":
+        hypotheses[1] = hypotheses[0]
+        hypotheses[-1] = hypotheses[-2]
+    return HypothesisSet(tuple(hypotheses))
+
+
 def hadamard_set():
     F = build_flattening_family(16).hadamard_columns
     return HypothesisSet(tuple(DiscreteDistribution(column) for column in F.T))
@@ -304,6 +319,7 @@ class TestCertifiesMatchesStarMargins:
                         for k in (2, 3, 8, 32, 128) for seed in (0, 1)], id=model)
           for model in GENERATOR_MODELS),
         pytest.param([hadamard_set()], id="hadamard-columns"),
+        pytest.param([corpus_set("repeated", k) for k in (3, 8, 20, 32)], id="repeated"),
     ])
     def test_equivalence_corpus(self, sets):
         answers = set()
@@ -337,6 +353,23 @@ class TestCertifiesMatchesStarMargins:
         assert margins[pair_index(lo - 1, hi - 1, Q.k)] < -1e-9
         assert not reference_certifies(thinned, Q, 1.0)
 
+    def test_open_pairs_read_the_tail(self):
+        """At phi = 1 only a pair's own Scheffe set witnesses it.  The own tests of the first three
+        pairs are moved past the first 64 tests, so those pairs stay open after the head and each
+        is decided by the tail; with 3-pair chunks the three sit in one chunk and, at k = 24
+        (m - 64 = 212 tail tests), their tail is split into one-pair gathers."""
+        Q = random_hypothesis_set(24, 16, seed=2)
+        fam = full_scheffe_family(Q)
+        late = np.arange(3)  # the own tests of {1, 2}, {1, 3} and {1, 4}
+        order = np.concatenate([np.arange(3, len(fam)), late])
+        moved = QueryFamily(signs=fam.signs[order], origins=fam.origins[order], phi=fam.phi)
+        head = without_tests(moved, np.arange(rmde._WITNESS_TESTS, len(moved)))
+        assert (head.star_margins(Q, 1.0)[:3] < -1e-9).all()
+        assert moved.certifies(Q, 1.0) and reference_certifies(moved, Q, 1.0)
+        for drop in (len(moved) - 3, len(moved) - 1):  # the first pair's own test, then the third's
+            thinned = without_tests(moved, [drop])
+            assert not thinned.certifies(Q, 1.0) and not reference_certifies(thinned, Q, 1.0)
+
     @pytest.mark.parametrize("case", ["late-pair", "dominating"])
     def test_tol_edge(self, case):
         if case == "late-pair":
@@ -365,6 +398,18 @@ class TestCertifiesMatchesStarMargins:
         fam = pipeline_family(random_hypothesis_set(8, d, seed=0))
         with pytest.raises(ConfigError, match=match):
             getattr(fam, method)(Q, phi)
+
+
+class TestCertifiesInSmallChunks(TestCertifiesMatchesStarMargins):
+    """The same checks with certifies' gathers made small: one pair per chunk and per tail chunk, or
+    (at 1,536 bytes, where the head is 64 tests and d <= 64) three pairs per chunk, with the open
+    pairs' tail split into gathers of fewer pairs wherever the family has over 256 tests."""
+
+    @pytest.fixture(autouse=True, params=[1, 1536], ids=["1-pair", "3-pairs"])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(rmde, "_PAIR_OPERAND_BYTES", request.param)
+
+    test_rejects = None  # argument checks come before any chunk
 
 
 class TestRmdeSelect:
@@ -618,10 +663,10 @@ class TestSelectionPlan:
         assert exc.value.available == plan.users_required - 1
 
     def test_one_shot_refuses_before_building_a_graph(self, monkeypatch):
-        def no_graph(*args, **kwargs):
-            raise AssertionError("graph built for a population that is too small")
+        def no_plan(*args, **kwargs):
+            raise AssertionError("plan built for a population that is too small")
 
-        monkeypatch.setattr(rmde, "build_scheffe_graph", no_graph)
+        monkeypatch.setattr(rmde, "_randomized_cover", no_plan)
         Q = random_hypothesis_set(4, 6, seed=11)
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=1)
         with pytest.raises(InsufficientSamplesError) as exc:
@@ -648,40 +693,23 @@ class TestSelectionPlan:
             plan.users_required = 0
 
 
-CORPUS_KS = (2, 3, 8, 16, 19, 20, 21, 32, 40)  # the sample is every vertex up to k = 19
-
-
-def corpus_set(kind, k):
-    """A seeded set of the plan corpus: a generator model, Hadamard columns, or a sparse set with repeats."""
-    if kind == "hadamard":
-        F = build_flattening_family(max(8, 1 << (k - 1).bit_length())).hadamard_columns
-        return HypothesisSet(tuple(DiscreteDistribution(column) for column in F[:, :k].T))
-    hypotheses = list(random_hypothesis_set(k, 16, seed=k, model="sparse" if kind == "repeated" else kind).hypotheses)
-    if kind == "repeated":
-        hypotheses[1] = hypotheses[0]
-        hypotheses[-1] = hypotheses[-2]
-    return HypothesisSet(tuple(hypotheses))
-
-
 def _certificate_key(cert):
     return (cert.k, _pairs(cert.dominating_set), _pairs(cert.random_part), _pairs(cert.low_indegree_part),
             cert.attempts, cert.target_bound)
 
 
+def forbid_graphs(monkeypatch):
+    """Make any construction of a PairDigraph or a PackedRows fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was constructed")
+
+    monkeypatch.setattr(scheffe_graph.PairDigraph, "__init__", refuse)
+    monkeypatch.setattr(scheffe_graph.PackedRows, "__init__", refuse)
+
+
 class TestLazyPlan:
-    """A plan computes only the parts of the graph it reads, and carries its dominating set as vertex ids."""
-
-    @staticmethod
-    def recorded_graphs(monkeypatch):
-        graphs = []
-        build = rmde.build_scheffe_graph
-
-        def recording(*args):
-            graphs.append(build(*args))
-            return graphs[-1]
-
-        monkeypatch.setattr(rmde, "build_scheffe_graph", recording)
-        return graphs
+    """A plan builds no graph: it finds its dominating set from the shared-index table alone, carries
+    the set as vertex ids, and checks its family with certifies."""
 
     @pytest.mark.parametrize("kind", [*GENERATOR_MODELS, "hadamard", "repeated"])
     @pytest.mark.parametrize("k", CORPUS_KS)
@@ -689,8 +717,8 @@ class TestLazyPlan:
         Q = corpus_set(kind, k)
         config = SelectionConfig(alpha=2.0, beta=0.5, epsilon=5.0, seed=k)
         eager = build_scheffe_graph(Q, PHI)
-        table, bits = eager.shared_index_edges, eager.out_edges.bits  # the table first, then every row
-        graphs = self.recorded_graphs(monkeypatch)
+        eager.out_edges.bits  # every row
+        forbid_graphs(monkeypatch)
         plan = SelectionPlan.build(Q, config)
         pop = SimulatedPopulation.draw(Q.hypotheses[-1], plan.users_required, k)
         report = select_hypothesis(Q, pop, config)
@@ -711,65 +739,96 @@ class TestLazyPlan:
         ids = plan.certificate.vertex_ids
         assert not ids.flags.writeable
         assert ids.tolist() == [pair_index(p.lo - 1, p.hi - 1, k) for p in cert.dominating_set]
-        # the plan's graph and the selection's, read now in either order, equal the eager build
-        planned, selected = graphs
-        assert np.array_equal(planned.shared_index_edges, table) and np.array_equal(planned.out_edges.bits, bits)
-        assert np.array_equal(selected.out_edges.bits, bits) and np.array_equal(selected.shared_index_edges, table)
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_vacuous_cover_computes_no_graph(self, monkeypatch, model):
-        """Up to k = 19 the sample is every vertex: the plan computes no star table and fills no
-        row.  At k = 20 the cover computes the table, once, and the rows it fills copy it."""
+        """Up to k = 19 the sample is every vertex: the plan computes no star table.  At k = 20 the
+        cover computes the table, once.  No plan constructs a graph."""
         calls = []
-        star_table = scheffe_graph._star_shared_index_edges
-        monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", lambda *args: calls.append(1) or star_table(*args))
-        graphs = self.recorded_graphs(monkeypatch)
+        star_table = rmde._star_shared_index_edges
+        monkeypatch.setattr(rmde, "_star_shared_index_edges", lambda *args: calls.append(1) or star_table(*args))
+        forbid_graphs(monkeypatch)
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=2)
         for k in (2, 3, 8, 16, 19):
             plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k, model=model), config)
             assert len(plan.certificate.dominating_set) == pair_count(k)
-            assert calls == [] and graphs[-1].out_edges.filled_blocks == 0, k
+            assert calls == [], k
         SelectionPlan.build(random_hypothesis_set(20, 16, seed=20, model=model), config)
         assert sample_size(20) < pair_count(20)
-        assert len(calls) == 1 and graphs[-1].out_edges.filled_blocks >= 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("k", [8, 32])
-    def test_dropped_graph_is_freed_without_the_cycle_collector(self, monkeypatch, k):
-        """Neither the lazy table nor the lazy rows hold their graph, so reference counting alone
-        frees a graph once the plan that built it returns, and a graph whose parts were read."""
-        refs = []
-        build = rmde.build_scheffe_graph
-
-        def recording(*args):
-            G = build(*args)
-            refs.append(weakref.ref(G))
-            return G
-
-        monkeypatch.setattr(rmde, "build_scheffe_graph", recording)
+    def test_dropped_graph_is_freed_without_the_cycle_collector(self, k):
+        """Neither the shared-index table nor the row function of a built graph holds the graph, so
+        reference counting alone frees a dropped graph, read or not."""
         Q = random_hypothesis_set(k, 16, seed=k)
         gc.collect()
         gc.disable()
         try:
-            plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=1))
-            assert refs[0]() is None
-            G = build_scheffe_graph(Q, PHI)
-            G.out_edges[0]
-            G.shared_index_edges
-            refs.append(weakref.ref(G))
-            del G
-            assert refs[1]() is None
+            for read in (False, True):
+                G = build_scheffe_graph(Q, PHI)
+                if read:
+                    G.out_edges[0]
+                    G.shared_index_edges
+                ref = weakref.ref(G)
+                del G
+                assert ref() is None, read
         finally:
             gc.enable()
-        assert plan.family.certifies(Q)
+
+    def test_plan_checks_its_family_with_certifies_once(self, monkeypatch):
+        """A plan calls certifies exactly once, on its own family at config.phi, and never verify_domination."""
+        checked = []
+        certifies = QueryFamily.certifies
+
+        def recording(family, Q, phi=None, tol=1e-9):
+            checked.append((family, phi))
+            return certifies(family, Q, phi, tol)
+
+        def no_domination_check(*args):
+            raise AssertionError("verify_domination called")
+
+        monkeypatch.setattr(QueryFamily, "certifies", recording)
+        monkeypatch.setattr(rmde, "verify_domination", no_domination_check)
+        monkeypatch.setattr(scheffe_graph, "verify_domination", no_domination_check)
+        for k, phi in ((8, PHI), (24, PHI), (24, 0.3)):
+            config = SelectionConfig(0.5, 0.1, 0.5, phi, seed=k)
+            plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k), config)
+            assert checked == [(plan.family, phi)]
+            checked.clear()
+
+    @pytest.mark.parametrize("k", [8, 24])
+    def test_family_missing_a_pair_is_refused(self, monkeypatch, k):
+        """A cover forced to the single vertex {1, 2} gives a family that misses some pair: the plan
+        and the one-shot selection refuse it with InvalidCertificateError before any user is read."""
+        Q = random_hypothesis_set(k, 16, seed=k)
+        one = (VertexPair(1, 2),)
+        monkeypatch.setattr(rmde, "_randomized_cover", lambda k, table, seed: DominatingSetCertificate(
+            k, one, one, (), 1, domination_bound(k)))
+        assert not reference_certifies(rmde._scheffe_family(Q, np.array([[1, 2]]), PHI), Q, PHI)
+
+        def no_users(*args):
+            raise AssertionError("users were read")
+
+        monkeypatch.setattr(rmde, "estimate_queries", no_users)
+        config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=1)
+        with pytest.raises(InvalidCertificateError, match="compare every pair"):
+            SelectionPlan.build(Q, config)
+        pop = SimulatedPopulation.draw(Q.hypotheses[0], plan_sample_size(k, config), 1)
+        with pytest.raises(InvalidCertificateError, match="compare every pair"):
+            select_hypothesis(Q, pop, config)
 
     def test_family_checks_the_certificate_through_verify_domination(self, monkeypatch):
-        """The plan's domination check is rmde.verify_domination, handed the certificate itself."""
+        """query_family_from_dominating_set checks the set through rmde.verify_domination, handed the
+        certificate itself."""
         checked = []
         verify = rmde.verify_domination
         monkeypatch.setattr(rmde, "verify_domination", lambda G, D: checked.append(D) or verify(G, D))
         for k in (8, 24):
-            plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k), SelectionConfig(0.5, 0.1, 0.5, seed=k))
-            assert checked[-1] is plan.certificate
+            Q = random_hypothesis_set(k, 16, seed=k)
+            cert = find_dominating_set(build_scheffe_graph(Q, PHI), Q, seed=k)
+            query_family_from_dominating_set(Q, cert, PHI)
+            assert checked[-1] is cert
         assert len(checked) == 2
 
     def test_certificate_on_another_k_rejected(self):

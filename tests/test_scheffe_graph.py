@@ -627,13 +627,13 @@ class TestLazyRows:
         G = build_scheffe_graph(Q, PHI)
         G.out_edges[152]  # fills block 30, rows 150..154
         read = TestVerifyDomination.blocks_read(monkeypatch)
-        # every vertex is a member: dominating before any row is read
+        # every vertex is a member: the filled block is read first, and covers
         assert verify_domination(G, vertex_pairs(Q.k))
-        assert read == []
+        assert read == [list(range(150, 155))]
         # every vertex but x, which a row of the filled block reaches: that block is read first and covers
         x = int(np.flatnonzero(adj[150:155].any(axis=0) & ((np.arange(V) < 150) | (np.arange(V) >= 155)))[0])
         assert verify_domination(G, vertex_pairs(Q.k, np.delete(np.arange(V), x)))
-        assert read == [list(range(150, 155))]
+        assert read == [list(range(150, 155))] * 2
         assert G.out_edges.filled_blocks == 1
         # everything but w and its in-neighbours: not dominating, so every row of the set is read
         w = int(np.argmin(adj.sum(axis=0)))
@@ -643,19 +643,19 @@ class TestLazyRows:
         assert G.out_edges.filled_blocks == np.unique(missing_w // 5).size
 
     @pytest.mark.parametrize("table_first", [True, False])
-    def test_build_computes_the_table_on_first_need(self, monkeypatch, table_first):
-        """The build computes no table; the first read of the table or of a row computes it, once."""
+    def test_build_computes_the_table_once(self, monkeypatch, table_first):
+        """The build computes the table, once, and fills no row; later reads of the table and of a
+        row, in either order, never compute it again."""
         calls = []
         star_table = scheffe_graph._star_shared_index_edges
         monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", lambda *args: calls.append(1) or star_table(*args))
         Q = random_hypothesis_set(12, 16, seed=6)
         G = build_scheffe_graph(Q, PHI)
-        assert calls == [] and G.out_edges.filled_blocks == 0
+        assert len(calls) == 1 and G.out_edges.filled_blocks == 0
         reads = [lambda: G.shared_index_edges, lambda: G.out_edges[0]]
         for read in reads if table_first else reads[::-1]:
             read()
-            assert len(calls) == 1
-        assert G.out_edges.filled_blocks == 1
+        assert len(calls) == 1 and G.out_edges.filled_blocks == 1
         assert np.array_equal(G.out_edges.bits, np.packbits(dense_scheffe_graph(Q, PHI), axis=1))
         assert np.array_equal(G.shared_index_edges, filled_table(G)) and len(calls) == 1
 
@@ -688,20 +688,19 @@ class TestLazyRows:
         assert np.flatnonzero(G.out_edges._filled).tolist() == filled.tolist()
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
-    def test_plan_fills_few_blocks(self, monkeypatch, model):
-        """A plan's domination check reads rows only where its set misses a vertex.  At k = 8 the
-        set is every vertex (sample_size(8) = C(8, 2)), so no block is filled; at k = 32 (8 blocks
-        of at most 64 rows) the blocks holding the most members cover every vertex within two."""
+    def test_checking_a_plans_set_fills_few_blocks(self, model):
+        """A plan builds no graph; checking its set on a built graph reads rows only until they
+        cover.  At k = 8 the set is every vertex (sample_size(8) = C(8, 2)) and the graph's one
+        block is read; at k = 32 (8 blocks of at most 64 rows) the blocks holding the most members
+        cover every vertex within two."""
         from ldpselect import rmde
 
-        graphs = []
-        build = rmde.build_scheffe_graph
-        monkeypatch.setattr(rmde, "build_scheffe_graph", lambda *args: graphs.append(build(*args)) or graphs[-1])
-        for k, d, allowed in ((8, 16, {0}), (32, 64, {1, 2})):
+        for k, d, allowed in ((8, 16, {1}), (32, 64, {1, 2})):
             for seed in range(5):
                 Q = random_hypothesis_set(k, d, seed=seed, model=model)
-                rmde.SelectionPlan.build(Q, rmde.SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=seed))
-                rows = graphs[-1].out_edges
+                plan = rmde.SelectionPlan.build(Q, rmde.SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=seed))
+                rows = build_scheffe_graph(Q, PHI).out_edges
+                assert rows.dominated_by(plan.certificate.vertex_ids)
                 assert rows._filled.size == -(-pair_count(k) // 64)
                 assert rows.filled_blocks in allowed, (k, seed)
 
@@ -871,7 +870,7 @@ class TestDominatingSet:
             expect[sampled] = True
             for u in sampled.tolist():
                 expect[[w for w in G.out_edges[u].tolist() if pairs[u] & pairs[w]]] = True
-            assert np.array_equal(scheffe_graph._shared_index_cover(G, sampled), expect)
+            assert np.array_equal(scheffe_graph._shared_index_cover(G.shared_index_edges, sampled), expect)
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_peak_memory_below_a_pair_id_table(self, model):
@@ -987,7 +986,7 @@ class TestDominatingSet:
         rng = np.random.default_rng(seed)
         for attempt in range(1, cert.attempts + 1):
             sampled = np.sort(rng.choice(G.num_vertices, size=sample_size(k), replace=False))
-            patch = np.flatnonzero(~scheffe_graph._shared_index_cover(G, sampled))
+            patch = np.flatnonzero(~scheffe_graph._shared_index_cover(G.shared_index_edges, sampled))
         assert sampled.size + patch.size <= domination_bound(k)
         assert cert.dominating_set == scheffe_graph._pairs_from_ids(np.union1d(sampled, patch), k)
         assert cert.random_part == scheffe_graph._pairs_from_ids(sampled, k)
@@ -996,17 +995,22 @@ class TestDominatingSet:
     @pytest.mark.parametrize("k", [2, 3, 8, 16, 19])
     def test_every_vertex_sample_draws_and_reads_nothing(self, monkeypatch, k):
         """Up to k = 19 sample_size(k) is C(k, 2): R is every vertex, with nothing drawn, scanned or
-        patched, and no part of the graph is computed."""
-        scans, tables = [], []
+        patched, and the cover reads neither the shared-index table nor a row."""
+        scans = []
         monkeypatch.setattr(scheffe_graph, "_shared_index_cover", lambda *args: scans.append(args))
-        monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", lambda *args: tables.append(args))
         G = build_scheffe_graph(random_hypothesis_set(k, 8, seed=k), PHI)
         cert = find_dominating_set(G, seed=k)
         assert sample_size(k) == pair_count(k)
         assert cert.dominating_set == cert.random_part == tuple(vertex_pairs(k)) and cert.low_indegree_part == ()
         assert cert.attempts == 1 and cert.target_bound == pair_count(k)
         assert cert.vertex_ids.tolist() == list(range(pair_count(k))) and not cert.vertex_ids.flags.writeable
-        assert scans == tables == [] and G.out_edges.filled_blocks == 0
+        assert scans == [] and G.out_edges.filled_blocks == 0
+
+        def no_table():
+            raise AssertionError("the shared-index table was asked for")
+
+        bare = scheffe_graph._randomized_cover(k, no_table, seed=k)
+        assert bare.dominating_set == cert.dominating_set and bare.vertex_ids.tolist() == cert.vertex_ids.tolist()
 
     def test_size_formulas(self):
         assert sample_size(2) == 1
