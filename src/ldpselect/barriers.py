@@ -34,10 +34,9 @@ from .errors import (
 from .scheffe_graph import (
     MAX_RESAMPLE_ATTEMPTS,
     PairDigraph,
-    VertexPair,
     pair_count,
     _check_fits,
-    _pairs_from_ids,
+    _pair_view,
     _star_ids,
 )
 
@@ -58,12 +57,14 @@ class LowerBoundCertificate:
     (644 MiB at k = 384).  overlap_sizes[v] counts the indices i outside v
     for which both pairs {a, i} and {b, i} landed in the sample; a vertex
     dominates at most overlap_sizes[v] + 1 sampled elements, so the
-    domination number is at least |R| / (t_max + 1).
+    domination number is at least |R| / (t_max + 1).  sampled_ids holds the
+    ids of R in increasing order, sampled_set the same as VertexPairs, built
+    on first read.
     """
 
     k: int
     targets: np.ndarray
-    sampled_set: tuple[VertexPair, ...]
+    sampled_ids: np.ndarray
     overlap_sizes: np.ndarray
     t_max: int
     implied_lower_bound: float
@@ -72,7 +73,9 @@ class LowerBoundCertificate:
 
     @property
     def sample_size(self) -> int:
-        return len(self.sampled_set)
+        return len(self.sampled_ids)
+
+    sampled_set = _pair_view("sampled_ids")
 
     @cached_property
     def graph(self) -> PairDigraph:
@@ -163,11 +166,10 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     # {a, i} is the smaller of the two for a < b, so the target is {b, i} only when {a, i} alone is
     # sampled.  Row v takes one of {a, i}, {b, i} per index i outside v = {a, b}: no self-loop, no repeat.
     targets = np.where(in_R[wa] & ~in_R[wb], wb, wa)
-    sampled_sorted = np.flatnonzero(in_R)
     return LowerBoundCertificate(
         k=k,
         targets=_read_only(targets),
-        sampled_set=_pairs_from_ids(sampled_sorted, k),
+        sampled_ids=_read_only(np.flatnonzero(in_R)),
         overlap_sizes=overlaps,
         t_max=t_max,
         implied_lower_bound=ell / (t_max + 1),
@@ -185,9 +187,9 @@ def verify_domination_lower_bound(cert: LowerBoundCertificate) -> float:
     certificate's implied bound.
     """
     in_R = np.zeros(len(cert.targets), dtype=bool)
-    in_R[[p.vertex_id(cert.k) for p in cert.sampled_set]] = True
+    in_R[cert.sampled_ids] = True
     dominated = in_R[cert.targets].sum(axis=1) + in_R
-    bound = len(cert.sampled_set) / int(dominated.max())
+    bound = cert.sample_size / int(dominated.max())
     if bound + 1e-9 < cert.implied_lower_bound:
         raise InvariantError(
             f"recomputed bound {bound} fell below the certificate's {cert.implied_lower_bound}"

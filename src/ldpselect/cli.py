@@ -111,11 +111,11 @@ def cmd_dominate(args) -> int:
     Q = _load_hypotheses(args.in_path)
     G = build_scheffe_graph(Q, args.phi)
     cert = find_dominating_set(G, Q, seed=seed)
-    ok = verify_domination(G, cert.dominating_set)
+    ok = verify_domination(G, cert)
     _write_json(args.out, replace(cert, seed=seed).to_json_dict())
     bound = domination_bound(G.k)
     print(
-        f"dominate: k={G.k} |D|={len(cert.dominating_set)} bound={bound:.1f} "
+        f"dominate: k={G.k} |D|={len(cert.vertex_ids)} bound={bound:.1f} "
         f"attempts={cert.attempts} verified={ok} -> {args.out}"
     )
     if not ok:
@@ -210,7 +210,7 @@ def cmd_select(args) -> int:
                 "bound": bound,
                 "passed": passed,
                 "users_consumed": report.users_consumed,
-                "dominating_set_size": len(plan.certificate.dominating_set),
+                "dominating_set_size": len(plan.certificate.vertex_ids),
                 "selected_index": report.selected_index,
                 "selected_discrepancy": report.selected_discrepancy,
                 "wall_ms": wall_ms,

@@ -8,8 +8,8 @@ phi-compare every pair of hypotheses, the selected hypothesis
 is within (1 + 2/phi) * OPT plus 2/phi times the worst estimation error over
 the family, deterministically.  A SelectionPlan fixes, from Q and its config
 alone, the Scheffe sets of a dominating set of the comparison graph at
-config.phi (factor 13 = 1 + 2*6 at phi = 1/6), checked by certifies; its run
-estimates them privately and selects.
+config.phi (factor 13 = 1 + 2*6 at phi = 1/6), checked by certifies in
+query_family_from_dominating_set; its run estimates them privately and selects.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .scheffe_graph import (
     _randomized_cover,
     _star_shared_index_edges,
     all_pairs,
-    build_scheffe_graph,
+    build_scheffe_graph,  # noqa: F401  unused here; perfbench's tracer wraps it as rmde.build_scheffe_graph
     domination_bound,
     find_dominating_set,  # noqa: F401  unused here; perfbench's tracer wraps it as rmde.find_dominating_set
     pair_count,
@@ -226,9 +226,7 @@ class SelectionReport:
             "discrepancies": list(self.discrepancies),
             "family_size": self.family_size,
             "users_consumed": self.users_consumed,
-            "dominating_set_size": (
-                len(self.certificate.dominating_set) if self.certificate else None
-            ),
+            "dominating_set_size": len(self.certificate.vertex_ids) if self.certificate else None,
         }
 
 
@@ -251,25 +249,26 @@ def query_family_from_dominating_set(
     phi: float = PHI_DEFAULT,
     graph: PairDigraph | None = None,
 ) -> QueryFamily:
-    """Signed Scheffe sets of the dominating pairs, deduplicated.
+    """Signed Scheffe sets of the certificate's vertex_ids, in order, deduplicated, and checked.
 
-    The certificate is re-verified against the comparison graph of Q at phi
-    before use; a set that dominates that graph automatically yields a family
-    satisfying the phi-comparison condition for every hypothesis pair.  The
-    check and the family read the certificate's vertex_ids.  A given graph
-    that records another phi raises ConfigError; a graph or certificate on
-    another k raises InvalidCertificateError.
+    With a graph, the certificate must dominate it (verify_domination); a
+    graph that records another phi raises ConfigError.  Without one, the
+    family must phi-compare every pair of hypotheses (certifies), which is
+    what a dominating set of the comparison graph of Q at phi guarantees.
+    A failed check, or a graph or certificate on another k, raises
+    InvalidCertificateError.
     """
-    if graph is None:
-        graph = build_scheffe_graph(Q, phi)
-    if graph.phi not in (None, phi):
+    if graph is not None and graph.phi not in (None, phi):
         raise ConfigError(f"graph is built at phi={graph.phi}, family asked for phi={phi}")
-    for name, k in (("graph", graph.k), ("certificate", cert.k)):
+    for name, k in (("graph", Q.k if graph is None else graph.k), ("certificate", cert.k)):
         if k != Q.k:
             raise InvalidCertificateError(f"{name} is on k={k}, hypothesis set has k={Q.k}")
-    if not verify_domination(graph, cert):
+    if graph is not None and not verify_domination(graph, cert):
         raise InvalidCertificateError("certificate set does not dominate the comparison graph")
-    return _scheffe_family(Q, all_pairs(Q.k)[cert.vertex_ids] + 1, phi)
+    family = _scheffe_family(Q, all_pairs(Q.k)[cert.vertex_ids] + 1, phi)
+    if graph is None and not family.certifies(Q, phi):
+        raise InvalidCertificateError(f"the certificate's family does not {phi:g}-compare every pair of hypotheses")
+    return family
 
 
 def rmde_select(Q: HypothesisSet, family: QueryFamily, estimates: QueryEstimates) -> SelectionReport:
@@ -325,10 +324,11 @@ class SelectionPlan:
 
     build covers the comparison graph at config.phi from its shared-index
     table alone and builds no graph.  It keeps the cover's Scheffe sets only
-    if family.certifies(Q, config.phi), and raises InvalidCertificateError
-    otherwise.  With pop.user_count >= users_required, run(pop, rng) selects
-    q_hat with ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability
-    at least 1 - beta over the population and rng (factor 13 at phi = 1/6).
+    if family.certifies(Q, config.phi) (query_family_from_dominating_set),
+    and raises InvalidCertificateError otherwise.  With pop.user_count >=
+    users_required, run(pop, rng) selects q_hat with
+    ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability at least
+    1 - beta over the population and rng (factor 13 at phi = 1/6).
     """
 
     Q: HypothesisSet
@@ -340,7 +340,10 @@ class SelectionPlan:
     @classmethod
     def build(cls, Q: HypothesisSet, config: SelectionConfig) -> SelectionPlan:
         """Dominating set (seeded by the first child of SeedSequence(config.seed)), family and its check."""
-        return _plan(Q, config, plan_sample_size(Q.k, config), np.random.SeedSequence(config.seed).spawn(2)[0])
+        seed = np.random.SeedSequence(config.seed, spawn_key=(0,))  # the first child, without spawning both
+        cert = _randomized_cover(Q.k, lambda: _star_shared_index_edges(Q.probs_matrix, config.phi), seed)
+        family = query_family_from_dominating_set(Q, cert, config.phi)
+        return cls(Q, config, cert, family, plan_sample_size(Q.k, config))
 
     def run(self, pop: SimulatedPopulation, rng: np.random.Generator) -> SelectionReport:
         """Estimate the family's queries on pop (estimate_queries, exact block law) and select."""
@@ -350,18 +353,10 @@ class SelectionPlan:
         return replace(rmde_select(self.Q, self.family, estimates), certificate=self.certificate)
 
 
-def _plan(Q: HypothesisSet, config: SelectionConfig, users_required: int, seed) -> SelectionPlan:
-    cert = _randomized_cover(Q.k, lambda: _star_shared_index_edges(Q.probs_matrix, config.phi), seed)
-    family = _scheffe_family(Q, all_pairs(Q.k)[cert.vertex_ids] + 1, config.phi)
-    if not family.certifies(Q, config.phi):
-        raise InvalidCertificateError(f"the plan's family does not {config.phi:g}-compare every pair of hypotheses")
-    return SelectionPlan(Q, config, cert, family, users_required)
-
-
 def select_hypothesis(Q: HypothesisSet, pop: SimulatedPopulation, config: SelectionConfig) -> SelectionReport:
     """SelectionPlan.build(Q, config).run(pop, rng), rng from the second child of SeedSequence(config.seed)."""
     users = plan_sample_size(Q.k, config)
     if pop.user_count < users:  # refused before anything is planned
         raise InsufficientSamplesError(pop.user_count, users)
-    dom_seed, run_seed = np.random.SeedSequence(config.seed).spawn(2)
-    return _plan(Q, config, users, dom_seed).run(pop, np.random.default_rng(run_seed))
+    run_seed = np.random.SeedSequence(config.seed, spawn_key=(1,))  # the second child; build takes the first
+    return SelectionPlan.build(Q, config).run(pop, np.random.default_rng(run_seed))

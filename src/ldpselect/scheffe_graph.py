@@ -90,26 +90,38 @@ class VertexPair:
         return pair_index(self.lo - 1, self.hi - 1, k)
 
 
-def _pair_from_json(lo, hi) -> VertexPair:
-    if not (_is_json(lo, Integral) and _is_json(hi, Integral)):
-        raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
-    return VertexPair(int(lo), int(hi))
-
-
-def _json_k(doc: dict) -> int:
-    """The document's hypothesis count k, an integer of at least 2."""
-    k = int(_json_number(doc, "k", Integral))
-    if k < 2:
-        raise InvariantError(f"field 'k' must be at least 2, got {k}")
-    return k
-
-
 def _ids_from_pairs(pairs, k: int) -> np.ndarray:
     lo, hi = np.array([(p.lo, p.hi) for p in pairs], dtype=np.int64).reshape(-1, 2).T
     if (hi > k).any():
         bad = pairs[int(np.argmax(hi > k))]
         raise ArgumentError(f"pair {bad} is not a vertex of a graph on {k} hypotheses")
     return pair_index(lo - 1, hi - 1, k)
+
+
+def _ids_from_json(rows: list, k: int) -> np.ndarray:
+    """Vertex ids of a document's rows [lo, hi], in order, checked pass by pass; the first bad row raises.
+
+    Every row must be a list of two; then every row two integers with
+    1 <= lo < hi; then every row a vertex on k hypotheses (else
+    ArgumentError) that no earlier row repeats.
+    """
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 2):
+            raise InvariantError(f"field 'dominating_set': row {row!r} is not a pair [lo, hi]")
+    for lo, hi in rows:
+        if not (type(lo) is int and type(hi) is int and 1 <= lo < hi):  # NumPy integers also take the full checks
+            if not (_is_json(lo, Integral) and _is_json(hi, Integral)):
+                raise InvariantError(f"pair ({lo!r}, {hi!r}) has a non-integer index")
+            VertexPair(int(lo), int(hi))  # InvariantError unless 1 <= lo < hi
+    inside = next((i for i, (_, hi) in enumerate(rows) if hi > k), len(rows))  # rows before the first outside k
+    lo, hi = np.array(rows[:inside], dtype=np.int64).reshape(-1, 2).T
+    ids = pair_index(lo - 1, hi - 1, k)
+    order = np.argsort(ids, kind="stable")  # a repeated id sorts right after its first row
+    for i in np.sort(order[1:][np.diff(ids[order]) == 0])[:1].tolist():
+        raise InvariantError(f"field 'dominating_set': repeated pair {{{lo[i]}, {hi[i]}}}")
+    if inside < len(rows):
+        VertexPair(*map(int, rows[inside])).vertex_id(k)  # raises ArgumentError
+    return ids
 
 
 def _check_ids(ids: np.ndarray, k: int) -> None:
@@ -127,6 +139,11 @@ def _pairs_from_ids(ids, k: int) -> tuple[VertexPair, ...]:
     ids = np.asarray(ids, dtype=np.int64)
     _check_ids(ids, k)
     return tuple(map(_vertex_pairs(k).__getitem__, ids.tolist()))
+
+
+def _pair_view(ids_field: str) -> cached_property:
+    """A cached property: the ids in the field ids_field as a VertexPair tuple, built on first read."""
+    return cached_property(lambda self: _pairs_from_ids(getattr(self, ids_field), self.k))
 
 
 # Rows per block of a graph build: one float64 row block of about 16 MiB, and at most
@@ -471,34 +488,39 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
 
 @dataclass(frozen=True, eq=False)
 class DominatingSetCertificate:
-    """A dominating set plus the pieces the randomized search produced it from.
+    """A dominating set, as vertex ids, plus the pieces the randomized search produced it from.
 
-    random_part holds the sampled vertices R, low_indegree_part the vertices
-    the sample failed to cover; their union is the dominating set.
+    vertex_ids holds the set in its order, random_ids the sampled vertices R
+    and patch_ids the vertices the sample failed to cover; their union is the
+    set.  Each is stored as a read-only int64 array, and an id outside
+    0..C(k, 2) - 1 raises ArgumentError.  dominating_set, random_part and
+    low_indegree_part are the same ids as VertexPair tuples, built on first
+    read.
     """
 
     k: int
-    dominating_set: tuple[VertexPair, ...]
-    random_part: tuple[VertexPair, ...]
-    low_indegree_part: tuple[VertexPair, ...]
+    vertex_ids: np.ndarray
+    random_ids: np.ndarray
+    patch_ids: np.ndarray
     attempts: int
     target_bound: float
     build_ms: float = 0.0
     seed: int | None = None
 
-    @cached_property
-    def vertex_ids(self) -> np.ndarray:
-        """Read-only int64 vertex id of each dominating pair, in the set's order.
+    def __post_init__(self):
+        for name in ("vertex_ids", "random_ids", "patch_ids"):
+            ids = np.array(getattr(self, name), dtype=np.int64)
+            _check_ids(ids, self.k)
+            object.__setattr__(self, name, _read_only(ids))
 
-        find_dominating_set fills it with the ids it drew the pairs from; any
-        other certificate derives it from the pairs on first read.
-        """
-        return _read_only(_ids_from_pairs(self.dominating_set, self.k))
+    dominating_set = _pair_view("vertex_ids")
+    random_part = _pair_view("random_ids")
+    low_indegree_part = _pair_view("patch_ids")
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "dominating_set": [[p.lo, p.hi] for p in self.dominating_set],
+            "dominating_set": (all_pairs(self.k)[self.vertex_ids] + 1).tolist(),
             "attempts": self.attempts,
             "target_bound": self.target_bound,
             "build_ms": self.build_ms,
@@ -507,25 +529,17 @@ class DominatingSetCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominatingSetCertificate":
-        """Inverse of to_json_dict.
+        """Inverse of to_json_dict; random_ids and patch_ids come back empty.
 
         A missing or mistyped field, a row that is not a pair, a non-integer
         index, a repeated pair, attempts below 1, a negative seed, or a
         target_bound or build_ms that is negative or not finite raises
         InvariantError naming it; a pair outside k raises ArgumentError.
         """
-        k = _json_k(doc)
-        rows = _json_number(doc, "dominating_set", list)
-        for row in rows:
-            if not (isinstance(row, list) and len(row) == 2):
-                raise InvariantError(f"field 'dominating_set': row {row!r} is not a pair [lo, hi]")
-        pairs = tuple(_pair_from_json(a, b) for a, b in rows)
-        seen = set()
-        for pair in pairs:
-            pair.vertex_id(k)  # ArgumentError for a pair outside k, however large its index
-            if pair in seen:
-                raise InvariantError(f"field 'dominating_set': repeated pair {{{pair.lo}, {pair.hi}}}")
-            seen.add(pair)
+        k = int(_json_number(doc, "k", Integral))
+        if k < 2:
+            raise InvariantError(f"field 'k' must be at least 2, got {k}")
+        ids = _ids_from_json(_json_number(doc, "dominating_set", list), k)
         attempts = int(_json_number(doc, "attempts", Integral))
         target_bound = float(_json_number(doc, "target_bound", Real))
         build_ms = float(_json_number(doc, "build_ms", Real, default=0.0))
@@ -534,16 +548,8 @@ class DominatingSetCertificate:
                          ("build_ms", 0 <= build_ms < math.inf), ("seed", seed is None or seed >= 0)):
             if not ok:  # NaN fails both comparisons
                 raise InvariantError(f"field {name!r} is out of range, got {doc[name]!r}")
-        return cls(
-            k=k,
-            dominating_set=pairs,
-            random_part=(),
-            low_indegree_part=(),
-            attempts=attempts,
-            target_bound=target_bound,
-            build_ms=build_ms,
-            seed=None if seed is None else int(seed),
-        )
+        return cls(k=k, vertex_ids=ids, random_ids=(), patch_ids=(), attempts=attempts, target_bound=target_bound,
+                   build_ms=build_ms, seed=None if seed is None else int(seed))
 
 
 def sample_size(k: int) -> int:
@@ -584,15 +590,15 @@ def _randomized_cover(k: int, star_table, seed=None) -> DominatingSetCertificate
     probability > 1/2 on graphs built at phi = 1/6, and the loop raises after
     MAX_RESAMPLE_ATTEMPTS.  Where the sample is every vertex (k <= 19), R is
     every vertex at once, with nothing drawn or patched and star_table never
-    called.  The certificate's vertex_ids are the ids its pairs were drawn as.
+    called.  No VertexPair is built: the certificate holds the ids.
     """
     V = pair_count(k)
     ell = sample_size(k)
     bound = domination_bound(k)
     t0 = time.perf_counter()
     if ell == V:  # every draw is all of V, which covers itself
-        dom_ids, dom = np.arange(V), _vertex_pairs(k)
-        attempts, random_part, patched = 1, dom, ()
+        attempts, sampled, patch = 1, np.arange(V), ()
+        dom_ids = sampled
     else:
         table = star_table()
         rng = np.random.default_rng(seed)
@@ -608,20 +614,15 @@ def _randomized_cover(k: int, star_table, seed=None) -> DominatingSetCertificate
                 {"sample_size": ell, "bound": bound, "vertices": V},
             )
         dom_ids = np.union1d(sampled, patch)
-        dom = _pairs_from_ids(dom_ids, k)
-        random_part = tuple(dom[i] for i in np.searchsorted(dom_ids, sampled).tolist())
-        patched = tuple(dom[i] for i in np.searchsorted(dom_ids, patch).tolist())
-    cert = DominatingSetCertificate(
+    return DominatingSetCertificate(
         k=k,
-        dominating_set=dom,
-        random_part=random_part,
-        low_indegree_part=patched,
+        vertex_ids=dom_ids,
+        random_ids=sampled,
+        patch_ids=patch,
         attempts=attempts,
         target_bound=bound,
         build_ms=(time.perf_counter() - t0) * 1e3,
     )
-    cert.__dict__["vertex_ids"] = _read_only(dom_ids)
-    return cert
 
 
 def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=None) -> DominatingSetCertificate:

@@ -203,7 +203,7 @@ class TestLowerBoundVerification:
         V = pair_count(k)
         sample = tuple(VertexPair(1, hi) for hi in range(2, 10))
         cert = LowerBoundCertificate(
-            k=k, targets=np.empty((V, 0), np.int32), sampled_set=sample,
+            k=k, targets=np.empty((V, 0), np.int32), sampled_ids=np.array([p.vertex_id(k) for p in sample]),
             overlap_sizes=np.zeros(V, dtype=np.int64), t_max=0,
             implied_lower_bound=float(len(sample)), attempts=1,
         )

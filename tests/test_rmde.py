@@ -235,14 +235,17 @@ class TestQueryFamily:
 
         bad = DominatingSetCertificate(
             k=3,
-            dominating_set=(VertexPair(1, 2),),  # covers {1,2},{2,3} but not {1,3}
-            random_part=(),
-            low_indegree_part=(),
+            vertex_ids=[0],  # {1,2} covers {1,2},{2,3} but not {1,3}
+            random_ids=(),
+            patch_ids=(),
             attempts=1,
             target_bound=10.0,
         )
-        with pytest.raises(InvalidCertificateError):
+        with pytest.raises(InvalidCertificateError, match="compare every pair"):
             query_family_from_dominating_set(point_mass_triple, bad, PHI)
+        with pytest.raises(InvalidCertificateError, match="does not dominate"):
+            G = build_scheffe_graph(point_mass_triple, PHI)
+            query_family_from_dominating_set(point_mass_triple, bad, PHI, graph=G)
 
     def test_graph_at_another_phi_rejected(self):
         Q = random_hypothesis_set(20, 16, seed=0)
@@ -725,7 +728,7 @@ class TestLazyPlan:
         # the reference, from the public pieces on the eagerly read graph
         dom_seed, run_seed = np.random.SeedSequence(config.seed).spawn(2)
         if sample_size(k) == pair_count(k):
-            every = tuple(VertexPair(lo, hi) for lo, hi in all_vertex_pairs(k))
+            every = np.arange(pair_count(k))
             cert = DominatingSetCertificate(k, every, every, (), 1, domination_bound(k))
         else:
             cert = find_dominating_set(eager, Q, seed=dom_seed)
@@ -802,9 +805,8 @@ class TestLazyPlan:
         """A cover forced to the single vertex {1, 2} gives a family that misses some pair: the plan
         and the one-shot selection refuse it with InvalidCertificateError before any user is read."""
         Q = random_hypothesis_set(k, 16, seed=k)
-        one = (VertexPair(1, 2),)
         monkeypatch.setattr(rmde, "_randomized_cover", lambda k, table, seed: DominatingSetCertificate(
-            k, one, one, (), 1, domination_bound(k)))
+            k, [0], [0], (), 1, domination_bound(k)))
         assert not reference_certifies(rmde._scheffe_family(Q, np.array([[1, 2]]), PHI), Q, PHI)
 
         def no_users(*args):
@@ -818,6 +820,43 @@ class TestLazyPlan:
         with pytest.raises(InvalidCertificateError, match="compare every pair"):
             select_hypothesis(Q, pop, config)
 
+    @pytest.mark.parametrize("k", [8, 24, 32])
+    def test_plan_builds_no_vertex_pair(self, monkeypatch, k):
+        """A plan and a one-shot selection carry their sets as ids alone; the pair views, read afterwards,
+        equal those of the certificate find_dominating_set gives on the graph."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a VertexPair was built")
+
+        Q = random_hypothesis_set(k, 16, seed=k)
+        config = SelectionConfig(alpha=2.0, beta=0.5, epsilon=5.0, seed=k)
+        pop = SimulatedPopulation.draw(Q.hypotheses[0], plan_sample_size(k, config), k)
+        with monkeypatch.context() as patched:
+            patched.setattr(scheffe_graph, "_pairs_from_ids", refuse)
+            patched.setattr(VertexPair, "__post_init__", refuse)
+            plan = SelectionPlan.build(Q, config)
+            report = select_hypothesis(Q, pop, config)
+        dom_seed = np.random.SeedSequence(config.seed).spawn(2)[0]
+        if sample_size(k) == pair_count(k):
+            expected = (k, all_vertex_pairs(k), all_vertex_pairs(k), [], 1, domination_bound(k))
+        else:
+            expected = _certificate_key(find_dominating_set(build_scheffe_graph(Q, PHI), Q, seed=dom_seed))
+        assert _certificate_key(plan.certificate) == _certificate_key(report.certificate) == expected
+
+    def test_family_without_a_graph_is_checked_by_certifies(self, monkeypatch):
+        """With no graph, query_family_from_dominating_set builds none: it checks the family with certifies,
+        and gives the family a check against the graph gives."""
+        Q = random_hypothesis_set(24, 16, seed=5)
+        G = build_scheffe_graph(Q, PHI)
+        cert = find_dominating_set(G, Q, seed=5)
+        with_graph = query_family_from_dominating_set(Q, cert, PHI, graph=G)
+        forbid_graphs(monkeypatch)
+        monkeypatch.setattr(rmde, "verify_domination", lambda *args: pytest.fail("verify_domination called"))
+        family = query_family_from_dominating_set(Q, cert, PHI)
+        assert np.array_equal(family.signs, with_graph.signs) and np.array_equal(family.origins, with_graph.origins)
+        one = DominatingSetCertificate(24, [0], [0], (), 1, domination_bound(24))
+        with pytest.raises(InvalidCertificateError, match="does not 0.166667-compare every pair"):
+            query_family_from_dominating_set(Q, one, PHI)
+
     def test_family_checks_the_certificate_through_verify_domination(self, monkeypatch):
         """query_family_from_dominating_set checks the set through rmde.verify_domination, handed the
         certificate itself."""
@@ -827,7 +866,7 @@ class TestLazyPlan:
         for k in (8, 24):
             Q = random_hypothesis_set(k, 16, seed=k)
             cert = find_dominating_set(build_scheffe_graph(Q, PHI), Q, seed=k)
-            query_family_from_dominating_set(Q, cert, PHI)
+            query_family_from_dominating_set(Q, cert, PHI, graph=build_scheffe_graph(Q, PHI))
             assert checked[-1] is cert
         assert len(checked) == 2
 
@@ -845,7 +884,6 @@ class TestLazyPlan:
         doc = cert.to_json_dict()
         doc["dominating_set"] = doc["dominating_set"][::-1]  # the family keeps the set's order
         loaded = DominatingSetCertificate.from_json_dict(doc)
-        assert "vertex_ids" not in loaded.__dict__
         assert loaded.vertex_ids.tolist() == cert.vertex_ids.tolist()[::-1]
         assert not loaded.vertex_ids.flags.writeable
         family = query_family_from_dominating_set(Q, loaded, PHI, graph=G)

@@ -909,6 +909,34 @@ class TestDominatingSet:
             assert loaded.target_bound == pytest.approx(cert.target_bound)
             assert loaded.seed == seed
 
+    def test_large_certificate_round_trips_by_ids(self):
+        """A k = 1024 certificate of 103,622 ids writes the rows its VertexPairs give and reads back the same
+        ids, without building its pair views."""
+        k = 1024
+        ids = np.random.default_rng(1).choice(pair_count(k), size=103_622, replace=False)
+        cert = DominatingSetCertificate(k, ids, ids, (), 1, domination_bound(k), seed=1)
+        doc = cert.to_json_dict()
+        pairs = (VertexPair(lo + 1, hi + 1) for lo, hi in all_pairs(k)[ids].tolist())
+        assert doc == {**doc, "dominating_set": [[p.lo, p.hi] for p in pairs]}
+        loaded = DominatingSetCertificate.from_json_dict(json.loads(json.dumps(doc)))
+        assert np.array_equal(loaded.vertex_ids, ids) and loaded.vertex_ids.dtype == np.int64
+        assert loaded.random_ids.size == loaded.patch_ids.size == 0
+        assert "dominating_set" not in cert.__dict__ and "dominating_set" not in loaded.__dict__
+
+    def test_certificate_stores_read_only_checked_ids(self):
+        cert = DominatingSetCertificate(4, [5, 0, 3], [0, 3], [5], 1, 6.0)
+        for ids, expected in ((cert.vertex_ids, [5, 0, 3]), (cert.random_ids, [0, 3]), (cert.patch_ids, [5])):
+            assert ids.dtype == np.int64 and not ids.flags.writeable and ids.tolist() == expected
+        assert cert.dominating_set == (VertexPair(3, 4), VertexPair(1, 2), VertexPair(2, 3))
+        assert cert.random_part == (VertexPair(1, 2), VertexPair(2, 3))
+        assert cert.low_indegree_part == (VertexPair(3, 4),)
+        assert cert.dominating_set is cert.dominating_set  # built once
+        for field in ("vertex_ids", "random_ids", "patch_ids"):
+            with pytest.raises(ArgumentError, match=r"0\.\.5 for k=4"):
+                replace(cert, **{field: [6]})
+            with pytest.raises(ArgumentError):
+                replace(cert, **{field: [-1]})
+
     @pytest.mark.parametrize("pair, error", [
         ([1, 2.7], InvariantError),  # an index that is not an integer
         ([3, 9], ArgumentError),     # index 9 outside k = 4
@@ -1077,8 +1105,7 @@ class TestVerifyDomination:
         assert verify_domination(G, cert) and verify_domination(G, cert.dominating_set)
         w = int(np.argmin(G.in_degrees))
         ids = [v for v in range(G.num_vertices) if v != w and w not in G.out_edges[v]]
-        short = replace(cert, dominating_set=vertex_pairs(k, ids))
-        assert "vertex_ids" not in short.__dict__
+        short = replace(cert, vertex_ids=ids)
         assert not verify_domination(G, short) and not verify_domination(G, short.dominating_set)
         with pytest.raises(ArgumentError, match="certificate is on k=24, graph has k=3"):
             verify_domination(build_scheffe_graph(random_hypothesis_set(3, 8, seed=1), PHI), cert)
