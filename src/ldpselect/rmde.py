@@ -8,8 +8,10 @@ phi-compare every pair of hypotheses, the selected hypothesis
 is within (1 + 2/phi) * OPT plus 2/phi times the worst estimation error over
 the family, deterministically.  A SelectionPlan fixes, from Q and its config
 alone, the Scheffe sets of a dominating set of the comparison graph at
-config.phi (factor 13 = 1 + 2*6 at phi = 1/6), checked by certifies in
-query_family_from_dominating_set; its run estimates them privately and selects.
+config.phi (factor 13 = 1 + 2*6 at phi = 1/6): a random sample of pairs,
+patched with the pairs its own Scheffe sets leave open (QueryFamily.open_pairs),
+whose family is kept only if it certifies.  Its run estimates them privately
+and selects.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .scheffe_graph import (
     PairDigraph,
     _check_phi,
     _randomized_cover,
-    _star_shared_index_edges,
     all_pairs,
     build_scheffe_graph,  # noqa: F401  unused here; perfbench's tracer wraps it as rmde.build_scheffe_graph
     domination_bound,
@@ -106,6 +107,18 @@ class QueryFamily:
         object.__setattr__(self, "signs", _read_only(signs.astype(np.int8)))
         object.__setattr__(self, "origins", _read_only(origins))
 
+    @classmethod
+    def _of_scheffe(cls, signs: np.ndarray, origins: np.ndarray, phi: float) -> QueryFamily:
+        """The family of _scheffe_family's own arrays: distinct int8 ±1 rows by construction, and int64 origins.
+
+        The arrays are made read-only in place; neither the ±1 check nor the
+        duplicate check is run again.
+        """
+        _check_phi(phi)
+        family = object.__new__(cls)
+        vars(family).update(signs=_read_only(signs), origins=_read_only(origins), phi=phi)
+        return family
+
     def __len__(self) -> int:
         return len(self.signs)
 
@@ -148,15 +161,24 @@ class QueryFamily:
             end += len(gaps)
         return margins
 
-    def certifies(self, Q: HypothesisSet, phi: float | None = None, tol: float = 1e-9) -> bool:
-        """Whether every star margin is >= -tol, stopping at the first witness of each pair.
+    def open_pairs(self, Q: HypothesisSet, phi: float | None = None, tol: float = 1e-9) -> np.ndarray:
+        """Increasing int64 vertex ids of the pairs no test phi-compares, read up to each pair's first witness.
 
-        Equals bool((star_margins(Q, phi) >= -tol).all()) on every input: a max
-        is exact and fl(x - s) is monotone in x, so a pair that passes on the
-        first _WITNESS_TESTS tests passes on all of them.  Pairs go in
+        Equals np.flatnonzero(~(star_margins(Q, phi) >= -tol)) on every input (_open_chunks).
+        """
+        return np.concatenate([np.empty(0, dtype=np.int64), *self._open_chunks(Q, phi, tol)], dtype=np.int64)
+
+    def certifies(self, Q: HypothesisSet, phi: float | None = None, tol: float = 1e-9) -> bool:
+        """Whether open_pairs is empty (every star margin is >= -tol), stopping at the first chunk with an open pair."""
+        return next(self._open_chunks(Q, phi, tol), None) is None
+
+    def _open_chunks(self, Q: HypothesisSet, phi: float | None, tol: float):
+        """The scan of open_pairs and certifies: the open pairs' ids, one increasing array per chunk that has any.
+
+        A max is exact and fl(x - s) is monotone in x, so a pair that passes
+        on the first _WITNESS_TESTS tests passes on all of them.  Pairs go in
         lexicographic chunks, and only the pairs a chunk leaves open read the
-        other tests, in chunks too; the first chunk holding a pair whose full
-        maximum fails returns False.  A gathered float64 operand passes
+        other tests, in chunks too.  A gathered float64 operand passes
         _PAIR_OPERAND_BYTES only where one pair's row does.
         """
         phi, P, M = self._products(Q, phi)
@@ -170,19 +192,18 @@ class QueryFamily:
             gaps = first.take(a, axis=0) - first.take(b, axis=0)
             best = np.abs(gaps, out=gaps).max(axis=1)
             need = phi * np.abs(P.take(a, axis=0) - P.take(b, axis=0)).sum(axis=1)
-            passed = best - need >= -tol
+            passed = best - need >= -tol  # not x < -tol: a NaN fails the reference, so it stays open
             if passed.all():
                 continue
-            if head == len(self):
-                return False
-            still_open = np.flatnonzero(~passed)  # not x < -tol: a NaN fails the reference, so it stays open
-            for t in range(0, still_open.size, tail_chunk):
-                rows = still_open[t:t + tail_chunk]
-                tail = rest.take(a[rows], axis=0) - rest.take(b[rows], axis=0)
-                full = np.maximum(best[rows], np.abs(tail, out=tail).max(axis=1))
-                if not (full - need[rows] >= -tol).all():
-                    return False
-        return True
+            if rest.shape[1]:  # the other tests decide the pairs the first ones leave open
+                still_open = np.flatnonzero(~passed)
+                for t in range(0, still_open.size, tail_chunk):
+                    rows = still_open[t:t + tail_chunk]
+                    tail = rest.take(a[rows], axis=0) - rest.take(b[rows], axis=0)
+                    full = np.maximum(best[rows], np.abs(tail, out=tail).max(axis=1))
+                    passed[rows] = full - need[rows] >= -tol
+            if not passed.all():
+                yield start + np.flatnonzero(~passed)
 
 
 @dataclass(frozen=True)
@@ -235,7 +256,7 @@ def _scheffe_family(Q: HypothesisSet, pairs: np.ndarray, phi: float) -> QueryFam
     P = Q.probs_matrix
     signs = _scheffe_signs(P[pairs[:, 0] - 1] - P[pairs[:, 1] - 1])
     first = _first_distinct_rows(signs)
-    return QueryFamily(signs=signs[first], origins=pairs[first], phi=phi)
+    return QueryFamily._of_scheffe(signs[first], pairs[first].astype(np.int64, copy=False), phi)
 
 
 def full_scheffe_family(Q: HypothesisSet) -> QueryFamily:
@@ -322,10 +343,13 @@ def plan_sample_size(k: int, config: SelectionConfig) -> int:
 class SelectionPlan:
     """The query side of a selection: a function of (Q, config) alone, fixed before any user answers.
 
-    build covers the comparison graph at config.phi from its shared-index
-    table alone and builds no graph.  It keeps the cover's Scheffe sets only
-    if family.certifies(Q, config.phi) (query_family_from_dominating_set),
-    and raises InvalidCertificateError otherwise.  With pop.user_count >=
+    build builds no graph.  Its cover samples pairs R as find_dominating_set's
+    does, but patches R with the pairs that R's own Scheffe sets leave open at
+    config.phi (QueryFamily.open_pairs), each then compared by its own
+    Scheffe set.  R's family goes through query_family_from_dominating_set,
+    that is certifies; where it certifies, the patch is empty and that family
+    is the plan's.  A patched set's family goes through it again, and raises
+    InvalidCertificateError unless it certifies.  With pop.user_count >=
     users_required, run(pop, rng) selects q_hat with
     ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability at least
     1 - beta over the population and rng (factor 13 at phi = 1/6).
@@ -341,8 +365,24 @@ class SelectionPlan:
     def build(cls, Q: HypothesisSet, config: SelectionConfig) -> SelectionPlan:
         """Dominating set (seeded by the first child of SeedSequence(config.seed)), family and its check."""
         seed = np.random.SeedSequence(config.seed, spawn_key=(0,))  # the first child, without spawning both
-        cert = _randomized_cover(Q.k, lambda: _star_shared_index_edges(Q.probs_matrix, config.phi), seed)
-        family = query_family_from_dominating_set(Q, cert, config.phi)
+        kept = {}  # the last sample and its family, where that family certifies
+
+        def sample_patch(sampled: np.ndarray) -> np.ndarray:
+            """The patch rule: no pair where the sample's family certifies, else the pairs it leaves open."""
+            kept.clear()
+            no_ids = sampled[:0]
+            sample = DominatingSetCertificate._of_cover(Q.k, sampled, sampled, no_ids, 1, domination_bound(Q.k), 0.0)
+            try:
+                kept.update(ids=sampled, family=query_family_from_dominating_set(Q, sample, config.phi))
+            except InvalidCertificateError:
+                return _scheffe_family(Q, all_pairs(Q.k)[sampled] + 1, config.phi).open_pairs(Q, config.phi)
+            return no_ids
+
+        cert = _randomized_cover(Q.k, sample_patch, seed)
+        if kept and np.array_equal(cert.vertex_ids, kept["ids"]):
+            family = kept["family"]
+        else:
+            family = query_family_from_dominating_set(Q, cert, config.phi)
         return cls(Q, config, cert, family, plan_sample_size(Q.k, config))
 
     def run(self, pop: SimulatedPopulation, rng: np.random.Generator) -> SelectionReport:

@@ -492,10 +492,12 @@ class DominatingSetCertificate:
 
     vertex_ids holds the set in its order, random_ids the sampled vertices R
     and patch_ids the vertices the sample failed to cover; their union is the
-    set.  Each is stored as a read-only int64 array, and an id outside
-    0..C(k, 2) - 1 raises ArgumentError.  dominating_set, random_part and
-    low_indegree_part are the same ids as VertexPair tuples, built on first
-    read.
+    set.  From find_dominating_set, patch_ids are the pairs the shared-index
+    scan of R leaves unmarked; from a SelectionPlan, the pairs no Scheffe set
+    of R phi-compares (QueryFamily.open_pairs), a subset of those.  Each is
+    stored as a read-only int64 array, and an id outside 0..C(k, 2) - 1
+    raises ArgumentError.  dominating_set, random_part and low_indegree_part
+    are the same ids as VertexPair tuples, built on first read.
     """
 
     k: int
@@ -512,6 +514,18 @@ class DominatingSetCertificate:
             ids = np.array(getattr(self, name), dtype=np.int64)
             _check_ids(ids, self.k)
             object.__setattr__(self, name, _read_only(ids))
+
+    @classmethod
+    def _of_cover(cls, k, vertex_ids, random_ids, patch_ids, attempts, target_bound, build_ms):
+        """The certificate of _randomized_cover's own int64 id arrays, which lie in range by construction.
+
+        The arrays are made read-only in place, neither copied nor checked.
+        """
+        cert = object.__new__(cls)
+        vars(cert).update(k=k, vertex_ids=_read_only(vertex_ids), random_ids=_read_only(random_ids),
+                          patch_ids=_read_only(patch_ids), attempts=attempts, target_bound=target_bound,
+                          build_ms=build_ms, seed=None)
+        return cert
 
     dominating_set = _pair_view("vertex_ids")
     random_part = _pair_view("random_ids")
@@ -580,32 +594,33 @@ def _shared_index_cover(table: np.ndarray, sampled: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _randomized_cover(k: int, star_table, seed=None) -> DominatingSetCertificate:
-    """The randomized dominating-set search on k hypotheses; star_table() gives the shared-index table.
+def _randomized_cover(k: int, patch, seed=None) -> DominatingSetCertificate:
+    """The randomized dominating-set search on k hypotheses; patch(R) gives the vertices a sample R leaves open.
 
-    Samples R of sample_size(k) vertices without replacement, marks R and the
-    out-neighbors found by the shared-index scan as covered, and returns R
-    together with everything left uncovered.  Resamples with fresh randomness
-    until the union meets domination_bound(k); each attempt succeeds with
-    probability > 1/2 on graphs built at phi = 1/6, and the loop raises after
+    Samples R of sample_size(k) vertices without replacement, sorted, and
+    returns R together with patch(R), the increasing int64 ids of the
+    vertices it fails to cover.  find_dominating_set passes the graph's
+    shared-index scan, a plan the pairs the Scheffe sets of R fail to
+    phi-compare.  Resamples with fresh randomness until the union meets
+    domination_bound(k); each attempt succeeds with probability > 1/2 on
+    graphs built at phi = 1/6, and the loop raises after
     MAX_RESAMPLE_ATTEMPTS.  Where the sample is every vertex (k <= 19), R is
-    every vertex at once, with nothing drawn or patched and star_table never
-    called.  No VertexPair is built: the certificate holds the ids.
+    every vertex at once, with nothing drawn and patch never called.  No
+    VertexPair is built: the certificate holds the ids.
     """
     V = pair_count(k)
     ell = sample_size(k)
     bound = domination_bound(k)
     t0 = time.perf_counter()
     if ell == V:  # every draw is all of V, which covers itself
-        attempts, sampled, patch = 1, np.arange(V), ()
+        attempts, sampled, open_ids = 1, np.arange(V, dtype=np.int64), np.empty(0, dtype=np.int64)
         dom_ids = sampled
     else:
-        table = star_table()
         rng = np.random.default_rng(seed)
         for attempts in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
             sampled = np.sort(rng.choice(V, size=ell, replace=False))
-            patch = np.flatnonzero(~_shared_index_cover(table, sampled))
-            if ell + patch.size <= bound:
+            open_ids = patch(sampled)
+            if ell + open_ids.size <= bound:
                 break
         else:
             raise ResamplingLimitError(
@@ -613,15 +628,9 @@ def _randomized_cover(k: int, star_table, seed=None) -> DominatingSetCertificate
                 attempts,
                 {"sample_size": ell, "bound": bound, "vertices": V},
             )
-        dom_ids = np.union1d(sampled, patch)
-    return DominatingSetCertificate(
-        k=k,
-        vertex_ids=dom_ids,
-        random_ids=sampled,
-        patch_ids=patch,
-        attempts=attempts,
-        target_bound=bound,
-        build_ms=(time.perf_counter() - t0) * 1e3,
+        dom_ids = np.union1d(sampled, open_ids)
+    return DominatingSetCertificate._of_cover(
+        k, dom_ids, sampled, open_ids, attempts, bound, (time.perf_counter() - t0) * 1e3
     )
 
 
@@ -629,7 +638,9 @@ def find_dominating_set(G: PairDigraph, Q: HypothesisSet | None = None, seed=Non
     """Randomized dominating-set search on G's shared-index table; a Q on another k raises ArgumentError."""
     if Q is not None and Q.k != G.k:
         raise ArgumentError(f"hypothesis set has k={Q.k}, graph has k={G.k}")
-    return _randomized_cover(G.k, lambda: G.shared_index_edges, seed)
+    return _randomized_cover(
+        G.k, lambda sampled: np.flatnonzero(~_shared_index_cover(G.shared_index_edges, sampled)), seed
+    )
 
 
 def verify_domination(G: PairDigraph, dominating_set) -> bool:

@@ -41,6 +41,7 @@ from ldpselect.barriers import build_flattening_family
 from ldpselect.scheffe_graph import (
     DominatingSetCertificate,
     VertexPair,
+    all_pairs,
     domination_bound,
     pair_count,
     pair_index,
@@ -179,6 +180,20 @@ class TestQueryFamilyChecks:
         assert fam.origins.dtype == np.int64 and not fam.origins.flags.writeable
         assert np.array_equal(fam.origins, given) and given.flags.writeable
 
+    @pytest.mark.parametrize("Q", PINNED_SETS)
+    def test_scheffe_family_skips_only_the_checks(self, Q):
+        """_scheffe_family's own families, which skip the ±1 and duplicate checks, equal those the public
+        constructor makes of the same rows: signs, origins, dtypes and read-only flags."""
+        for pairs, phi in ((all_pairs(Q.k) + 1, 1.0), (all_pairs(Q.k)[::-2] + 1, PHI)):
+            fam = rmde._scheffe_family(Q, pairs, phi)
+            rows, origins = reference_family(Q, pairs)
+            checked = QueryFamily(signs=rows, origins=origins, phi=phi)
+            for field in ("signs", "origins"):
+                ours, theirs = getattr(fam, field), getattr(checked, field)
+                assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype
+                assert not ours.flags.writeable and not theirs.flags.writeable and ours.flags.c_contiguous
+            assert fam.phi == checked.phi and len(fam) == len(checked)
+
 
 class TestFirstDistinctRows:
     @pytest.mark.parametrize("d", [1, 7, 8, 9, 63, 64, 65, 130])
@@ -305,6 +320,15 @@ def hadamard_set():
     return HypothesisSet(tuple(DiscreteDistribution(column) for column in F.T))
 
 
+def hadamard_columns(n, point_masses):
+    """The n Hadamard-derived columns of domain n, each followed by a point mass where point_masses is set."""
+    fam = build_flattening_family(n)
+    columns = fam.hadamard_columns
+    if point_masses:
+        columns = np.stack([columns, fam.point_mass_columns], axis=2).reshape(n, 2 * n)
+    return HypothesisSet(tuple(DiscreteDistribution(column) for column in columns.T))
+
+
 def without_tests(fam, drop):
     keep = np.setdiff1d(np.arange(len(fam)), drop)
     return QueryFamily(signs=fam.signs[keep], origins=fam.origins[keep], phi=fam.phi)
@@ -314,31 +338,49 @@ def reference_certifies(fam, Q, phi, tol=1e-9):
     return bool((fam.star_margins(Q, phi) >= -tol).all())
 
 
-class TestCertifiesMatchesStarMargins:
-    """certifies stops at the first witness of each pair; star_margins reads every test."""
+CERTIFY_CORPUS = [
+    *(pytest.param([random_hypothesis_set(k, 16, seed=seed, model=model)
+                    for k in (2, 3, 8, 32, 128) for seed in (0, 1)], id=model)
+      for model in GENERATOR_MODELS),
+    pytest.param([hadamard_set()], id="hadamard-columns"),
+    pytest.param([corpus_set("repeated", k) for k in (3, 8, 20, 32)], id="repeated"),
+]
 
-    @pytest.mark.parametrize("sets", [
-        *(pytest.param([random_hypothesis_set(k, 16, seed=seed, model=model)
-                        for k in (2, 3, 8, 32, 128) for seed in (0, 1)], id=model)
-          for model in GENERATOR_MODELS),
-        pytest.param([hadamard_set()], id="hadamard-columns"),
-        pytest.param([corpus_set("repeated", k) for k in (3, 8, 20, 32)], id="repeated"),
-    ])
+
+def corpus_families(Q):
+    """Certifying and failing families of Q: the pipeline's and (k <= 32) the full family, each also thinned,
+    and the family of the forced cover {1, 2}."""
+    families = [pipeline_family(Q)] + ([full_scheffe_family(Q)] if Q.k <= 32 else [])
+    for fam in list(families):
+        if len(fam) > 1:
+            # every other test, and the first half (so witnesses move to later tests)
+            families += [without_tests(fam, np.arange(0, len(fam), 2)),
+                         without_tests(fam, np.arange(len(fam) // 2))]
+    return families + [rmde._scheffe_family(Q, np.array([[1, 2]]), PHI)]
+
+
+class TestCertifiesMatchesStarMargins:
+    """certifies and open_pairs stop at the first witness of each pair; star_margins reads every test."""
+
+    @pytest.mark.parametrize("sets", CERTIFY_CORPUS)
     def test_equivalence_corpus(self, sets):
-        answers = set()
+        """certifies answers as the margins do, and open_pairs gives the ids of exactly the pairs whose
+        margin is below -tol."""
+        answers, open_counts = set(), set()
         for Q in sets:
-            families = [pipeline_family(Q)] + ([full_scheffe_family(Q)] if Q.k <= 32 else [])
-            for fam in list(families):
-                if len(fam) > 1:
-                    # every other test, and the first half (so witnesses move to later tests)
-                    families += [without_tests(fam, np.arange(0, len(fam), 2)),
-                                 without_tests(fam, np.arange(len(fam) // 2))]
-            for fam in families:
+            for fam in corpus_families(Q):
                 for phi in (PHI, 0.5, 0.9, 1.0):
-                    expected = reference_certifies(fam, Q, phi)
+                    margins = fam.star_margins(Q, phi)
+                    expected = bool((margins >= -1e-9).all())
                     assert fam.certifies(Q, phi) == expected, (Q.k, len(fam), phi)
                     answers.add(expected)
-        assert answers == {True, False}
+                    if Q.k > 32:  # left to certifies: a full scan in one-pair gathers takes a minute at k = 128
+                        continue
+                    found = fam.open_pairs(Q, phi)
+                    assert found.dtype == np.int64
+                    assert np.array_equal(found, np.flatnonzero(margins < -1e-9)), (Q.k, len(fam), phi)
+                    open_counts.add(min(found.size, 2))
+        assert answers == {True, False} and {0, 2} <= open_counts
 
     def test_late_witnesses(self):
         Q = random_hypothesis_set(16, 16, seed=5)
@@ -745,20 +787,24 @@ class TestLazyPlan:
 
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_vacuous_cover_computes_no_graph(self, monkeypatch, model):
-        """Up to k = 19 the sample is every vertex: the plan computes no star table.  At k = 20 the
-        cover computes the table, once.  No plan constructs a graph."""
-        calls = []
-        star_table = rmde._star_shared_index_edges
-        monkeypatch.setattr(rmde, "_star_shared_index_edges", lambda *args: calls.append(1) or star_table(*args))
+        """No plan at any k computes the shared-index table or constructs a graph.  Up to k = 19 the
+        sample is every vertex; from k = 20 on the sample's own family certifies here, so the patch is
+        empty.  Either way the plan builds one family."""
+        def no_table(*args):
+            raise AssertionError("the shared-index table was computed")
+
+        built = []
+        scheffe_family = rmde._scheffe_family
+        monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", no_table)
+        monkeypatch.setattr(rmde, "_scheffe_family", lambda *args: built.append(1) or scheffe_family(*args))
         forbid_graphs(monkeypatch)
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=2)
-        for k in (2, 3, 8, 16, 19):
+        for k in range(2, 41):
             plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k, model=model), config)
-            assert len(plan.certificate.dominating_set) == pair_count(k)
-            assert calls == [], k
-        SelectionPlan.build(random_hypothesis_set(20, 16, seed=20, model=model), config)
-        assert sample_size(20) < pair_count(20)
-        assert len(calls) == 1
+            assert plan.family.certifies(plan.Q)
+            assert (len(plan.certificate.vertex_ids) == sample_size(k) == pair_count(k)) == (k <= 19)
+            assert plan.certificate.patch_ids.size == 0 and len(built) == 1, k
+            built.clear()
 
     @pytest.mark.parametrize("k", [8, 32])
     def test_dropped_graph_is_freed_without_the_cycle_collector(self, k):
@@ -799,6 +845,71 @@ class TestLazyPlan:
             plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k), config)
             assert checked == [(plan.family, phi)]
             checked.clear()
+
+    @pytest.mark.parametrize("sets", [
+        *(pytest.param([random_hypothesis_set(k, 64, seed=seed, model=model)
+                        for k in (20, 21, 24, 32, 40, 64) for seed in range(4)], id=model)
+          for model in GENERATOR_MODELS),
+        *(pytest.param([hadamard_columns(n, point_masses)], id=f"hadamard{'-pm' * point_masses}-n{n}")
+          for n in (32, 64) for point_masses in (False, True)),
+        pytest.param([corpus_set("repeated", 32)], id="repeated"),
+    ])
+    def test_plan_dominates_the_graph(self, sets):
+        """A plan's set dominates the comparison graph, and its patch, the pairs its sample's family
+        leaves open, lies within the patch the graph's shared-index scan gives for the same sample."""
+        for Q in sets:
+            G = build_scheffe_graph(Q, PHI)
+            for seed in range(3):
+                plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=seed))
+                cert = find_dominating_set(G, Q, seed=np.random.SeedSequence(seed, spawn_key=(0,)))
+                assert verify_domination(G, plan.certificate)
+                assert plan.family.certifies(Q)
+                assert np.array_equal(plan.certificate.random_ids, cert.random_ids)
+                assert np.isin(plan.certificate.patch_ids, cert.patch_ids).all()
+
+    def test_plan_patches_only_the_open_pairs(self):
+        """Point-mass mixture at k = 32, Q seed 1, config seed 1: the shared-index scan leaves one pair
+        unmarked, which the sample's family compares, so the plan's patch is empty and its family is
+        the sample's."""
+        Q = random_hypothesis_set(32, 64, seed=1, model="point-mass-mixture")
+        config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=1)
+        plan = SelectionPlan.build(Q, config)
+        cert = find_dominating_set(build_scheffe_graph(Q, PHI), Q, seed=np.random.SeedSequence(1, spawn_key=(0,)))
+        assert cert.patch_ids.size == 1 and plan.certificate.patch_ids.size == 0
+        assert np.array_equal(plan.certificate.vertex_ids, cert.random_ids)
+        sample_family = rmde._scheffe_family(Q, all_pairs(32)[cert.random_ids] + 1, PHI)
+        assert np.array_equal(sample_family.open_pairs(Q, PHI), [])
+        assert np.array_equal(plan.family.signs, sample_family.signs)
+        assert np.array_equal(plan.family.origins, sample_family.origins)
+
+    @pytest.mark.parametrize("k, phi", [(24, 0.9), (32, 0.9), (32, 1.0)])
+    def test_patched_plan(self, monkeypatch, k, phi):
+        """Near phi = 1 the sample's own family leaves pairs open.  They are the patch; the patched
+        family is checked by certifies again, and the patch lies within the shared-index scan's.  At
+        phi = 0.9 the set dominates the graph.  At phi = 1 a test compares a pair only with a gap
+        equal to its distance, a tie: certifies accepts it to within tol, while the graph's gemm may
+        round it below the threshold, so the pairs the set leaves undominated there are such ties."""
+        checked = []
+        certifies = QueryFamily.certifies
+        monkeypatch.setattr(QueryFamily, "certifies",
+                            lambda family, *args: checked.append(family) or certifies(family, *args))
+        Q = random_hypothesis_set(k, 16, seed=k)
+        plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, phi=phi, seed=1))
+        cert = plan.certificate
+        sample_family = rmde._scheffe_family(Q, all_pairs(k)[cert.random_ids] + 1, phi)
+        assert cert.patch_ids.size and np.array_equal(cert.patch_ids, sample_family.open_pairs(Q, phi))
+        assert np.array_equal(cert.vertex_ids, np.union1d(cert.random_ids, cert.patch_ids))
+        assert len(checked) == 2 and checked[-1] is plan.family and certifies(plan.family, Q, phi)
+        G = build_scheffe_graph(Q, phi)
+        adj = np.unpackbits(G.out_edges.bits, axis=1, count=pair_count(k)).view(bool)
+        reached = adj[cert.vertex_ids].any(axis=0)
+        reached[cert.vertex_ids] = True
+        undominated = np.flatnonzero(~reached)
+        assert verify_domination(G, cert) == (undominated.size == 0) == (phi < 1)
+        assert (np.abs(plan.family.star_margins(Q, phi)[undominated]) < 1e-12).all()
+        by_graph = find_dominating_set(G, Q, seed=np.random.SeedSequence(1, spawn_key=(0,)))
+        assert np.array_equal(by_graph.random_ids, cert.random_ids)
+        assert np.isin(cert.patch_ids, by_graph.patch_ids).all()
 
     @pytest.mark.parametrize("k", [8, 24])
     def test_family_missing_a_pair_is_refused(self, monkeypatch, k):

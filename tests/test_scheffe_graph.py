@@ -858,6 +858,26 @@ class TestDominatingSet:
         cert = find_dominating_set(G, Q, seed=4)
         assert verify_domination(G, cert.dominating_set)
 
+    @pytest.mark.parametrize("model", GENERATOR_MODELS)
+    def test_cover_certificate_skips_only_the_checks(self, model):
+        """The certificate _randomized_cover makes of its own arrays, unchecked and uncopied, equals the
+        one the public constructor makes of them: ids, dtypes, read-only flags and the other fields."""
+        from ldpselect import rmde
+
+        for k in (3, 19, 20, 32):
+            Q = random_hypothesis_set(k, 64, seed=1, model=model)
+            plan = rmde.SelectionPlan.build(Q, rmde.SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=1))
+            for cert in (find_dominating_set(build_scheffe_graph(Q, PHI), Q, seed=1), plan.certificate):
+                checked = DominatingSetCertificate(cert.k, cert.vertex_ids, cert.random_ids, cert.patch_ids,
+                                                   cert.attempts, cert.target_bound, cert.build_ms, cert.seed)
+                for field in ("vertex_ids", "random_ids", "patch_ids"):
+                    ours, theirs = getattr(cert, field), getattr(checked, field)
+                    assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype == np.int64
+                    assert not ours.flags.writeable and not theirs.flags.writeable
+                for field in ("k", "attempts", "target_bound", "build_ms", "seed"):
+                    assert getattr(cert, field) == getattr(checked, field)
+                assert cert.dominating_set == checked.dominating_set
+
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_shared_index_cover_brute_force(self, k):
         """The sample and its out-neighbours among pairs sharing an index; random digraphs are
