@@ -161,6 +161,25 @@ class HypothesisSet:
         """k x d matrix whose rows are the hypothesis mass functions."""
         return _read_only(np.stack([h.probs for h in self.hypotheses]))
 
+    @cached_property
+    def pair_distances(self) -> np.ndarray:
+        """Read-only l1 distances of the C(k, 2) pairs j < j', in lexicographic pair order.
+
+        Each is np.abs(q_j - q_j').sum() over one contiguous row of d
+        differences, the sum every per-pair reading of it takes, so the scans
+        of one Q share it.  Pairs go in chunks of at most 128 KiB of differences.
+        """
+        from .scheffe_graph import all_pairs  # the pair order; scheffe_graph imports this module
+
+        P = self.probs_matrix
+        lo, hi = all_pairs(self.k).T
+        out = np.empty(lo.size)
+        step = max(1, (128 << 10) // (8 * self.domain_size))
+        for start in range(0, lo.size, step):
+            gaps = P.take(lo[start:start + step], axis=0) - P.take(hi[start:start + step], axis=0)
+            np.abs(gaps, out=gaps).sum(axis=1, out=out[start:start + step])
+        return _read_only(out)
+
     def to_json_dict(self) -> dict:
         return {
             "domain_size": self.domain_size,

@@ -10,8 +10,10 @@ the family, deterministically.  A SelectionPlan fixes, from Q and its config
 alone, the Scheffe sets of a dominating set of the comparison graph at
 config.phi (factor 13 = 1 + 2*6 at phi = 1/6): a random sample of pairs,
 patched with the pairs its own Scheffe sets leave open (QueryFamily.open_pairs),
-whose family is kept only if it certifies.  Its run estimates them privately
-and selects.
+whose family is kept only if it certifies.  The sample is the first of 32, 64,
+128, ... pairs whose patch is no larger than it, or else the paper's
+ceil(k^1.5 sqrt(log2 k)), so on most inputs the family has a few dozen tests
+in place of the paper's k^1.5.  Its run estimates them privately and selects.
 """
 
 from __future__ import annotations
@@ -54,8 +56,12 @@ from .scheffe_graph import (
 # certifies reads this many first tests for every pair, and the rest only for the pairs they leave open.
 _WITNESS_TESTS = 64
 
-# certifies gathers at most this many bytes per float64 operand (or one pair's row), so each chunk stays in cache.
+# certifies gathers at most this many bytes per float64 operand (more only for one pair or 64 columns), so each
+# chunk stays in cache.
 _PAIR_OPERAND_BYTES = 128 << 10
+
+# A plan's ladder samples _FIRST_RUNG, 2 * _FIRST_RUNG, ... pairs, each size below sample_size(k), before the paper's.
+_FIRST_RUNG = 32
 
 
 def _first_distinct_rows(signs: np.ndarray) -> np.ndarray:
@@ -176,34 +182,35 @@ class QueryFamily:
         """The scan of open_pairs and certifies: the open pairs' ids, one increasing array per chunk that has any.
 
         A max is exact and fl(x - s) is monotone in x, so a pair that passes
-        on the first _WITNESS_TESTS tests passes on all of them.  Pairs go in
-        lexicographic chunks, and only the pairs a chunk leaves open read the
-        other tests, in chunks too.  A gathered float64 operand passes
-        _PAIR_OPERAND_BYTES only where one pair's row does.
+        on some of the tests passes on all of them.  Pairs go in lexicographic
+        chunks, first against the first _WITNESS_TESTS tests.  The pairs a
+        chunk leaves open read the other tests in column blocks, each pair
+        dropped once it passes, so a pair reads the tests up to the block
+        holding its first witness.  A gathered float64 operand passes
+        _PAIR_OPERAND_BYTES only where _WITNESS_TESTS columns of the open
+        pairs, or the first tests of one pair, do.  The pairs' distances come
+        from Q.pair_distances, computed once for every scan of Q.
         """
-        phi, P, M = self._products(Q, phi)
+        phi, _, M = self._products(Q, phi)
         head = min(_WITNESS_TESTS, len(self))
         first, rest = M[:, :head], M[:, head:]
         lo, hi = all_pairs(Q.k).T
+        distances = Q.pair_distances
         chunk = max(1, _PAIR_OPERAND_BYTES // (8 * max(head, Q.domain_size)))
-        tail_chunk = max(1, _PAIR_OPERAND_BYTES // (8 * max(1, rest.shape[1])))
         for start in range(0, lo.size, chunk):
             a, b = lo[start:start + chunk], hi[start:start + chunk]
             gaps = first.take(a, axis=0) - first.take(b, axis=0)
             best = np.abs(gaps, out=gaps).max(axis=1)
-            need = phi * np.abs(P.take(a, axis=0) - P.take(b, axis=0)).sum(axis=1)
-            passed = best - need >= -tol  # not x < -tol: a NaN fails the reference, so it stays open
-            if passed.all():
-                continue
-            if rest.shape[1]:  # the other tests decide the pairs the first ones leave open
-                still_open = np.flatnonzero(~passed)
-                for t in range(0, still_open.size, tail_chunk):
-                    rows = still_open[t:t + tail_chunk]
-                    tail = rest.take(a[rows], axis=0) - rest.take(b[rows], axis=0)
-                    full = np.maximum(best[rows], np.abs(tail, out=tail).max(axis=1))
-                    passed[rows] = full - need[rows] >= -tol
-            if not passed.all():
-                yield start + np.flatnonzero(~passed)
+            need = phi * distances[start:start + chunk]
+            # not x < -tol: a NaN fails the reference, so it stays open
+            rows, col = np.flatnonzero(~(best - need >= -tol)), 0
+            while rows.size and col < rest.shape[1]:  # the other tests decide the pairs the first ones leave open
+                block = rest[:, col:col + max(head, _PAIR_OPERAND_BYTES // (8 * rows.size))]
+                gaps = block.take(a[rows], axis=0) - block.take(b[rows], axis=0)
+                best[rows] = np.maximum(best[rows], np.abs(gaps, out=gaps).max(axis=1))
+                rows, col = rows[~(best[rows] - need[rows] >= -tol)], col + block.shape[1]
+            if rows.size:
+                yield start + rows
 
 
 @dataclass(frozen=True)
@@ -241,13 +248,17 @@ class SelectionReport:
     certificate: DominatingSetCertificate | None = None
 
     def to_json_dict(self) -> dict:
+        """The report's fields and the sizes of its certificate's set, sample R and patch (None without one)."""
+        cert = self.certificate
         return {
             "selected_index": self.selected_index,
             "selected_discrepancy": self.selected_discrepancy,
             "discrepancies": list(self.discrepancies),
             "family_size": self.family_size,
             "users_consumed": self.users_consumed,
-            "dominating_set_size": len(self.certificate.vertex_ids) if self.certificate else None,
+            "dominating_set_size": len(cert.vertex_ids) if cert else None,
+            "sampled_pairs": len(cert.random_ids) if cert else None,
+            "patch_pairs": len(cert.patch_ids) if cert else None,
         }
 
 
@@ -349,8 +360,20 @@ class SelectionPlan:
     Scheffe set.  R's family goes through query_family_from_dominating_set,
     that is certifies; where it certifies, the patch is empty and that family
     is the plan's.  A patched set's family goes through it again, and raises
-    InvalidCertificateError unless it certifies.  With pop.user_count >=
-    users_required, run(pop, rng) selects q_hat with
+    InvalidCertificateError unless it certifies.
+
+    R's size climbs a ladder: s = _FIRST_RUNG, 2 * _FIRST_RUNG, ... while s <
+    sample_size(k), one sample per rung, seeded by SeedSequence(config.seed,
+    spawn_key=(0, rung)).  The first rung whose patch has at most s pairs is
+    kept, so the set has at most 2s pairs (and at most C(k, 2)), within
+    domination_bound(k).  Where none is, R has sample_size(k) pairs, drawn
+    and redrawn as find_dominating_set draws them, from
+    SeedSequence(config.seed, spawn_key=(0,)), and the paper's worst-case
+    bound holds.  Up to k = 19 the sample is every pair, and there is no
+    ladder.  users_required does not depend on the rung: any certified family
+    of at most max_query_budget(k) tests is estimated to the same accuracy.
+
+    With pop.user_count >= users_required, run(pop, rng) selects q_hat with
     ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability at least
     1 - beta over the population and rng (factor 13 at phi = 1/6).
     """
@@ -378,7 +401,7 @@ class SelectionPlan:
                 return _scheffe_family(Q, all_pairs(Q.k)[sampled] + 1, config.phi).open_pairs(Q, config.phi)
             return no_ids
 
-        cert = _randomized_cover(Q.k, sample_patch, seed)
+        cert = _randomized_cover(Q.k, sample_patch, seed, _FIRST_RUNG)
         if kept and np.array_equal(cert.vertex_ids, kept["ids"]):
             family = kept["family"]
         else:

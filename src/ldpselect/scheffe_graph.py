@@ -498,6 +498,11 @@ class DominatingSetCertificate:
     stored as a read-only int64 array, and an id outside 0..C(k, 2) - 1
     raises ArgumentError.  dominating_set, random_part and low_indegree_part
     are the same ids as VertexPair tuples, built on first read.
+
+    attempts counts the samples drawn at R's size.  On a plan's ladder that
+    is 1 where a rung smaller than sample_size(k) is kept, and the
+    resampling count at sample_size(k) where the ladder falls through; the
+    rungs tried before are not counted (len(random_ids) tells the rung).
     """
 
     k: int
@@ -594,7 +599,7 @@ def _shared_index_cover(table: np.ndarray, sampled: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _randomized_cover(k: int, patch, seed=None) -> DominatingSetCertificate:
+def _randomized_cover(k: int, patch, seed=None, first_rung: int | None = None) -> DominatingSetCertificate:
     """The randomized dominating-set search on k hypotheses; patch(R) gives the vertices a sample R leaves open.
 
     Samples R of sample_size(k) vertices without replacement, sorted, and
@@ -607,6 +612,14 @@ def _randomized_cover(k: int, patch, seed=None) -> DominatingSetCertificate:
     MAX_RESAMPLE_ATTEMPTS.  Where the sample is every vertex (k <= 19), R is
     every vertex at once, with nothing drawn and patch never called.  No
     VertexPair is built: the certificate holds the ids.
+
+    A plan passes first_rung and a SeedSequence seed, and the search first
+    climbs a ladder: samples of first_rung, 2 * first_rung, ... vertices
+    while that is below sample_size(k), one per rung, rung r drawn from
+    seed's child r (its spawn_key extended by r).  The first whose patch has
+    at most as many vertices as it is kept, so its set has at most twice as
+    many.  Where no rung is kept, the search above runs from seed exactly as
+    it does without a ladder.
     """
     V = pair_count(k)
     ell = sample_size(k)
@@ -616,18 +629,28 @@ def _randomized_cover(k: int, patch, seed=None) -> DominatingSetCertificate:
         attempts, sampled, open_ids = 1, np.arange(V, dtype=np.int64), np.empty(0, dtype=np.int64)
         dom_ids = sampled
     else:
-        rng = np.random.default_rng(seed)
-        for attempts in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
-            sampled = np.sort(rng.choice(V, size=ell, replace=False))
+        size, rung = first_rung, 0
+        while size and size < ell:
+            child = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, rung))
+            sampled = np.sort(np.random.default_rng(child).choice(V, size=size, replace=False))
             open_ids = patch(sampled)
-            if ell + open_ids.size <= bound:
+            if open_ids.size <= size:
+                attempts = 1
                 break
+            size, rung = 2 * size, rung + 1
         else:
-            raise ResamplingLimitError(
-                "dominating-set sampling kept exceeding the size bound",
-                attempts,
-                {"sample_size": ell, "bound": bound, "vertices": V},
-            )
+            rng = np.random.default_rng(seed)
+            for attempts in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
+                sampled = np.sort(rng.choice(V, size=ell, replace=False))
+                open_ids = patch(sampled)
+                if ell + open_ids.size <= bound:
+                    break
+            else:
+                raise ResamplingLimitError(
+                    "dominating-set sampling kept exceeding the size bound",
+                    attempts,
+                    {"sample_size": ell, "bound": bound, "vertices": V},
+                )
         dom_ids = np.union1d(sampled, open_ids)
     return DominatingSetCertificate._of_cover(
         k, dom_ids, sampled, open_ids, attempts, bound, (time.perf_counter() - t0) * 1e3

@@ -7,6 +7,7 @@ for this implementation but asserted anyway; they are machine-relative.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ldpselect import (
     required_block_size,
     rmde_select,
     run_protocol,
+    select_hypothesis,
     scan_triangles,
     verify_domination,
     verify_domination_lower_bound,
@@ -316,3 +318,42 @@ def test_c11_privacy_structure():
         assert set(changed.tolist()) <= {flip_user}
         runs += 1
     report("C11", f"{runs} protocol shapes schema-checked", t0, 60)
+
+
+def test_c12_ladder_plan_guarantee():
+    """Selections at k = 32 whose plans keep a small rung of the ladder still meet 13 OPT + alpha
+    with probability at least 1 - beta.  Three p per model: the mixture of C7, a point mass off Q,
+    and the midpoint of Q's closest pair.  Each (model, p) runs 200 one-shot selections, each with
+    its own config seed and so its own plan; the misses are held to a one-sided binomial test
+    against beta = 0.1, failing at p < 1e-3.  Seeds and threshold were fixed before the first run."""
+    t0 = time.perf_counter()
+    k, d, trials, threshold = 32, 64, 200, 1e-3
+    config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, phi=PHI)
+    users = SelectionPlan.build(random_hypothesis_set(k, d, seed=0), config).users_required
+    factor = config.approximation_factor
+    worst = 1.0
+    misses = {}
+    for m, model in enumerate(MODELS):
+        Q = random_hypothesis_set(k, d, seed=1200 + m, model=model)
+        P = Q.probs_matrix
+        gaps = np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2) + np.diag(np.full(k, np.inf))
+        a, b = np.unravel_index(np.argmin(gaps), gaps.shape)
+        populations = {
+            "mixture": mixture([Q.hypotheses[2], DiscreteDistribution.uniform(d)], [0.95, 0.05]),
+            "point-mass": DiscreteDistribution.point_mass(d, d),
+            "midpoint": mixture([Q.hypotheses[a], Q.hypotheses[b]], [0.5, 0.5]),
+        }
+        for tag, (label, p) in enumerate(populations.items()):
+            bound = factor * min(l1_distance(q, p) for q in Q.hypotheses) + config.alpha
+            missed = 0
+            for trial in range(trials):
+                pop = SimulatedPopulation.draw(p, users, np.random.SeedSequence([1200 + m, tag, trial]))
+                rep = select_hypothesis(Q, pop, replace(config, seed=trial))
+                missed += l1_distance(Q.hypotheses[rep.selected_index - 1], p) > bound + 1e-12
+            misses[f"{model}/{label}"] = missed
+            # P(X >= missed) for X ~ Binomial(trials, beta)
+            tail = sum(math.comb(trials, x) * config.beta ** x * (1 - config.beta) ** (trials - x)
+                       for x in range(missed, trials + 1))
+            worst = min(worst, tail)
+            assert tail >= threshold, (model, label, missed)
+    report("C12", f"misses {misses} of {trials} each, smallest binomial tail {worst:.3g}", t0, 30)

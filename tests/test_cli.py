@@ -336,6 +336,27 @@ class TestSelect:
         assert doc["records"][0]["users_consumed"] <= len(samples)
         assert doc["failure_rate"] is None
 
+    def test_sample_file_report_says_what_the_plan_chose(self, tmp_path):
+        """At k = 20 the plan keeps its ladder's first rung: the report gives the set's size, its
+        sample of 32 pairs and its patch, the pairs that sample's family leaves open."""
+        hyp = tmp_path / "hyp.json"
+        Q = random_hypothesis_set(20, 8, seed=4)
+        Q.save(hyp)
+        config = SelectionConfig(alpha=2.0, beta=0.5, epsilon=5.0, seed=6)
+        cert = rmde.SelectionPlan.build(Q, config).certificate
+        samples = np.random.default_rng(1).integers(1, 9, size=plan_sample_size(20, config))
+        sample_file = tmp_path / "samples.txt"
+        sample_file.write_text("\n".join(map(str, samples)) + "\n")
+        out = tmp_path / "report.json"
+        assert main([
+            "select", "--in", str(hyp), "--alpha", "2.0", "--beta", "0.5", "--epsilon", "5.0",
+            "--seed", "6", "--samples", str(sample_file), "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())["selection_report"]
+        assert report["sampled_pairs"] == len(cert.random_ids) == 32
+        assert report["patch_pairs"] == len(cert.patch_ids)
+        assert report["dominating_set_size"] == 32 + len(cert.patch_ids)
+
     def test_sample_file_rejects_user_count(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.json"
         main(["gen", "--k", "3", "--d", "4", "--seed", "1", "--out", str(hyp)])

@@ -168,6 +168,16 @@ class TestHypothesisSet:
         hs = HypothesisSet((dist(1, 0), dist(0, 1)))
         assert hs.probs_matrix.shape == (2, 2)
 
+    @pytest.mark.parametrize("k, d", [(2, 3), (9, 16), (40, 64), (70, 300)])
+    def test_pair_distances(self, k, d):
+        """Each pair's l1 distance, in lexicographic pair order, bit for bit the row sum a per-pair
+        reading takes; at d = 300 the pairs span several 128 KiB chunks.  Read-only, computed once."""
+        hs = random_hypothesis_set(k, d, seed=k, model="sparse")
+        P = hs.probs_matrix
+        expected = [np.abs(P[j] - P[j2]).sum() for j in range(k) for j2 in range(j + 1, k)]
+        assert hs.pair_distances.tolist() == expected
+        assert hs.pair_distances is hs.pair_distances and not hs.pair_distances.flags.writeable
+
 
 class TestRandomHypothesisSet:
     @pytest.mark.parametrize("model", ["dirichlet-uniform", "sparse", "point-mass-mixture"])

@@ -402,7 +402,8 @@ class TestCertifiesMatchesStarMargins:
         """At phi = 1 only a pair's own Scheffe set witnesses it.  The own tests of the first three
         pairs are moved past the first 64 tests, so those pairs stay open after the head and each
         is decided by the tail; with 3-pair chunks the three sit in one chunk and, at k = 24
-        (m - 64 = 212 tail tests), their tail is split into one-pair gathers."""
+        (m - 64 = 212 tail tests), read their tail in four column blocks, the last holding their
+        witnesses."""
         Q = random_hypothesis_set(24, 16, seed=2)
         fam = full_scheffe_family(Q)
         late = np.arange(3)  # the own tests of {1, 2}, {1, 3} and {1, 4}
@@ -446,9 +447,10 @@ class TestCertifiesMatchesStarMargins:
 
 
 class TestCertifiesInSmallChunks(TestCertifiesMatchesStarMargins):
-    """The same checks with certifies' gathers made small: one pair per chunk and per tail chunk, or
-    (at 1,536 bytes, where the head is 64 tests and d <= 64) three pairs per chunk, with the open
-    pairs' tail split into gathers of fewer pairs wherever the family has over 256 tests."""
+    """The same checks with certifies' gathers made small: one pair per chunk, or (at 1,536 bytes,
+    where the head is 64 tests and d <= 64) three pairs per chunk.  Either way the open pairs read
+    the tail 64 tests at a time, so a family of over 128 tests reads it in several column blocks,
+    and a pair leaves the chunk at the block holding its first witness."""
 
     @pytest.fixture(autouse=True, params=[1, 1536], ids=["1-pair", "3-pairs"])
     def small_chunks(self, request, monkeypatch):
@@ -654,6 +656,10 @@ class TestSelectHypothesis:
         assert len(report.discrepancies) == 3
         doc = report.to_json_dict()
         assert doc["dominating_set_size"] >= 1
+        assert doc["sampled_pairs"] == len(report.certificate.random_ids) == 3  # every pair of three
+        assert doc["patch_pairs"] == 0
+        bare = replace(report, certificate=None).to_json_dict()
+        assert bare["dominating_set_size"] is bare["sampled_pairs"] is bare["patch_pairs"] is None
 
 
 def _pairs(pairs):
@@ -679,12 +685,12 @@ class TestSelectionPlan:
             config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=7 * seed + 1)
             plan = SelectionPlan.build(Q, config)
             pop = SimulatedPopulation.draw(Q.hypotheses[seed], plan.users_required, seed)
-            dom_seed, proto_seed = np.random.SeedSequence(config.seed).spawn(2)
+            proto_seed = np.random.SeedSequence(config.seed).spawn(2)[1]
             planned = plan.run(pop, np.random.default_rng(proto_seed))
             one_shot = select_hypothesis(Q, pop, config)
-            # the pipeline written out step by step, as before the plan existed
+            # the pipeline written out step by step on the graph, the ladder's rungs drawn by hand
             G = build_scheffe_graph(Q, PHI)
-            cert = find_dominating_set(G, Q, seed=dom_seed)
+            cert = reference_certificate(G, Q, config)
             family = query_family_from_dominating_set(Q, cert, PHI, graph=G)
             estimates = estimate_queries(pop, family.signs, config.epsilon, np.random.default_rng(proto_seed))
             written_out = replace(rmde_select(Q, family, estimates), certificate=cert)
@@ -752,8 +758,56 @@ def forbid_graphs(monkeypatch):
     monkeypatch.setattr(scheffe_graph.PackedRows, "__init__", refuse)
 
 
+# A first rung above every sample_size(k) the tests reach: the ladder falls through to the paper's sample.
+NO_RUNG = 1 << 40
+
+
+def rung_sizes(k):
+    """The sizes of a plan's ladder: rmde._FIRST_RUNG, twice that, ... below sample_size(k); none where the
+    sample is every pair."""
+    sizes, size = [], rmde._FIRST_RUNG
+    while size < sample_size(k) < pair_count(k):
+        sizes.append(size)
+        size *= 2
+    return sizes
+
+
+def samples_drawn(cert):
+    """The samples a plan drew to reach cert: every rung below its sample's size, then its own attempts."""
+    return sum(size < len(cert.random_ids) for size in rung_sizes(cert.k)) + cert.attempts
+
+
+def ladder_reference(G, config):
+    """A plan's certificate where its ladder keeps a rung, written out from the eagerly read graph G, else None.
+
+    Rung r samples its size in pairs from SeedSequence(config.seed, spawn_key=(0, r)); its patch is the pairs
+    the sample neither holds nor reaches in G, and the first rung whose patch is no larger than it is kept.
+    """
+    V = pair_count(G.k)
+    adj = np.unpackbits(G.out_edges.bits, axis=1, count=V).view(bool)
+    for rung, size in enumerate(rung_sizes(G.k)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, rung)))
+        sampled = np.sort(rng.choice(V, size=size, replace=False))
+        reached = adj[sampled].any(axis=0)
+        reached[sampled] = True
+        patch = np.flatnonzero(~reached)
+        if patch.size <= size:
+            return DominatingSetCertificate(G.k, np.union1d(sampled, patch), sampled, patch, 1, domination_bound(G.k))
+    return None
+
+
+def reference_certificate(G, Q, config):
+    """The plan's certificate from the eagerly read graph: the ladder's kept rung, or else the paper's cover,
+    every vertex up to k = 19 and find_dominating_set's above."""
+    if sample_size(Q.k) == pair_count(Q.k):
+        every = np.arange(pair_count(Q.k))
+        return DominatingSetCertificate(Q.k, every, every, (), 1, domination_bound(Q.k))
+    return ladder_reference(G, config) or find_dominating_set(
+        G, Q, seed=np.random.SeedSequence(config.seed, spawn_key=(0,)))
+
+
 class TestLazyPlan:
-    """A plan builds no graph: it finds its dominating set from the shared-index table alone, carries
+    """A plan builds no graph: it finds its dominating set from its samples' own families, carries
     the set as vertex ids, and checks its family with certifies."""
 
     @pytest.mark.parametrize("kind", [*GENERATOR_MODELS, "hadamard", "repeated"])
@@ -768,12 +822,8 @@ class TestLazyPlan:
         pop = SimulatedPopulation.draw(Q.hypotheses[-1], plan.users_required, k)
         report = select_hypothesis(Q, pop, config)
         # the reference, from the public pieces on the eagerly read graph
-        dom_seed, run_seed = np.random.SeedSequence(config.seed).spawn(2)
-        if sample_size(k) == pair_count(k):
-            every = np.arange(pair_count(k))
-            cert = DominatingSetCertificate(k, every, every, (), 1, domination_bound(k))
-        else:
-            cert = find_dominating_set(eager, Q, seed=dom_seed)
+        run_seed = np.random.SeedSequence(config.seed).spawn(2)[1]
+        cert = reference_certificate(eager, Q, config)
         assert verify_domination(eager, cert.dominating_set)
         rows, origins = reference_family(Q, _pairs(cert.dominating_set))
         estimates = estimate_queries(pop, rows, config.epsilon, np.random.default_rng(run_seed))
@@ -788,8 +838,9 @@ class TestLazyPlan:
     @pytest.mark.parametrize("model", GENERATOR_MODELS)
     def test_vacuous_cover_computes_no_graph(self, monkeypatch, model):
         """No plan at any k computes the shared-index table or constructs a graph.  Up to k = 19 the
-        sample is every vertex; from k = 20 on the sample's own family certifies here, so the patch is
-        empty.  Either way the plan builds one family."""
+        sample is every vertex and the plan builds one family.  From k = 20 on, each sample drawn
+        builds its family once, and again for open_pairs where that family leaves a pair open; a
+        patched set's family is one more.  So a plan whose first sample certifies builds one family."""
         def no_table(*args):
             raise AssertionError("the shared-index table was computed")
 
@@ -801,9 +852,12 @@ class TestLazyPlan:
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=2)
         for k in range(2, 41):
             plan = SelectionPlan.build(random_hypothesis_set(k, 16, seed=k, model=model), config)
+            cert = plan.certificate
             assert plan.family.certifies(plan.Q)
-            assert (len(plan.certificate.vertex_ids) == sample_size(k) == pair_count(k)) == (k <= 19)
-            assert plan.certificate.patch_ids.size == 0 and len(built) == 1, k
+            assert (len(cert.vertex_ids) == sample_size(k) == pair_count(k)) == (k <= 19)
+            patched = cert.patch_ids.size > 0
+            assert len(built) == 2 * samples_drawn(cert) - 1 + 2 * patched, k
+            assert (len(built) == 1) == (samples_drawn(cert) == 1 and not patched), k
             built.clear()
 
     @pytest.mark.parametrize("k", [8, 32])
@@ -855,22 +909,37 @@ class TestLazyPlan:
         pytest.param([corpus_set("repeated", 32)], id="repeated"),
     ])
     def test_plan_dominates_the_graph(self, sets):
-        """A plan's set dominates the comparison graph, and its patch, the pairs its sample's family
-        leaves open, lies within the patch the graph's shared-index scan gives for the same sample."""
+        """A plan's set dominates the comparison graph, meets domination_bound(k), and is its sample
+        together with its patch, the pairs the sample's family leaves open.  A kept rung R has the size
+        of its rung and is drawn from its seed, the rungs below it were not kept, and its patch has at
+        most |R| pairs.  The paper's sample is find_dominating_set's for the same seed, and its patch
+        lies within the patch the graph's shared-index scan gives it."""
         for Q in sets:
             G = build_scheffe_graph(Q, PHI)
             for seed in range(3):
-                plan = SelectionPlan.build(Q, SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=seed))
-                cert = find_dominating_set(G, Q, seed=np.random.SeedSequence(seed, spawn_key=(0,)))
-                assert verify_domination(G, plan.certificate)
+                config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=seed)
+                plan = SelectionPlan.build(Q, config)
+                cert = plan.certificate
+                assert verify_domination(G, cert)
                 assert plan.family.certifies(Q)
-                assert np.array_equal(plan.certificate.random_ids, cert.random_ids)
-                assert np.isin(plan.certificate.patch_ids, cert.patch_ids).all()
+                assert len(cert.vertex_ids) <= domination_bound(Q.k)
+                sample_family = rmde._scheffe_family(Q, all_pairs(Q.k)[cert.random_ids] + 1, PHI)
+                assert np.array_equal(cert.patch_ids, sample_family.open_pairs(Q, PHI))
+                assert np.array_equal(cert.vertex_ids, np.union1d(cert.random_ids, cert.patch_ids))
+                if len(cert.random_ids) < sample_size(Q.k):
+                    assert _certificate_key(cert) == _certificate_key(ladder_reference(G, config))
+                    assert len(cert.random_ids) in rung_sizes(Q.k) and cert.attempts == 1
+                    assert cert.patch_ids.size <= len(cert.random_ids)
+                else:
+                    by_graph = find_dominating_set(G, Q, seed=np.random.SeedSequence(seed, spawn_key=(0,)))
+                    assert np.array_equal(cert.random_ids, by_graph.random_ids)
+                    assert np.isin(cert.patch_ids, by_graph.patch_ids).all()
 
-    def test_plan_patches_only_the_open_pairs(self):
-        """Point-mass mixture at k = 32, Q seed 1, config seed 1: the shared-index scan leaves one pair
-        unmarked, which the sample's family compares, so the plan's patch is empty and its family is
-        the sample's."""
+    def test_plan_patches_only_the_open_pairs(self, monkeypatch):
+        """Point-mass mixture at k = 32, Q seed 1, config seed 1, on the paper's sample (the ladder made
+        to fall through): the shared-index scan leaves one pair unmarked, which the sample's family
+        compares, so the plan's patch is empty and its family is the sample's."""
+        monkeypatch.setattr(rmde, "_FIRST_RUNG", NO_RUNG)
         Q = random_hypothesis_set(32, 64, seed=1, model="point-mass-mixture")
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=1)
         plan = SelectionPlan.build(Q, config)
@@ -884,11 +953,13 @@ class TestLazyPlan:
 
     @pytest.mark.parametrize("k, phi", [(24, 0.9), (32, 0.9), (32, 1.0)])
     def test_patched_plan(self, monkeypatch, k, phi):
-        """Near phi = 1 the sample's own family leaves pairs open.  They are the patch; the patched
-        family is checked by certifies again, and the patch lies within the shared-index scan's.  At
-        phi = 0.9 the set dominates the graph.  At phi = 1 a test compares a pair only with a gap
-        equal to its distance, a tie: certifies accepts it to within tol, while the graph's gemm may
-        round it below the threshold, so the pairs the set leaves undominated there are such ties."""
+        """Near phi = 1 the sample's own family leaves pairs open.  They are the patch; each sample's
+        family is checked by certifies once, and the patched family again.  The ladder keeps rung 128
+        at k = 24 and rung 256 at k = 32, with a patch no larger than it; the paper's sample's patch
+        lies within the shared-index scan's.  At phi = 0.9 the set dominates the graph.  At phi = 1 a
+        test compares a pair only with a gap equal to its distance, a tie: certifies accepts it to
+        within tol, while the graph's gemm may round it below the threshold, so the pairs the set
+        leaves undominated there are such ties."""
         checked = []
         certifies = QueryFamily.certifies
         monkeypatch.setattr(QueryFamily, "certifies",
@@ -899,7 +970,8 @@ class TestLazyPlan:
         sample_family = rmde._scheffe_family(Q, all_pairs(k)[cert.random_ids] + 1, phi)
         assert cert.patch_ids.size and np.array_equal(cert.patch_ids, sample_family.open_pairs(Q, phi))
         assert np.array_equal(cert.vertex_ids, np.union1d(cert.random_ids, cert.patch_ids))
-        assert len(checked) == 2 and checked[-1] is plan.family and certifies(plan.family, Q, phi)
+        assert len(checked) == samples_drawn(cert) + 1 and checked[-1] is plan.family
+        assert certifies(plan.family, Q, phi)
         G = build_scheffe_graph(Q, phi)
         adj = np.unpackbits(G.out_edges.bits, axis=1, count=pair_count(k)).view(bool)
         reached = adj[cert.vertex_ids].any(axis=0)
@@ -907,16 +979,19 @@ class TestLazyPlan:
         undominated = np.flatnonzero(~reached)
         assert verify_domination(G, cert) == (undominated.size == 0) == (phi < 1)
         assert (np.abs(plan.family.star_margins(Q, phi)[undominated]) < 1e-12).all()
-        by_graph = find_dominating_set(G, Q, seed=np.random.SeedSequence(1, spawn_key=(0,)))
-        assert np.array_equal(by_graph.random_ids, cert.random_ids)
-        assert np.isin(cert.patch_ids, by_graph.patch_ids).all()
+        if len(cert.random_ids) < sample_size(k):
+            assert len(cert.random_ids) == {24: 128, 32: 256}[k] and cert.patch_ids.size <= len(cert.random_ids)
+        else:
+            by_graph = find_dominating_set(G, Q, seed=np.random.SeedSequence(1, spawn_key=(0,)))
+            assert np.array_equal(by_graph.random_ids, cert.random_ids)
+            assert np.isin(cert.patch_ids, by_graph.patch_ids).all()
 
     @pytest.mark.parametrize("k", [8, 24])
     def test_family_missing_a_pair_is_refused(self, monkeypatch, k):
         """A cover forced to the single vertex {1, 2} gives a family that misses some pair: the plan
         and the one-shot selection refuse it with InvalidCertificateError before any user is read."""
         Q = random_hypothesis_set(k, 16, seed=k)
-        monkeypatch.setattr(rmde, "_randomized_cover", lambda k, table, seed: DominatingSetCertificate(
+        monkeypatch.setattr(rmde, "_randomized_cover", lambda k, patch, seed, first_rung: DominatingSetCertificate(
             k, [0], [0], (), 1, domination_bound(k)))
         assert not reference_certifies(rmde._scheffe_family(Q, np.array([[1, 2]]), PHI), Q, PHI)
 
@@ -934,7 +1009,7 @@ class TestLazyPlan:
     @pytest.mark.parametrize("k", [8, 24, 32])
     def test_plan_builds_no_vertex_pair(self, monkeypatch, k):
         """A plan and a one-shot selection carry their sets as ids alone; the pair views, read afterwards,
-        equal those of the certificate find_dominating_set gives on the graph."""
+        equal those of the certificate written out on the graph (reference_certificate)."""
         def refuse(*args, **kwargs):
             raise AssertionError("a VertexPair was built")
 
@@ -946,11 +1021,7 @@ class TestLazyPlan:
             patched.setattr(VertexPair, "__post_init__", refuse)
             plan = SelectionPlan.build(Q, config)
             report = select_hypothesis(Q, pop, config)
-        dom_seed = np.random.SeedSequence(config.seed).spawn(2)[0]
-        if sample_size(k) == pair_count(k):
-            expected = (k, all_vertex_pairs(k), all_vertex_pairs(k), [], 1, domination_bound(k))
-        else:
-            expected = _certificate_key(find_dominating_set(build_scheffe_graph(Q, PHI), Q, seed=dom_seed))
+        expected = _certificate_key(reference_certificate(build_scheffe_graph(Q, PHI), Q, config))
         assert _certificate_key(plan.certificate) == _certificate_key(report.certificate) == expected
 
     def test_family_without_a_graph_is_checked_by_certifies(self, monkeypatch):
@@ -1000,3 +1071,22 @@ class TestLazyPlan:
         family = query_family_from_dominating_set(Q, loaded, PHI, graph=G)
         rows, origins = reference_family(Q, _pairs(loaded.dominating_set))
         assert np.array_equal(family.signs, rows) and np.array_equal(family.origins, origins)
+
+
+class TestLazyPlanFallingThrough(TestLazyPlan):
+    """The same checks with the ladder made to fall through, so that every plan samples the paper's
+    sample_size(k) pairs: its certificate, family and selection are those of find_dominating_set's
+    sample, patched with the pairs its own family leaves open."""
+
+    @pytest.fixture(autouse=True)
+    def fall_through(self, monkeypatch):
+        monkeypatch.setattr(rmde, "_FIRST_RUNG", NO_RUNG)
+
+    # these build no plan, replace its cover, or make it fall through themselves
+    test_dropped_graph_is_freed_without_the_cycle_collector = None
+    test_plan_patches_only_the_open_pairs = None
+    test_family_missing_a_pair_is_refused = None
+    test_family_without_a_graph_is_checked_by_certifies = None
+    test_family_checks_the_certificate_through_verify_domination = None
+    test_certificate_on_another_k_rejected = None
+    test_loaded_certificate_derives_its_ids = None
