@@ -10,10 +10,11 @@ the family, deterministically.  A SelectionPlan fixes, from Q and its config
 alone, the Scheffe sets of a dominating set of the comparison graph at
 config.phi (factor 13 = 1 + 2*6 at phi = 1/6): a random sample of pairs,
 patched with the pairs its own Scheffe sets leave open (QueryFamily.open_pairs),
-whose family is kept only if it certifies.  The sample is the first of 32, 64,
-128, ... pairs whose patch is no larger than it, or else the paper's
-ceil(k^1.5 sqrt(log2 k)), so on most inputs the family has a few dozen tests
-in place of the paper's k^1.5.  Its run estimates them privately and selects.
+whose family is kept only if it certifies.  The sample is first 32 pairs,
+kept where they and their patch are no more than the paper's ceil(k^1.5
+sqrt(log2 k)), else the paper's sample, so on most inputs the family has a
+few dozen tests in place of the paper's k^1.5.  Its run estimates them
+privately and selects.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ _WITNESS_TESTS = 64
 # chunk stays in cache.
 _PAIR_OPERAND_BYTES = 128 << 10
 
-# A plan's ladder samples _FIRST_RUNG, 2 * _FIRST_RUNG, ... pairs, each size below sample_size(k), before the paper's.
-_FIRST_RUNG = 32
+# A plan first samples this many pairs (none at 0), and falls through to the paper's sample_size(k) where they and
+# their patch hold more than that.
+_FIRST_SAMPLE = 32
 
 
 def _first_distinct_rows(signs: np.ndarray) -> np.ndarray:
@@ -189,14 +191,14 @@ class QueryFamily:
         holding its first witness.  A gathered float64 operand passes
         _PAIR_OPERAND_BYTES only where _WITNESS_TESTS columns of the open
         pairs, or the first tests of one pair, do.  The pairs' distances come
-        from Q.pair_distances, computed once for every scan of Q.
+        from Q._pair_distances, computed once for every scan of Q.
         """
         phi, _, M = self._products(Q, phi)
         head = min(_WITNESS_TESTS, len(self))
         first, rest = M[:, :head], M[:, head:]
         lo, hi = all_pairs(Q.k).T
-        distances = Q.pair_distances
-        chunk = max(1, _PAIR_OPERAND_BYTES // (8 * max(head, Q.domain_size)))
+        distances = Q._pair_distances
+        chunk = max(1, _PAIR_OPERAND_BYTES // (8 * head))  # the distances are read, not gathered
         for start in range(0, lo.size, chunk):
             a, b = lo[start:start + chunk], hi[start:start + chunk]
             gaps = first.take(a, axis=0) - first.take(b, axis=0)
@@ -275,6 +277,14 @@ def full_scheffe_family(Q: HypothesisSet) -> QueryFamily:
     return _scheffe_family(Q, all_pairs(Q.k) + 1, 1.0)
 
 
+class _UncertifiedFamily(InvalidCertificateError):
+    """A certificate's family that does not certify, raised with the family so its open pairs can be read."""
+
+    def __init__(self, message: str, family: QueryFamily):
+        super().__init__(message)
+        self.family = family
+
+
 def query_family_from_dominating_set(
     Q: HypothesisSet,
     cert: DominatingSetCertificate,
@@ -299,7 +309,7 @@ def query_family_from_dominating_set(
         raise InvalidCertificateError("certificate set does not dominate the comparison graph")
     family = _scheffe_family(Q, all_pairs(Q.k)[cert.vertex_ids] + 1, phi)
     if graph is None and not family.certifies(Q, phi):
-        raise InvalidCertificateError(f"the certificate's family does not {phi:g}-compare every pair of hypotheses")
+        raise _UncertifiedFamily(f"the certificate's family does not {phi:g}-compare every pair of hypotheses", family)
     return family
 
 
@@ -359,19 +369,20 @@ class SelectionPlan:
     config.phi (QueryFamily.open_pairs), each then compared by its own
     Scheffe set.  R's family goes through query_family_from_dominating_set,
     that is certifies; where it certifies, the patch is empty and that family
-    is the plan's.  A patched set's family goes through it again, and raises
+    is the plan's, and where it does not, open_pairs reads that same family.
+    A patched set's family goes through it again, and raises
     InvalidCertificateError unless it certifies.
 
-    R's size climbs a ladder: s = _FIRST_RUNG, 2 * _FIRST_RUNG, ... while s <
-    sample_size(k), one sample per rung, seeded by SeedSequence(config.seed,
-    spawn_key=(0, rung)).  The first rung whose patch has at most s pairs is
-    kept, so the set has at most 2s pairs (and at most C(k, 2)), within
-    domination_bound(k).  Where none is, R has sample_size(k) pairs, drawn
-    and redrawn as find_dominating_set draws them, from
-    SeedSequence(config.seed, spawn_key=(0,)), and the paper's worst-case
-    bound holds.  Up to k = 19 the sample is every pair, and there is no
-    ladder.  users_required does not depend on the rung: any certified family
-    of at most max_query_budget(k) tests is estimated to the same accuracy.
+    R is first a sample of _FIRST_SAMPLE pairs, drawn once from
+    SeedSequence(config.seed, spawn_key=(0, 0)), and kept where it and its
+    patch hold at most sample_size(k) pairs, so the set is never larger than
+    the paper's sample alone.  Where it is not kept, R has sample_size(k)
+    pairs, drawn and redrawn as find_dominating_set draws them, from
+    SeedSequence(config.seed, spawn_key=(0,)), the plan is the one without a
+    first sample, and the paper's worst-case bound holds.  Up to k = 19 the
+    sample is every pair, and no first sample is drawn.  users_required does
+    not depend on R: any certified family of at most max_query_budget(k)
+    tests is estimated to the same accuracy.
 
     With pop.user_count >= users_required, run(pop, rng) selects q_hat with
     ||q_hat - p||_1 <= (1 + 2/phi) * OPT + alpha with probability at least
@@ -397,11 +408,11 @@ class SelectionPlan:
             sample = DominatingSetCertificate._of_cover(Q.k, sampled, sampled, no_ids, 1, domination_bound(Q.k), 0.0)
             try:
                 kept.update(ids=sampled, family=query_family_from_dominating_set(Q, sample, config.phi))
-            except InvalidCertificateError:
-                return _scheffe_family(Q, all_pairs(Q.k)[sampled] + 1, config.phi).open_pairs(Q, config.phi)
+            except _UncertifiedFamily as err:
+                return err.family.open_pairs(Q, config.phi)
             return no_ids
 
-        cert = _randomized_cover(Q.k, sample_patch, seed, _FIRST_RUNG)
+        cert = _randomized_cover(Q.k, sample_patch, seed, _FIRST_SAMPLE)
         if kept and np.array_equal(cert.vertex_ids, kept["ids"]):
             family = kept["family"]
         else:

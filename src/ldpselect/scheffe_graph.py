@@ -499,10 +499,10 @@ class DominatingSetCertificate:
     raises ArgumentError.  dominating_set, random_part and low_indegree_part
     are the same ids as VertexPair tuples, built on first read.
 
-    attempts counts the samples drawn at R's size.  On a plan's ladder that
-    is 1 where a rung smaller than sample_size(k) is kept, and the
-    resampling count at sample_size(k) where the ladder falls through; the
-    rungs tried before are not counted (len(random_ids) tells the rung).
+    attempts counts the samples drawn at R's size.  For a plan that is 1
+    where its first sample, smaller than sample_size(k), is kept, and the
+    resampling count at sample_size(k) where it is not; that first sample is
+    then not counted (len(random_ids) tells which R was kept).
     """
 
     k: int
@@ -599,7 +599,7 @@ def _shared_index_cover(table: np.ndarray, sampled: np.ndarray) -> np.ndarray:
     return covered
 
 
-def _randomized_cover(k: int, patch, seed=None, first_rung: int | None = None) -> DominatingSetCertificate:
+def _randomized_cover(k: int, patch, seed=None, first_sample: int = 0) -> DominatingSetCertificate:
     """The randomized dominating-set search on k hypotheses; patch(R) gives the vertices a sample R leaves open.
 
     Samples R of sample_size(k) vertices without replacement, sorted, and
@@ -613,13 +613,13 @@ def _randomized_cover(k: int, patch, seed=None, first_rung: int | None = None) -
     every vertex at once, with nothing drawn and patch never called.  No
     VertexPair is built: the certificate holds the ids.
 
-    A plan passes first_rung and a SeedSequence seed, and the search first
-    climbs a ladder: samples of first_rung, 2 * first_rung, ... vertices
-    while that is below sample_size(k), one per rung, rung r drawn from
-    seed's child r (its spawn_key extended by r).  The first whose patch has
-    at most as many vertices as it is kept, so its set has at most twice as
-    many.  Where no rung is kept, the search above runs from seed exactly as
-    it does without a ladder.
+    A plan passes first_sample > 0, and where that is below sample_size(k)
+    the search first draws one sample of first_sample vertices, from the
+    child of seed (taken as a SeedSequence) whose spawn_key extends seed's
+    by 0.  It is kept, with attempts = 1, when it and its patch together
+    hold at most sample_size(k) vertices, so its set is never larger than
+    the sample above; otherwise the search above runs from seed exactly as
+    it does without one.
     """
     V = pair_count(k)
     ell = sample_size(k)
@@ -629,16 +629,14 @@ def _randomized_cover(k: int, patch, seed=None, first_rung: int | None = None) -
         attempts, sampled, open_ids = 1, np.arange(V, dtype=np.int64), np.empty(0, dtype=np.int64)
         dom_ids = sampled
     else:
-        size, rung = first_rung, 0
-        while size and size < ell:
-            child = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, rung))
-            sampled = np.sort(np.random.default_rng(child).choice(V, size=size, replace=False))
+        kept = False
+        if 0 < first_sample < ell:
+            seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+            child = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, 0))
+            sampled = np.sort(np.random.default_rng(child).choice(V, size=first_sample, replace=False))
             open_ids = patch(sampled)
-            if open_ids.size <= size:
-                attempts = 1
-                break
-            size, rung = 2 * size, rung + 1
-        else:
+            attempts, kept = 1, first_sample + open_ids.size <= ell
+        if not kept:
             rng = np.random.default_rng(seed)
             for attempts in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
                 sampled = np.sort(rng.choice(V, size=ell, replace=False))

@@ -320,8 +320,8 @@ def test_c11_privacy_structure():
     report("C11", f"{runs} protocol shapes schema-checked", t0, 60)
 
 
-def test_c12_ladder_plan_guarantee():
-    """Selections at k = 32 whose plans keep a small rung of the ladder still meet 13 OPT + alpha
+def test_c12_small_sample_plan_guarantee():
+    """Selections at k = 32 whose plans keep their first sample of 32 pairs still meet 13 OPT + alpha
     with probability at least 1 - beta.  Three p per model: the mixture of C7, a point mass off Q,
     and the midpoint of Q's closest pair.  Each (model, p) runs 200 one-shot selections, each with
     its own config seed and so its own plan; the misses are held to a one-sided binomial test
@@ -332,7 +332,7 @@ def test_c12_ladder_plan_guarantee():
     users = SelectionPlan.build(random_hypothesis_set(k, d, seed=0), config).users_required
     factor = config.approximation_factor
     worst = 1.0
-    misses = {}
+    misses, small = {}, 0
     for m, model in enumerate(MODELS):
         Q = random_hypothesis_set(k, d, seed=1200 + m, model=model)
         P = Q.probs_matrix
@@ -350,10 +350,12 @@ def test_c12_ladder_plan_guarantee():
                 pop = SimulatedPopulation.draw(p, users, np.random.SeedSequence([1200 + m, tag, trial]))
                 rep = select_hypothesis(Q, pop, replace(config, seed=trial))
                 missed += l1_distance(Q.hypotheses[rep.selected_index - 1], p) > bound + 1e-12
+                small += len(rep.certificate.random_ids) == 32
             misses[f"{model}/{label}"] = missed
             # P(X >= missed) for X ~ Binomial(trials, beta)
             tail = sum(math.comb(trials, x) * config.beta ** x * (1 - config.beta) ** (trials - x)
                        for x in range(missed, trials + 1))
             worst = min(worst, tail)
             assert tail >= threshold, (model, label, missed)
+    assert small == len(MODELS) * len(populations) * trials  # every plan kept its first sample
     report("C12", f"misses {misses} of {trials} each, smallest binomial tail {worst:.3g}", t0, 30)

@@ -337,7 +337,7 @@ class TestSelect:
         assert doc["failure_rate"] is None
 
     def test_sample_file_report_says_what_the_plan_chose(self, tmp_path):
-        """At k = 20 the plan keeps its ladder's first rung: the report gives the set's size, its
+        """At k = 20 the plan keeps its first sample: the report gives the set's size, its
         sample of 32 pairs and its patch, the pairs that sample's family leaves open."""
         hyp = tmp_path / "hyp.json"
         Q = random_hypothesis_set(20, 8, seed=4)

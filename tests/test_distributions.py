@@ -175,8 +175,8 @@ class TestHypothesisSet:
         hs = random_hypothesis_set(k, d, seed=k, model="sparse")
         P = hs.probs_matrix
         expected = [np.abs(P[j] - P[j2]).sum() for j in range(k) for j2 in range(j + 1, k)]
-        assert hs.pair_distances.tolist() == expected
-        assert hs.pair_distances is hs.pair_distances and not hs.pair_distances.flags.writeable
+        assert hs._pair_distances.tolist() == expected
+        assert hs._pair_distances is hs._pair_distances and not hs._pair_distances.flags.writeable
 
 
 class TestRandomHypothesisSet:

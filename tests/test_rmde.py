@@ -448,7 +448,7 @@ class TestCertifiesMatchesStarMargins:
 
 class TestCertifiesInSmallChunks(TestCertifiesMatchesStarMargins):
     """The same checks with certifies' gathers made small: one pair per chunk, or (at 1,536 bytes,
-    where the head is 64 tests and d <= 64) three pairs per chunk.  Either way the open pairs read
+    where the head is 64 tests) three pairs per chunk.  Either way the open pairs read
     the tail 64 tests at a time, so a family of over 128 tests reads it in several column blocks,
     and a pair leaves the chunk at the block holding its first witness."""
 
@@ -688,7 +688,7 @@ class TestSelectionPlan:
             proto_seed = np.random.SeedSequence(config.seed).spawn(2)[1]
             planned = plan.run(pop, np.random.default_rng(proto_seed))
             one_shot = select_hypothesis(Q, pop, config)
-            # the pipeline written out step by step on the graph, the ladder's rungs drawn by hand
+            # the pipeline written out step by step on the graph, the first sample drawn by hand
             G = build_scheffe_graph(Q, PHI)
             cert = reference_certificate(G, Q, config)
             family = query_family_from_dominating_set(Q, cert, PHI, graph=G)
@@ -758,51 +758,47 @@ def forbid_graphs(monkeypatch):
     monkeypatch.setattr(scheffe_graph.PackedRows, "__init__", refuse)
 
 
-# A first rung above every sample_size(k) the tests reach: the ladder falls through to the paper's sample.
-NO_RUNG = 1 << 40
-
-
-def rung_sizes(k):
-    """The sizes of a plan's ladder: rmde._FIRST_RUNG, twice that, ... below sample_size(k); none where the
-    sample is every pair."""
-    sizes, size = [], rmde._FIRST_RUNG
-    while size < sample_size(k) < pair_count(k):
-        sizes.append(size)
-        size *= 2
-    return sizes
+def first_sample_drawn(k):
+    """Whether a plan on k hypotheses draws its first sample of rmde._FIRST_SAMPLE pairs: only where that is
+    below sample_size(k) and sample_size(k) is below C(k, 2)."""
+    return 0 < rmde._FIRST_SAMPLE < sample_size(k) < pair_count(k)
 
 
 def samples_drawn(cert):
-    """The samples a plan drew to reach cert: every rung below its sample's size, then its own attempts."""
-    return sum(size < len(cert.random_ids) for size in rung_sizes(cert.k)) + cert.attempts
+    """The samples a plan drew to reach cert: its first sample where that is kept, else its first sample
+    (where drawn) and then the paper's attempts."""
+    if len(cert.random_ids) == rmde._FIRST_SAMPLE:
+        return 1
+    return first_sample_drawn(cert.k) + cert.attempts
 
 
-def ladder_reference(G, config):
-    """A plan's certificate where its ladder keeps a rung, written out from the eagerly read graph G, else None.
+def first_sample_reference(G, config):
+    """A plan's certificate where it keeps its first sample, written out from the eagerly read graph G, else None.
 
-    Rung r samples its size in pairs from SeedSequence(config.seed, spawn_key=(0, r)); its patch is the pairs
-    the sample neither holds nor reaches in G, and the first rung whose patch is no larger than it is kept.
+    The sample is rmde._FIRST_SAMPLE pairs from SeedSequence(config.seed, spawn_key=(0, 0)); its patch is the
+    pairs it neither holds nor reaches in G, and it is kept where the two hold at most sample_size(k) pairs.
     """
+    if not first_sample_drawn(G.k):
+        return None
     V = pair_count(G.k)
     adj = np.unpackbits(G.out_edges.bits, axis=1, count=V).view(bool)
-    for rung, size in enumerate(rung_sizes(G.k)):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, rung)))
-        sampled = np.sort(rng.choice(V, size=size, replace=False))
-        reached = adj[sampled].any(axis=0)
-        reached[sampled] = True
-        patch = np.flatnonzero(~reached)
-        if patch.size <= size:
-            return DominatingSetCertificate(G.k, np.union1d(sampled, patch), sampled, patch, 1, domination_bound(G.k))
-    return None
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, 0)))
+    sampled = np.sort(rng.choice(V, size=rmde._FIRST_SAMPLE, replace=False))
+    reached = adj[sampled].any(axis=0)
+    reached[sampled] = True
+    patch = np.flatnonzero(~reached)
+    if sampled.size + patch.size > sample_size(G.k):
+        return None
+    return DominatingSetCertificate(G.k, np.union1d(sampled, patch), sampled, patch, 1, domination_bound(G.k))
 
 
 def reference_certificate(G, Q, config):
-    """The plan's certificate from the eagerly read graph: the ladder's kept rung, or else the paper's cover,
+    """The plan's certificate from the eagerly read graph: its kept first sample, or else the paper's cover,
     every vertex up to k = 19 and find_dominating_set's above."""
     if sample_size(Q.k) == pair_count(Q.k):
         every = np.arange(pair_count(Q.k))
         return DominatingSetCertificate(Q.k, every, every, (), 1, domination_bound(Q.k))
-    return ladder_reference(G, config) or find_dominating_set(
+    return first_sample_reference(G, config) or find_dominating_set(
         G, Q, seed=np.random.SeedSequence(config.seed, spawn_key=(0,)))
 
 
@@ -839,8 +835,9 @@ class TestLazyPlan:
     def test_vacuous_cover_computes_no_graph(self, monkeypatch, model):
         """No plan at any k computes the shared-index table or constructs a graph.  Up to k = 19 the
         sample is every vertex and the plan builds one family.  From k = 20 on, each sample drawn
-        builds its family once, and again for open_pairs where that family leaves a pair open; a
-        patched set's family is one more.  So a plan whose first sample certifies builds one family."""
+        builds its family once, and open_pairs reads that family where it leaves a pair open; a
+        patched set's family is one more.  Here the first sample is kept from k = 20 on; without
+        one, the paper's sample certifies, so the patch is empty and the plan builds one family."""
         def no_table(*args):
             raise AssertionError("the shared-index table was computed")
 
@@ -855,9 +852,11 @@ class TestLazyPlan:
             cert = plan.certificate
             assert plan.family.certifies(plan.Q)
             assert (len(cert.vertex_ids) == sample_size(k) == pair_count(k)) == (k <= 19)
-            patched = cert.patch_ids.size > 0
-            assert len(built) == 2 * samples_drawn(cert) - 1 + 2 * patched, k
-            assert (len(built) == 1) == (samples_drawn(cert) == 1 and not patched), k
+            assert len(built) == samples_drawn(cert) + (cert.patch_ids.size > 0), k
+            if first_sample_drawn(k):
+                assert len(cert.random_ids) == rmde._FIRST_SAMPLE, k
+            else:
+                assert cert.patch_ids.size == 0 and len(built) == 1, k
             built.clear()
 
     @pytest.mark.parametrize("k", [8, 32])
@@ -910,10 +909,10 @@ class TestLazyPlan:
     ])
     def test_plan_dominates_the_graph(self, sets):
         """A plan's set dominates the comparison graph, meets domination_bound(k), and is its sample
-        together with its patch, the pairs the sample's family leaves open.  A kept rung R has the size
-        of its rung and is drawn from its seed, the rungs below it were not kept, and its patch has at
-        most |R| pairs.  The paper's sample is find_dominating_set's for the same seed, and its patch
-        lies within the patch the graph's shared-index scan gives it."""
+        together with its patch, the pairs the sample's family leaves open.  A kept first sample R has
+        rmde._FIRST_SAMPLE pairs drawn from its seed, and R with its patch holds at most sample_size(k)
+        pairs.  The paper's sample is find_dominating_set's for the same seed, and its patch lies within
+        the patch the graph's shared-index scan gives it."""
         for Q in sets:
             G = build_scheffe_graph(Q, PHI)
             for seed in range(3):
@@ -927,19 +926,19 @@ class TestLazyPlan:
                 assert np.array_equal(cert.patch_ids, sample_family.open_pairs(Q, PHI))
                 assert np.array_equal(cert.vertex_ids, np.union1d(cert.random_ids, cert.patch_ids))
                 if len(cert.random_ids) < sample_size(Q.k):
-                    assert _certificate_key(cert) == _certificate_key(ladder_reference(G, config))
-                    assert len(cert.random_ids) in rung_sizes(Q.k) and cert.attempts == 1
-                    assert cert.patch_ids.size <= len(cert.random_ids)
+                    assert _certificate_key(cert) == _certificate_key(first_sample_reference(G, config))
+                    assert len(cert.random_ids) == rmde._FIRST_SAMPLE and cert.attempts == 1
+                    assert len(cert.vertex_ids) <= sample_size(Q.k)
                 else:
                     by_graph = find_dominating_set(G, Q, seed=np.random.SeedSequence(seed, spawn_key=(0,)))
                     assert np.array_equal(cert.random_ids, by_graph.random_ids)
                     assert np.isin(cert.patch_ids, by_graph.patch_ids).all()
 
     def test_plan_patches_only_the_open_pairs(self, monkeypatch):
-        """Point-mass mixture at k = 32, Q seed 1, config seed 1, on the paper's sample (the ladder made
-        to fall through): the shared-index scan leaves one pair unmarked, which the sample's family
-        compares, so the plan's patch is empty and its family is the sample's."""
-        monkeypatch.setattr(rmde, "_FIRST_RUNG", NO_RUNG)
+        """Point-mass mixture at k = 32, Q seed 1, config seed 1, on the paper's sample (no first
+        sample): the shared-index scan leaves one pair unmarked, which the sample's family compares,
+        so the plan's patch is empty and its family is the sample's."""
+        monkeypatch.setattr(rmde, "_FIRST_SAMPLE", 0)
         Q = random_hypothesis_set(32, 64, seed=1, model="point-mass-mixture")
         config = SelectionConfig(alpha=0.5, beta=0.1, epsilon=1.0, seed=1)
         plan = SelectionPlan.build(Q, config)
@@ -954,12 +953,12 @@ class TestLazyPlan:
     @pytest.mark.parametrize("k, phi", [(24, 0.9), (32, 0.9), (32, 1.0)])
     def test_patched_plan(self, monkeypatch, k, phi):
         """Near phi = 1 the sample's own family leaves pairs open.  They are the patch; each sample's
-        family is checked by certifies once, and the patched family again.  The ladder keeps rung 128
-        at k = 24 and rung 256 at k = 32, with a patch no larger than it; the paper's sample's patch
-        lies within the shared-index scan's.  At phi = 0.9 the set dominates the graph.  At phi = 1 a
-        test compares a pair only with a gap equal to its distance, a tie: certifies accepts it to
-        within tol, while the graph's gemm may round it below the threshold, so the pairs the set
-        leaves undominated there are such ties."""
+        family is checked by certifies once, and the patched family again.  The first sample is kept
+        at k = 24, with 198 open pairs, 230 pairs in all against sample_size(24) = 252; at k = 32 it
+        leaves more open, and the paper's sample's patch lies within the shared-index scan's.  At
+        phi = 0.9 the set dominates the graph.  At phi = 1 a test compares a pair only with a gap
+        equal to its distance, a tie: certifies accepts it to within tol, while the graph's gemm may
+        round it below the threshold, so the pairs the set leaves undominated there are such ties."""
         checked = []
         certifies = QueryFamily.certifies
         monkeypatch.setattr(QueryFamily, "certifies",
@@ -979,8 +978,9 @@ class TestLazyPlan:
         undominated = np.flatnonzero(~reached)
         assert verify_domination(G, cert) == (undominated.size == 0) == (phi < 1)
         assert (np.abs(plan.family.star_margins(Q, phi)[undominated]) < 1e-12).all()
-        if len(cert.random_ids) < sample_size(k):
-            assert len(cert.random_ids) == {24: 128, 32: 256}[k] and cert.patch_ids.size <= len(cert.random_ids)
+        if k == 24 and first_sample_drawn(k):
+            assert len(cert.random_ids) == rmde._FIRST_SAMPLE and cert.patch_ids.size == 198
+            assert len(cert.vertex_ids) <= sample_size(k)
         else:
             by_graph = find_dominating_set(G, Q, seed=np.random.SeedSequence(1, spawn_key=(0,)))
             assert np.array_equal(by_graph.random_ids, cert.random_ids)
@@ -991,7 +991,7 @@ class TestLazyPlan:
         """A cover forced to the single vertex {1, 2} gives a family that misses some pair: the plan
         and the one-shot selection refuse it with InvalidCertificateError before any user is read."""
         Q = random_hypothesis_set(k, 16, seed=k)
-        monkeypatch.setattr(rmde, "_randomized_cover", lambda k, patch, seed, first_rung: DominatingSetCertificate(
+        monkeypatch.setattr(rmde, "_randomized_cover", lambda k, patch, seed, first_sample: DominatingSetCertificate(
             k, [0], [0], (), 1, domination_bound(k)))
         assert not reference_certifies(rmde._scheffe_family(Q, np.array([[1, 2]]), PHI), Q, PHI)
 
@@ -1074,15 +1074,15 @@ class TestLazyPlan:
 
 
 class TestLazyPlanFallingThrough(TestLazyPlan):
-    """The same checks with the ladder made to fall through, so that every plan samples the paper's
-    sample_size(k) pairs: its certificate, family and selection are those of find_dominating_set's
-    sample, patched with the pairs its own family leaves open."""
+    """The same checks with no first sample, so that every plan samples the paper's sample_size(k)
+    pairs: its certificate, family and selection are those of find_dominating_set's sample, patched
+    with the pairs its own family leaves open."""
 
     @pytest.fixture(autouse=True)
     def fall_through(self, monkeypatch):
-        monkeypatch.setattr(rmde, "_FIRST_RUNG", NO_RUNG)
+        monkeypatch.setattr(rmde, "_FIRST_SAMPLE", 0)
 
-    # these build no plan, replace its cover, or make it fall through themselves
+    # these build no plan, replace its cover, or draw no first sample themselves
     test_dropped_graph_is_freed_without_the_cycle_collector = None
     test_plan_patches_only_the_open_pairs = None
     test_family_missing_a_pair_is_refused = None

@@ -692,14 +692,14 @@ class TestLazyRows:
         """A plan builds no graph; checking its set on a built graph reads rows only until they
         cover, and only from blocks holding a member.  At k = 8 the set is every vertex
         (sample_size(8) = C(8, 2)) and the graph's one block is read.  At k = 32 (8 blocks of at
-        most 64 rows) the paper's sample of 405 pairs, taken when the ladder falls through, has
-        members in every block, and the blocks holding the most of them cover every vertex within
-        two; a kept rung's few dozen pairs may need every block that holds one."""
+        most 64 rows) the paper's sample of 405 pairs, taken with no first sample, has members in
+        every block, and the blocks holding the most of them cover every vertex within two.  A kept
+        first sample's few dozen pairs are checked for the blocks they read alone."""
         from ldpselect import rmde
 
-        for k, d, first_rung, allowed in ((8, 16, rmde._FIRST_RUNG, {1}), (32, 64, 1 << 40, {1, 2}),
-                                          (32, 64, rmde._FIRST_RUNG, None)):
-            monkeypatch.setattr(rmde, "_FIRST_RUNG", first_rung)
+        for k, d, first_sample, allowed in ((8, 16, rmde._FIRST_SAMPLE, {1}), (32, 64, 0, {1, 2}),
+                                            (32, 64, rmde._FIRST_SAMPLE, None)):
+            monkeypatch.setattr(rmde, "_FIRST_SAMPLE", first_sample)
             for seed in range(5):
                 Q = random_hypothesis_set(k, d, seed=seed, model=model)
                 plan = rmde.SelectionPlan.build(Q, rmde.SelectionConfig(alpha=0.5, beta=0.1, epsilon=0.5, seed=seed))
@@ -707,9 +707,9 @@ class TestLazyRows:
                 rows = build_scheffe_graph(Q, PHI).out_edges
                 assert rows.dominated_by(ids)
                 assert rows._filled.size == -(-pair_count(k) // 64)
-                holding = set((ids // 64).tolist())
-                assert set(np.flatnonzero(rows._filled).tolist()) <= holding
-                assert rows.filled_blocks in (allowed or range(1, len(holding) + 1)), (k, seed)
+                assert set(np.flatnonzero(rows._filled).tolist()) <= set((ids // 64).tolist())
+                if allowed:
+                    assert rows.filled_blocks in allowed, (k, seed)
 
     @pytest.mark.parametrize("band", ["proven"])  # one value, so each test id keeps its "-proven" suffix
     @pytest.mark.parametrize("k", [3, 8, 16, 32, 64, 128])
@@ -885,43 +885,46 @@ class TestDominatingSet:
                     assert getattr(cert, field) == getattr(checked, field)
                 assert cert.dominating_set == checked.dominating_set
 
-    def test_cover_tries_its_rungs_first(self):
-        """Rung r samples 32 * 2**r vertices, below sample_size(k), from the seed's child r, and is kept when
-        its patch is no larger than it.  Where none is kept the cover is the one drawn without a ladder,
-        and where the sample is every vertex (k <= 19) no rung is drawn."""
+    def test_cover_tries_its_first_sample(self):
+        """A first sample of 32 vertices, below sample_size(k), is drawn from the seed's child 0, and is kept
+        when it and its patch hold at most sample_size(k) vertices.  Where it is not kept the cover is the one
+        drawn without it, and where the sample is every vertex (k <= 19) it is not drawn.  An int seed is taken
+        as SeedSequence(seed)."""
         k, V = 24, pair_count(24)
+        ell = sample_size(k)
         seed = np.random.SeedSequence(9, spawn_key=(0,))
-        rungs = [(32 << r, np.random.SeedSequence(9, spawn_key=(0, r))) for r in range(3)]
-        assert rungs[-1][0] < sample_size(k) < 2 * rungs[-1][0]
+        first = np.sort(np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0, 0))).choice(V, 32, replace=False))
 
-        def draw(size, rung_seed):
-            return np.sort(np.random.default_rng(rung_seed).choice(V, size=size, replace=False))
-
-        def patch_of(lengths):
-            """A patch rule that leaves the first lengths[|R|] vertices outside R open, and records R."""
+        def patch_of(length):
+            """A patch rule that leaves the first length vertices outside a 32-vertex R open, and records R."""
             def patch(sampled):
                 drawn.append(sampled)
-                return np.setdiff1d(np.arange(V), sampled)[:lengths.get(sampled.size, 0)]
+                return np.setdiff1d(np.arange(V), sampled)[:length if sampled.size == 32 else 0]
             return patch
 
         cover = scheffe_graph._randomized_cover
         without = cover(k, lambda sampled: sampled[:0], seed)
-        for lengths, kept in (({32: 32}, 0), ({32: 33, 64: 64}, 1), ({32: 33, 64: 65, 128: 129}, None)):
+        for length in (0, ell - 32, ell - 31):
             drawn = []
-            cert = cover(k, patch_of(lengths), seed, 32)
-            tried = rungs if kept is None else rungs[:kept + 1]
-            assert [ids.tolist() for ids in drawn[:len(tried)]] == [draw(*rung).tolist() for rung in tried]
-            if kept is None:  # every rung, then the cover drawn without a ladder
-                assert len(drawn) == len(rungs) + without.attempts
+            cert = cover(k, patch_of(length), seed, 32)
+            assert np.array_equal(drawn[0], first)
+            if length <= ell - 32:
+                assert len(drawn) == 1 and np.array_equal(cert.random_ids, first)
+                assert cert.patch_ids.size == length and cert.attempts == 1
+                assert np.array_equal(cert.vertex_ids, np.union1d(cert.random_ids, cert.patch_ids))
+            else:  # the first sample, then the cover drawn without it
+                assert len(drawn) == 1 + without.attempts
                 for field in ("vertex_ids", "random_ids", "patch_ids"):
                     assert np.array_equal(getattr(cert, field), getattr(without, field))
                 assert cert.attempts == without.attempts
-            else:
-                size = rungs[kept][0]
-                assert len(drawn) == kept + 1 and np.array_equal(cert.random_ids, draw(*rungs[kept]))
-                assert cert.patch_ids.size == lengths[size] <= size and cert.attempts == 1
-                assert np.array_equal(cert.vertex_ids, np.union1d(cert.random_ids, cert.patch_ids))
             assert cert.target_bound == domination_bound(k)
+        drawn = []
+        by_int = cover(k, patch_of(0), 9, 32)
+        assert np.array_equal(drawn[0], np.sort(np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0,))).choice(
+            V, 32, replace=False)))
+        assert np.array_equal(by_int.random_ids, drawn[0])
+        fell = cover(k, patch_of(ell - 31), 9, 32)  # not kept: the cover drawn from the int seed without it
+        assert np.array_equal(fell.random_ids, cover(k, lambda sampled: sampled[:0], 9).random_ids)
         every = cover(19, lambda sampled: pytest.fail("patch called"), seed, 32)
         assert np.array_equal(every.vertex_ids, np.arange(pair_count(19)))
 
