@@ -34,18 +34,20 @@ from .errors import (
 from .scheffe_graph import (
     MAX_RESAMPLE_ATTEMPTS,
     PairDigraph,
+    all_pairs,
     pair_count,
+    pair_index,
     _check_fits,
     _pair_view,
-    _star_ids,
 )
 
 MIN_LOWER_BOUND_K = 16  # below this the sample would need more vertices than exist
 
-# Peak bytes per edge of build_lower_bound_graph, reached while _shared_index_neighbors stacks its two
-# int32 halves (4 + 4) into the (2, V, k - 2) table (8); 16.1 to 16.3 under tracemalloc for k = 64..192.
-# Later stages hold less: the table with the targets and their masks (13).
-_LOWER_BOUND_BYTES_PER_EDGE = 17
+# Peak bytes per edge of build_lower_bound_graph, 9.2 to 9.6 under tracemalloc for k = 64..192.  It is reached
+# twice in _lower_bound_targets, which holds k ids or mask bytes per vertex: first the {a, i} ids (4), the
+# {b, i} ids copied over them (4) and the copy mask (1); then the chosen ids (4), the mask that drops columns
+# a and b (1) and the targets (4).
+_LOWER_BOUND_BYTES_PER_EDGE = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,20 +94,45 @@ class LowerBoundCertificate:
         }
 
 
-def _shared_index_neighbors(k: int) -> np.ndarray:
-    """Ids of the pairs that share an index with each vertex, int32 of shape (2, V, k - 2).
+def _sampled_adjacency(k: int, sampled: np.ndarray, dtype) -> np.ndarray:
+    """The k x k symmetric 0/1 adjacency, of the given dtype, of the pairs whose ids are sampled."""
+    lo, hi = all_pairs(k)[sampled].T
+    adjacency = np.zeros((k, k), dtype=dtype)
+    adjacency[lo, hi] = adjacency[hi, lo] = 1
+    return adjacency
 
-    For v = {a, b} and each i outside v in increasing order, entry [0, v]
-    holds the id of {a, i} and entry [1, v] the id of {b, i}: rows a and b
-    of _star_ids(k) without the column of {a, b}: column b - 1 of star a
-    and column a of star b, for a < b.
+
+def _overlap_sizes(k: int, sampled: np.ndarray) -> np.ndarray:
+    """|I_v| of every vertex v = {a, b}, int64: entry (a, b) of A @ A, A the sampled pairs' 0/1 adjacency.
+
+    The entry counts the indices i with both {a, i} and {b, i} sampled.
+    Its terms are 0 and 1 and it is at most k, so float64 holds it exactly.
     """
-    star = _star_ids(k)
-    lo, hi = np.triu_indices(k, 1)
-    col = np.arange(k - 1)
-    wa = star[lo][col != hi[:, np.newaxis] - 1]
-    wb = star[hi][col != lo[:, np.newaxis]]
-    return np.stack([wa, wb]).reshape(2, lo.size, k - 2)
+    A = _sampled_adjacency(k, sampled, np.float64)
+    lo, hi = all_pairs(k).T
+    return (A @ A)[lo, hi].astype(np.int64)
+
+
+def _lower_bound_targets(k: int, sampled: np.ndarray) -> np.ndarray:
+    """The out-neighbor ids of every vertex of the lower-bound graph, int32 of shape (V, k - 2).
+
+    For v = {a, b}, a < b, and each i outside v in increasing order, row v
+    holds the id of {b, i} when {a, i} alone of the two is sampled and the
+    id of {a, i}, the lexicographically smaller, otherwise.  Rows a and b of
+    the k x k table of pair ids are read whole, and columns a and b are
+    dropped from each row last.
+    """
+    sampled_at = _sampled_adjacency(k, sampled, bool)
+    lo, hi = all_pairs(k).T
+    ids = pair_index(*np.indices((k, k)), k).astype(np.int32)  # the diagonal, never a pair, is dropped
+    take_b = sampled_at[lo] > sampled_at[hi]
+    targets = ids[lo]
+    np.copyto(targets, ids[hi], where=take_b)
+    del take_b  # before keep is allocated, which keeps the peak at about 9 bytes per edge
+    keep = np.ones(targets.shape, dtype=bool)
+    rows = np.arange(len(lo))
+    keep[rows, lo] = keep[rows, hi] = False
+    return targets[keep].reshape(len(lo), k - 2)
 
 
 def lower_bound_sample_size(k: int) -> int:
@@ -122,11 +149,14 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
 
     Samples R of ceil(k^{3/2} sqrt(log2 k) / 4) vertices and resamples until
     every overlap satisfies |I_v| + 1 <= 2 log2 k (each attempt succeeds with
-    probability > 1/2 for large k).  Edges: for every vertex {a, b} and every
-    outside index i, exactly one of {a, i}, {b, i} becomes the target; when
-    exactly one of them is sampled the unsampled one is chosen, otherwise the
+    probability > 1/2 for large k); _overlap_sizes counts the overlaps of
+    each attempt.  Edges: for every vertex {a, b} and every outside index i,
+    exactly one of {a, i}, {b, i} becomes the target; when exactly one of
+    them is sampled the unsampled one is chosen, otherwise the
     lexicographically smaller one.  Out-degree is therefore exactly k - 2,
     and every triangle carries a forward edge from each of its vertices.
+    The targets are written once, for the accepted sample
+    (_lower_bound_targets).
     An integral seed, Python or NumPy, is recorded on the certificate as an
     int; any other seed is recorded as None.
     A build that would not fit in the memory available raises
@@ -142,16 +172,12 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
     ell = lower_bound_sample_size(k)
     overlap_cap = 2.0 * math.log2(k)  # accept when t_max + 1 <= this
     rng = np.random.default_rng(seed)
-    wa, wb = _shared_index_neighbors(k)
 
     t_max = None
     overlaps = None
-    in_R = None
     for attempt in range(1, MAX_RESAMPLE_ATTEMPTS + 1):
         sampled = rng.choice(V, size=ell, replace=False)
-        in_R = np.zeros(V, dtype=bool)
-        in_R[sampled] = True
-        overlaps = (in_R[wa] & in_R[wb]).sum(axis=1)
+        overlaps = _overlap_sizes(k, sampled)
         t_max = int(overlaps.max())
         if t_max + 1 <= overlap_cap:
             attempts = attempt
@@ -163,13 +189,12 @@ def build_lower_bound_graph(k: int, seed=None) -> LowerBoundCertificate:
             {"k": k, "ell": ell, "last_t_max": t_max, "cap": overlap_cap},
         )
 
-    # {a, i} is the smaller of the two for a < b, so the target is {b, i} only when {a, i} alone is
-    # sampled.  Row v takes one of {a, i}, {b, i} per index i outside v = {a, b}: no self-loop, no repeat.
-    targets = np.where(in_R[wa] & ~in_R[wb], wb, wa)
+    # Row v takes one of {a, i}, {b, i} per index i outside v = {a, b}: no self-loop, no repeat.
+    targets = _lower_bound_targets(k, sampled)
     return LowerBoundCertificate(
         k=k,
         targets=_read_only(targets),
-        sampled_ids=_read_only(np.flatnonzero(in_R)),
+        sampled_ids=_read_only(np.sort(sampled)),
         overlap_sizes=overlaps,
         t_max=t_max,
         implied_lower_bound=ell / (t_max + 1),
@@ -251,13 +276,17 @@ class StochasticMap:
         M = np.asarray(self.matrix, dtype=float)
         if M.ndim != 2:
             raise InvariantError("stochastic map must be a matrix")
-        if np.any(M < 0):
-            raise InvariantError("stochastic map entries must be non-negative")
+        # each test is written to fail on NaN
+        negative = ~(M >= 0)
+        if negative.any():
+            j = int(np.argmax(negative.any(axis=0)))
+            value = float(M[np.argmax(negative[:, j]), j])
+            raise InvariantError(f"stochastic map entries must be non-negative: column {j + 1} holds {value}")
         sums = M.sum(axis=0)
-        bad = np.abs(sums - 1.0) > 1e-9
+        bad = ~(np.abs(sums - 1.0) <= 1e-9)
         if bad.any():
             j = int(np.argmax(bad))
-            raise InvariantError(f"column {j + 1} sums to {sums[j]!r}, not 1 within 1e-9")
+            raise InvariantError(f"column {j + 1} sums to {float(sums[j])}, not 1 within 1e-9")
         object.__setattr__(self, "matrix", M)
         self.matrix.flags.writeable = False
 
@@ -296,7 +325,7 @@ def verify_flattening_violation(
     tol = 1e-12
     M = phi_map.matrix
     for group, images in (("E", M), ("F", M @ fam.hadamard_columns)):
-        outside = (images < low - tol) | (images > high + tol)
+        outside = ~((images >= low - tol) & (images <= high + tol))
         if outside.any():
             entry, column = np.unravel_index(int(np.argmax(outside)), images.shape)
             raise FlatnessError(
@@ -307,7 +336,7 @@ def verify_flattening_violation(
     i0 = int(np.argmin(distances))
     value = float(distances[i0])
     bound = 2.0 / math.sqrt(n)
-    if value > bound + 1e-9:
+    if not value <= bound + 1e-9:
         raise InvariantError(
             f"flat map preserved distance {value} > {bound}; this contradicts the collapse bound"
         )
@@ -322,6 +351,12 @@ def _collapse_basis(fam: FlatteningFamily) -> np.ndarray:
 
 def _frobenius_sq(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, "fro") ** 2)
+
+
+def _frobenius_sq_each(stack: np.ndarray) -> np.ndarray:
+    """_frobenius_sq of each map of a C-contiguous stack: the same dot product, square root and square."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(-1)) ** 2
 
 
 def frobenius_identities(phi_map: StochasticMap, fam: FlatteningFamily) -> dict[str, float]:
@@ -354,9 +389,11 @@ def _flat_maps(n: int, m: int, alpha: float, rng: np.random.Generator, max_tries
     a stack does not use carry over to the next, so the maps are those of a
     one-column-at-a-time loop on the same generator.  A batch holds the rows
     the columns still wanted should take at the acceptance rate seen so far,
-    capped at _FLAT_BATCH_BYTES.  Each stack is a C-contiguous (cnt, m, n)
-    array of at most _FLAT_BATCH_BYTES / 8 of maps, one map at least.  Raises
-    ResamplingLimitError once a column would need more than max_tries rows.
+    capped at _FLAT_BATCH_BYTES.  The carried rows are joined to new ones
+    only when a batch is drawn; stacks are read off them in turn.  Each stack
+    is a C-contiguous (cnt, m, n) array of at most _FLAT_BATCH_BYTES / 8 of
+    maps, one map at least.  Raises ResamplingLimitError once a column would
+    need more than max_tries rows.
     """
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
@@ -367,32 +404,34 @@ def _flat_maps(n: int, m: int, alpha: float, rng: np.random.Generator, max_tries
     per_stack = max(1, _FLAT_BATCH_BYTES // (64 * m * n))
     drawn = taken = 0  # rows drawn and accepted so far
     accepted = np.empty((0, m))
+    start = 0  # rows of accepted handed out already
     rejected = 0  # rows drawn since the last accepted one
     for left in range(maps, 0, -per_stack):
         wanted = min(left, per_stack) * n
-        parts = [accepted]
-        have = len(accepted)
-        while have < wanted:
-            if rejected >= max_tries:
-                raise ResamplingLimitError("could not sample a flat column", max_tries)
-            batch = min(cap, (left * n - have) * (drawn + 1) // (taken + 1) + 1)
-            raw = rng.uniform(0.0, 2.0 / m, size=(batch, m))
-            with np.errstate(invalid="ignore"):  # an all-zero row turns into NaNs, which fail the test
-                cols = raw / raw.sum(axis=1)[:, np.newaxis]
-            pos = np.flatnonzero((cols.min(axis=1) >= low) & (cols.max(axis=1) <= high))
-            too_many = np.flatnonzero(np.diff(pos, prepend=-1 - rejected) > max_tries)
-            if too_many.size:  # the column that row would fill fails, should it be needed
-                pos, rejected = pos[:too_many[0]], max_tries
-            else:
-                rejected = batch - 1 - pos[-1] if pos.size else rejected + batch
-            parts.append(cols[pos])
-            have += pos.size
-            drawn += batch
-            taken += pos.size
-        accepted = np.concatenate(parts)
+        if len(accepted) - start < wanted:
+            parts = [accepted[start:]]
+            have = len(parts[0])
+            while have < wanted:
+                if rejected >= max_tries:
+                    raise ResamplingLimitError("could not sample a flat column", max_tries)
+                batch = min(cap, (left * n - have) * (drawn + 1) // (taken + 1) + 1)
+                raw = rng.uniform(0.0, 2.0 / m, size=(batch, m))
+                with np.errstate(invalid="ignore"):  # an all-zero row turns into NaNs, which fail the test
+                    cols = raw / raw.sum(axis=1)[:, np.newaxis]
+                pos = np.flatnonzero(((cols >= low) & (cols <= high)).all(axis=1))
+                too_many = np.flatnonzero(np.diff(pos, prepend=-1 - rejected) > max_tries)
+                if too_many.size:  # the column that row would fill fails, should it be needed
+                    pos, rejected = pos[:too_many[0]], max_tries
+                else:
+                    rejected = batch - 1 - pos[-1] if pos.size else rejected + batch
+                parts.append(cols[pos])
+                have += pos.size
+                drawn += batch
+                taken += pos.size
+            accepted, start = np.concatenate(parts), 0
         # each map C order, as a column-by-column fill gives: the matrix products downstream depend on it
-        yield np.ascontiguousarray(accepted[:wanted].reshape(-1, n, m).transpose(0, 2, 1))
-        accepted = accepted[wanted:]
+        yield np.ascontiguousarray(accepted[start:start + wanted].reshape(-1, n, m).transpose(0, 2, 1))
+        start += wanted
 
 
 def random_flat_map(n: int, m: int, alpha: float, rng, max_tries: int = 100_000) -> StochasticMap:
@@ -441,17 +480,20 @@ def run_flattening_trials(
     """Search for a counterexample among random flat maps (none can exist).
 
     The maps come from _flat_maps in stacks.  Each stack takes one matrix
-    product for the differences of the family images from the uniform
-    column and one for the collapse basis of frobenius_identities.  Every
-    map is checked as StochasticMap and verify_flattening_violation check
-    it: no negative entry, each column summing to 1 within 1e-9, flat on
-    group E, and no distance above 2/sqrt(n).  Group F needs no check here:
-    each F column is a distribution, so its image is a convex mixture of
-    the map's columns and stays within the flat range, up to rounding far
-    below the tolerance.  The first map that fails raises the error
-    verify_flattening_violation raises for it alone.  The Frobenius norms
-    are taken map by map, as in frobenius_identities, so the report is the
-    one a map-by-map loop gives.
+    product, with the collapse basis of frobenius_identities, whose columns
+    after the first are the differences of the family images from the
+    uniform column.  Every map is checked as StochasticMap and
+    verify_flattening_violation check it: no negative entry, each column
+    summing to 1 within 1e-9, flat on group E, and no distance above
+    2/sqrt(n); each test fails on NaN.
+    Group F needs no check here: each F column is a distribution, so its
+    image is a convex mixture of the map's columns and stays within the
+    flat range, up to rounding far below the tolerance.  The first map that
+    fails raises the error StochasticMap or verify_flattening_violation
+    raises for it alone.  A stack's squared Frobenius norms come from one
+    stacked product of each flattened map with itself, the dot product
+    np.linalg.norm takes of a single map, so the report is the one a
+    map-by-map loop gives.
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
@@ -459,27 +501,26 @@ def run_flattening_trials(
     if m < 2:
         raise ConfigError(f"image domain must have at least 2 points, got {m}")
     fam = build_flattening_family(n)
-    F = fam.hadamard_columns
     B = _collapse_basis(fam)
     tol = 1e-12  # as in verify_flattening_violation
-    low = (1.0 - alpha) / m - tol
+    low = max((1.0 - alpha) / m - tol, 0.0)  # a negative entry fails the test as the flat range does
     high = (1.0 + alpha) / m + tol
     bound = 2.0 / math.sqrt(n)
     worst = 0.0
     max_dev = 0.0
     for stack in _flat_maps(n, m, alpha, np.random.default_rng(seed), max_tries=100_000, maps=trials):
-        nearest = np.abs(stack @ (F[:, 1:] - F[:, :1])).sum(axis=1).min(axis=1)
-        bad = ((stack < 0).any(axis=(1, 2))
-               | (np.abs(stack.sum(axis=1) - 1.0) > 1e-9).any(axis=1)
-               | ((stack < low) | (stack > high)).any(axis=(1, 2))
-               | (nearest > bound + 1e-9))
-        if bad.any():
-            i = int(np.argmax(bad))
+        MB = stack @ B
+        nearest = np.abs(MB[:, :, 1:]).sum(axis=1).min(axis=1)
+        good = (((stack >= low) & (stack <= high)).all(axis=(1, 2))
+                & (np.abs(stack.sum(axis=1) - 1.0) <= 1e-9).all(axis=1)
+                & (nearest <= bound + 1e-9))
+        if not good.all():
+            i = int(np.argmin(good))
             verify_flattening_violation(StochasticMap(stack[i]), fam, alpha)  # raises the error of map i
             raise InvariantError(f"map {i + 1} of a stack failed a check there that it passes alone")
         worst = max(worst, float(nearest.max()))
-        for M, MB in zip(stack, stack @ B):
-            max_dev = max(max_dev, abs(_frobenius_sq(MB) - _frobenius_sq(M) / n))
+        deviations = np.abs(_frobenius_sq_each(MB) - _frobenius_sq_each(stack) / n)
+        max_dev = max(max_dev, float(deviations.max()))
     return FlatteningReport(
         n=n,
         m=m,

@@ -134,6 +134,84 @@ class TestLowerBoundGraph:
         assert peak <= barriers._LOWER_BOUND_BYTES_PER_EDGE * pair_count(k) * (k - 2)
 
 
+def reference_lower_bound_graph(k, seed):
+    """The builder that gathered each attempt's sample at the stacked (2, V, k - 2) shared-index table.
+
+    Returns the fields of its certificate, or raises its ResamplingLimitError.
+    """
+    V = pair_count(k)
+    ell = barriers.lower_bound_sample_size(k)
+    star = scheffe_graph._star_ids(k)
+    lo, hi = np.triu_indices(k, 1)
+    col = np.arange(k - 1)
+    wa = star[lo][col != hi[:, np.newaxis] - 1]
+    wb = star[hi][col != lo[:, np.newaxis]]
+    wa, wb = np.stack([wa, wb]).reshape(2, lo.size, k - 2)
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, scheffe_graph.MAX_RESAMPLE_ATTEMPTS + 1):
+        in_R = np.zeros(V, dtype=bool)
+        in_R[rng.choice(V, size=ell, replace=False)] = True
+        overlaps = (in_R[wa] & in_R[wb]).sum(axis=1)
+        t_max = int(overlaps.max())
+        if t_max + 1 <= 2.0 * math.log2(k):
+            break
+    else:
+        raise ResamplingLimitError("overlap condition kept failing", scheffe_graph.MAX_RESAMPLE_ATTEMPTS)
+    return {
+        "targets": np.where(in_R[wa] & ~in_R[wb], wb, wa),
+        "sampled_ids": np.flatnonzero(in_R),
+        "overlap_sizes": overlaps,
+        "t_max": t_max,
+        "implied_lower_bound": ell / (t_max + 1),
+        "attempts": attempt,
+        "seed": seed,
+    }
+
+
+def assert_matches_reference(cert, k, seed):
+    expected = reference_lower_bound_graph(k, seed)
+    for name in ("targets", "sampled_ids", "overlap_sizes"):
+        got, want = getattr(cert, name), expected[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert cert.overlap_sizes.dtype == np.int64
+    for name in ("t_max", "implied_lower_bound", "attempts", "seed"):
+        assert getattr(cert, name) == expected[name], name
+
+
+class TestLowerBoundReference:
+    """The builder that counts overlaps as A @ A against the one that gathered the sample at the table."""
+
+    @pytest.mark.parametrize("k", [16, 17, 33, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certificate_matches_reference(self, k, seed):
+        assert_matches_reference(build_lower_bound_graph(k, seed=seed), k, seed)
+
+    @pytest.mark.parametrize("seed, attempts", [(5, 2), (7, 4)])
+    def test_resampled_certificate_matches_reference(self, monkeypatch, seed, attempts):
+        # the paper's sample passes on its first attempt at every seed tried; 184 of the 528 pairs at k = 33 do not
+        monkeypatch.setattr(barriers, "lower_bound_sample_size", lambda k: 184)
+        cert = build_lower_bound_graph(33, seed=seed)
+        assert cert.attempts == attempts
+        assert_matches_reference(cert, 33, seed)
+
+    def test_resampling_limit_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(barriers, "lower_bound_sample_size", lambda k: 237)
+        with pytest.raises(ResamplingLimitError):
+            reference_lower_bound_graph(33, 0)
+        with pytest.raises(ResamplingLimitError):
+            build_lower_bound_graph(33, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overlaps_match_brute_force(self, seed):
+        k = 16
+        cert = build_lower_bound_graph(k, seed=seed)
+        sampled = {tuple(pair) for pair in all_pairs(k)[cert.sampled_ids].tolist()}
+        for v, (a, b) in enumerate(all_pairs(k).tolist()):
+            shared = sum((min(a, i), max(a, i)) in sampled and (min(b, i), max(b, i)) in sampled
+                         for i in range(k) if i not in (a, b))
+            assert cert.overlap_sizes[v] == shared
+
+
 def reference_recount(cert):
     """Recomputed floor |R| / max over v of the sampled vertices v dominates, one vertex at a time."""
     G = cert.graph
@@ -160,12 +238,12 @@ class TestLowerBoundMemoryRefusal:
         return calls
 
     def test_refused_before_allocation(self, monkeypatch):
-        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 17 bytes each
+        # k = 256: 32,640 vertices of out-degree 254, 8,290,560 edges at 10 bytes each
         calls = self.available(monkeypatch, 50_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedSizeError,
-                               match="8290560 edges of a k=256 .* need 140939520 bytes, but only 50000000 bytes"):
+                               match="8290560 edges of a k=256 .* need 82905600 bytes, but only 50000000 bytes"):
                 build_lower_bound_graph(256, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -173,7 +251,7 @@ class TestLowerBoundMemoryRefusal:
         assert calls and peak < 1 << 20
 
     def test_small_builds_read_nothing(self, monkeypatch):
-        # k = 128: 1,024,128 edges, 17,410,176 bytes, below 64 MiB
+        # k = 128: 1,024,128 edges, 10,241,280 bytes, below 64 MiB
         calls = self.available(monkeypatch, 0)
         assert build_lower_bound_graph(128, seed=1).graph.edge_count == 1_024_128
         assert calls == []
@@ -294,6 +372,21 @@ class TestStochasticMap:
             StochasticMap(np.array([[0.5, 0.2], [0.4, 0.8]]))  # first column sums to 0.9
         M = StochasticMap(np.array([[0.5, 0.2], [0.5, 0.8]]))
         assert M.image_size == 2 and M.domain_size == 2
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-negative: column 4 holds nan"),
+        (-np.inf, "non-negative: column 4 holds -inf"),
+        (np.inf, "column 4 sums to inf, not 1 within 1e-9"),
+    ])
+    def test_refuses_non_finite_entries(self, value, message):
+        M = np.full((8, 8), 1.0 / 8)
+        M[2, 3] = value
+        with pytest.raises(InvariantError, match=message):
+            StochasticMap(M)
+
+    def test_sum_printed_as_a_plain_float(self):
+        with pytest.raises(InvariantError, match=r"^column 1 sums to 0\.9, not 1 within 1e-9$"):
+            StochasticMap(np.array([[0.5, 0.2], [0.4, 0.8]]))
 
 
 class TestFlatteningViolation:
@@ -430,6 +523,7 @@ FLATTENING_CASES = [
     (8, 64, 0.9, 9, 30),
     (32, 16, 0.7, 11, 20),
     (8, 3, 0.9, 12, 100),
+    (32, 32, 0.99, 1, 1000),  # the benchmark's size: 63 stacks, with rows carried across them
 ]
 
 
@@ -477,6 +571,8 @@ class TestBatchedFlatMaps:
                 stack[i, [2, 3], 4] = [-0.1, 0.1 + 2.0 / m]
             elif fault == "column sum":  # column 6 sums to 1 + 1e-3 / m
                 stack[i, 0, 5] *= 1.0 + 1e-3
+            elif fault == "nan":  # column 2 holds a NaN, which fails every comparison
+                stack[i, 1, 1] = np.nan
             else:  # column 3 is a point mass: a distribution, but not flat
                 stack[i, :, 2] = np.eye(m)[3]
         monkeypatch.setattr(barriers, "_flat_maps", lambda *args, **kwargs: iter([stack]))
@@ -497,7 +593,7 @@ class TestBatchedFlatMaps:
         assert (got.group, got.column, got.entry, got.value) == (want.group, want.column, want.entry, want.value)
         assert (got.group, got.column, got.entry) == ("E", 3, 1)
 
-    @pytest.mark.parametrize("i, fault", [(3, "negative"), (6, "column sum")])
+    @pytest.mark.parametrize("i, fault", [(3, "negative"), (6, "column sum"), (5, "nan")])
     def test_map_that_is_not_stochastic_raises_as_stochastic_map_does(self, monkeypatch, i, fault):
         n = m = 8
         stack = self.stack_with(monkeypatch, n, m, 0.9, 2, {i: fault})
@@ -506,4 +602,5 @@ class TestBatchedFlatMaps:
         with pytest.raises(InvariantError) as trials:
             run_flattening_trials(n, m=m, trials=10, alpha=0.9, seed=2)
         assert str(trials.value) == str(alone.value)
-        assert ("negative" in str(trials.value)) == (fault == "negative")
+        assert ("non-negative" in str(trials.value)) == (fault in ("negative", "nan"))
+        assert ("column 2 holds nan" in str(trials.value)) == (fault == "nan")

@@ -473,7 +473,7 @@ class TestBarrierCommands:
         out = tmp_path / "lb.json"
         monkeypatch.setattr(scheffe_graph, "_available_memory", lambda: 50_000_000)
         assert main(["barrier", "lbgraph", "--k", "256", "--seed", "1", "--out", str(out)]) == 2
-        assert "need 140939520 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
+        assert "need 82905600 bytes, but only 50000000 bytes are available" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flatten(self, tmp_path):

@@ -23,7 +23,7 @@ from ldpselect import (
     verify_domination,
 )
 from ldpselect import scheffe_graph
-from ldpselect.barriers import _shared_index_neighbors, build_flattening_family, build_lower_bound_graph
+from ldpselect.barriers import _lower_bound_targets, build_flattening_family, build_lower_bound_graph
 from ldpselect.distributions import GENERATOR_MODELS
 from ldpselect.errors import (
     ArgumentError,
@@ -165,17 +165,22 @@ class TestPairIndexing:
         assert np.array_equal(pair_index(j, i, 5), np.arange(pair_count(5)))
 
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_shared_index_neighbors_brute_force(self, k):
-        wa, wb = _shared_index_neighbors(k)
+    def test_lower_bound_targets_brute_force(self, k):
+        """Row {a, b} takes {b, i} for each i outside it where {a, i} alone is sampled, else {a, i}."""
         ids = pair_ids(k)
-        expect_a, expect_b = [], []
-        for a, b in all_pairs(k):
-            others = [i for i in range(k) if i not in (a, b)]
-            expect_a.append([ids[frozenset((a, i))] for i in others])
-            expect_b.append([ids[frozenset((b, i))] for i in others])
-        assert wa.shape == wb.shape == (pair_count(k), k - 2)
-        assert wa.dtype == wb.dtype == np.int32
-        assert wa.tolist() == expect_a and wb.tolist() == expect_b
+        V = pair_count(k)
+        for sampled in (np.arange(0), np.random.default_rng(k).choice(V, size=V // 2, replace=False), np.arange(V)):
+            in_R = set(sampled.tolist())
+            expect = []
+            for a, b in all_pairs(k).tolist():
+                row = []
+                for i in (i for i in range(k) if i not in (a, b)):
+                    wa, wb = ids[frozenset((a, i))], ids[frozenset((b, i))]
+                    row.append(wb if wa in in_R and wb not in in_R else wa)
+                expect.append(row)
+            targets = _lower_bound_targets(k, sampled)
+            assert targets.shape == (V, k - 2) and targets.dtype == np.int32
+            assert targets.tolist() == expect
 
     @pytest.mark.parametrize("k", [*range(2, 8), 16, 24])
     def test_shared_index_edges_brute_force(self, k):
