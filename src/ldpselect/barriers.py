@@ -415,9 +415,9 @@ def _flat_maps(n: int, m: int, alpha: float, rng: np.random.Generator, max_tries
                 if rejected >= max_tries:
                     raise ResamplingLimitError("could not sample a flat column", max_tries)
                 batch = min(cap, (left * n - have) * (drawn + 1) // (taken + 1) + 1)
-                raw = rng.uniform(0.0, 2.0 / m, size=(batch, m))
+                cols = rng.uniform(0.0, 2.0 / m, size=(batch, m))
                 with np.errstate(invalid="ignore"):  # an all-zero row turns into NaNs, which fail the test
-                    cols = raw / raw.sum(axis=1)[:, np.newaxis]
+                    cols /= cols.sum(axis=1)[:, np.newaxis]
                 pos = np.flatnonzero(((cols >= low) & (cols <= high)).all(axis=1))
                 too_many = np.flatnonzero(np.diff(pos, prepend=-1 - rejected) > max_tries)
                 if too_many.size:  # the column that row would fill fails, should it be needed
