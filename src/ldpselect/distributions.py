@@ -163,14 +163,17 @@ class HypothesisSet:
 
     @cached_property
     def _pair_distances(self) -> np.ndarray:
-        """Read-only l1 distances of the C(k, 2) pairs j < j', in lexicographic pair order, for QueryFamily's scans.
+        """Read-only l1 distances of the C(k, 2) pairs j < j', in lexicographic pair order.
 
         Each is np.abs(q_j - q_j').sum() over one contiguous row of d
-        differences, the sum every per-pair reading of it takes, so the scans
-        of one Q share it: a plan whose sample is patched scans Q three
-        times.  The whole array is computed on the first scan, even one that
-        stops at its first chunk, and held with Q: 8 C(k, 2) bytes, 16.8 MB at
-        k = 2048.  Pairs go in chunks of at most 128 KiB of differences.
+        differences, the sum every per-pair reading of it takes, so every
+        reader of one Q shares it: build_scheffe_graph's thresholds are phi
+        times it, and QueryFamily's scans read it too (a plan whose sample is
+        patched scans Q three times; an offline run builds the graph, then
+        checks its family).  The whole array is computed on the first read,
+        even by a scan that stops at its first chunk, and held with Q:
+        8 C(k, 2) bytes, 16.8 MB at k = 2048.  Pairs go in chunks of at most
+        128 KiB of differences.
         """
         from .scheffe_graph import all_pairs  # the pair order; scheffe_graph imports this module
 

@@ -191,7 +191,8 @@ class QueryFamily:
         holding its first witness.  A gathered float64 operand passes
         _PAIR_OPERAND_BYTES only where _WITNESS_TESTS columns of the open
         pairs, or the first tests of one pair, do.  The pairs' distances come
-        from Q._pair_distances, computed once for every scan of Q.
+        from Q._pair_distances, computed once per Q for every scan and graph
+        build.
         """
         phi, _, M = self._products(Q, phi)
         head = min(_WITNESS_TESTS, len(self))

@@ -90,8 +90,9 @@ class VertexPair:
         return pair_index(self.lo - 1, self.hi - 1, k)
 
 
-def _ids_from_pairs(pairs, k: int) -> np.ndarray:
-    lo, hi = np.array([(p.lo, p.hi) for p in pairs], dtype=np.int64).reshape(-1, 2).T
+def _ids_from_pairs(pairs: Sequence[VertexPair], k: int) -> np.ndarray:
+    lo = np.fromiter((p.lo for p in pairs), dtype=np.int64, count=len(pairs))
+    hi = np.fromiter((p.hi for p in pairs), dtype=np.int64, count=len(pairs))
     if (hi > k).any():
         bad = pairs[int(np.argmax(hi > k))]
         raise ArgumentError(f"pair {bad} is not a vertex of a graph on {k} hypotheses")
@@ -417,27 +418,30 @@ class PairDigraph:
 _STAR_OPERAND_BYTES = 128 << 10
 
 
-def _star_shared_index_edges(P: np.ndarray, phi: float) -> np.ndarray:
-    """The shared-index table of the phi-comparison graph of the (k, d) rows P, one star block per hypothesis.
+def _star_shared_index_edges(deltas: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """The shared-index table of a phi-comparison graph, one star block per hypothesis.
 
+    deltas is the graph's (V, d) array of pair deltas q_lo - q_hi and
+    threshold its V thresholds phi * ||delta||_1, both in vertex-id order.
     The star of hypothesis c is its k - 1 pairs {c, x}, numbered as in
     _star_ids(k).  Its block holds |<S_{c,x}, delta_{c,y}>| >= threshold for
     every two of them, and less its diagonal it is entry [c] of the table.
     That is O(k^3 d) in all, against O(k^4 d) for every row of the graph.
-    Hypotheses go in chunks whose deltas, gathered straight from P, take at
-    most _STAR_OPERAND_BYTES; each value is the one the graph's rows use.
+    Hypotheses go in chunks whose deltas, gathered from the graph's own,
+    take at most _STAR_OPERAND_BYTES; each chunk signs its deltas alone.
     """
-    k, d = P.shape
+    V, d = deltas.shape
+    k = (1 + math.isqrt(1 + 8 * V)) // 2
     table = np.empty((k, k - 1, k - 1), dtype=bool)
-    star_pairs = all_pairs(k)[_star_ids(k)]  # [c, x] = the x-th pair holding c, 0-based
+    star = _star_ids(k)
     chunk = max(1, _STAR_OPERAND_BYTES // (8 * (k - 1) * d))
+    buffer = np.empty((min(chunk, k), k - 1, k - 1))  # one margin buffer: a fresh one would meet the last before it is freed
     for c in range(0, k, chunk):
-        members = star_pairs[c:c + chunk]
-        deltas = P[members[..., 0]] - P[members[..., 1]]
-        threshold = phi * np.abs(deltas).sum(axis=2)
-        signs = _scheffe_signs(deltas, np.float64)
-        margin = np.matmul(signs, deltas.transpose(0, 2, 1))  # [., x, y] = <S_cx, delta_cy>
-        np.greater_equal(np.abs(margin, out=margin), threshold[:, np.newaxis], out=table[c:c + chunk])
+        ids = star[c:c + chunk]
+        members = deltas[ids]
+        margin = np.matmul(_scheffe_signs(members, np.float64), members.transpose(0, 2, 1),
+                           out=buffer[:len(ids)])  # [., x, y] = <S_cx, delta_cy>
+        np.greater_equal(np.abs(margin, out=margin), threshold[ids][:, np.newaxis], out=table[c:c + chunk])
     table.reshape(k, -1)[:, ::k] = False  # the diagonal: no self-loop
     return table
 
@@ -448,23 +452,26 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     Edge u -> w present iff |<delta_w, S_u>| >= phi * ||delta_w||_1.  Pairs of
     identical hypotheses have zero norm and therefore receive edges from every
     other vertex.  After reserving the packed bits, V * ceil(V / 8) bytes, the
-    build computes the shared-index table from per-hypothesis star blocks, in
-    O(k^3 d), and the O(V d) deltas, signs and thresholds of the rows.  A row
-    block, filled by PackedRows when a row of it is first read, takes one gemm
-    for the edges into pairs disjoint from its rows, and copies the 2(k - 1)
-    entries of each row into the pairs sharing an index with it from the
-    table, whose False diagonal clears the self-loop: every shared-index edge
-    is computed once.  The row function does not hold the graph, so a graph no
-    caller holds is freed at once.  No V x V array is made.  A build whose
-    packed bits would not fit in the memory available raises
-    UnsupportedSizeError before allocating anything.
+    build computes each of the V pair deltas once, into one (V, d) array, in
+    lexicographic runs P[c] - P[c + 1:] with no index gather.  The thresholds
+    are phi times Q._pair_distances, which QueryFamily.certifies reads again.
+    From these the shared-index table is computed in per-hypothesis star
+    blocks, in O(k^3 d).  A row block, filled by PackedRows when a row of it
+    is first read, signs its own rows' deltas and takes one gemm for the
+    edges into pairs disjoint from its rows; it copies the 2(k - 1) entries of
+    each row into the pairs sharing an index with it from the table, whose
+    False diagonal clears the self-loop: every shared-index edge is computed
+    once.  The row function does not hold the graph, so a graph no caller
+    holds is freed at once.  No V x V array is made.  A build whose packed
+    bits would not fit in the memory available raises UnsupportedSizeError
+    before allocating anything.
     """
     _check_phi(phi)
     k = Q.k
     V = pair_count(k)
 
     def block(start, stop):
-        inner = signs[start:stop] @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
+        inner = _scheffe_signs(deltas[start:stop], np.float64) @ deltas.T  # inner[u - start, w] = <S_u, delta_w>
         adj = np.abs(inner, out=inner) >= threshold
         lo, hi = pairs[start:stop].T
         offsets = np.arange(0, (stop - start) * V, V)[:, np.newaxis]
@@ -477,10 +484,13 @@ def build_scheffe_graph(Q: HypothesisSet, phi: float = PHI_DEFAULT) -> PairDigra
     P = Q.probs_matrix
     pairs = all_pairs(k)
     star = _star_ids(k)
-    table = _read_only(_star_shared_index_edges(P, phi))
-    deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
-    signs = _scheffe_signs(deltas, np.float64)
-    threshold = phi * np.abs(deltas).sum(axis=1)
+    deltas = np.empty((V, Q.domain_size))
+    end = 0
+    for c in range(k - 1):  # the pairs {c, c + 1}, ..., {c, k - 1} are one run of ids
+        np.subtract(P[c], P[c + 1:], out=deltas[end:end + k - 1 - c])
+        end += k - 1 - c
+    threshold = phi * Q._pair_distances
+    table = _read_only(_star_shared_index_edges(deltas, threshold))
     G = PairDigraph(k=k, out_edges=rows, phi=float(phi))
     G.__dict__["shared_index_edges"] = table
     return G

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -158,6 +159,24 @@ class TestPairIndexing:
         pairs = scheffe_graph._pairs_from_ids(ids, 6)
         assert pairs == tuple(vertex_pairs(6, ids))
         assert all(p is scheffe_graph._vertex_pairs(6)[i] for p, i in zip(pairs, ids.tolist()))
+
+    def test_ids_from_pairs_of_no_pairs(self):
+        ids = scheffe_graph._ids_from_pairs([], 5)
+        assert ids.dtype == np.int64 and ids.shape == (0,)
+
+    def test_ids_from_pairs_names_the_first_pair_outside_k(self):
+        pairs = [VertexPair(1, 2), VertexPair(3, 7), VertexPair(2, 9)]
+        with pytest.raises(ArgumentError, match=r"VertexPair\(lo=3, hi=7\) is not a vertex of a graph on 6"):
+            scheffe_graph._ids_from_pairs(pairs, 6)
+
+    @pytest.mark.parametrize("k", [2, 7, 40])
+    def test_ids_from_pairs_match_vertex_id(self, k):
+        """Every vertex in id order, then a seeded shuffle of them with repeats."""
+        corpus = vertex_pairs(k)
+        corpus += [corpus[i] for i in np.random.default_rng(k).integers(len(corpus), size=3 * len(corpus)).tolist()]
+        ids = scheffe_graph._ids_from_pairs(corpus, k)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [p.vertex_id(k) for p in corpus]
 
     def test_pair_index_either_order(self):
         assert pair_index(3, 1, 5) == pair_index(1, 3, 5)
@@ -583,8 +602,20 @@ def with_duplicates(Q):
     """Q with q2 = q1 and, where there are that many, q5 = q4 = q3: vertices of zero pair norm."""
     h = list(Q.hypotheses)
     h[1] = h[0]
-    h[3:5] = [h[2]] * len(h[3:5])
+    h[3:5] = h[2:3] * len(h[3:5])
     return HypothesisSet(tuple(h))
+
+
+BUILD_MODELS = [*GENERATOR_MODELS, "duplicates", "hadamard", "hadamard-pm"]
+
+
+def model_instance(model, k):
+    """A generator model's Q at d = 64 and seed k; duplicates is sparse with_duplicates, hadamard(-pm) the
+    hadamard_hypotheses."""
+    if model.startswith("hadamard"):
+        return hadamard_hypotheses(k, point_masses=model == "hadamard-pm")
+    Q = random_hypothesis_set(k, 64, seed=k, model="sparse" if model == "duplicates" else model)
+    return with_duplicates(Q) if model == "duplicates" else Q
 
 
 class TestLazyRows:
@@ -718,17 +749,11 @@ class TestLazyRows:
 
     @pytest.mark.parametrize("band", ["proven"])  # one value, so each test id keeps its "-proven" suffix
     @pytest.mark.parametrize("k", [3, 8, 16, 32, 64, 128])
-    @pytest.mark.parametrize("model", [*GENERATOR_MODELS, "duplicates", "hadamard", "hadamard-pm"])
+    @pytest.mark.parametrize("model", BUILD_MODELS)
     def test_star_table_equals_table_of_filled_rows(self, model, k, band):
         """The build and a read of the shared-index table fill no row block; once every block
         is filled, the table read back from the rows is the same."""
-        if model.startswith("hadamard"):
-            Q = hadamard_hypotheses(k, point_masses=model == "hadamard-pm")
-        else:
-            Q = random_hypothesis_set(k, 64, seed=k, model="sparse" if model == "duplicates" else model)
-        if model == "duplicates":
-            Q = with_duplicates(Q)
-        G = build_scheffe_graph(Q, PHI)
+        G = build_scheffe_graph(model_instance(model, k), PHI)
         assert G.out_edges.filled_blocks == 0
         table = G.shared_index_edges
         assert not table.flags.writeable
@@ -759,6 +784,115 @@ class TestLazyRows:
         assert np.array_equal(adj, expected)
         assert not adj.diagonal().any()
         assert np.array_equal(G.shared_index_edges, filled_table(G))
+
+
+def reference_scheffe_graph(Q, phi):
+    """The build that gathered the pair deltas from Q.probs_matrix, signed them all at once, and gathered them
+    from Q.probs_matrix again for the shared-index table, star by star.
+
+    Returns its packed bits, every row block filled, its shared-index table, its in-degrees and its thresholds.
+    """
+    k, V = Q.k, pair_count(Q.k)
+    P = Q.probs_matrix
+    pairs = all_pairs(k)
+    star = scheffe_graph._star_ids(k)
+    table = np.empty((k, k - 1, k - 1), dtype=bool)
+    star_pairs = pairs[star]
+    chunk = max(1, scheffe_graph._STAR_OPERAND_BYTES // (8 * (k - 1) * Q.domain_size))
+    for c in range(0, k, chunk):
+        members = star_pairs[c:c + chunk]
+        deltas = P[members[..., 0]] - P[members[..., 1]]
+        margin = np.matmul(np.where(deltas >= 0.0, 1.0, -1.0), deltas.transpose(0, 2, 1))
+        table[c:c + chunk] = np.abs(margin) >= phi * np.abs(deltas).sum(axis=2)[:, np.newaxis]
+    table.reshape(k, -1)[:, ::k] = False
+    deltas = P[pairs[:, 0]] - P[pairs[:, 1]]
+    signs = np.where(deltas >= 0.0, 1.0, -1.0)
+    threshold = phi * np.abs(deltas).sum(axis=1)
+    bits = np.empty((V, -(-V // 8)), dtype=np.uint8)
+    in_degrees = np.zeros(V, dtype=np.int64)
+    for start, stop in scheffe_graph._row_blocks(V):
+        adj = np.abs(signs[start:stop] @ deltas.T) >= threshold
+        lo, hi = pairs[start:stop].T
+        rows = np.arange(stop - start)[:, np.newaxis]
+        adj[rows, star[lo]] = table[lo, hi - 1]
+        adj[rows, star[hi]] = table[hi, lo]
+        bits[start:stop] = np.packbits(adj, axis=1)
+        in_degrees += adj.sum(axis=0)
+    return {"bits": bits, "table": table, "in_degrees": in_degrees, "threshold": threshold}
+
+
+def captured_thresholds(monkeypatch):
+    """The thresholds each later build hands its shared-index table, the array its row blocks read too."""
+    thresholds = []
+    star_table = scheffe_graph._star_shared_index_edges
+
+    def capture(deltas, threshold):
+        thresholds.append(threshold)
+        return star_table(deltas, threshold)
+
+    monkeypatch.setattr(scheffe_graph, "_star_shared_index_edges", capture)
+    return thresholds
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReferenceBuild:
+    """The build that computes each pair delta once, against reference_scheffe_graph."""
+
+    @pytest.mark.parametrize("phi", [PHI, 0.9, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("model", BUILD_MODELS)
+    def test_matches_reference(self, monkeypatch, model, k, phi):
+        Q = model_instance(model, k)
+        thresholds = captured_thresholds(monkeypatch)
+        G = build_scheffe_graph(Q, phi)
+        expected = reference_scheffe_graph(Q, phi)
+        assert same_bits(G.shared_index_edges, expected["table"])
+        assert G.out_edges.filled_blocks == 0
+        assert same_bits(G.out_edges.bits, expected["bits"])
+        assert G.out_edges.filled_blocks == G.out_edges._filled.size
+        assert same_bits(G.in_degrees, expected["in_degrees"])
+        (threshold,) = thresholds
+        assert same_bits(threshold, expected["threshold"])
+        assert same_bits(threshold, phi * Q._pair_distances)
+
+    def test_build_and_certifies_compute_pair_distances_once(self, monkeypatch):
+        """The build's thresholds are phi * Q._pair_distances, and the family's certifies reads the same
+        distances: one computation in all."""
+        from ldpselect.rmde import query_family_from_dominating_set
+
+        calls = []
+        distances = HypothesisSet.__dict__["_pair_distances"]
+        counted = cached_property(lambda Q: calls.append(1) or distances.func(Q))
+        counted.__set_name__(HypothesisSet, "_pair_distances")
+        monkeypatch.setattr(HypothesisSet, "_pair_distances", counted)
+        thresholds = captured_thresholds(monkeypatch)
+        Q = random_hypothesis_set(32, 64, seed=3)
+        G = build_scheffe_graph(Q, PHI)
+        assert len(calls) == 1
+        family = query_family_from_dominating_set(Q, find_dominating_set(G, Q, seed=1), PHI, graph=G)
+        assert family.certifies(Q)
+        assert len(calls) == 1
+        assert same_bits(thresholds[0], PHI * Q._pair_distances)
+
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_peak_memory_is_the_arrays_it_holds(self, k):
+        """The build's peak is its packed bits, deltas and table, the thresholds and Q's pair distances
+        (8 V bytes each), and at most 1 MiB more.  Gathering the deltas from Q.probs_matrix and holding
+        a (V, d) float64 sign matrix took 8.0 MiB more at k = 128 and 32.1 MiB more at k = 256."""
+        Q = random_hypothesis_set(k, 64, seed=1)
+        Q.probs_matrix, all_pairs(k), scheffe_graph._star_ids(k)  # cached before tracing starts
+        tracemalloc.start()
+        try:
+            G = build_scheffe_graph(Q, PHI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        V = pair_count(k)
+        assert G.out_edges.filled_blocks == 0
+        assert peak <= V * -(-V // 8) + 8 * V * 64 + k * (k - 1) ** 2 + 16 * V + (1 << 20)
 
 
 class TestMemoryRefusal:
